@@ -34,6 +34,7 @@ from .errors import (
     IrregularCurve,
     MetricMismatch,
     NoSeed,
+    OracleMismatch,
     SingularLocus,
     UnknownIdentifierError,
 )

@@ -28,6 +28,7 @@ from .errors import (
     IrregularCurve,
     MetricMismatch,
     NoSeed,
+    OracleMismatch,
     SingularLocus,
 )
 from .forms import christoffel, first_form, second_form
@@ -42,7 +43,7 @@ from .tangent import (
 
 _ANALYSIS_ERRORS = (NoSeed, SingularLocus, IdenticallyTangent, DegeneratePoint,
                     DomainError, FrameUndefined, IrregularCurve,
-                    MetricMismatch)
+                    MetricMismatch, OracleMismatch)
 
 
 def _out_path(directory, name):

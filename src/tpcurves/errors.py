@@ -68,6 +68,10 @@ class IdenticallyTangent(GeometryError):
     """Tangency residual vanishes on an open neighborhood; locus is not a curve."""
 
 
+class OracleMismatch(GeometryError):
+    """A fast route and its independent oracle disagree beyond tolerance."""
+
+
 class MetricMismatch(GeometryError):
     """Candidate surface pair whose first fundamental forms disagree."""
 

@@ -176,7 +176,7 @@ class _Parser:
             rhs = self.parse_exponent()
             try:
                 value = _const_fold(rhs)
-            except (EvalError, OverflowError):
+            except EvalError:
                 value = None
             if value is None or not math.isfinite(value):
                 raise ExpressionSyntaxError(
@@ -309,7 +309,10 @@ def _apply_unary_float(op, x):
         if x < 0.0:
             raise EvalError(f"sqrt of negative value {x}")
         return math.sqrt(x)
-    return _FLOAT_FUNCS[op](x)
+    try:
+        return _FLOAT_FUNCS[op](x)
+    except (OverflowError, ValueError) as exc:
+        raise EvalError(f"{op} at {x!r}: {exc}") from exc
 
 
 def _apply_binary_float(op, a, b):
@@ -326,8 +329,8 @@ def _apply_binary_float(op, a, b):
     # "^": constant exponent
     try:
         return math.pow(a, b)
-    except ValueError as exc:
-        raise EvalError(f"{a} ** {b} undefined") from exc
+    except (OverflowError, ValueError) as exc:
+        raise EvalError(f"{a} ** {b} undefined: {exc}") from exc
 
 
 def evaluate(node, env, lift):

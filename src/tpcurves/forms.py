@@ -14,7 +14,8 @@ formulas and from the general metric formula
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij),
 
-and the two routes are required to agree to 1e-10.
+and the two routes are required to agree to 1e-10; a disagreement raises
+:class:`~tpcurves.errors.OracleMismatch`.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import DegeneratePoint, OracleMismatch
 from .jets import Field1, Field2
 
 __all__ = [
@@ -207,8 +208,9 @@ def christoffel(form):
     explicit = (g111.f, g112.f, g121.f, g122.f, g221.f, g222.f)
     scale = max(1.0, max(abs(x) for x in explicit))
     worst = max(abs(a - b) for a, b in zip(explicit, oracle))
-    assert worst <= _ORACLE_TOLERANCE * scale, (
-        f"Christoffel routes disagree by {worst}")
+    if not worst <= _ORACLE_TOLERANCE * scale:
+        raise OracleMismatch(f"Christoffel routes disagree by {worst} at "
+                             f"(E, F, G) = ({form.E}, {form.F}, {form.G})")
     return Christoffel(
         g111=g111.f, g112=g112.f, g121=g121.f,
         g122=g122.f, g221=g221.f, g222=g222.f,

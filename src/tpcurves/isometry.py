@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import reparametrize_arclength, transfer_sample
-from .errors import DegeneratePoint, MetricMismatch
-from .forms import first_form, second_form
+from .errors import MetricMismatch
+from .forms import REGULARITY_THRESHOLD, first_form, metric_fields, second_form
 from .tangent import (
     decompose_position,
     geodesic_curvature_formula,
@@ -70,7 +70,7 @@ class MetricMatchReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))  # NaN wins
 
 
 @dataclass(frozen=True)
@@ -135,32 +135,39 @@ def _shared_domain(source, target):
     return (u0, u1), (v0, v1)
 
 
-def _grid_points(u_range, v_range, grid):
-    m, n = grid
-    us = np.linspace(u_range[0], u_range[1], m)
-    vs = np.linspace(v_range[0], v_range[1], n)
-    return [(float(u), float(v)) for u in us for v in vs]
-
-
 _METRIC_KEYS = ("E", "F", "G", "E_u", "E_v", "F_u", "F_v", "G_u", "G_v")
 
 
-def _metric_residuals(pair_or_patches, u_range, v_range, grid):
-    source, target = pair_or_patches
-    worst = {k: 0.0 for k in _METRIC_KEYS}
-    skipped = 0
-    for u, v in _grid_points(u_range, v_range, grid):
-        try:
-            f_src = first_form(source.jet(u, v))
-            f_tgt = first_form(target.jet(u, v))
-        except DegeneratePoint:
-            skipped += 1
-            continue
-        for key in _METRIC_KEYS:
-            diff = abs(getattr(f_src, key) - getattr(f_tgt, key))
-            if diff > worst[key]:
-                worst[key] = diff
-    return worst, skipped
+def _metric_coeffs(E, F, G):
+    """Coefficients of the metric fields in ``_METRIC_KEYS`` order."""
+    return (E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv)
+
+
+def _metric_residuals(source, target, u_range, v_range, grid):
+    """Max |source - target| of each metric coefficient over the grid nodes
+    where neither patch is degenerate, and the number of degenerate nodes.
+
+    Each patch is evaluated once, at all nodes together.  A NaN or inf
+    difference at any kept node makes that maximum NaN or inf, never 0.
+    """
+    m, n = grid
+    us = np.repeat(np.linspace(u_range[0], u_range[1], m), n)
+    vs = np.tile(np.linspace(v_range[0], v_range[1], n), m)
+    coeffs = []
+    degenerate = np.zeros(us.shape, dtype=bool)
+    worst = {}
+    # Overflow and inf - inf pass silently, as they do in float arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for patch in (source, target):
+            E, F, G = metric_fields(patch.jet_batch(us, vs))
+            # first_form's regularity test, at every node at once.
+            degenerate |= E.f * G.f - F.f * F.f <= REGULARITY_THRESHOLD
+            coeffs.append(_metric_coeffs(E, F, G))
+        keep = ~degenerate
+        for key, a, b in zip(_METRIC_KEYS, *coeffs):
+            diff = np.broadcast_to(np.abs(a - b), us.shape)[keep]
+            worst[key] = float(diff.max()) if diff.size else 0.0
+    return worst, int(np.count_nonzero(degenerate))
 
 
 def register_pair(source, target, kind, grid=(20, 20)):
@@ -172,12 +179,13 @@ def register_pair(source, target, kind, grid=(20, 20)):
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     u_range, v_range = _shared_domain(source, target)
-    worst, _ = _metric_residuals((source, target), u_range, v_range, grid)
-    max_metric = max(worst[k] for k in ("E", "F", "G"))
-    if max_metric >= REGISTRATION_TOLERANCE:
+    worst, _ = _metric_residuals(source, target, u_range, v_range, grid)
+    max_metric = float(np.max([worst["E"], worst["F"], worst["G"]]))
+    # ``not <`` so that a NaN residual rejects the pair too.
+    if not max_metric < REGISTRATION_TOLERANCE:
         raise MetricMismatch(
             f"metric deviation {max_metric} between '{source.name}' and "
-            f"'{target.name}' exceeds {REGISTRATION_TOLERANCE}")
+            f"'{target.name}' is not below {REGISTRATION_TOLERANCE}")
     return IsometryPair(source=source, target=target, kind=kind,
                         u_range=u_range, v_range=v_range,
                         registration_residual=max_metric)
@@ -186,7 +194,7 @@ def register_pair(source, target, kind, grid=(20, 20)):
 def verify_metric_match(pair, grid=(20, 20)):
     """Max residuals of E, F, G and their six derivatives over a grid."""
     worst, skipped = _metric_residuals(
-        (pair.source, pair.target), pair.u_range, pair.v_range, grid)
+        pair.source, pair.target, pair.u_range, pair.v_range, grid)
     return MetricMatchReport(residuals=worst, grid=tuple(grid), skipped=skipped)
 
 

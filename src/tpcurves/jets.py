@@ -15,49 +15,99 @@ suffice:
 All jets are immutable after construction; arithmetic lifts plain numbers to
 constants, so expression trees can be evaluated over any of these rings.
 Elementary functions raise :class:`~tpcurves.errors.EvalError` at singular
-arguments instead of producing NaNs.
+arguments, and where a value overflows, instead of producing NaNs.
+
+Coefficients of ``Jet2``, ``Jet1`` and ``Field2`` are floats, or 1-D numpy
+arrays with one entry per node of a batch (constant coefficients may stay
+floats).  The same arithmetic then evaluates every node at once, and gives
+at each node the bits that the float path gives, or raises the error the
+float path raises there.
 """
 
 import math
+from itertools import repeat
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import EvalError
 
 __all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3"]
 
 
-def _elem_derivs(op, w):
-    """Value and first three derivatives of an elementary function at w."""
+def _per_node(fn):
+    """``fn`` from ``math`` applied node by node to a 1-D array."""
+    def apply(w, *args):
+        return np.fromiter(map(fn, w.tolist(), *map(repeat, args)),
+                           float, len(w))
+    return apply
+
+
+# ``math`` over arrays of nodes.  numpy's own exp, log, sinh, cosh, tanh and
+# power differ from libm in the last place, so every transcendental call goes
+# through ``math`` once per node: batched jets then equal scalar jets bit for
+# bit, and raise where ``math`` raises.  numpy's sqrt is correctly rounded.
+_NODE_MATH = SimpleNamespace(
+    sqrt=np.sqrt,
+    **{name: _per_node(getattr(math, name))
+       for name in ("sin", "cos", "sinh", "cosh", "tanh", "exp", "log",
+                    "pow")})
+
+
+def _any(mask):
+    """A singularity test at a float, or at any node of an array."""
+    return mask is True or (mask is not False and mask.any())
+
+
+def _node_derivs(formula, w, arg, scalar):
+    """``formula(w, arg, _NODE_MATH)`` at a 1-D array of nodes ``w``.
+
+    Where a node's value is not representable, the error raised is the one
+    ``scalar`` (the float path) raises at the first node that fails, so both
+    paths fail alike.  Division by zero raises on arrays as it does on
+    floats.
+    """
+    try:
+        with np.errstate(divide="raise"):
+            return formula(w, arg, _NODE_MATH)
+    except (ArithmeticError, ValueError, EvalError):
+        for x in w.tolist():
+            scalar(x)
+        raise
+
+
+def _elem_formula(w, op, m):
     if op == "sin":
-        s, c = math.sin(w), math.cos(w)
+        s, c = m.sin(w), m.cos(w)
         return s, c, -s, -c
     if op == "cos":
-        s, c = math.sin(w), math.cos(w)
+        s, c = m.sin(w), m.cos(w)
         return c, -s, -c, s
     if op == "sinh":
-        s, c = math.sinh(w), math.cosh(w)
+        s, c = m.sinh(w), m.cosh(w)
         return s, c, s, c
     if op == "cosh":
-        s, c = math.sinh(w), math.cosh(w)
+        s, c = m.sinh(w), m.cosh(w)
         return c, s, c, s
     if op == "tanh":
-        t = math.tanh(w)
+        t = m.tanh(w)
         d1 = 1.0 - t * t
         return t, d1, -2.0 * t * d1, (6.0 * t * t - 2.0) * d1
     if op == "exp":
-        e = math.exp(w)
+        e = m.exp(w)
         return e, e, e, e
     if op == "log":
-        if w <= 0.0:
+        if _any(w <= 0.0):
             raise EvalError(f"log of non-positive value {w}")
         iw = 1.0 / w
-        return math.log(w), iw, -iw * iw, 2.0 * iw * iw * iw
+        return m.log(w), iw, -iw * iw, 2.0 * iw * iw * iw
     if op == "sqrt":
-        if w <= 0.0:
+        if _any(w <= 0.0):
             raise EvalError(f"sqrt of non-positive value {w}")
-        r = math.sqrt(w)
+        r = m.sqrt(w)
         return r, 0.5 / r, -0.25 / (r * w), 0.375 / (r * w * w)
     if op == "recip":
-        if w == 0.0:
+        if _any(w == 0.0):
             raise EvalError("division by zero")
         iw = 1.0 / w
         iw2 = iw * iw
@@ -65,17 +115,39 @@ def _elem_derivs(op, w):
     raise ValueError(f"unknown elementary function '{op}'")
 
 
+def _elem_derivs(op, w):
+    """Value and first three derivatives of an elementary function at w.
+
+    Where a float result is not representable, Python raises OverflowError,
+    ZeroDivisionError or ValueError; each becomes EvalError.
+    """
+    if isinstance(w, float):
+        try:
+            return _elem_formula(w, op, math)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvalError(f"{op} at {w!r}: {exc}") from exc
+    return _node_derivs(_elem_formula, w, op, lambda x: _elem_derivs(op, x))
+
+
+def _pow_formula(w, p, m):
+    if _any(w <= 0.0):
+        raise EvalError(f"{w} ** {p} undefined for non-integer exponent")
+    return (
+        m.pow(w, p),
+        p * m.pow(w, p - 1.0),
+        p * (p - 1.0) * m.pow(w, p - 2.0),
+        p * (p - 1.0) * (p - 2.0) * m.pow(w, p - 3.0),
+    )
+
+
 def _pow_derivs(w, p):
     """Derivatives of w**p for non-integer constant p; requires w > 0."""
-    if w <= 0.0:
-        raise EvalError(f"{w} ** {p} undefined for non-integer exponent")
-    f = w ** p
-    return (
-        f,
-        p * w ** (p - 1.0),
-        p * (p - 1.0) * w ** (p - 2.0),
-        p * (p - 1.0) * (p - 2.0) * w ** (p - 3.0),
-    )
+    if isinstance(w, float):
+        try:
+            return _pow_formula(w, p, math)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvalError(f"x ** {p} at {w!r}: {exc}") from exc
+    return _node_derivs(_pow_formula, w, p, lambda x: _pow_derivs(x, p))
 
 
 class Jet2:
@@ -178,12 +250,12 @@ class Jet2:
             f2 * gu * gu + f1 * guu,
             f2 * gu * gv + f1 * guv,
             f2 * gv * gv + f1 * gvv,
-            f3 * gu ** 3 + 3.0 * f2 * gu * guu + f1 * self.fuuu,
+            f3 * gu * gu * gu + 3.0 * f2 * gu * guu + f1 * self.fuuu,
             (f3 * gu * gu * gv + f2 * (2.0 * gu * guv + guu * gv)
              + f1 * self.fuuv),
             (f3 * gu * gv * gv + f2 * (2.0 * gv * guv + gu * gvv)
              + f1 * self.fuvv),
-            f3 * gv ** 3 + 3.0 * f2 * gv * gvv + f1 * self.fvvv,
+            f3 * gv * gv * gv + 3.0 * f2 * gv * gvv + f1 * self.fvvv,
         )
 
     def sin(self):
@@ -301,7 +373,7 @@ class Jet1:
             f0,
             f1 * g1,
             f2 * g1 * g1 + f1 * g2,
-            f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3,
+            f3 * g1 * g1 * g1 + 3.0 * f2 * g1 * g2 + f1 * g3,
         )
 
     def sin(self):

@@ -26,9 +26,10 @@ _DOMAIN_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Position and partial derivatives of a patch at one parameter point."""
+    """Position and partial derivatives of a patch at one parameter point,
+    or at every node of a batch (see :meth:`SurfacePatch.jet_batch`)."""
 
-    u: float
+    u: float  # or an array of nodes
     v: float
     value: np.ndarray
     du: np.ndarray
@@ -56,7 +57,9 @@ class SurfacePatch:
         (u0, u1), (v0, v1) = self.u_range, self.v_range
         su = _DOMAIN_SLACK * max(1.0, abs(u0), abs(u1))
         sv = _DOMAIN_SLACK * max(1.0, abs(v0), abs(v1))
-        return (u0 - su <= u <= u1 + su) and (v0 - sv <= v <= v1 + sv)
+        # ``&`` rather than ``and``: u and v may be arrays of nodes.
+        return ((u0 - su <= u) & (u <= u1 + su)
+                & (v0 - sv <= v) & (v <= v1 + sv))
 
     def _require_inside(self, u, v):
         if not self.contains(u, v):
@@ -77,17 +80,52 @@ class SurfacePatch:
         env = {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}
         comps = tuple(expr.evaluate(c, env, Jet2.const) for c in self.components)
         arr = lambda attr: np.array([getattr(c, attr) for c in comps])
-        return SurfaceJet(
-            u=float(u), v=float(v),
-            value=arr("f"), du=arr("fu"), dv=arr("fv"),
-            duu=arr("fuu"), duv=arr("fuv"), dvv=arr("fvv"),
-            duuu=arr("fuuu"), duuv=arr("fuuv"), duvv=arr("fuvv"),
-            dvvv=arr("fvvv"),
-            components=comps,
-        )
+        return _surface_jet(float(u), float(v), comps, arr)
+
+    def jet_batch(self, u, v):
+        """:meth:`jet` at every node of two equal-length 1-D arrays, in one
+        pass over the expression trees.
+
+        The result's ``u`` and ``v`` are the node arrays and its derivative
+        arrays have shape (3, nodes); each node's column carries the bits
+        :meth:`jet` gives there.  The component jets keep a float wherever
+        a coefficient is the same at every node.  A node outside the domain,
+        or one where :meth:`jet` would raise EvalError, raises that error.
+        """
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        inside = self.contains(u, v)
+        if not inside.all():
+            first = int(np.argmin(inside))
+            self._require_inside(u[first], v[first])
+        env = {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}
+        # Python floats overflow to inf and NaN without a word; so do these.
+        with np.errstate(over="ignore", invalid="ignore"):
+            comps = tuple(expr.evaluate(c, env, Jet2.const)
+                          for c in self.components)
+
+        def arr(attr):
+            out = np.empty((3, len(u)))
+            for row, c in zip(out, comps):
+                row[...] = getattr(c, attr)  # broadcasts a float coefficient
+            return out
+
+        return _surface_jet(u, v, comps, arr)
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
+
+
+def _surface_jet(u, v, comps, arr):
+    """SurfaceJet of component jets; ``arr(attr)`` stacks one coefficient."""
+    return SurfaceJet(
+        u=u, v=v,
+        value=arr("f"), du=arr("fu"), dv=arr("fv"),
+        duu=arr("fuu"), duv=arr("fuv"), dvv=arr("fvv"),
+        duuu=arr("fuuu"), duuv=arr("fuuv"), duvv=arr("fuvv"),
+        dvvv=arr("fvvv"),
+        components=comps,
+    )
 
 
 def parse_surface(text, u_range, v_range, name="surface"):

@@ -173,6 +173,19 @@ def test_cli_isometry(capsys):
     assert inv["max_kappa_g_residual"] < 1e-7
 
 
+def test_cli_forms_overflow_exit_1(tmp_path, capsys):
+    path = tmp_path / "scene.ini"
+    path.write_text("[surface boom]\n"
+                    "components = (exp(exp(u)), v, 0)\n"
+                    "u_range = 5, 7\n"
+                    "v_range = 0, 1\n")
+    rc = cli.main(["forms", "boom", "6.9", "0.5", "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp at ")
+    assert "range error" in err
+
+
 def test_cli_custom_config(tmp_path, capsys):
     path = tmp_path / "scene.ini"
     path.write_text(GOOD_SCENE)

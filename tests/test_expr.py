@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tpcurves import expr
 from tpcurves.errors import (
     ArityError,
+    EvalError,
     ExpressionError,
     ExpressionSyntaxError,
     UnknownIdentifierError,
@@ -41,6 +42,13 @@ def test_functions_and_pi():
     assert ev("cosh(0)") == 1.0
     assert ev("exp(log(3))") == pytest.approx(3.0, rel=1e-15)
     assert ev("sqrt(u)", u=9.0) == 3.0
+
+
+def test_float_overflow_is_eval_error():
+    with pytest.raises(EvalError, match="range error"):
+        ev("exp(u)", u=1000.0)
+    with pytest.raises(EvalError):
+        ev("u^2.5", u=1e200)
 
 
 def test_variables_scoped():

@@ -13,7 +13,8 @@ from tpcurves import (
     parse_surface,
     second_form,
 )
-from tpcurves.errors import DegeneratePoint
+from tpcurves import forms
+from tpcurves.errors import DegeneratePoint, OracleMismatch
 
 
 def random_points(patch, count, seed=3):
@@ -118,6 +119,17 @@ def test_christoffel_routes_agree(scene):
             explicit = (chris.g111, chris.g112, chris.g121,
                         chris.g122, chris.g221, chris.g222)
             assert max(abs(a - b) for a, b in zip(explicit, oracle)) < 1e-10
+
+
+def test_christoffel_oracle_disagreement_raises(scene, monkeypatch):
+    form = first_form(scene.surface("sphere").jet(0.7, 0.4))
+    wrong = tuple(g + 1e-6 for g in christoffel_from_metric(
+        form.E, form.F, form.G, form.E_u, form.E_v,
+        form.F_u, form.F_v, form.G_u, form.G_v))
+    monkeypatch.setattr(forms, "christoffel_from_metric",
+                        lambda *args: wrong)
+    with pytest.raises(OracleMismatch, match="Christoffel routes disagree"):
+        christoffel(form)
 
 
 def test_christoffel_derivatives_match_finite_differences(scene):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpcurves import (
+    IsometryPair,
     invariance_report,
     parse_surface,
     register_pair,
@@ -43,6 +44,22 @@ def test_mismatched_pair_rejected(scene):
                            name="stretched")
     with pytest.raises(MetricMismatch):
         register_pair(plane, scaled, "intrinsic")
+
+
+def test_non_finite_residual_rejects_pair():
+    """E overflows to inf on both sides, and inf - inf is NaN: a NaN
+    residual must reject the pair and be reported, never read as 0."""
+    source = parse_surface("(u^200, v, 0)", (10, 20), (0, 1), name="steep")
+    target = parse_surface("(3*u^200, v, 0)", (10, 20), (0, 1),
+                           name="steeper")
+    with pytest.raises(MetricMismatch):
+        register_pair(source, target, "intrinsic")
+    unchecked = IsometryPair(source=source, target=target, kind="intrinsic",
+                             u_range=(10.0, 20.0), v_range=(0.0, 1.0),
+                             registration_residual=math.nan)
+    report = verify_metric_match(unchecked, (20, 20))
+    assert not math.isfinite(report.residuals["E"])
+    assert not math.isfinite(report.max_residual)
 
 
 def test_bad_kind_rejected(scene):
