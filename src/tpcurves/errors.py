@@ -49,7 +49,8 @@ class DegeneratePoint(GeometryError):
 
 
 class IrregularCurve(GeometryError):
-    """Curve speed below threshold; arc-length parametrization undefined."""
+    """Arc-length parametrization undefined or unresolved: speed below
+    threshold, or the arc-length table or its inversion not converging."""
 
 
 class FrameUndefined(GeometryError):

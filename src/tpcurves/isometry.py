@@ -18,6 +18,7 @@ What is literally invariant and what is only empirical:
   verdict flag instead of asserting.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,8 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     where neither patch is degenerate, and the number of degenerate nodes.
 
     Each patch is evaluated once, at all nodes together.  A NaN or inf
-    difference at any kept node makes that maximum NaN or inf, never 0.
+    difference at any kept node makes that maximum NaN or inf, never 0, and
+    so does a grid on which no node is kept.
     """
     m, n = grid
     us = np.repeat(np.linspace(u_range[0], u_range[1], m), n)
@@ -166,7 +168,8 @@ def _metric_residuals(source, target, u_range, v_range, grid):
         keep = ~degenerate
         for key, a, b in zip(_METRIC_KEYS, *coeffs):
             diff = np.broadcast_to(np.abs(a - b), us.shape)[keep]
-            worst[key] = float(diff.max()) if diff.size else 0.0
+            # NaN when every node is degenerate: nothing was compared.
+            worst[key] = float(diff.max()) if diff.size else math.nan
     return worst, int(np.count_nonzero(degenerate))
 
 

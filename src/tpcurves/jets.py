@@ -295,12 +295,13 @@ class Jet2:
     def _ipow(self, n):
         result = Jet2.const(1.0)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # only while a higher bit is left
 
 
 class Jet1:
@@ -412,12 +413,13 @@ class Jet1:
     def _ipow(self, n):
         result = Jet1.const(1.0)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # only while a higher bit is left
 
 
 class Field2:

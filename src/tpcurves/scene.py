@@ -33,7 +33,7 @@ import configparser
 import io
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError, ExpressionError
+from .errors import ConfigError, DomainError, EvalError, ExpressionError
 from .expr import parse_constant
 from .isometry import register_pair
 from .surface import parse_curve, parse_surface
@@ -165,7 +165,7 @@ def load_scene_text(text, path="<string>"):
                 _fail(path, text, section, f"unknown section kind: {section!r}")
         except KeyError as exc:
             _fail(path, text, section, f"missing key {exc.args[0]!r}")
-        except ExpressionError as exc:
+        except (ExpressionError, EvalError) as exc:
             _fail(path, text, section, str(exc))
     scene.options = RunOptions(**options)
 
@@ -176,7 +176,7 @@ def load_scene_text(text, path="<string>"):
                   f"surface not found: {curve.surface}")
         try:
             curve.check_on(scene.surfaces[curve.surface])
-        except DomainError as exc:
+        except (DomainError, EvalError) as exc:
             _fail(path, text, f"curve {name}", str(exc))
     for name, pdef in scene.pairs.items():
         for ref in (pdef.source, pdef.target):

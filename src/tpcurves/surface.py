@@ -162,34 +162,60 @@ class CurvePath:
     def _require_inside(self, t):
         t0, t1 = self.t_range
         slack = _DOMAIN_SLACK * max(1.0, abs(t0), abs(t1))
+        if isinstance(t, np.ndarray):
+            inside = (t0 - slack <= t) & (t <= t1 + slack)
+            if inside.all():
+                return
+            t = t[np.argmin(inside)]  # the first failing node
         if not (t0 - slack <= t <= t1 + slack):
             raise DomainError(f"t={t} outside [{t0}, {t1}] of curve '{self.name}'")
 
-    def point(self, t):
-        self._require_inside(t)
-        env = {"t": float(t)}
-        return (expr.evaluate(self.u_component, env, float),
-                expr.evaluate(self.v_component, env, float))
-
     def jet(self, t):
+        """u(t), v(t) with t-derivatives through order 3.
+
+        ``t`` is a float, or a 1-D array of nodes evaluated in one pass.  On
+        an array, ``u`` and ``v`` carry per-node coefficients (a coefficient
+        that is the same at every node may stay a float), each node with
+        the bits the float call gives there; the first node outside the
+        range, or where the float call raises EvalError, raises that error.
+        """
         self._require_inside(t)
-        env = {"t": Jet1.var(t)}
-        return CurveJet(
-            t=float(t),
-            u=expr.evaluate(self.u_component, env, Jet1.const),
-            v=expr.evaluate(self.v_component, env, Jet1.const),
-        )
+        if not isinstance(t, np.ndarray):
+            env = {"t": Jet1.var(t)}
+            return CurveJet(
+                t=float(t),
+                u=expr.evaluate(self.u_component, env, Jet1.const),
+                v=expr.evaluate(self.v_component, env, Jet1.const),
+            )
+        env = {"t": Jet1(t, d1=1.0)}
+        # Python floats overflow to inf and NaN without a word; so do these.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CurveJet(
+                t=t,
+                u=expr.evaluate(self.u_component, env, Jet1.const),
+                v=expr.evaluate(self.v_component, env, Jet1.const),
+            )
 
     def check_on(self, patch, samples=129):
-        """Verify by sampling that the path stays inside the patch domain."""
+        """Verify that the path stays inside the patch domain.
+
+        Only ``samples`` equally spaced parameters, endpoints included, are
+        tested, in one batched pass: a path that leaves the domain between
+        two of them and comes back passes.  The DomainError names the first
+        failing ``t``.
+        """
         t0, t1 = self.t_range
-        for i in range(samples):
-            t = t0 + (t1 - t0) * i / (samples - 1)
-            u, v = self.point(t)
-            if not patch.contains(u, v):
-                raise DomainError(
-                    f"curve '{self.name}' leaves domain of '{patch.name}' "
-                    f"at t={t}: (u, v)=({u}, {v})")
+        ts = np.array([t0 + (t1 - t0) * i / (samples - 1)
+                       for i in range(samples)])
+        cj = self.jet(ts)
+        u = np.broadcast_to(cj.u.f, ts.shape)
+        v = np.broadcast_to(cj.v.f, ts.shape)
+        inside = patch.contains(u, v)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise DomainError(
+                f"curve '{self.name}' leaves domain of '{patch.name}' "
+                f"at t={ts[i]}: (u, v)=({u[i]}, {v[i]})")
 
 
 def parse_curve(u_text, v_text, t_range, name="curve", surface=None):
@@ -210,17 +236,43 @@ def ambient_jet(patch, curve, t):
     """Ambient position jet gamma(t) with t-derivatives through order 3.
 
     Evaluates the patch expressions over univariate jets of u(t), v(t);
-    the chain rule is exact by construction.
+    the chain rule is exact by construction.  ``t`` may be a 1-D array of
+    nodes (see :meth:`CurvePath.jet`): the position and derivative arrays
+    then have shape (3, nodes), each column with the bits of the float call
+    at that node, and the first node off the patch domain raises.
     """
     cj = curve.jet(t)
-    if not patch.contains(cj.u.f, cj.v.f):
+    if not isinstance(t, np.ndarray):
+        if not patch.contains(cj.u.f, cj.v.f):
+            raise DomainError(
+                f"curve point ({cj.u.f}, {cj.v.f}) at t={t} outside domain "
+                f"of '{patch.name}'")
+        env = {"u": cj.u, "v": cj.v}
+        comps = tuple(expr.evaluate(c, env, Jet1.const)
+                      for c in patch.components)
+        gamma = np.array([c.f for c in comps])
+        d1 = np.array([c.d1 for c in comps])
+        d2 = np.array([c.d2 for c in comps])
+        d3 = np.array([c.d3 for c in comps])
+        return cj, gamma, d1, d2, d3
+
+    u = np.broadcast_to(cj.u.f, t.shape)
+    v = np.broadcast_to(cj.v.f, t.shape)
+    inside = patch.contains(u, v)
+    if not inside.all():
+        i = int(np.argmin(inside))
         raise DomainError(
-            f"curve point ({cj.u.f}, {cj.v.f}) at t={t} outside domain of "
-            f"'{patch.name}'")
+            f"curve point ({u[i]}, {v[i]}) at t={t[i]} outside domain "
+            f"of '{patch.name}'")
     env = {"u": cj.u, "v": cj.v}
-    comps = tuple(expr.evaluate(c, env, Jet1.const) for c in patch.components)
-    gamma = np.array([c.f for c in comps])
-    d1 = np.array([c.d1 for c in comps])
-    d2 = np.array([c.d2 for c in comps])
-    d3 = np.array([c.d3 for c in comps])
-    return cj, gamma, d1, d2, d3
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = tuple(expr.evaluate(c, env, Jet1.const)
+                      for c in patch.components)
+
+    def arr(attr):
+        out = np.empty((3, len(t)))
+        for row, c in zip(out, comps):
+            row[...] = getattr(c, attr)  # broadcasts a float coefficient
+        return out
+
+    return cj, arr("f"), arr("d1"), arr("d2"), arr("d3")

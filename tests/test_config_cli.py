@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -77,6 +78,29 @@ def test_missing_key_reports_section_line():
     bad = GOOD_SCENE.replace("u_range = -2, 2\n", "")
     with pytest.raises(ConfigError, match=r"mem2\.ini:1"):
         load_scene_text(bad, "mem2.ini")
+
+
+def test_overflowing_range_reports_section_line(tmp_path, capsys):
+    bad = GOOD_SCENE.replace("u_range = -2, 2", "u_range = 0, exp(1000)")
+    with pytest.raises(ConfigError, match=r"mem3\.ini:1: exp at 1000"):
+        load_scene_text(bad, "mem3.ini")
+    path = tmp_path / "scene.ini"
+    path.write_text(bad)
+    rc = cli.main(["forms", "disc", "0.5", "0.5", "--config", str(path)])
+    assert rc == 1
+    assert re.search(r"scene\.ini:1: exp at 1000", capsys.readouterr().err)
+
+
+def test_curve_leaving_domain_names_first_failing_t():
+    """The batched domain check names the first of its 129 equally spaced
+    parameters that leaves the domain, as a point-by-point loop would."""
+    bad = GOOD_SCENE.replace("u = cos(t)\nv = sin(t)\nt_range = 0, 2*pi",
+                             "u = t/3\nv = 0\nt_range = 0, 8")
+    # t = 6 (i = 96) ends on the edge u = 2; i = 97 is past it.
+    t = 8.0 * 97 / 128
+    message = re.escape(f"at t={t}: (u, v)=(2.02")
+    with pytest.raises(ConfigError, match=message):
+        load_scene_text(bad, "mem.ini")
 
 
 def test_cli_forms_json(capsys):

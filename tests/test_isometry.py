@@ -62,6 +62,22 @@ def test_non_finite_residual_rejects_pair():
     assert not math.isfinite(report.max_residual)
 
 
+def test_all_degenerate_grid_rejects_pair():
+    """A line as source makes every grid node degenerate; with nothing
+    compared the residual is NaN, so the stretched target is rejected."""
+    line = parse_surface("(u, 0, 0)", (0, 1), (0, 1), name="line")
+    stretched = parse_surface("(2*u, v, 0)", (0, 1), (0, 1), name="stretched")
+    with pytest.raises(MetricMismatch, match="nan"):
+        register_pair(line, stretched, "intrinsic")
+    unchecked = IsometryPair(source=line, target=stretched, kind="intrinsic",
+                             u_range=(0.0, 1.0), v_range=(0.0, 1.0),
+                             registration_residual=math.nan)
+    report = verify_metric_match(unchecked, (20, 20))
+    assert report.skipped == 400
+    assert all(math.isnan(r) for r in report.residuals.values())
+    assert math.isnan(report.max_residual)
+
+
 def test_bad_kind_rejected(scene):
     plane = scene.surface("plane")
     with pytest.raises(ValueError):

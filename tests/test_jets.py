@@ -176,6 +176,17 @@ def test_integer_pow_at_zero_base():
     assert (t.f, t.d1, t.d2) == (0.0, 0.0, 2.0)
 
 
+def test_integer_pow_computes_no_unused_square():
+    """20^200 is finite; squaring the base past the top exponent bit
+    (20^256) would overflow."""
+    with np.errstate(over="raise"):
+        j = Jet2(np.array([20.0]), fu=1.0)._ipow(200)
+        t = Jet1(np.array([20.0]), d1=1.0)._ipow(200)
+    assert j.f[0] == t.f[0] == Jet2.var_u(20.0).powc(200).f
+    assert math.isfinite(j.f[0])
+    assert Jet2.var_u(3.0)._ipow(0).f == 1.0
+
+
 def test_fractional_pow_requires_positive_base():
     with pytest.raises(EvalError):
         Jet2.var_u(-1.0).powc(0.5)
