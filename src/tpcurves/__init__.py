@@ -41,11 +41,13 @@ from .errors import (
 from .forms import (
     Christoffel,
     FirstForm,
+    PointGeometry,
     SecondForm,
     christoffel,
     christoffel_from_metric,
     first_form,
     gauss_equation_residual,
+    point_geometry,
     second_form,
 )
 from .isometry import (
@@ -62,8 +64,6 @@ from .surface import (
     CurvePath,
     SurfaceJet,
     SurfacePatch,
-    eval_curve_jet,
-    eval_jet,
     parse_curve,
     parse_surface,
 )

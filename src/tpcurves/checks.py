@@ -15,6 +15,7 @@ Targets:
   pairs, including the plane-to-cylinder counterexample regression.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,13 +27,19 @@ from .curves import (
     reparametrize_arclength,
     surface_curvatures,
 )
-from .forms import christoffel, first_form, gauss_equation_residual, second_form
+from .forms import (
+    christoffel,
+    first_form,
+    gauss_equation_residual,
+    point_geometry,
+    second_form,
+)
 from .isometry import (
     invariance_report,
     second_form_relation,
-    tangent_position_preservation,
     verify_metric_match,
 )
+from .jets import dot3
 from .tangent import (
     binormal_formula_check,
     frame_coefficients,
@@ -56,6 +63,8 @@ _TP_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
 _ALL_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
                "sphere_latitude", "sphere_meridian", "offset_latitude",
                "catenoid_line", "cylinder_helix")
+# The curve whose closed-form components and binormal expansion are checked.
+_COMPONENT_CURVE = "offset_latitude"
 
 _RNG_SEED = 20260810
 _LATITUDE = 2.0 * math.pi / 3.0
@@ -112,88 +121,76 @@ def _gauss_checks(scene):
     return out
 
 
-def _coefficient_checks(scene):
+def _curve_residuals(scene, sample, curve_name):
+    """Worst residual of each per-sample thm31 identity along one curve,
+    from one PointGeometry per sample."""
+    patch, curve = scene.curve_host(curve_name)
+    on_locus = curve_name in _TP_CURVES
+    worst = dict.fromkeys(("a1", "a2", "a3", "b3", "ratio", "pythagoras",
+                           "kappa_g", "components", "binormal"), 0.0)
+
+    def record(key, value):
+        worst[key] = max(worst[key], value)
+
+    for s in sample(patch, curve, scene.options.samples):
+        geom = point_geometry(patch, s.u, s.v)
+        curv = surface_curvatures(geom, s)
+        kappa = math.sqrt(dot3(s.ddgamma, s.ddgamma))
+        if kappa > KAPPA_MIN:
+            record("pythagoras", abs(curv.kappa_g ** 2 + curv.kappa_n ** 2
+                                     - kappa * kappa))
+        intrinsic = geodesic_curvature_formula(
+            velocity_coefficients(geom, s), geom).normalized
+        record("kappa_g", abs(curv.kappa_g - intrinsic))
+        if on_locus:
+            coeffs = frame_coefficients(geom, s)
+            record("a1", abs(coeffs.a1 - s.du))
+            record("a2", abs(coeffs.a2 - s.dv))
+            record("a3", abs(coeffs.a3))
+            record("b3", abs(coeffs.b3 - curv.kappa_n))
+            record("ratio", abs(ratio_identity_check(geom, s)))
+        if curve_name == _COMPONENT_CURVE:
+            record("components",
+                   position_component_report(geom, s).max_residual())
+            record("binormal", binormal_formula_check(geom, s))
+    return worst
+
+
+def _thm31_checks(scene, sample):
+    worst = {name: _curve_residuals(scene, sample, name)
+             for name in _ALL_CURVES}
     out = []
-    for curve_name in _TP_CURVES:
-        patch, curve = scene.curve_host(curve_name)
-        samples = reparametrize_arclength(patch, curve, scene.options.samples)
-        a1_dev = a2_dev = a3_dev = b3_dev = ratio_dev = 0.0
-        for s in samples:
-            coeffs = frame_coefficients(patch, s)
-            curv = surface_curvatures(patch, s)
-            a1_dev = max(a1_dev, abs(coeffs.a1 - s.du))
-            a2_dev = max(a2_dev, abs(coeffs.a2 - s.dv))
-            a3_dev = max(a3_dev, abs(coeffs.a3))
-            b3_dev = max(b3_dev, abs(coeffs.b3 - curv.kappa_n))
-            ratio_dev = max(ratio_dev, abs(ratio_identity_check(patch, s)))
-        out.append(_asserted(f"coeff-a1-identity/{curve_name}", "thm31",
-                             a1_dev, 1e-8))
-        out.append(_asserted(f"coeff-a2-identity/{curve_name}", "thm31",
-                             a2_dev, 1e-8))
-        out.append(_asserted(f"tangency-a3/{curve_name}", "thm31",
-                             a3_dev, 1e-8))
-        out.append(_asserted(f"b3-normal-curvature/{curve_name}", "thm31",
-                             b3_dev, 1e-8))
-        out.append(_asserted(f"ratio-identity/{curve_name}", "thm31",
-                             ratio_dev, 1e-8))
-    return out
-
-
-def _pythagoras_checks(scene):
-    out = []
-    for curve_name in _ALL_CURVES:
-        patch, curve = scene.curve_host(curve_name)
-        samples = reparametrize_arclength(patch, curve, scene.options.samples)
-        worst = 0.0
-        for s in samples:
-            kappa = float(np.linalg.norm(s.ddgamma))
-            if kappa <= KAPPA_MIN:
-                continue
-            curv = surface_curvatures(patch, s)
-            worst = max(worst, abs(curv.kappa_g ** 2 + curv.kappa_n ** 2
-                                   - kappa * kappa))
-        out.append(_asserted(f"curvature-pythagoras/{curve_name}", "thm31",
-                             worst, 1e-8))
-    return out
-
-
-def _kappa_g_checks(scene):
-    out = []
-    for curve_name in _ALL_CURVES:
-        patch, curve = scene.curve_host(curve_name)
-        samples = reparametrize_arclength(patch, curve, scene.options.samples)
-        worst = 0.0
-        for s in samples:
-            direct = surface_curvatures(patch, s).kappa_g
-            intrinsic = geodesic_curvature_formula(
-                velocity_coefficients(patch, s),
-                first_form(patch.jet(s.u, s.v))).normalized
-            worst = max(worst, abs(direct - intrinsic))
-        out.append(_asserted(f"kappa-g-consistency/{curve_name}", "thm31",
-                             worst, 1e-8))
+    for name in _TP_CURVES:
+        w = worst[name]
+        out.append(_asserted(f"coeff-a1-identity/{name}", "thm31",
+                             w["a1"], 1e-8))
+        out.append(_asserted(f"coeff-a2-identity/{name}", "thm31",
+                             w["a2"], 1e-8))
+        out.append(_asserted(f"tangency-a3/{name}", "thm31", w["a3"], 1e-8))
+        out.append(_asserted(f"b3-normal-curvature/{name}", "thm31",
+                             w["b3"], 1e-8))
+        out.append(_asserted(f"ratio-identity/{name}", "thm31",
+                             w["ratio"], 1e-8))
+    for name in _ALL_CURVES:
+        out.append(_asserted(f"curvature-pythagoras/{name}", "thm31",
+                             worst[name]["pythagoras"], 1e-8))
+    for name in _ALL_CURVES:
+        out.append(_asserted(f"kappa-g-consistency/{name}", "thm31",
+                             worst[name]["kappa_g"], 1e-8))
     patch, curve = scene.curve_host("plane_circle")
-    sample = reparametrize_arclength(patch, curve, 9)[3]
-    value = surface_curvatures(patch, sample).kappa_g
+    s = sample(patch, curve, 9)[3]
+    value = surface_curvatures(point_geometry(patch, s.u, s.v), s).kappa_g
     out.append(_asserted("kappa-g-plane-circle-value", "thm31",
                          abs(value - 0.5), 1e-9,
                          note="radius-2 circle, counterclockwise"))
-    return out
 
+    w = worst[_COMPONENT_CURVE]
+    out.append(_asserted(f"components-closed-vs-ambient/{_COMPONENT_CURVE}",
+                         "thm31", w["components"], 1e-7))
+    out.append(_asserted(f"binormal-expansion/{_COMPONENT_CURVE}", "thm31",
+                         w["binormal"], 1e-7))
 
-def _component_checks(scene):
-    out = []
-    patch, curve = scene.curve_host("offset_latitude")
-    samples = reparametrize_arclength(patch, curve, scene.options.samples)
-    comp_dev = binorm_dev = 0.0
-    for s in samples:
-        rep = position_component_report(patch, s)
-        comp_dev = max(comp_dev, rep.max_residual())
-        binorm_dev = max(binorm_dev, binormal_formula_check(patch, s))
-    out.append(_asserted("components-closed-vs-ambient/offset_latitude",
-                         "thm31", comp_dev, 1e-7))
-    out.append(_asserted("binormal-expansion/offset_latitude", "thm31",
-                         binorm_dev, 1e-7))
-
+    patch, _ = scene.curve_host(_COMPONENT_CURVE)
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=scene.options.h,
                                  max_steps=scene.options.max_steps,
                                  resample=scene.options.samples)
@@ -205,7 +202,7 @@ def _component_checks(scene):
                          theta_dev, 1e-6))
     comp_dev = rho_dev = lam_dev = mu_dev = 0.0
     for s in traced.samples:
-        rep = position_component_report(patch, s)
+        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
         comp_dev = max(comp_dev, rep.max_residual())
         rho_dev = max(rho_dev, abs(rep.rho - 3.0))
         lam_dev = max(lam_dev, abs(rep.lam + math.sqrt(3.0)))
@@ -221,7 +218,7 @@ def _component_checks(scene):
     return out
 
 
-def _pair_checks(scene):
+def _pair_checks(scene, sample):
     out = []
     grid = scene.options.grid
     nsamp = scene.options.samples
@@ -232,7 +229,7 @@ def _pair_checks(scene):
     out.append(_asserted("metric-match/catenoid_helicoid", "thm32",
                          match.max_residual, 1e-10))
     _, curve = scene.curve_host("catenoid_line")
-    rep = invariance_report(pair, curve, nsamp)
+    rep = invariance_report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("kappa-g-invariance/catenoid_helicoid", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
     out.append(_empirical("rho-invariance/catenoid_helicoid", "thm32",
@@ -248,7 +245,7 @@ def _pair_checks(scene):
     out.append(_asserted("metric-match/offset_rotation", "thm32",
                          match.max_residual, 1e-9))
     _, curve = scene.curve_host("offset_latitude")
-    rep = invariance_report(pair, curve, nsamp)
+    rep = invariance_report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("rigid-rho-invariance/offset_rotation", "thm32",
                          rep.max_rho_residual, 1e-9))
     out.append(_asserted("rigid-t-comp-invariance/offset_rotation", "thm32",
@@ -259,9 +256,8 @@ def _pair_checks(scene):
                          rep.max_mu_residual, 1e-9))
     out.append(_asserted("rigid-kappa-g-invariance/offset_rotation", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
-    preserved = tangent_position_preservation(pair, curve, nsamp)
     out.append(_asserted("rigid-tangent-position-preserved/offset_rotation",
-                         "thm32", preserved, 1e-9))
+                         "thm32", rep.max_target_tangency, 1e-9))
 
     # Counterexample pair: metric matches, geodesic curvature transfers,
     # but the image of a tangent-position curve is not tangent-position.
@@ -270,10 +266,11 @@ def _pair_checks(scene):
     out.append(_asserted("metric-match/plane_cylinder", "thm32",
                          match.max_residual, 1e-10))
     _, curve = scene.curve_host("plane_circle")
-    rep = invariance_report(pair, curve, nsamp)
+    src_samples = sample(pair.source, curve, nsamp)
+    rep = invariance_report(pair, src_samples)
     out.append(_asserted("kappa-g-invariance/plane_cylinder", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
-    gbar = tangent_position_preservation(pair, curve, nsamp)
+    gbar = rep.max_target_tangency
     out.append(_empirical("tangent-position-preserved/plane_cylinder",
                           "thm32", gbar,
                           note="documented counterexample: image tangency "
@@ -281,7 +278,6 @@ def _pair_checks(scene):
     out.append(_asserted("counterexample-gbar-value/plane_cylinder", "thm32",
                          abs(gbar - 1.0), 1e-9,
                          note="image tangency residual must equal 1"))
-    src_samples = reparametrize_arclength(pair.source, curve, nsamp)
     rel_worst = 0.0
     for s in src_samples:
         residual, premise = second_form_relation(pair, s)
@@ -293,13 +289,14 @@ def _pair_checks(scene):
     # Identity pair: exact zeros everywhere, including the relation above.
     pair = scene.pair("identity_catenoid")
     _, curve = scene.curve_host("catenoid_line")
-    rep = invariance_report(pair, curve, nsamp)
+    src_samples = sample(pair.source, curve, nsamp)
+    rep = invariance_report(pair, src_samples)
     out.append(_asserted("identity-all-residuals/identity_catenoid", "thm32",
                          max(rep.max_rho_residual, rep.max_t_comp_residual,
                              rep.max_kappa_g_residual, rep.max_lam_residual,
                              rep.max_mu_residual), 1e-12))
     rel_worst = 0.0
-    for s in reparametrize_arclength(pair.source, curve, nsamp):
+    for s in src_samples:
         residual, _ = second_form_relation(pair, s)
         rel_worst = max(rel_worst, abs(residual))
     out.append(_asserted("second-form-relation/identity_catenoid", "thm32",
@@ -310,14 +307,13 @@ def _pair_checks(scene):
 def run_checks(scene, target="all"):
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
+    # One sample list per (patch, curve, n), kept for this call only.
+    sample = functools.cache(reparametrize_arclength)
     out = []
     if target in ("gauss", "all"):
         out.extend(_gauss_checks(scene))
     if target in ("thm31", "all"):
-        out.extend(_coefficient_checks(scene))
-        out.extend(_pythagoras_checks(scene))
-        out.extend(_kappa_g_checks(scene))
-        out.extend(_component_checks(scene))
+        out.extend(_thm31_checks(scene, sample))
     if target in ("thm32", "all"):
-        out.extend(_pair_checks(scene))
+        out.extend(_pair_checks(scene, sample))
     return out

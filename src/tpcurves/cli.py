@@ -31,15 +31,11 @@ from .errors import (
     OracleMismatch,
     SingularLocus,
 )
-from .forms import christoffel, first_form, second_form
+from .forms import christoffel, first_form, point_geometry, second_form
 from .isometry import invariance_report, verify_metric_match
 from .report import fmt, parameter_plot_svg, to_json, write_csv, write_text
-from .scene import load_scene
-from .tangent import (
-    decompose_position,
-    position_component_report,
-    trace_tangent_curve,
-)
+from .scene import load_scene, parse_count, parse_grid
+from .tangent import position_component_report, trace_tangent_curve
 
 _ANALYSIS_ERRORS = (NoSeed, SingularLocus, IdenticallyTangent, DegeneratePoint,
                     DomainError, FrameUndefined, IrregularCurve,
@@ -96,7 +92,8 @@ def cmd_trace(args):
     patch = scene.surface(args.surface)
     seed = _parse_seed(args.seed)
     h = args.h if args.h is not None else scene.options.h
-    max_steps = args.max_steps if args.max_steps else scene.options.max_steps
+    max_steps = scene.options.max_steps if args.max_steps is None else \
+        parse_count(args.max_steps, "--max-steps", 1)
     traced = trace_tangent_curve(patch, seed, h=h, max_steps=max_steps,
                                  resample=scene.options.samples)
     print(f"trace on {args.surface}: status={traced.status} "
@@ -105,10 +102,10 @@ def cmd_trace(args):
     if args.out:
         rows = []
         for i, s in enumerate(traced.samples):
-            dec = decompose_position(patch, s.u, s.v)
+            geom = point_geometry(patch, s.u, s.v)
             rho = float(np.dot(s.gamma, s.gamma))
-            rows.append((i, s.s, s.u, s.v, dec.normal_component,
-                         dec.lam, dec.mu, rho))
+            rows.append((i, s.s, s.u, s.v, geom.g.f, geom.lam.f, geom.mu.f,
+                         rho))
         write_csv(_out_path(args.out, "trace.csv"),
                   ("index", "s", "u", "v", "g", "lambda", "mu", "rho"), rows)
         svg = parameter_plot_svg(patch.u_range, patch.v_range,
@@ -120,12 +117,13 @@ def cmd_trace(args):
 def cmd_report_components(args):
     scene = load_scene(args.config)
     patch, curve = scene.curve_host(args.curve)
-    samples = reparametrize_arclength(
-        patch, curve, args.samples or scene.options.samples)
+    n = scene.options.samples if args.samples is None else \
+        parse_count(args.samples, "--samples", 2)
+    samples = reparametrize_arclength(patch, curve, n)
     rows = []
     worst = 0.0
     for i, s in enumerate(samples):
-        rep = position_component_report(patch, s)
+        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
         worst = max(worst, rep.max_residual())
         rows.append((i, s.s, s.u, s.v, rep.rho, rep.rho_direct,
                      rep.t_comp, rep.t_direct,
@@ -194,7 +192,7 @@ def cmd_verify(args):
 
 def cmd_isometry(args):
     scene = load_scene(args.config)
-    grid = _parse_grid(args.grid) if args.grid else scene.options.grid
+    grid = parse_grid(args.grid, "--grid") if args.grid else scene.options.grid
     pair = scene.pair(args.pair, grid=grid)
     match = verify_metric_match(pair, grid)
     payload = {
@@ -207,7 +205,8 @@ def cmd_isometry(args):
     rep = None
     if args.curve:
         _, curve = scene.curve_host(args.curve)
-        rep = invariance_report(pair, curve, scene.options.samples)
+        rep = invariance_report(pair, reparametrize_arclength(
+            pair.source, curve, scene.options.samples))
         payload["curve"] = args.curve
         payload["invariance"] = {
             "max_rho_residual": rep.max_rho_residual,
@@ -253,16 +252,6 @@ def _parse_seed(raw):
         return float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad seed {raw!r}: {exc}") from exc
-
-
-def _parse_grid(raw):
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"--grid expects MxN, got {raw!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {raw!r}: {exc}") from exc
 
 
 def build_parser():

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameUndefined, IrregularCurve
-from .jets import dot3
+from .jets import cross3, dot3
 from .surface import ambient_jet
 
 __all__ = [
@@ -268,44 +268,43 @@ def _samples_at(patch, curve, t, s):
 
 def frenet(sample):
     """Frenet frame of a unit-speed sample; requires positive curvature."""
-    kappa = float(np.linalg.norm(sample.ddgamma))
+    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
     if kappa <= KAPPA_MIN:
         raise FrameUndefined(f"curvature {kappa} at s={sample.s}")
     t = sample.dgamma
     n = sample.ddgamma / kappa
-    b = np.cross(t, n)
+    b = np.array(cross3(t, n))
     if sample.dddgamma is None:
         tau = math.nan
     else:
-        tau = float(np.dot(np.cross(sample.dgamma, sample.ddgamma),
-                           sample.dddgamma)) / (kappa * kappa)
+        tau = float(dot3(cross3(sample.dgamma, sample.ddgamma),
+                         sample.dddgamma)) / (kappa * kappa)
     return FrenetData(t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
-def surface_curvatures(patch, sample):
+def surface_curvatures(geom, sample):
     """Geodesic and normal curvature of a unit-speed sample.
 
     kappa_g = gamma'' . (N x gamma'), kappa_n = gamma'' . N, with N the
-    patch unit normal at the sample's parameter point.
+    unit normal of ``geom``, the PointGeometry at the sample's parameter
+    point.
     """
-    from .forms import second_form  # local import avoids a cycle
-
-    jet = patch.jet(sample.u, sample.v)
-    normal = second_form(jet).unit_normal
-    kappa_g = float(np.dot(sample.ddgamma, np.cross(normal, sample.dgamma)))
-    kappa_n = float(np.dot(sample.ddgamma, normal))
+    normal = geom.second.unit_normal
+    kappa_g = float(dot3(sample.ddgamma, cross3(normal, sample.dgamma)))
+    kappa_n = float(dot3(sample.ddgamma, normal))
     return CurvatureReport(kappa_g=kappa_g, kappa_n=kappa_n)
 
 
-def transfer_sample(patch, sample):
-    """Recompute a sample's ambient data through another patch.
+def transfer_sample(geom, sample):
+    """A sample's ambient data through the patch of ``geom``, the
+    PointGeometry at the sample's parameter point.
 
     The parameter data (u, v and its s-derivatives) is intrinsic and kept;
-    gamma and its derivatives are rebuilt by the chain rule through the
-    target patch's jets.  Used to push a curve across a coordinate-matched
-    surface pair.
+    gamma and its derivatives follow by the chain rule from the record's
+    jet.  Used to push a curve across a coordinate-matched surface pair
+    and to complete the tracer's samples.
     """
-    jet = patch.jet(sample.u, sample.v)
+    jet = geom.jet
     du, dv, ddu, ddv = sample.du, sample.dv, sample.ddu, sample.ddv
     gamma = jet.value
     dgamma = jet.du * du + jet.dv * dv

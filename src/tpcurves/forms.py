@@ -16,20 +16,26 @@ formulas and from the general metric formula
 
 and the two routes are required to agree to 1e-10; a disagreement raises
 :class:`~tpcurves.errors.OracleMismatch`.
+
+:class:`PointGeometry` is the per-point record every per-sample identity
+reads: one jet evaluation, the metric and the position-vector
+decomposition as order-2 fields, and the forms and connection symbols
+built on first use.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePoint, OracleMismatch
-from .jets import Field1, Field2
+from .jets import Field1, Field2, cross3, dot3
 
 __all__ = [
-    "FirstForm", "SecondForm", "Christoffel",
+    "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
-    "gauss_equation_residual", "REGULARITY_THRESHOLD",
+    "gauss_equation_residual", "point_geometry", "REGULARITY_THRESHOLD",
 ]
 
 # Below this EG - F^2, normalization amplifies noise past every stated
@@ -106,23 +112,66 @@ class Christoffel:
     g222_v: float
 
 
+class PointGeometry:
+    """Geometry of a patch at one parameter point, from one jet.
+
+    Built at once, as order-2 fields (value, gradient, Hessian): the metric
+    coefficients ``E``, ``F``, ``G``, ``det`` = EG - F^2, ``area`` =
+    sqrt(det), the tangency residual ``g`` = phi . N and the coordinates
+    ``lam``, ``mu`` of the position vector, phi = lam phi_u + mu phi_v + g N.
+    Built on first use: ``form`` (:class:`FirstForm`), ``second``
+    (:class:`SecondForm`) and ``chris``, the six connection symbols as
+    order-1 fields in :class:`Christoffel`'s order (not re-checked against
+    the metric-formula oracle; :func:`christoffel` is).
+
+    Raises DegeneratePoint where EG - F^2 <= 1e-14.
+    """
+
+    def __init__(self, jet):
+        p = [Field2.of_jet(c) for c in jet.components]
+        pu = [Field2.of_jet_du(c) for c in jet.components]
+        pv = [Field2.of_jet_dv(c) for c in jet.components]
+        E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+        det = E * G - F * F
+        if det.f <= REGULARITY_THRESHOLD:
+            raise DegeneratePoint(
+                f"EG - F^2 = {det.f} at (u, v) = ({jet.u}, {jet.v})")
+        area = det.sqrt()
+        p_dot_u = dot3(p, pu)
+        p_dot_v = dot3(p, pv)
+        self.jet = jet
+        self.E, self.F, self.G, self.det, self.area = E, F, G, det, area
+        self.g = dot3(p, cross3(pu, pv)) / area
+        self.lam = (G * p_dot_u - F * p_dot_v) / det
+        self.mu = (E * p_dot_v - F * p_dot_u) / det
+
+    @cached_property
+    def form(self):
+        return _first_form(self.E, self.F, self.G)
+
+    @cached_property
+    def second(self):
+        return second_form(self.jet)
+
+    @cached_property
+    def chris(self):
+        return christoffel_fields(self.form)
+
+
+def point_geometry(patch, u, v):
+    """The :class:`PointGeometry` of ``patch`` at (u, v)."""
+    return PointGeometry(patch.jet(u, v))
+
+
 def metric_fields(jet):
     """E, F, G as order-2 scalar fields (value, gradient, Hessian)."""
     pu = [Field2.of_jet_du(c) for c in jet.components]
     pv = [Field2.of_jet_dv(c) for c in jet.components]
-    E = pu[0] * pu[0] + pu[1] * pu[1] + pu[2] * pu[2]
-    F = pu[0] * pv[0] + pu[1] * pv[1] + pu[2] * pv[2]
-    G = pv[0] * pv[0] + pv[1] * pv[1] + pv[2] * pv[2]
-    return E, F, G
+    return dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
 
 
-def first_form(jet):
-    """First fundamental form at a regular point."""
-    E, F, G = metric_fields(jet)
-    det = E.f * G.f - F.f * F.f
-    if det <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(
-            f"EG - F^2 = {det} at (u, v) = ({jet.u}, {jet.v})")
+def _first_form(E, F, G):
+    """FirstForm of the metric fields E, F, G."""
     return FirstForm(
         E=E.f, F=F.f, G=G.f,
         E_u=E.fu, E_v=E.fv, F_u=F.fu, F_v=F.fv, G_u=G.fu, G_v=G.fv,
@@ -132,20 +181,31 @@ def first_form(jet):
     )
 
 
+def first_form(jet):
+    """First fundamental form at a regular point."""
+    E, F, G = metric_fields(jet)
+    det = E.f * G.f - F.f * F.f
+    if det <= REGULARITY_THRESHOLD:
+        raise DegeneratePoint(
+            f"EG - F^2 = {det} at (u, v) = ({jet.u}, {jet.v})")
+    return _first_form(E, F, G)
+
+
 def second_form(jet):
     """Second fundamental form, oriented by phi_u x phi_v."""
-    w = np.cross(jet.du, jet.dv)
-    norm = float(np.linalg.norm(w))
-    if norm * norm <= REGULARITY_THRESHOLD:
+    w = cross3(jet.du.tolist(), jet.dv.tolist())
+    norm2 = dot3(w, w)
+    if norm2 <= REGULARITY_THRESHOLD:
         raise DegeneratePoint(
-            f"|phi_u x phi_v|^2 = {norm * norm} at (u, v) = ({jet.u}, {jet.v})")
-    normal = w / norm
+            f"|phi_u x phi_v|^2 = {norm2} at (u, v) = ({jet.u}, {jet.v})")
+    area = math.sqrt(norm2)
+    normal = [x / area for x in w]
     return SecondForm(
-        L=float(np.dot(jet.duu, normal)),
-        M=float(np.dot(jet.duv, normal)),
-        N=float(np.dot(jet.dvv, normal)),
-        unit_normal=normal,
-        area_element=norm,
+        L=dot3(jet.duu.tolist(), normal),
+        M=dot3(jet.duv.tolist(), normal),
+        N=dot3(jet.dvv.tolist(), normal),
+        unit_normal=np.array(normal),
+        area_element=area,
     )
 
 

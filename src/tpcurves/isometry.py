@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import reparametrize_arclength, transfer_sample
+from .curves import transfer_sample
 from .errors import MetricMismatch
-from .forms import REGULARITY_THRESHOLD, first_form, metric_fields, second_form
+from .forms import REGULARITY_THRESHOLD, metric_fields, point_geometry
 from .tangent import (
-    decompose_position,
     geodesic_curvature_formula,
     tangency_residual,
     velocity_coefficients,
@@ -209,33 +208,32 @@ def second_form_relation(pair, sample):
     both curves are tangent-position with equal decomposition coordinates,
     so callers must gate any pass/fail on the premise flag.
     """
-    src = second_form(pair.source.jet(sample.u, sample.v))
-    tgt = second_form(pair.target.jet(sample.u, sample.v))
+    src = point_geometry(pair.source, sample.u, sample.v)
+    tgt = point_geometry(pair.target, sample.u, sample.v)
+    s2, t2 = src.second, tgt.second
     du, dv = sample.du, sample.dv
-    residual = (du * du * (src.L * tgt.M - tgt.L * src.M)
-                + dv * dv * (src.M * tgt.N - tgt.M * src.N)
-                + du * dv * (src.L * tgt.N - tgt.L * src.N))
-    d_src = decompose_position(pair.source, sample.u, sample.v)
-    d_tgt = decompose_position(pair.target, sample.u, sample.v)
-    premise = (abs(d_src.normal_component) < _LOCUS_TOL
-               and abs(d_tgt.normal_component) < _LOCUS_TOL
-               and abs(d_src.lam - d_tgt.lam) < _LOCUS_TOL
-               and abs(d_src.mu - d_tgt.mu) < _LOCUS_TOL)
+    residual = (du * du * (s2.L * t2.M - t2.L * s2.M)
+                + dv * dv * (s2.M * t2.N - t2.M * s2.N)
+                + du * dv * (s2.L * t2.N - t2.L * s2.N))
+    premise = (abs(src.g.f) < _LOCUS_TOL
+               and abs(tgt.g.f) < _LOCUS_TOL
+               and abs(src.lam.f - tgt.lam.f) < _LOCUS_TOL
+               and abs(src.mu.f - tgt.mu.f) < _LOCUS_TOL)
     return residual, premise
 
 
-def invariance_report(pair, curve, samples=50):
+def invariance_report(pair, samples):
     """Evaluate the invariance claims along a curve given in shared
     parameters.
 
-    The curve is made unit speed on the source patch; the same (u(s),
+    ``samples`` are the curve's unit-speed samples on the source patch
+    (:func:`~tpcurves.curves.reparametrize_arclength`); the same (u(s),
     v(s)) data is pushed through the target patch (unit speed transfers
     because the metrics agree).  Geodesic curvature is computed
     intrinsically on both sides, so it stays defined even where the
     ambient frame degenerates.
     """
-    src_samples = reparametrize_arclength(pair.source, curve, samples)
-    n = len(src_samples)
+    n = len(samples)
     rho_src, rho_tgt = np.empty(n), np.empty(n)
     tc_src, tc_tgt = np.empty(n), np.empty(n)
     kg_src, kg_tgt = np.empty(n), np.empty(n)
@@ -243,24 +241,22 @@ def invariance_report(pair, curve, samples=50):
     mu_res = np.empty(n)
     g_src = np.empty(n)
     g_tgt = np.empty(n)
-    for i, s in enumerate(src_samples):
-        t = transfer_sample(pair.target, s)
+    for i, s in enumerate(samples):
+        src = point_geometry(pair.source, s.u, s.v)
+        tgt = point_geometry(pair.target, s.u, s.v)
+        t = transfer_sample(tgt, s)
         rho_src[i] = float(np.dot(s.gamma, s.gamma))
         rho_tgt[i] = float(np.dot(t.gamma, t.gamma))
         tc_src[i] = float(np.dot(s.dgamma, s.gamma))
         tc_tgt[i] = float(np.dot(t.dgamma, t.gamma))
         kg_src[i] = geodesic_curvature_formula(
-            velocity_coefficients(pair.source, s),
-            first_form(pair.source.jet(s.u, s.v))).normalized
+            velocity_coefficients(src, s), src).normalized
         kg_tgt[i] = geodesic_curvature_formula(
-            velocity_coefficients(pair.target, t),
-            first_form(pair.target.jet(t.u, t.v))).normalized
-        d_src = decompose_position(pair.source, s.u, s.v)
-        d_tgt = decompose_position(pair.target, s.u, s.v)
-        lam_res[i] = abs(d_src.lam - d_tgt.lam)
-        mu_res[i] = abs(d_src.mu - d_tgt.mu)
-        g_src[i] = d_src.normal_component
-        g_tgt[i] = d_tgt.normal_component
+            velocity_coefficients(tgt, t), tgt).normalized
+        lam_res[i] = abs(src.lam.f - tgt.lam.f)
+        mu_res[i] = abs(src.mu.f - tgt.mu.f)
+        g_src[i] = src.g.f
+        g_tgt[i] = tgt.g.f
     return InvarianceReport(
         rho_source=rho_src, rho_target=rho_tgt,
         t_comp_source=tc_src, t_comp_target=tc_tgt,
@@ -272,17 +268,17 @@ def invariance_report(pair, curve, samples=50):
         source_tangency=g_src, target_tangency=g_tgt)
 
 
-def tangent_position_preservation(pair, curve, samples=50):
-    """Max |g-bar| along the image of a source tangent-position curve.
+def tangent_position_preservation(pair, samples):
+    """Max |g-bar| along the image of a source tangent-position curve,
+    given by its unit-speed ``samples`` on the source patch.
 
     Raises ValueError when the source curve is not tangent-position (the
     claim under test has no content then).
     """
-    src_samples = reparametrize_arclength(pair.source, curve, samples)
     worst_src = max(abs(tangency_residual(pair.source, s.u, s.v))
-                    for s in src_samples)
+                    for s in samples)
     if worst_src >= _LOCUS_TOL:
         raise ValueError(
             f"source curve is not tangent-position (max |g| = {worst_src})")
     return max(abs(tangency_residual(pair.target, s.u, s.v))
-               for s in src_samples)
+               for s in samples)

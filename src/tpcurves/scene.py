@@ -39,7 +39,7 @@ from .isometry import register_pair
 from .surface import parse_curve, parse_surface
 
 __all__ = ["SceneConfig", "RunOptions", "load_scene", "builtin_scene",
-           "BUILTIN_SCENE_TEXT"]
+           "parse_count", "parse_grid", "BUILTIN_SCENE_TEXT"]
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,24 @@ def _number_pair(raw):
     return _number(parts[0]), _number(parts[1])
 
 
-def _grid(raw):
+def parse_count(raw, name, minimum):
+    """``raw`` as an integer of at least ``minimum``, for the option
+    ``name``; ConfigError otherwise."""
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {count}")
+    return count
+
+
+def parse_grid(raw, name="grid"):
+    """An ``MxN`` grid spec as (M, N), both at least 1."""
     parts = raw.lower().split("x")
     if len(parts) != 2:
-        raise ExpressionError(f"expected MxN grid spec: {raw!r}")
-    return int(parts[0]), int(parts[1])
+        raise ConfigError(f"{name} expects MxN, got {raw!r}")
+    return tuple(parse_count(part.strip(), name, 1) for part in parts)
 
 
 def load_scene_text(text, path="<string>"):
@@ -154,18 +167,20 @@ def load_scene_text(text, path="<string>"):
                     target=body["target"].strip(), kind=kind)
             elif section == "options":
                 if "grid" in body:
-                    options["grid"] = _grid(body["grid"])
+                    options["grid"] = parse_grid(body["grid"])
                 if "samples" in body:
-                    options["samples"] = int(body["samples"])
+                    options["samples"] = parse_count(body["samples"],
+                                                     "samples", 2)
                 if "h" in body:
                     options["h"] = _number(body["h"])
                 if "max_steps" in body:
-                    options["max_steps"] = int(body["max_steps"])
+                    options["max_steps"] = parse_count(body["max_steps"],
+                                                       "max_steps", 1)
             else:
-                _fail(path, text, section, f"unknown section kind: {section!r}")
+                raise ConfigError(f"unknown section kind: {section!r}")
         except KeyError as exc:
             _fail(path, text, section, f"missing key {exc.args[0]!r}")
-        except (ExpressionError, EvalError) as exc:
+        except (ConfigError, ExpressionError, EvalError) as exc:
             _fail(path, text, section, str(exc))
     scene.options = RunOptions(**options)
 

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .jets import Jet1, Jet2
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
-           "parse_surface", "eval_jet", "parse_curve", "eval_curve_jet"]
+           "parse_surface", "parse_curve"]
 
 _DOMAIN_SLACK = 1e-9
 
@@ -136,10 +136,6 @@ def parse_surface(text, u_range, v_range, name="surface"):
                         v_range=(float(v_range[0]), float(v_range[1])))
 
 
-def eval_jet(patch, u, v):
-    return patch.jet(u, v)
-
-
 @dataclass(frozen=True)
 class CurveJet:
     """Parameter point of a curve with t-derivatives through order 3."""
@@ -226,10 +222,6 @@ def parse_curve(u_text, v_text, t_range, name="curve", surface=None):
         t_range=(float(t_range[0]), float(t_range[1])),
         surface=surface,
     )
-
-
-def eval_curve_jet(curve, t):
-    return curve.jet(t)
 
 
 def ambient_jet(patch, curve, t):

@@ -9,6 +9,13 @@ and gamma'', the fundamental forms and the Frenet frame.  This module
 computes every ingredient exactly from jet data and provides the ambient
 dot products the closed forms are checked against.
 
+Every per-sample function takes ``(geom, sample)``: ``geom`` is the
+:class:`~tpcurves.forms.PointGeometry` at the sample's parameter point,
+built once by :func:`~tpcurves.forms.point_geometry` and shared by every
+identity at that sample; none of them evaluates the patch again.  The
+tracer's Newton corrector hands the record of its last iterate on to the
+sample built there.
+
 Conventions, fixed once:
 
 * The decomposition solves the Gram system [E F; F G](lam, mu)^T =
@@ -35,22 +42,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import KAPPA_MIN, CurveSample
-from .errors import (
-    DegeneratePoint,
-    FrameUndefined,
-    IdenticallyTangent,
-    NoSeed,
-    SingularLocus,
-)
-from .forms import (
-    REGULARITY_THRESHOLD,
-    FirstForm,
-    christoffel_fields,
-    metric_fields,
-    second_form,
-)
-from .jets import Field2, cross3, dot3
+from .curves import KAPPA_MIN, CurveSample, transfer_sample
+from .errors import FrameUndefined, IdenticallyTangent, NoSeed, SingularLocus
+from .forms import point_geometry, second_form
+from .jets import cross3, dot3
 
 __all__ = [
     "TangentDecomposition", "FrameCoefficients", "PositionComponentReport",
@@ -59,7 +54,6 @@ __all__ = [
     "velocity_coefficients", "ratio_identity_check",
     "position_component_report", "binormal_formula_check",
     "geodesic_curvature_formula", "trace_tangent_curve",
-    "sample_from_parameter_data",
 ]
 
 # Tracer defaults: corrector keeps |g| two orders below the 1e-8 vertex
@@ -147,48 +141,6 @@ class PositionComponentReport:
         return max(vals)
 
 
-class _PointBundle:
-    """Everything the identities need at one parameter point."""
-
-    __slots__ = ("jet", "E", "F", "G", "det", "area", "lam", "mu", "g",
-                 "form", "second", "chris")
-
-    def __init__(self, patch, u, v):
-        jet = patch.jet(u, v)
-        E, F, G = metric_fields(jet)
-        det = E * G - F * F
-        if det.f <= REGULARITY_THRESHOLD:
-            raise DegeneratePoint(f"EG - F^2 = {det.f} at ({u}, {v})")
-        p = [Field2.of_jet(c) for c in jet.components]
-        pu = [Field2.of_jet_du(c) for c in jet.components]
-        pv = [Field2.of_jet_dv(c) for c in jet.components]
-        w = cross3(pu, pv)
-        area = det.sqrt()
-        self.jet = jet
-        self.E, self.F, self.G, self.det, self.area = E, F, G, det, area
-        self.g = dot3(p, w) / area
-        p_dot_u = dot3(p, pu)
-        p_dot_v = dot3(p, pv)
-        self.lam = (G * p_dot_u - F * p_dot_v) / det
-        self.mu = (E * p_dot_v - F * p_dot_u) / det
-        self.form = None
-        self.second = None
-        self.chris = None
-
-    def with_forms(self):
-        if self.form is None:
-            E, F, G = self.E, self.F, self.G
-            self.form = FirstForm(
-                E=E.f, F=F.f, G=G.f,
-                E_u=E.fu, E_v=E.fv, F_u=F.fu, F_v=F.fv, G_u=G.fu, G_v=G.fv,
-                E_uu=E.fuu, E_uv=E.fuv, E_vv=E.fvv,
-                F_uu=F.fuu, F_uv=F.fuv, F_vv=F.fvv,
-                G_uu=G.fuu, G_uv=G.fuv, G_vv=G.fvv)
-            self.second = second_form(self.jet)
-            self.chris = christoffel_fields(self.form)
-        return self
-
-
 def _along2(field, sample):
     """Value and first two s-derivatives of a parameter-plane field along a
     unit-speed curve (chain rule through u(s), v(s))."""
@@ -205,42 +157,44 @@ def _along1(field, sample):
 
 def tangency_residual(patch, u, v):
     """g(u, v) = phi . N; the point is on the locus iff this vanishes."""
-    return _PointBundle(patch, u, v).g.f
+    return point_geometry(patch, u, v).g.f
 
 
 def decompose_position(patch, u, v):
     """Coordinates of the position vector in {phi_u, phi_v, N}."""
-    b = _PointBundle(patch, u, v)
-    normal = np.cross(b.jet.du, b.jet.dv) / b.area.f
-    recon = b.lam.f * b.jet.du + b.mu.f * b.jet.dv + b.g.f * normal
+    geom = point_geometry(patch, u, v)
+    jet = geom.jet
+    recon = (geom.lam.f * jet.du + geom.mu.f * jet.dv
+             + geom.g.f * second_form(jet).unit_normal)
+    diff = jet.value - recon
     return TangentDecomposition(
-        lam=b.lam.f, mu=b.mu.f, normal_component=b.g.f,
-        residual=float(np.linalg.norm(b.jet.value - recon)))
+        lam=geom.lam.f, mu=geom.mu.f, normal_component=geom.g.f,
+        residual=math.sqrt(dot3(diff, diff)))
 
 
-def frame_coefficients(patch, sample):
+def frame_coefficients(geom, sample):
     """Moving-basis coefficients along the decomposition path lam(s), mu(s).
 
-    All derivatives are analytic: lam'' and the connection-symbol
-    derivatives come from order-3 jet data through the chain rule.
+    ``geom`` is the :class:`~tpcurves.forms.PointGeometry` at the sample's
+    parameter point.  All derivatives are analytic: lam'' and the
+    connection-symbol derivatives come from order-3 jet data through the
+    chain rule.
     """
-    b = _PointBundle(patch, sample.u, sample.v).with_forms()
-    lam, lam_s, lam_ss = _along2(b.lam, sample)
-    mu, mu_s, mu_ss = _along2(b.mu, sample)
-    return _coefficients(b, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss)
+    lam, lam_s, lam_ss = _along2(geom.lam, sample)
+    mu, mu_s, mu_ss = _along2(geom.mu, sample)
+    return _coefficients(geom, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss)
 
 
-def velocity_coefficients(patch, sample):
+def velocity_coefficients(geom, sample):
     """Moving-basis coefficients of gamma', gamma'' for an arbitrary
     unit-speed surface curve: a1 = u', a2 = v' identically.
 
     Use this route for quantities (like geodesic curvature) that are
     defined off the tangent-position locus.
     """
-    b = _PointBundle(patch, sample.u, sample.v).with_forms()
     du, dv, ddu, ddv = sample.du, sample.dv, sample.ddu, sample.ddv
-    g111, g112, g121, g122, g221, g222 = (f.f for f in b.chris)
-    L, M, N = b.second.L, b.second.M, b.second.N
+    g111, g112, g121, g122, g221, g222 = (f.f for f in geom.chris)
+    L, M, N = geom.second.L, geom.second.M, geom.second.N
     b1 = ddu + du * du * g111 + 2.0 * du * dv * g121 + dv * dv * g221
     b2 = ddv + du * du * g112 + 2.0 * du * dv * g122 + dv * dv * g222
     b3 = L * du * du + 2.0 * M * du * dv + N * dv * dv
@@ -248,11 +202,11 @@ def velocity_coefficients(patch, sample):
                              b1=b1, b2=b2, b3=b3)
 
 
-def _coefficients(b, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss):
+def _coefficients(geom, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss):
     du, dv, ddu, ddv = sample.du, sample.dv, sample.ddu, sample.ddv
     (g111, dg111), (g112, dg112), (g121, dg121), (g122, dg122), \
-        (g221, dg221), (g222, dg222) = (_along1(f, sample) for f in b.chris)
-    L, M, N = b.second.L, b.second.M, b.second.N
+        (g221, dg221), (g222, dg222) = (_along1(f, sample) for f in geom.chris)
+    L, M, N = geom.second.L, geom.second.M, geom.second.N
 
     a1 = lam_s + du * lam * g111 + (dv * lam + du * mu) * g121 + dv * mu * g221
     a2 = mu_s + du * lam * g112 + (dv * lam + du * mu) * g122 + dv * mu * g222
@@ -276,35 +230,31 @@ def _coefficients(b, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss):
                              b1=b1, b2=b2, b3=b3)
 
 
-def ratio_identity_check(patch, sample, decomp=None):
+def ratio_identity_check(geom, sample):
     """Tangency condition in product form: lam(u'L + v'M) + mu(u'M + v'N).
 
     Total where the ratio form lam/mu = -(u'L + v'M)/(u'M + v'N) divides
     by a quantity that vanishes on flat directions.
     """
-    if decomp is None:
-        decomp = decompose_position(patch, sample.u, sample.v)
-    sec = second_form(patch.jet(sample.u, sample.v))
-    return (decomp.lam * (sample.du * sec.L + sample.dv * sec.M)
-            + decomp.mu * (sample.du * sec.M + sample.dv * sec.N))
+    sec = geom.second
+    return (geom.lam.f * (sample.du * sec.L + sample.dv * sec.M)
+            + geom.mu.f * (sample.du * sec.M + sample.dv * sec.N))
 
 
-def geodesic_curvature_formula(coeffs, form):
+def geodesic_curvature_formula(coeffs, geom):
     """Geodesic curvature from moving-basis coefficients.
 
     The normalized value (a1 b2 - a2 b1) sqrt(EG - F^2) equals the ambient
     definition gamma'' . (N x gamma'); ``raw`` keeps the unnormalized
     coefficient combination, which is kappa_g scaled by sqrt(EG - F^2).
     """
-    det = form.det
-    if det <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(f"EG - F^2 = {det}")
-    raw = (coeffs.b1 * coeffs.a2 - coeffs.b2 * coeffs.a1) * (-det)
-    normalized = (coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1) * math.sqrt(det)
+    raw = (coeffs.b1 * coeffs.a2 - coeffs.b2 * coeffs.a1) * (-geom.det.f)
+    normalized = ((coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1)
+                  * geom.area.f)
     return GeodesicCurvature(raw=raw, normalized=normalized)
 
 
-def position_component_report(patch, sample):
+def position_component_report(geom, sample):
     """Closed-form distance/tangential/normal/binormal components of the
     position vector against their ambient dot products.
 
@@ -312,12 +262,10 @@ def position_component_report(patch, sample):
     exact identities.  The binormal component includes the
     1/sqrt(EG - F^2) normalization (see module docstring).
     """
-    b = _PointBundle(patch, sample.u, sample.v).with_forms()
-    lam, lam_s, lam_ss = _along2(b.lam, sample)
-    mu, mu_s, mu_ss = _along2(b.mu, sample)
-    coeffs = _coefficients(b, sample, lam, lam_s, lam_ss, mu, mu_s, mu_ss)
-    E, F, G = b.form.E, b.form.F, b.form.G
-    det = b.form.det
+    coeffs = frame_coefficients(geom, sample)
+    lam, mu = geom.lam.f, geom.mu.f
+    E, F, G = geom.E.f, geom.F.f, geom.G.f
+    det = geom.det.f
     gamma = sample.gamma
 
     rho = lam * lam * E + 2.0 * lam * mu * F + mu * mu * G
@@ -326,17 +274,16 @@ def position_component_report(patch, sample):
               + mu * coeffs.a2 * G)
     t_direct = float(np.dot(sample.dgamma, gamma))
 
-    kappa = float(np.linalg.norm(sample.ddgamma))
+    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
     if kappa > KAPPA_MIN:
         n_comp = (lam * coeffs.b1 * E + (lam * coeffs.b2 + mu * coeffs.b1) * F
                   + mu * coeffs.b2 * G) / kappa
         b_comp = (coeffs.a1 * coeffs.b3 * mu * (-det)
                   + coeffs.a2 * coeffs.b3 * lam * det) \
-            / (kappa * math.sqrt(det))
+            / (kappa * geom.area.f)
         n_vec = sample.ddgamma / kappa
-        b_vec = np.cross(sample.dgamma, n_vec)
-        n_direct = float(np.dot(n_vec, gamma))
-        b_direct = float(np.dot(b_vec, gamma))
+        n_direct = float(dot3(n_vec, gamma))
+        b_direct = float(dot3(cross3(sample.dgamma, n_vec), gamma))
         n_residual = abs(n_comp - n_direct)
         b_residual = abs(b_comp - b_direct)
     else:
@@ -350,10 +297,10 @@ def position_component_report(patch, sample):
         rho_residual=abs(rho - rho_direct),
         t_residual=abs(t_comp - t_direct),
         n_residual=n_residual, b_residual=b_residual,
-        kappa=kappa, lam=lam, mu=mu, normal_component=b.g.f)
+        kappa=kappa, lam=lam, mu=mu, normal_component=geom.g.f)
 
 
-def binormal_formula_check(patch, sample):
+def binormal_formula_check(geom, sample):
     """Distance between b = t x n and its moving-basis expansion.
 
     The expansion is (a1 b2 - a2 b1)(phi_u x phi_v) plus the B3 terms
@@ -361,25 +308,24 @@ def binormal_formula_check(patch, sample):
     sqrt(EG - F^2); the whole vector is normalized to unit length and the
     difference norm is returned after sign alignment.
     """
-    kappa = float(np.linalg.norm(sample.ddgamma))
+    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
     if kappa <= KAPPA_MIN:
         raise FrameUndefined(f"curvature {kappa} at s={sample.s}")
-    coeffs = frame_coefficients(patch, sample)
-    b = _PointBundle(patch, sample.u, sample.v).with_forms()
-    E, F, G = b.form.E, b.form.F, b.form.G
-    jet = b.jet
-    w = np.cross(jet.du, jet.dv)
-    area = math.sqrt(b.form.det)
+    coeffs = frame_coefficients(geom, sample)
+    E, F, G = geom.E.f, geom.F.f, geom.G.f
+    jet = geom.jet
+    w = np.array(cross3(jet.du, jet.dv))
     rhs = ((coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1) * w
            + (coeffs.a1 * coeffs.b3 * (F * jet.du - E * jet.dv)
-              + coeffs.a2 * coeffs.b3 * (G * jet.du - F * jet.dv)) / area)
-    norm = float(np.linalg.norm(rhs))
+              + coeffs.a2 * coeffs.b3 * (G * jet.du - F * jet.dv))
+           / geom.area.f)
+    norm = math.sqrt(dot3(rhs, rhs))
     if norm == 0.0:
         return math.inf
     rhs_unit = rhs / norm
-    b_vec = np.cross(sample.dgamma, sample.ddgamma / kappa)
-    return min(float(np.linalg.norm(rhs_unit - b_vec)),
-               float(np.linalg.norm(rhs_unit + b_vec)))
+    b_vec = np.array(cross3(sample.dgamma, sample.ddgamma / kappa))
+    minus, plus = rhs_unit - b_vec, rhs_unit + b_vec
+    return math.sqrt(min(dot3(minus, minus), dot3(plus, plus)))
 
 
 # --- constructive tracing of the tangency locus -------------------------
@@ -399,14 +345,10 @@ class TracedCurve:
     samples: tuple  # arc-length resampled CurveSamples (second-order data)
 
 
-def _g_bundle(patch, u, v):
-    """Tangency residual as an order-2 field, plus metric fields."""
-    return _PointBundle(patch, u, v)
-
-
 def _newton_correct(patch, u, v, max_iter, tol):
-    """Newton along grad g toward the zero set.  Returns (u, v, bundle)."""
-    b = _g_bundle(patch, u, v)
+    """Newton along grad g toward the zero set.  Returns (u, v, geometry),
+    the PointGeometry at the returned (u, v), or None off the domain."""
+    b = point_geometry(patch, u, v)
     for _ in range(max_iter):
         g = b.g.f
         if abs(g) <= tol:
@@ -419,7 +361,7 @@ def _newton_correct(patch, u, v, max_iter, tol):
         v -= g * gv / norm2
         if not patch.contains(u, v):
             return u, v, None
-        b = _g_bundle(patch, u, v)
+        b = point_geometry(patch, u, v)
     return u, v, b
 
 
@@ -453,7 +395,7 @@ def _isolated_zero(patch, b, u, v, h):
     uc, vc = u - step[0], v - step[1]
     if not patch.contains(uc, vc):
         return False
-    bc = _g_bundle(patch, uc, vc)
+    bc = point_geometry(patch, uc, vc)
     grad_c = math.hypot(bc.g.fu, bc.g.fv)
     return abs(bc.g.f) <= LOCUS_TOL and grad_c <= GRAD_FLOOR
 
@@ -558,40 +500,28 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
         arc_length=length, samples=tuple(samples))
 
 
-def _locus_sample(patch, u, v, s, sign):
-    """Exact second-order unit-speed data of the level curve through (u, v).
+def _locus_sample(geom, s, sign):
+    """Exact second-order unit-speed data of the level curve through the
+    point of ``geom``.
 
     The unit tangent field w solves I(w, w) = 1 with w proportional to
     (-g_v, g_u); its derivative along itself gives (u'', v'').  All of it
     is pointwise-exact, independent of the polyline discretization.
     """
-    b = _PointBundle(patch, u, v)
-    gu, gv = b.g.du(), b.g.dv()
+    gu, gv = geom.g.du(), geom.g.dv()
     t_u, t_v = -gv, gu
-    E1, F1, G1 = b.E.lower(), b.F.lower(), b.G.lower()
+    E1, F1, G1 = geom.E.lower(), geom.F.lower(), geom.G.lower()
     quad = E1 * t_u * t_u + 2.0 * F1 * t_u * t_v + G1 * t_v * t_v
     den = quad.sqrt()
     wu = t_u / den
     wv = t_v / den
-    du = sign * wu.f
-    dv = sign * wv.f
-    ddu = wu.f * wu.fu + wv.f * wu.fv
-    ddv = wu.f * wv.fu + wv.f * wv.fv
-    return sample_from_parameter_data(
-        patch, s=s, t=math.nan, u=u, v=v, du=du, dv=dv, ddu=ddu, ddv=ddv,
-        dddu=None, dddv=None)
-
-
-def sample_from_parameter_data(patch, s, t, u, v, du, dv, ddu, ddv,
-                               dddu=None, dddv=None):
-    """CurveSample with ambient data rebuilt from parameter derivatives."""
-    from .curves import transfer_sample
-
     skeleton = CurveSample(
-        s=s, t=t, u=u, v=v, du=du, dv=dv, ddu=ddu, ddv=ddv,
-        dddu=dddu, dddv=dddv,
+        s=s, t=math.nan, u=geom.jet.u, v=geom.jet.v,
+        du=sign * wu.f, dv=sign * wv.f,
+        ddu=wu.f * wu.fu + wv.f * wu.fv, ddv=wu.f * wv.fu + wv.f * wv.fv,
+        dddu=None, dddv=None,
         gamma=None, dgamma=None, ddgamma=None, dddgamma=None)
-    return transfer_sample(patch, skeleton)
+    return transfer_sample(geom, skeleton)
 
 
 def _resample_locus(patch, vertices, ambient, closed, count):
@@ -609,7 +539,7 @@ def _resample_locus(patch, vertices, ambient, closed, count):
         return [], 0.0
 
     # Marching direction sign relative to the tangent field at the start.
-    b0 = _g_bundle(patch, vertices[0][0], vertices[0][1])
+    b0 = point_geometry(patch, vertices[0][0], vertices[0][1])
     tu, tv = _tangent_dir(b0)
     step_u = vertices[1][0] - vertices[0][0]
     step_v = vertices[1][1] - vertices[0][1]
@@ -639,5 +569,5 @@ def _resample_locus(patch, vertices, ambient, closed, count):
         u, v, b = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
         if b is None or abs(b.g.f) > LOCUS_TOL:
             continue
-        samples.append(_locus_sample(patch, u, v, s, sign))
+        samples.append(_locus_sample(b, s, sign))
     return samples, total

@@ -18,6 +18,7 @@ from tpcurves import (
     gauss_equation_residual,
     geodesic_curvature_formula,
     invariance_report,
+    point_geometry,
     position_component_report,
     reparametrize_arclength,
     second_form,
@@ -106,16 +107,18 @@ def test_c03_coefficient_identities(scene):
     for name in TP_CURVES:
         patch, curve = scene.curve_host(name)
         for s in reparametrize_arclength(patch, curve, 50):
-            co = frame_coefficients(patch, s)
-            kn = surface_curvatures(patch, s).kappa_n
+            geom = point_geometry(patch, s.u, s.v)
+            co = frame_coefficients(geom, s)
+            kn = surface_curvatures(geom, s).kappa_n
             worst = max(worst, abs(co.a1 - s.du), abs(co.a2 - s.dv),
                         abs(co.a3), abs(co.b3 - kn))
     # The gamma''-expansion route reproduces kappa_n on every curve.
     for name in ALL_CURVES:
         patch, curve = scene.curve_host(name)
         for s in reparametrize_arclength(patch, curve, 50):
-            co = velocity_coefficients(patch, s)
-            kn = surface_curvatures(patch, s).kappa_n
+            geom = point_geometry(patch, s.u, s.v)
+            co = velocity_coefficients(geom, s)
+            kn = surface_curvatures(geom, s).kappa_n
             worst = max(worst, abs(co.b3 - kn))
     ok = worst < 1e-8
     report(3, ok, f"max identity deviation {worst:.3e}")
@@ -130,7 +133,8 @@ def test_c04_component_reproduction_on_trace(scene):
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01, resample=50)
     comp = rho_dev = lam_dev = mu_dev = 0.0
     for s in traced.samples:
-        rep = position_component_report(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = position_component_report(geom, s)
         comp = max(comp, rep.max_residual())
         rho_dev = max(rho_dev, abs(rep.rho - 3.0))
         lam_dev = max(lam_dev, abs(rep.lam + SQRT3))
@@ -153,7 +157,8 @@ def test_c05_curvature_pythagoras(scene):
             kappa = float(np.linalg.norm(s.ddgamma))
             if kappa <= 1e-9:
                 continue
-            rep = surface_curvatures(patch, s)
+            geom = point_geometry(patch, s.u, s.v)
+            rep = surface_curvatures(geom, s)
             worst = max(worst, abs(rep.kappa_g ** 2 + rep.kappa_n ** 2
                                    - kappa * kappa))
     ok = worst < 1e-8
@@ -168,14 +173,15 @@ def test_c06_kappa_g_consistency(scene):
     for name in ALL_CURVES:
         patch, curve = scene.curve_host(name)
         for s in reparametrize_arclength(patch, curve, 50):
-            direct = surface_curvatures(patch, s).kappa_g
+            geom = point_geometry(patch, s.u, s.v)
+            direct = surface_curvatures(geom, s).kappa_g
             intrinsic = geodesic_curvature_formula(
-                velocity_coefficients(patch, s),
-                first_form(patch.jet(s.u, s.v))).normalized
+                velocity_coefficients(geom, s), geom).normalized
             worst = max(worst, abs(direct - intrinsic))
     patch, curve = scene.curve_host("plane_circle")
     sample = reparametrize_arclength(patch, curve, 9)[4]
-    circle_dev = abs(surface_curvatures(patch, sample).kappa_g - 0.5)
+    geom = point_geometry(patch, sample.u, sample.v)
+    circle_dev = abs(surface_curvatures(geom, sample).kappa_g - 0.5)
     ok = worst < 1e-8 and circle_dev < 1e-9
     report(6, ok, f"max consistency dev {worst:.3e}, "
                   f"plane-circle dev {circle_dev:.3e}")
@@ -189,7 +195,8 @@ def test_c07_intrinsic_invariance_catenoid_helicoid(scene):
     pair = scene.pair("catenoid_helicoid")
     match = verify_metric_match(pair, (20, 20))
     _, curve = scene.curve_host("catenoid_line")
-    rep = invariance_report(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     ok = match.max_residual < 1e-10 and rep.max_kappa_g_residual < 1e-7
     report(7, ok, f"metric {match.max_residual:.3e}, "
                   f"kappa_g dev {rep.max_kappa_g_residual:.3e}")
@@ -202,8 +209,10 @@ def test_c08_rigid_invariance(scene):
     <t, gamma>, lam, mu and the tangent-position status within 1e-9."""
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
-    rep = invariance_report(pair, curve, 50)
-    preserved = tangent_position_preservation(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
+    preserved = tangent_position_preservation(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     worst = max(rep.max_rho_residual, rep.max_t_comp_residual,
                 rep.max_lam_residual, rep.max_mu_residual, preserved)
     ok = worst < 1e-9
@@ -223,7 +232,8 @@ def test_c09_counterexample_regression(scene):
                 for s in samples)
     gbar = [tangency_residual(pair.target, s.u, s.v) for s in samples]
     gbar_dev = max(abs(g - 1.0) for g in gbar)
-    rep = invariance_report(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     kappa_ok = rep.max_kappa_g_residual < 1e-7
     flagged = not rep.tangent_position_preserved
     ok = src_g < 1e-8 and gbar_dev < 1e-9 and kappa_ok and flagged

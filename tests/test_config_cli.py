@@ -91,6 +91,44 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
     assert re.search(r"scene\.ini:1: exp at 1000", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("samples = fifty", "samples must be an integer, got 'fifty'"),
+    ("samples = 1", "samples must be at least 2, got 1"),
+    ("grid = axb", "grid must be an integer, got 'a'"),
+    ("grid = 8x0", "grid must be at least 1, got 0"),
+    ("max_steps = x", "max_steps must be an integer, got 'x'"),
+    ("max_steps = 0", "max_steps must be at least 1, got 0"),
+])
+def test_malformed_option_reports_section_line(tmp_path, capsys, line,
+                                               message):
+    key = line.split()[0]
+    bad = re.sub(rf"^{key} = .*$", line, GOOD_SCENE, flags=re.M)
+    # [options] is line 17 of the scene text.
+    with pytest.raises(ConfigError, match=re.escape(f"mem.ini:17: {message}")):
+        load_scene_text(bad, "mem.ini")
+    path = tmp_path / "scene.ini"
+    path.write_text(bad)
+    argv = ["verify", "--target", "gauss", "--config", str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:17: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["report-thm31", "plane_circle", "--samples", "1"],
+     "--samples must be at least 2, got 1"),
+    (["report-thm31", "plane_circle", "--samples", "0"],
+     "--samples must be at least 2, got 0"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--max-steps", "0"],
+     "--max-steps must be at least 1, got 0"),
+    (["isometry", "plane_cylinder", "--grid", "0x5"],
+     "--grid must be at least 1, got 0"),
+])
+def test_cli_rejects_counts_below_minimum(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_curve_leaving_domain_names_first_failing_t():
     """The batched domain check names the first of its 129 equally spaced
     parameters that leaves the domain, as a point-by-point loop would."""

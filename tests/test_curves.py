@@ -8,6 +8,7 @@ import pytest
 from tpcurves import (
     frenet,
     parse_curve,
+    point_geometry,
     reparametrize_arclength,
     surface_curvatures,
     transfer_sample,
@@ -91,7 +92,8 @@ def test_torsion_zero_on_planar_curves(scene):
 def test_plane_circle_curvatures(scene):
     patch, curve = scene.curve_host("plane_circle")
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = surface_curvatures(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = surface_curvatures(geom, s)
         assert rep.kappa_g == pytest.approx(0.5, abs=1e-9)
         assert rep.kappa_n == pytest.approx(0.0, abs=1e-9)
 
@@ -100,7 +102,8 @@ def test_sphere_latitude_curvatures(scene):
     theta = 2 * math.pi / 3
     patch, curve = scene.curve_host("sphere_latitude")
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = surface_curvatures(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = surface_curvatures(geom, s)
         assert abs(rep.kappa_g) == pytest.approx(abs(1 / math.tan(theta)),
                                                  rel=1e-9)
         assert abs(rep.kappa_n) == pytest.approx(1.0, rel=1e-9)
@@ -112,7 +115,8 @@ def test_sphere_latitude_curvatures(scene):
 def test_great_circle_is_geodesic(scene):
     patch, curve = scene.curve_host("sphere_meridian")
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = surface_curvatures(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = surface_curvatures(geom, s)
         assert abs(rep.kappa_g) < 1e-9
         assert abs(rep.kappa_n) == pytest.approx(1.0, rel=1e-9)
 
@@ -125,7 +129,8 @@ def test_curvature_pythagoras(scene):
             kappa = float(np.linalg.norm(s.ddgamma))
             if kappa <= 1e-9:
                 continue
-            rep = surface_curvatures(patch, s)
+            geom = point_geometry(patch, s.u, s.v)
+            rep = surface_curvatures(geom, s)
             assert abs(rep.kappa_g ** 2 + rep.kappa_n ** 2
                        - kappa ** 2) < 1e-8
 
@@ -142,7 +147,7 @@ def test_transfer_sample_consistency(scene):
     must reproduce the sample exactly."""
     patch, curve = scene.curve_host("catenoid_line")
     for s in reparametrize_arclength(patch, curve, 7):
-        t = transfer_sample(patch, s)
+        t = transfer_sample(point_geometry(patch, s.u, s.v), s)
         assert np.max(np.abs(t.gamma - s.gamma)) < 1e-12
         assert np.max(np.abs(t.dgamma - s.dgamma)) < 1e-12
         assert np.max(np.abs(t.ddgamma - s.ddgamma)) < 1e-11

@@ -87,7 +87,8 @@ def test_bad_kind_rejected(scene):
 def test_rigid_rotation_preserves_everything(scene):
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
-    rep = invariance_report(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     assert rep.max_rho_residual < 1e-9
     assert rep.max_t_comp_residual < 1e-9
     assert rep.max_lam_residual < 1e-9
@@ -95,13 +96,15 @@ def test_rigid_rotation_preserves_everything(scene):
     assert rep.max_kappa_g_residual < 1e-9
     assert rep.source_tangent_position
     assert rep.tangent_position_preserved
-    assert tangent_position_preservation(pair, curve, 50) < 1e-9
+    assert tangent_position_preservation(
+        pair, reparametrize_arclength(pair.source, curve, 50)) < 1e-9
 
 
 def test_catenoid_helicoid_invariance(scene):
     pair = scene.pair("catenoid_helicoid")
     _, curve = scene.curve_host("catenoid_line")
-    rep = invariance_report(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     # Intrinsic: geodesic curvature transfers exactly.
     assert rep.max_kappa_g_residual < 1e-7
     # Extrinsic: length of the position vector does not.
@@ -117,7 +120,8 @@ def test_kappa_g_invariance_all_pairs_all_curves(scene):
     for pair_name, curve_name in cases:
         pair = scene.pair(pair_name)
         _, curve = scene.curve_host(curve_name)
-        rep = invariance_report(pair, curve, 25)
+        rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 25))
         assert rep.max_kappa_g_residual < 1e-7, pair_name
 
 
@@ -126,11 +130,13 @@ def test_plane_cylinder_counterexample(scene):
     tangent-position on the cylinder: g-bar is identically 1."""
     pair = scene.pair("plane_cylinder")
     _, curve = scene.curve_host("plane_circle")
-    rep = invariance_report(pair, curve, 50)
+    rep = invariance_report(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     assert rep.source_tangent_position
     assert not rep.tangent_position_preserved
     assert np.max(np.abs(rep.target_tangency - 1.0)) < 1e-9
-    gbar = tangent_position_preservation(pair, curve, 50)
+    gbar = tangent_position_preservation(
+        pair, reparametrize_arclength(pair.source, curve, 50))
     assert abs(gbar - 1.0) < 1e-9
 
 
@@ -138,7 +144,8 @@ def test_preservation_requires_tangent_position_source(scene):
     pair = scene.pair("catenoid_helicoid")
     _, curve = scene.curve_host("catenoid_line")
     with pytest.raises(ValueError, match="not tangent-position"):
-        tangent_position_preservation(pair, curve, 10)
+        tangent_position_preservation(
+        pair, reparametrize_arclength(pair.source, curve, 10))
 
 
 def test_second_form_relation_identity_pair(scene):
@@ -170,7 +177,7 @@ def test_second_form_relation_premise_fails_on_counterexample(scene):
 def test_rho_and_t_comp_invariance_formulas(scene):
     """For the rigid pair the closed forms themselves agree sample by
     sample, not just the ambient dot products."""
-    from tpcurves import position_component_report
+    from tpcurves import point_geometry, position_component_report
 
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
@@ -178,9 +185,10 @@ def test_rho_and_t_comp_invariance_formulas(scene):
     from tpcurves import transfer_sample
 
     for s in samples:
-        rep_src = position_component_report(pair.source, s)
-        rep_tgt = position_component_report(pair.target,
-                                            transfer_sample(pair.target, s))
+        src = point_geometry(pair.source, s.u, s.v)
+        tgt = point_geometry(pair.target, s.u, s.v)
+        rep_src = position_component_report(src, s)
+        rep_tgt = position_component_report(tgt, transfer_sample(tgt, s))
         assert rep_src.rho == pytest.approx(rep_tgt.rho, abs=1e-9)
         assert rep_src.t_comp == pytest.approx(rep_tgt.t_comp, abs=1e-9)
         assert rep_src.lam == pytest.approx(rep_tgt.lam, abs=1e-9)

@@ -11,6 +11,7 @@ from tpcurves import (
     first_form,
     frame_coefficients,
     geodesic_curvature_formula,
+    point_geometry,
     position_component_report,
     ratio_identity_check,
     reparametrize_arclength,
@@ -94,17 +95,18 @@ TP_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
 def test_velocity_identities_along_tangent_position_curves(scene, name):
     patch, curve = scene.curve_host(name)
     for s in reparametrize_arclength(patch, curve, 25):
-        co = frame_coefficients(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        co = frame_coefficients(geom, s)
         assert abs(co.a1 - s.du) < 1e-8
         assert abs(co.a2 - s.dv) < 1e-8
         assert abs(co.a3) < 1e-8
-        assert abs(co.b3 - surface_curvatures(patch, s).kappa_n) < 1e-8
+        assert abs(co.b3 - surface_curvatures(geom, s).kappa_n) < 1e-8
 
 
 def test_plane_circle_coefficients_trivial(scene):
     patch, curve = scene.curve_host("plane_circle")
     s = reparametrize_arclength(patch, curve, 9)[2]
-    co = frame_coefficients(patch, s)
+    co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     assert co.a1 == pytest.approx(s.du, abs=1e-12)
     assert co.a2 == pytest.approx(s.dv, abs=1e-12)
     assert co.a3 == pytest.approx(0.0, abs=1e-14)
@@ -116,7 +118,7 @@ def test_plane_circle_coefficients_trivial(scene):
 def test_cone_circle_coefficients(scene, v0, curve_name):
     patch, curve = scene.curve_host(curve_name)
     s = reparametrize_arclength(patch, curve, 9)[3]
-    co = frame_coefficients(patch, s)
+    co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     du = 1.0 / v0  # unit speed on E = v^2
     assert co.a1 == pytest.approx(du, rel=1e-12)
     assert co.a2 == pytest.approx(0.0, abs=1e-13)
@@ -130,7 +132,7 @@ def test_gamma_second_derivative_expansion(scene):
     from tpcurves import second_form
 
     for s in reparametrize_arclength(patch, curve, 9):
-        co = frame_coefficients(patch, s)
+        co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
         jet = patch.jet(s.u, s.v)
         normal = second_form(jet).unit_normal
         recon = co.b1 * jet.du + co.b2 * jet.dv + co.b3 * normal
@@ -143,15 +145,17 @@ def test_velocity_route_b3_is_normal_curvature_everywhere(scene):
     for name in ("catenoid_line", "cylinder_helix", "sphere_meridian"):
         patch, curve = scene.curve_host(name)
         for s in reparametrize_arclength(patch, curve, 15):
-            co = velocity_coefficients(patch, s)
-            assert abs(co.b3 - surface_curvatures(patch, s).kappa_n) < 1e-10
+            geom = point_geometry(patch, s.u, s.v)
+            co = velocity_coefficients(geom, s)
+            assert abs(co.b3 - surface_curvatures(geom, s).kappa_n) < 1e-10
 
 
 @pytest.mark.parametrize("name", TP_CURVES)
 def test_ratio_identity(scene, name):
     patch, curve = scene.curve_host(name)
     for s in reparametrize_arclength(patch, curve, 15):
-        assert abs(ratio_identity_check(patch, s)) < 1e-10
+        geom = point_geometry(patch, s.u, s.v)
+        assert abs(ratio_identity_check(geom, s)) < 1e-10
 
 
 # --- component identities ------------------------------------------------
@@ -161,7 +165,8 @@ def test_offset_circle_component_values(scene):
     <n,g> = -sqrt(3)/2, <b,g> = 3/2, kappa = 2/sqrt(3)."""
     patch, curve = scene.curve_host("offset_latitude")
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = position_component_report(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = position_component_report(geom, s)
         assert rep.rho == pytest.approx(3.0, abs=1e-12)
         assert rep.t_comp == pytest.approx(0.0, abs=1e-12)
         assert rep.n_comp == pytest.approx(-SQRT3 / 2, abs=1e-12)
@@ -175,7 +180,8 @@ def test_offset_circle_component_values(scene):
 def test_plane_circle_tangential_component_zero(scene):
     patch, curve = scene.curve_host("plane_circle")
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = position_component_report(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = position_component_report(geom, s)
         assert rep.t_comp == pytest.approx(0.0, abs=1e-12)
         assert rep.rho == pytest.approx(4.0, abs=1e-12)
         assert rep.max_residual() < 1e-7
@@ -186,7 +192,8 @@ def test_plane_circle_tangential_component_zero(scene):
 def test_cone_circle_rho(scene, v0, curve_name):
     patch, curve = scene.curve_host(curve_name)
     for s in reparametrize_arclength(patch, curve, 9):
-        rep = position_component_report(patch, s)
+        geom = point_geometry(patch, s.u, s.v)
+        rep = position_component_report(geom, s)
         assert rep.rho == pytest.approx(2.0 * v0 * v0, rel=1e-12)
         assert rep.rho_direct == pytest.approx(2.0 * v0 * v0, rel=1e-12)
         assert rep.max_residual() < 1e-7
@@ -196,7 +203,8 @@ def test_cone_circle_rho(scene, v0, curve_name):
 def test_component_residuals_on_locus_curves(scene, name):
     patch, curve = scene.curve_host(name)
     for s in reparametrize_arclength(patch, curve, 25):
-        assert position_component_report(patch, s).max_residual() < 1e-7
+        geom = point_geometry(patch, s.u, s.v)
+        assert position_component_report(geom, s).max_residual() < 1e-7
 
 
 # --- binormal expansion --------------------------------------------------
@@ -208,13 +216,14 @@ def test_component_residuals_on_locus_curves(scene, name):
 def test_binormal_expansion(scene, name, tol):
     patch, curve = scene.curve_host(name)
     for s in reparametrize_arclength(patch, curve, 15):
-        assert binormal_formula_check(patch, s) < tol
+        geom = point_geometry(patch, s.u, s.v)
+        assert binormal_formula_check(geom, s) < tol
 
 
 def test_plane_circle_binormal_is_plane_normal(scene):
     patch, curve = scene.curve_host("plane_circle")
     s = reparametrize_arclength(patch, curve, 9)[1]
-    co = frame_coefficients(patch, s)
+    co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     assert co.b3 == pytest.approx(0.0, abs=1e-14)
     b = np.cross(s.dgamma, s.ddgamma / np.linalg.norm(s.ddgamma))
     assert np.allclose(b, [0, 0, 1], atol=1e-12)
@@ -225,8 +234,8 @@ def test_plane_circle_binormal_is_plane_normal(scene):
 def test_plane_circle_kappa_g_value(scene):
     patch, curve = scene.curve_host("plane_circle")
     s = reparametrize_arclength(patch, curve, 9)[4]
-    kg = geodesic_curvature_formula(frame_coefficients(patch, s),
-                                    first_form(patch.jet(s.u, s.v)))
+    geom = point_geometry(patch, s.u, s.v)
+    kg = geodesic_curvature_formula(frame_coefficients(geom, s), geom)
     assert kg.normalized == pytest.approx(0.5, abs=1e-9)
 
 
@@ -236,9 +245,10 @@ def test_plane_circle_kappa_g_value(scene):
 def test_kappa_g_formula_matches_ambient_definition(scene, name):
     patch, curve = scene.curve_host(name)
     for s in reparametrize_arclength(patch, curve, 15):
-        direct = surface_curvatures(patch, s).kappa_g
+        geom = point_geometry(patch, s.u, s.v)
+        direct = surface_curvatures(geom, s).kappa_g
         form = first_form(patch.jet(s.u, s.v))
-        kg = geodesic_curvature_formula(velocity_coefficients(patch, s), form)
+        kg = geodesic_curvature_formula(velocity_coefficients(geom, s), geom)
         assert abs(kg.normalized - direct) < 1e-8
         # Documented scaling between the raw and normalized values.
         assert abs(kg.raw - kg.normalized * form.area_element) < 1e-10

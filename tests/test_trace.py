@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpcurves import (
+    point_geometry,
     position_component_report,
     tangency_residual,
     trace_tangent_curve,
@@ -53,7 +54,7 @@ def test_traced_samples_satisfy_component_identities(scene):
     patch = scene.surface("offset_sphere")
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01, resample=50)
     for s in traced.samples:
-        rep = position_component_report(patch, s)
+        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
         assert rep.max_residual() < 1e-7
         assert rep.rho == pytest.approx(3.0, abs=1e-6)
         assert rep.lam == pytest.approx(-math.sqrt(3), abs=1e-7)
