@@ -49,6 +49,7 @@ from .forms import (
     gauss_equation_residual,
     point_geometry,
     second_form,
+    tangency_gradient,
 )
 from .isometry import (
     InvarianceReport,

@@ -34,7 +34,7 @@ from .errors import (
 from .forms import christoffel, first_form, point_geometry, second_form
 from .isometry import invariance_report, verify_metric_match
 from .report import fmt, parameter_plot_svg, to_json, write_csv, write_text
-from .scene import load_scene, parse_count, parse_grid
+from .scene import load_scene, parse_count, parse_grid, parse_positive
 from .tangent import position_component_report, trace_tangent_curve
 
 _ANALYSIS_ERRORS = (NoSeed, SingularLocus, IdenticallyTangent, DegeneratePoint,
@@ -91,7 +91,7 @@ def cmd_trace(args):
     scene = load_scene(args.config)
     patch = scene.surface(args.surface)
     seed = _parse_seed(args.seed)
-    h = args.h if args.h is not None else scene.options.h
+    h = scene.options.h if args.h is None else parse_positive(args.h, "--h")
     max_steps = scene.options.max_steps if args.max_steps is None else \
         parse_count(args.max_steps, "--max-steps", 1)
     traced = trace_tangent_curve(patch, seed, h=h, max_steps=max_steps,
@@ -101,8 +101,7 @@ def cmd_trace(args):
           f"length={fmt(traced.arc_length)}")
     if args.out:
         rows = []
-        for i, s in enumerate(traced.samples):
-            geom = point_geometry(patch, s.u, s.v)
+        for i, (s, geom) in enumerate(zip(traced.samples, traced.geometry)):
             rho = float(np.dot(s.gamma, s.gamma))
             rows.append((i, s.s, s.u, s.v, geom.g.f, geom.lam.f, geom.mu.f,
                          rho))
@@ -280,7 +279,7 @@ def build_parser():
     common(p)
     p.add_argument("surface")
     p.add_argument("--seed", required=True, help="u,v seed point")
-    p.add_argument("--h", type=float, default=None, help="step size")
+    p.add_argument("--h", default=None, help="step size (positive, finite)")
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=cmd_trace)
 

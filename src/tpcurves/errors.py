@@ -78,4 +78,5 @@ class MetricMismatch(GeometryError):
 
 
 class ConfigError(GeometryError):
-    """Scene configuration failed to load or resolve."""
+    """Scene configuration failed to load or resolve, or a run option (such
+    as the tracer's step size) is out of range."""

@@ -35,7 +35,8 @@ from .jets import Field1, Field2, cross3, dot3
 __all__ = [
     "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
-    "gauss_equation_residual", "point_geometry", "REGULARITY_THRESHOLD",
+    "gauss_equation_residual", "point_geometry", "tangency_gradient",
+    "REGULARITY_THRESHOLD",
 ]
 
 # Below this EG - F^2, normalization amplifies noise past every stated
@@ -161,6 +162,66 @@ class PointGeometry:
 def point_geometry(patch, u, v):
     """The :class:`PointGeometry` of ``patch`` at (u, v)."""
     return PointGeometry(patch.jet(u, v))
+
+
+def tangency_gradient(patch, u, v):
+    """(g, g_u, g_v, (x, y, z)): the tangency residual g = phi . N, its
+    gradient and the point phi at (u, v), from one order-2 evaluation of
+    the patch, with no order-3 jet, lam/mu or Hessian.
+
+    Each step is the value-and-gradient part of the Field2 rule that
+    :class:`PointGeometry` applies, so g, g_u and g_v carry the bits of the
+    record's ``g``.  The quotient composes the reciprocal, as Field2 does:
+    Field1's quotient rule gives other bits.  Raises DegeneratePoint where
+    the record does.
+    """
+    phi = patch.jet_order2(u, v)
+    p = [(c.f, c.fu, c.fv) for c in phi]
+    pu = [(c.fu, c.fuu, c.fuv) for c in phi]
+    pv = [(c.fv, c.fuv, c.fvv) for c in phi]
+    E, F, G = _dot1(pu, pu), _dot1(pu, pv), _dot1(pv, pv)
+    det = _sub1(_mul1(E, G), _mul1(F, F))
+    if det[0] <= REGULARITY_THRESHOLD:
+        raise DegeneratePoint(
+            f"EG - F^2 = {det[0]} at (u, v) = ({float(u)}, {float(v)})")
+    # area = sqrt(det), then 1/area, each composed as Field2 composes.
+    r = math.sqrt(det[0])
+    half = 0.5 / r
+    area = (r, half * det[1], half * det[2])
+    iw = 1.0 / r
+    slope = -(iw * iw)
+    num = _dot1(p, _cross1(pu, pv))
+    g = num[0] * iw
+    g_u = num[1] * iw + num[0] * (slope * area[1])
+    g_v = num[2] * iw + num[0] * (slope * area[2])
+    return g, g_u, g_v, (p[0][0], p[1][0], p[2][0])
+
+
+# Value-and-gradient triples (f, f_u, f_v) under Field2's sum and product.
+
+def _mul1(a, b):
+    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])
+
+
+def _add1(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub1(a, b):
+    # a + (-b), as Field2 subtracts: a - b has the same bits except for the
+    # sign of a NaN.
+    return (a[0] + -b[0], a[1] + -b[1], a[2] + -b[2])
+
+
+def _dot1(a, b):
+    return _add1(_add1(_mul1(a[0], b[0]), _mul1(a[1], b[1])),
+                 _mul1(a[2], b[2]))
+
+
+def _cross1(a, b):
+    return (_sub1(_mul1(a[1], b[2]), _mul1(a[2], b[1])),
+            _sub1(_mul1(a[2], b[0]), _mul1(a[0], b[2])),
+            _sub1(_mul1(a[0], b[1]), _mul1(a[1], b[0])))
 
 
 def metric_fields(jet):

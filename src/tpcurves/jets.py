@@ -14,6 +14,10 @@ suffice:
 
 All jets are immutable after construction; arithmetic lifts plain numbers to
 constants, so expression trees can be evaluated over any of these rings.
+The rings share one base for subtraction, division, the elementary
+functions and powers; each supplies only its product, sum and composition
+rule.  ``Field2``'s rules are ``Jet2``'s truncated at order 2, so a tree
+evaluated over ``Field2`` carries the low-order bits of the ``Jet2`` one.
 Elementary functions raise :class:`~tpcurves.errors.EvalError` at singular
 arguments, and where a value overflows, instead of producing NaNs.
 
@@ -150,84 +154,36 @@ def _pow_derivs(w, p):
     return _node_derivs(_pow_formula, w, p, lambda x: _pow_derivs(x, p))
 
 
-class Jet2:
-    """Order-3 truncated Taylor jet of a scalar function of (u, v)."""
+class _Taylor:
+    """Arithmetic and elementary functions shared by every jet ring.
 
-    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv",
-                 "fuuu", "fuuv", "fuvv", "fvvv")
+    A ring supplies ``__neg__``, ``__add__``, ``__mul__`` and
+    ``_compose_coeffs(f0, f1, f2, f3)``, the composition with an outer
+    function of value f0 and derivatives f1, f2, f3 (a ring that keeps
+    fewer orders ignores the higher ones).  Everything else is the same
+    sequence of ring operations in every ring, so a lower-order ring gives
+    the low-order coefficients of a higher-order one bit for bit; Field1,
+    which divides by its own quotient rule, is the exception.
+    """
 
-    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0,
-                 fuuu=0.0, fuuv=0.0, fuvv=0.0, fvvv=0.0):
-        self.f = f
-        self.fu = fu
-        self.fv = fv
-        self.fuu = fuu
-        self.fuv = fuv
-        self.fvv = fvv
-        self.fuuu = fuuu
-        self.fuuv = fuuv
-        self.fuvv = fuvv
-        self.fvvv = fvvv
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # Every sum and product lifts its operand.  A static function per
+        # ring is cheaper to call there than one classmethod.
+        def lift(x):
+            return x if isinstance(x, cls) else cls(float(x))
+        cls._lift = staticmethod(lift)
 
     @classmethod
     def const(cls, c):
         return cls(float(c))
-
-    @classmethod
-    def var_u(cls, value):
-        return cls(float(value), fu=1.0)
-
-    @classmethod
-    def var_v(cls, value):
-        return cls(float(value), fv=1.0)
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Jet2):
-            return x
-        return Jet2(float(x))
-
-    def __repr__(self):
-        return f"Jet2(f={self.f!r}, fu={self.fu!r}, fv={self.fv!r}, ...)"
-
-    def __neg__(self):
-        return Jet2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv,
-                    -self.fvv, -self.fuuu, -self.fuuv, -self.fuvv, -self.fvvv)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Jet2(self.f + o.f, self.fu + o.fu, self.fv + o.fv,
-                    self.fuu + o.fuu, self.fuv + o.fuv, self.fvv + o.fvv,
-                    self.fuuu + o.fuuu, self.fuuv + o.fuuv,
-                    self.fuvv + o.fuvv, self.fvvv + o.fvvv)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self, self._lift(other)
-        # Leibniz rule through order 3.
-        return Jet2(
-            a.f * b.f,
-            a.fu * b.f + a.f * b.fu,
-            a.fv * b.f + a.f * b.fv,
-            a.fuu * b.f + 2.0 * a.fu * b.fu + a.f * b.fuu,
-            a.fuv * b.f + a.fu * b.fv + a.fv * b.fu + a.f * b.fuv,
-            a.fvv * b.f + 2.0 * a.fv * b.fv + a.f * b.fvv,
-            a.fuuu * b.f + 3.0 * a.fuu * b.fu + 3.0 * a.fu * b.fuu + a.f * b.fuuu,
-            (a.fuuv * b.f + a.fuu * b.fv + 2.0 * a.fuv * b.fu
-             + 2.0 * a.fu * b.fuv + a.fv * b.fuu + a.f * b.fuuv),
-            (a.fuvv * b.f + a.fvv * b.fu + 2.0 * a.fuv * b.fv
-             + 2.0 * a.fv * b.fuv + a.fu * b.fvv + a.f * b.fuvv),
-            a.fvvv * b.f + 3.0 * a.fvv * b.fv + 3.0 * a.fv * b.fvv + a.f * b.fvvv,
-        )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self * self._lift(other)._compose("recip")
@@ -237,26 +193,7 @@ class Jet2:
 
     def _compose(self, op):
         """Faa di Bruno composition with an elementary outer function."""
-        f0, f1, f2, f3 = _elem_derivs(op, self.f)
-        return self._compose_coeffs(f0, f1, f2, f3)
-
-    def _compose_coeffs(self, f0, f1, f2, f3):
-        gu, gv = self.fu, self.fv
-        guu, guv, gvv = self.fuu, self.fuv, self.fvv
-        return Jet2(
-            f0,
-            f1 * gu,
-            f1 * gv,
-            f2 * gu * gu + f1 * guu,
-            f2 * gu * gv + f1 * guv,
-            f2 * gv * gv + f1 * gvv,
-            f3 * gu * gu * gu + 3.0 * f2 * gu * guu + f1 * self.fuuu,
-            (f3 * gu * gu * gv + f2 * (2.0 * gu * guv + guu * gv)
-             + f1 * self.fuuv),
-            (f3 * gu * gv * gv + f2 * (2.0 * gv * guv + gu * gvv)
-             + f1 * self.fuvv),
-            f3 * gv * gv * gv + 3.0 * f2 * gv * gvv + f1 * self.fvvv,
-        )
+        return self._compose_coeffs(*_elem_derivs(op, self.f))
 
     def sin(self):
         return self._compose("sin")
@@ -293,7 +230,7 @@ class Jet2:
         return self._compose_coeffs(*_pow_derivs(self.f, p))
 
     def _ipow(self, n):
-        result = Jet2.const(1.0)
+        result = self.const(1.0)
         base = self
         while True:
             if n & 1:
@@ -304,7 +241,89 @@ class Jet2:
             base = base * base  # only while a higher bit is left
 
 
-class Jet1:
+class Jet2(_Taylor):
+    """Order-3 truncated Taylor jet of a scalar function of (u, v)."""
+
+    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv",
+                 "fuuu", "fuuv", "fuvv", "fvvv")
+
+    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0,
+                 fuuu=0.0, fuuv=0.0, fuvv=0.0, fvvv=0.0):
+        self.f = f
+        self.fu = fu
+        self.fv = fv
+        self.fuu = fuu
+        self.fuv = fuv
+        self.fvv = fvv
+        self.fuuu = fuuu
+        self.fuuv = fuuv
+        self.fuvv = fuvv
+        self.fvvv = fvvv
+
+    @classmethod
+    def var_u(cls, value):
+        return cls(float(value), fu=1.0)
+
+    @classmethod
+    def var_v(cls, value):
+        return cls(float(value), fv=1.0)
+
+    def __repr__(self):
+        return f"Jet2(f={self.f!r}, fu={self.fu!r}, fv={self.fv!r}, ...)"
+
+    def __neg__(self):
+        return Jet2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv,
+                    -self.fvv, -self.fuuu, -self.fuuv, -self.fuvv, -self.fvvv)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return Jet2(self.f + o.f, self.fu + o.fu, self.fv + o.fv,
+                    self.fuu + o.fuu, self.fuv + o.fuv, self.fvv + o.fvv,
+                    self.fuuu + o.fuuu, self.fuuv + o.fuuv,
+                    self.fuvv + o.fuvv, self.fvvv + o.fvvv)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        a, b = self, self._lift(other)
+        # Leibniz rule through order 3.
+        return Jet2(
+            a.f * b.f,
+            a.fu * b.f + a.f * b.fu,
+            a.fv * b.f + a.f * b.fv,
+            a.fuu * b.f + 2.0 * a.fu * b.fu + a.f * b.fuu,
+            a.fuv * b.f + a.fu * b.fv + a.fv * b.fu + a.f * b.fuv,
+            a.fvv * b.f + 2.0 * a.fv * b.fv + a.f * b.fvv,
+            a.fuuu * b.f + 3.0 * a.fuu * b.fu + 3.0 * a.fu * b.fuu + a.f * b.fuuu,
+            (a.fuuv * b.f + a.fuu * b.fv + 2.0 * a.fuv * b.fu
+             + 2.0 * a.fu * b.fuv + a.fv * b.fuu + a.f * b.fuuv),
+            (a.fuvv * b.f + a.fvv * b.fu + 2.0 * a.fuv * b.fv
+             + 2.0 * a.fv * b.fuv + a.fu * b.fvv + a.f * b.fuvv),
+            a.fvvv * b.f + 3.0 * a.fvv * b.fv + 3.0 * a.fv * b.fvv + a.f * b.fvvv,
+        )
+
+    __rmul__ = __mul__
+
+    def _compose_coeffs(self, f0, f1, f2, f3):
+        gu, gv = self.fu, self.fv
+        guu, guv, gvv = self.fuu, self.fuv, self.fvv
+        return Jet2(
+            f0,
+            f1 * gu,
+            f1 * gv,
+            f2 * gu * gu + f1 * guu,
+            f2 * gu * gv + f1 * guv,
+            f2 * gv * gv + f1 * gvv,
+            f3 * gu * gu * gu + 3.0 * f2 * gu * guu + f1 * self.fuuu,
+            (f3 * gu * gu * gv + f2 * (2.0 * gu * guv + guu * gv)
+             + f1 * self.fuuv),
+            (f3 * gu * gv * gv + f2 * (2.0 * gv * guv + gu * gvv)
+             + f1 * self.fuvv),
+            f3 * gv * gv * gv + 3.0 * f2 * gv * gvv + f1 * self.fvvv,
+        )
+
+
+class Jet1(_Taylor):
     """Order-3 truncated Taylor jet of a scalar function of one parameter."""
 
     __slots__ = ("f", "d1", "d2", "d3")
@@ -316,18 +335,8 @@ class Jet1:
         self.d3 = d3
 
     @classmethod
-    def const(cls, c):
-        return cls(float(c))
-
-    @classmethod
     def var(cls, value):
         return cls(float(value), d1=1.0)
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Jet1):
-            return x
-        return Jet1(float(x))
 
     def __repr__(self):
         return f"Jet1({self.f!r}, {self.d1!r}, {self.d2!r}, {self.d3!r})"
@@ -341,12 +350,6 @@ class Jet1:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self, self._lift(other)
         return Jet1(
@@ -358,16 +361,6 @@ class Jet1:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * self._lift(other)._compose("recip")
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def _compose(self, op):
-        f0, f1, f2, f3 = _elem_derivs(op, self.f)
-        return self._compose_coeffs(f0, f1, f2, f3)
-
     def _compose_coeffs(self, f0, f1, f2, f3):
         g1, g2, g3 = self.d1, self.d2, self.d3
         return Jet1(
@@ -377,53 +370,14 @@ class Jet1:
             f3 * g1 * g1 * g1 + 3.0 * f2 * g1 * g2 + f1 * g3,
         )
 
-    def sin(self):
-        return self._compose("sin")
 
-    def cos(self):
-        return self._compose("cos")
+class Field2(_Taylor):
+    """Scalar field on the parameter plane: value, gradient and Hessian.
 
-    def sinh(self):
-        return self._compose("sinh")
-
-    def cosh(self):
-        return self._compose("cosh")
-
-    def tanh(self):
-        return self._compose("tanh")
-
-    def exp(self):
-        return self._compose("exp")
-
-    def log(self):
-        return self._compose("log")
-
-    def sqrt(self):
-        return self._compose("sqrt")
-
-    def powc(self, p):
-        p = float(p)
-        if p.is_integer():
-            n = int(p)
-            if n < 0:
-                return (self._ipow(-n))._compose("recip")
-            return self._ipow(n)
-        return self._compose_coeffs(*_pow_derivs(self.f, p))
-
-    def _ipow(self, n):
-        result = Jet1.const(1.0)
-        base = self
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base  # only while a higher bit is left
-
-
-class Field2:
-    """Scalar field on the parameter plane: value, gradient and Hessian."""
+    Its arithmetic is Jet2's truncated at order 2, so a tree evaluated over
+    Field2 gives the value, gradient and Hessian bits of the same tree
+    evaluated over Jet2.
+    """
 
     __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
@@ -434,10 +388,6 @@ class Field2:
         self.fuu = fuu
         self.fuv = fuv
         self.fvv = fvv
-
-    @classmethod
-    def const(cls, c):
-        return cls(float(c))
 
     @classmethod
     def of_jet(cls, jet):
@@ -464,12 +414,6 @@ class Field2:
     def lower(self):
         return Field1(self.f, self.fu, self.fv)
 
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Field2):
-            return x
-        return Field2(float(x))
-
     def __repr__(self):
         return f"Field2(f={self.f!r}, grad=({self.fu!r}, {self.fv!r}))"
 
@@ -482,12 +426,6 @@ class Field2:
                       self.fuu + o.fuu, self.fuv + o.fuv, self.fvv + o.fvv)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         a, b = self, self._lift(other)
@@ -502,14 +440,7 @@ class Field2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * self._lift(other)._compose("recip")
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def _compose(self, op):
-        f0, f1, f2, _ = _elem_derivs(op, self.f)
+    def _compose_coeffs(self, f0, f1, f2, f3):
         gu, gv = self.fu, self.fv
         return Field2(
             f0,
@@ -520,12 +451,13 @@ class Field2:
             f2 * gv * gv + f1 * self.fvv,
         )
 
-    def sqrt(self):
-        return self._compose("sqrt")
 
+class Field1(_Taylor):
+    """Scalar field on the parameter plane: value and gradient only.
 
-class Field1:
-    """Scalar field on the parameter plane: value and gradient only."""
+    Division is the quotient rule, not Field2's composed reciprocal, so a
+    quotient's bits differ from Field2's in the last places.
+    """
 
     __slots__ = ("f", "fu", "fv")
 
@@ -533,16 +465,6 @@ class Field1:
         self.f = f
         self.fu = fu
         self.fv = fv
-
-    @classmethod
-    def const(cls, c):
-        return cls(float(c))
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Field1):
-            return x
-        return Field1(float(x))
 
     def __repr__(self):
         return f"Field1(f={self.f!r}, grad=({self.fu!r}, {self.fv!r}))"
@@ -555,12 +477,6 @@ class Field1:
         return Field1(self.f + o.f, self.fu + o.fu, self.fv + o.fv)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         a, b = self, self._lift(other)
@@ -576,15 +492,8 @@ class Field1:
         f = self.f * inv
         return Field1(f, (self.fu - f * o.fu) * inv, (self.fv - f * o.fv) * inv)
 
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def sqrt(self):
-        if self.f <= 0.0:
-            raise EvalError(f"sqrt of non-positive value {self.f}")
-        r = math.sqrt(self.f)
-        half = 0.5 / r
-        return Field1(r, half * self.fu, half * self.fv)
+    def _compose_coeffs(self, f0, f1, f2, f3):
+        return Field1(f0, f1 * self.fu, f1 * self.fv)
 
 
 def dot3(a, b):

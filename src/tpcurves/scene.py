@@ -31,6 +31,7 @@ at load time; unresolved names are load errors.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError, EvalError, ExpressionError
@@ -39,7 +40,8 @@ from .isometry import register_pair
 from .surface import parse_curve, parse_surface
 
 __all__ = ["SceneConfig", "RunOptions", "load_scene", "builtin_scene",
-           "parse_count", "parse_grid", "BUILTIN_SCENE_TEXT"]
+           "parse_count", "parse_grid", "parse_positive",
+           "BUILTIN_SCENE_TEXT"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,18 @@ def parse_count(raw, name, minimum):
     return count
 
 
+def parse_positive(raw, name):
+    """``raw``, a constant expression, as a positive finite number for the
+    option ``name``; ConfigError otherwise (zero, negative, NaN, inf)."""
+    try:
+        value = _number(raw)
+    except (ExpressionError, EvalError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    if not 0.0 < value < math.inf:  # false for NaN too
+        raise ConfigError(f"{name} must be positive and finite, got {raw!r}")
+    return value
+
+
 def parse_grid(raw, name="grid"):
     """An ``MxN`` grid spec as (M, N), both at least 1."""
     parts = raw.lower().split("x")
@@ -172,7 +186,7 @@ def load_scene_text(text, path="<string>"):
                     options["samples"] = parse_count(body["samples"],
                                                      "samples", 2)
                 if "h" in body:
-                    options["h"] = _number(body["h"])
+                    options["h"] = parse_positive(body["h"], "h")
                 if "max_steps" in body:
                     options["max_steps"] = parse_count(body["max_steps"],
                                                        "max_steps", 1)

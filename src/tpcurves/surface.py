@@ -3,7 +3,8 @@
 A :class:`SurfacePatch` is an analytic map (u, v) -> R^3 parsed from
 expression text; :meth:`SurfacePatch.jet` returns all partial derivatives
 through order 3 computed by forward-mode jets, with no finite differencing
-anywhere.  A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
+anywhere, and :meth:`SurfacePatch.jet_order2` those through order 2.  A
+:class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .jets import Jet1, Jet2
+from .jets import Field2, Jet1, Jet2
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
            "parse_surface", "parse_curve"]
@@ -81,6 +82,15 @@ class SurfacePatch:
         comps = tuple(expr.evaluate(c, env, Jet2.const) for c in self.components)
         arr = lambda attr: np.array([getattr(c, attr) for c in comps])
         return _surface_jet(float(u), float(v), comps, arr)
+
+    def jet_order2(self, u, v):
+        """The three components at (u, v) as :class:`~tpcurves.jets.Field2`
+        values: partials through order 2 only, with the bits of
+        :meth:`jet`'s value, first and second partials."""
+        self._require_inside(u, v)
+        env = {"u": Field2(float(u), fu=1.0), "v": Field2(float(v), fv=1.0)}
+        return tuple(expr.evaluate(c, env, Field2.const)
+                     for c in self.components)
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one

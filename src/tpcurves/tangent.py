@@ -13,8 +13,10 @@ Every per-sample function takes ``(geom, sample)``: ``geom`` is the
 :class:`~tpcurves.forms.PointGeometry` at the sample's parameter point,
 built once by :func:`~tpcurves.forms.point_geometry` and shared by every
 identity at that sample; none of them evaluates the patch again.  The
-tracer's Newton corrector hands the record of its last iterate on to the
-sample built there.
+tracer's Newton corrector builds no record: its iterates read g and its
+gradient from :func:`~tpcurves.forms.tangency_gradient`, and the record is
+built once at each accepted sample and kept in
+:attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -43,8 +45,9 @@ from typing import Optional
 import numpy as np
 
 from .curves import KAPPA_MIN, CurveSample, transfer_sample
-from .errors import FrameUndefined, IdenticallyTangent, NoSeed, SingularLocus
-from .forms import point_geometry, second_form
+from .errors import (ConfigError, FrameUndefined, IdenticallyTangent, NoSeed,
+                     SingularLocus)
+from .forms import point_geometry, second_form, tangency_gradient
 from .jets import cross3, dot3
 
 __all__ = [
@@ -156,8 +159,9 @@ def _along1(field, sample):
 
 
 def tangency_residual(patch, u, v):
-    """g(u, v) = phi . N; the point is on the locus iff this vanishes."""
-    return point_geometry(patch, u, v).g.f
+    """g(u, v) = phi . N; the point is on the locus iff this vanishes.
+    One order-2 evaluation (:func:`~tpcurves.forms.tangency_gradient`)."""
+    return tangency_gradient(patch, u, v)[0]
 
 
 def decompose_position(patch, u, v):
@@ -343,26 +347,27 @@ class TracedCurve:
     h: float
     arc_length: float  # ambient length of the polyline
     samples: tuple  # arc-length resampled CurveSamples (second-order data)
+    geometry: tuple  # the PointGeometry of each sample, in the same order
 
 
 def _newton_correct(patch, u, v, max_iter, tol):
-    """Newton along grad g toward the zero set.  Returns (u, v, geometry),
-    the PointGeometry at the returned (u, v), or None off the domain."""
-    b = point_geometry(patch, u, v)
+    """Newton along grad g toward the zero set.  Returns (u, v, t) with t
+    the :func:`~tpcurves.forms.tangency_gradient` tuple (g, g_u, g_v,
+    point) at the returned (u, v), or None off the domain."""
+    t = tangency_gradient(patch, u, v)
     for _ in range(max_iter):
-        g = b.g.f
+        g, gu, gv, _ = t
         if abs(g) <= tol:
-            return u, v, b
-        gu, gv = b.g.fu, b.g.fv
+            return u, v, t
         norm2 = gu * gu + gv * gv
         if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
-            return u, v, b
+            return u, v, t
         u -= g * gu / norm2
         v -= g * gv / norm2
         if not patch.contains(u, v):
             return u, v, None
-        b = point_geometry(patch, u, v)
-    return u, v, b
+        t = tangency_gradient(patch, u, v)
+    return u, v, t
 
 
 def _probe_identically_tangent(patch, u, v, radius):
@@ -381,11 +386,13 @@ def _probe_identically_tangent(patch, u, v, radius):
     return total >= 3 and hits == total
 
 
-def _isolated_zero(patch, b, u, v, h):
+def _isolated_zero(patch, u, v, h):
     """Hessian test: a nearby critical point of g that is itself a zero
-    means the locus degenerates to a point."""
-    hess = np.array([[b.g.fuu, b.g.fuv], [b.g.fuv, b.g.fvv]])
-    grad = np.array([b.g.fu, b.g.fv])
+    means the locus degenerates to a point.  g's Hessian comes from a full
+    record at (u, v), the tracer's only record away from its samples."""
+    g = point_geometry(patch, u, v).g
+    hess = np.array([[g.fuu, g.fuv], [g.fuv, g.fvv]])
+    grad = np.array([g.fu, g.fv])
     try:
         step = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
@@ -395,20 +402,19 @@ def _isolated_zero(patch, b, u, v, h):
     uc, vc = u - step[0], v - step[1]
     if not patch.contains(uc, vc):
         return False
-    bc = point_geometry(patch, uc, vc)
-    grad_c = math.hypot(bc.g.fu, bc.g.fv)
-    return abs(bc.g.f) <= LOCUS_TOL and grad_c <= GRAD_FLOOR
+    g, gu, gv, _ = tangency_gradient(patch, uc, vc)
+    return abs(g) <= LOCUS_TOL and math.hypot(gu, gv) <= GRAD_FLOOR
 
 
 def _correct_seed(patch, seed, h):
     u, v = float(seed[0]), float(seed[1])
     if not patch.contains(u, v):
         raise NoSeed(f"seed {seed} outside the parameter domain")
-    u, v, b = _newton_correct(patch, u, v, _NEWTON_MAX, TRACE_TOL)
-    if b is None:
+    u, v, t = _newton_correct(patch, u, v, _NEWTON_MAX, TRACE_TOL)
+    if t is None:
         raise NoSeed("seed correction left the parameter domain")
-    g = b.g.f
-    grad = math.hypot(b.g.fu, b.g.fv)
+    g, gu, gv, _ = t
+    grad = math.hypot(gu, gv)
     if abs(g) > LOCUS_TOL:
         # A stall with both |g| and the gradient collapsing together means
         # Newton is sliding into a degenerate zero; a stall with |g| still
@@ -422,13 +428,14 @@ def _correct_seed(patch, seed, h):
             raise IdenticallyTangent(
                 "tangency residual vanishes identically around the seed")
         raise SingularLocus(f"gradient {grad} at the corrected seed")
-    if _isolated_zero(patch, b, u, v, h):
+    if _isolated_zero(patch, u, v, h):
         raise SingularLocus("tangency locus degenerates to a point near seed")
-    return u, v, b
+    return u, v, t
 
 
-def _tangent_dir(b):
-    tu, tv = -b.g.fv, b.g.fu
+def _tangent_dir(t):
+    """Unit direction (-g_v, g_u) from a tangency_gradient tuple."""
+    tu, tv = -t[2], t[1]
     norm = math.hypot(tu, tv)
     if norm <= GRAD_FLOOR:
         raise SingularLocus("gradient vanished during trace")
@@ -443,13 +450,21 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     closure (return within half a step of the start after at least 10
     steps, in parameter or ambient distance), on domain exit, or at
     ``max_steps``.  The result carries the vertex polyline and a list of
-    unit-speed samples resampled at equal arc length.
+    unit-speed samples resampled at equal arc length, with the
+    PointGeometry of each.  Newton iterates (seed, steps, resampling) and
+    the identically-tangent probe read g, g_u, g_v and the point from one
+    order-2 evaluation each (:func:`~tpcurves.forms.tangency_gradient`);
+    a full PointGeometry is built only at the corrected seed (g's Hessian
+    for the isolated-zero test) and at each accepted resample point.
+    Raises ConfigError unless h is positive and finite.
     """
-    u, v, b = _correct_seed(patch, seed, h)
+    if not 0.0 < h < math.inf:  # false for NaN too
+        raise ConfigError(f"step size h must be positive and finite, got {h!r}")
+    u, v, t = _correct_seed(patch, seed, h)
     verts = [(u, v)]
-    resid = [b.g.f]
-    ambient = [patch.value(u, v)]
-    tu, tv = _tangent_dir(b)
+    resid = [t[0]]
+    ambient = [np.array(t[3])]
+    tu, tv = _tangent_dir(t)
     # Canonical initial orientation: dominant component positive.
     if (abs(tu) >= abs(tv) and tu < 0.0) or (abs(tu) < abs(tv) and tv < 0.0):
         tu, tv = -tu, -tv
@@ -462,23 +477,22 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
         if not patch.contains(pu, pv):
             status = "domain_exit"
             break
-        cu, cv, cb = _newton_correct(patch, pu, pv, _CORRECTOR_MAX, TRACE_TOL)
-        if cb is None:
+        cu, cv, ct = _newton_correct(patch, pu, pv, _CORRECTOR_MAX, TRACE_TOL)
+        if ct is None:
             status = "domain_exit"
             break
-        if abs(cb.g.f) > LOCUS_TOL:
-            grad = math.hypot(cb.g.fu, cb.g.fv)
-            if grad <= GRAD_FLOOR:
+        if abs(ct[0]) > LOCUS_TOL:
+            if math.hypot(ct[1], ct[2]) <= GRAD_FLOOR:
                 raise SingularLocus("gradient vanished during trace")
             status = "corrector_stalled"
             break
-        u, v, b = cu, cv, cb
-        pos = patch.value(u, v)
+        u, v, t = cu, cv, ct
+        pos = np.array(t[3])
         chord_sum += float(np.linalg.norm(pos - ambient[-1]))
         verts.append((u, v))
-        resid.append(b.g.f)
+        resid.append(t[0])
         ambient.append(pos)
-        ntu, ntv = _tangent_dir(b)
+        ntu, ntv = _tangent_dir(t)
         if ntu * tu + ntv * tv < 0.0:
             ntu, ntv = -ntu, -ntv
         tu, tv = ntu, ntv
@@ -493,11 +507,12 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
 
     vertices = np.array(verts)
     ambient = np.array(ambient)
-    samples, length = _resample_locus(patch, vertices, ambient, closed, resample)
+    samples, geometry, length = _resample_locus(patch, vertices, ambient,
+                                                closed, resample)
     return TracedCurve(
         vertices=vertices, residuals=np.array(resid), closed=closed,
         status=status, seed=(float(seed[0]), float(seed[1])), h=h,
-        arc_length=length, samples=tuple(samples))
+        arc_length=length, samples=tuple(samples), geometry=tuple(geometry))
 
 
 def _locus_sample(geom, s, sign):
@@ -526,9 +541,10 @@ def _locus_sample(geom, s, sign):
 
 def _resample_locus(patch, vertices, ambient, closed, count):
     """Equal-arc-length samples along the traced polyline, corrected back
-    onto the locus before the per-point data is evaluated."""
+    onto the locus before the per-point data is evaluated.  Returns the
+    samples, the PointGeometry of each, and the polyline length."""
     if len(vertices) < 2 or count < 2:
-        return [], 0.0
+        return [], [], 0.0
     pts = ambient
     segs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
@@ -536,16 +552,17 @@ def _resample_locus(patch, vertices, ambient, closed, count):
     if closed:
         total += float(np.linalg.norm(pts[0] - pts[-1]))
     if total <= 0.0:
-        return [], 0.0
+        return [], [], 0.0
 
     # Marching direction sign relative to the tangent field at the start.
-    b0 = point_geometry(patch, vertices[0][0], vertices[0][1])
-    tu, tv = _tangent_dir(b0)
+    tu, tv = _tangent_dir(tangency_gradient(patch, vertices[0][0],
+                                            vertices[0][1]))
     step_u = vertices[1][0] - vertices[0][0]
     step_v = vertices[1][1] - vertices[0][1]
     sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0
 
     samples = []
+    geometry = []
     targets = [total * i / (count - 1) for i in range(count)]
     for s in targets:
         if not closed:
@@ -566,8 +583,10 @@ def _resample_locus(patch, vertices, ambient, closed, count):
             base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
         u = float(base[0] + frac * (nxt[0] - base[0]))
         v = float(base[1] + frac * (nxt[1] - base[1]))
-        u, v, b = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
-        if b is None or abs(b.g.f) > LOCUS_TOL:
+        u, v, t = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
+        if t is None or abs(t[0]) > LOCUS_TOL:
             continue
-        samples.append(_locus_sample(b, s, sign))
-    return samples, total
+        geom = point_geometry(patch, u, v)
+        samples.append(_locus_sample(geom, s, sign))
+        geometry.append(geom)
+    return samples, geometry, total

@@ -98,6 +98,11 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
     ("grid = 8x0", "grid must be at least 1, got 0"),
     ("max_steps = x", "max_steps must be an integer, got 'x'"),
     ("max_steps = 0", "max_steps must be at least 1, got 0"),
+    ("h = 0", "h must be positive and finite, got '0'"),
+    ("h = -0.01", "h must be positive and finite, got '-0.01'"),
+    ("h = 1e308*10 - 1e308*10",  # NaN
+     "h must be positive and finite, got '1e308*10 - 1e308*10'"),
+    ("h = 1e308*10", "h must be positive and finite, got '1e308*10'"),
 ])
 def test_malformed_option_reports_section_line(tmp_path, capsys, line,
                                                message):
@@ -123,6 +128,18 @@ def test_malformed_option_reports_section_line(tmp_path, capsys, line,
      "--max-steps must be at least 1, got 0"),
     (["isometry", "plane_cylinder", "--grid", "0x5"],
      "--grid must be at least 1, got 0"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "0"],
+     "--h must be positive and finite, got '0'"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "-0.01"],
+     "--h must be positive and finite, got '-0.01'"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "1e308*10-1e308*10"],
+     "--h must be positive and finite, got '1e308*10-1e308*10'"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "1e308*10"],
+     "--h must be positive and finite, got '1e308*10'"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "nan"],
+     "--h: unknown identifier 'nan' (at position 0)"),
+    (["trace", "offset_sphere", "--seed", "2,0", "--h", "inf"],
+     "--h: unknown identifier 'inf' (at position 0)"),
 ])
 def test_cli_rejects_counts_below_minimum(capsys, argv, message):
     assert cli.main(argv) == 1

@@ -1,0 +1,127 @@
+"""The order-2 tangency kernel against the full per-point record.
+
+``tangency_gradient`` must give ``PointGeometry.g``'s value and gradient
+bit for bit, and ``SurfacePatch.jet_order2`` the low-order coefficients of
+``SurfacePatch.jet``; where one side raises EvalError or DegeneratePoint,
+the other raises the same error.
+"""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_expr import _ast_strategy
+
+from tpcurves import expr, parse_surface, point_geometry, tangency_gradient
+from tpcurves.errors import DegeneratePoint, DomainError, EvalError
+from tpcurves.expr import Binary, Const, Var
+from tpcurves.jets import Field2, Jet2
+from tpcurves.surface import SurfacePatch
+
+ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
+
+
+def bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def outcome(fn):
+    """``fn()``, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (EvalError, DegeneratePoint) as exc:
+        return type(exc), str(exc)
+
+
+def record_g(patch, u, v):
+    g = point_geometry(patch, u, v).g
+    return bits(g.f, g.fu, g.fv)
+
+
+def kernel_g(patch, u, v):
+    g, g_u, g_v, _ = tangency_gradient(patch, u, v)
+    return bits(g, g_u, g_v)
+
+
+def _trees():
+    """Expression trees with ``/``, integer and non-integer ``^``.  Half
+    the non-integer powers take a base 1 + t*t, positive wherever t is
+    finite, so that most of them evaluate."""
+    noninteger = st.builds(Const, st.sampled_from([-1.5, -0.5, 0.5, 2.5]))
+
+    def positive(t):
+        return Binary("+", Const(1.0), Binary("*", t, t))
+
+    return st.recursive(
+        _ast_strategy(),
+        lambda children: st.one_of(
+            st.builds(Binary, st.just("^"),
+                      children | children.map(positive), noninteger),
+            st.builds(Binary, st.sampled_from("*/"), children, children)),
+        max_leaves=3)
+
+
+def test_kernel_matches_record_on_builtin_surfaces(scene):
+    rng = random.Random(20261018)
+    for name, patch in scene.surfaces.items():
+        for _ in range(150):
+            u = rng.uniform(*patch.u_range)
+            v = rng.uniform(*patch.v_range)
+            assert outcome(lambda: kernel_g(patch, u, v)) == \
+                outcome(lambda: record_g(patch, u, v)), (name, u, v)
+            # No built-in surface uses / or ^ other than u^2, so the
+            # kernel's point is SurfacePatch.value's, bit for bit.
+            point = tangency_gradient(patch, u, v)[3]
+            assert bits(*point) == bits(*patch.value(u, v)), (name, u, v)
+
+
+@given(st.tuples(_trees(), _trees(), _trees()),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_record_on_random_trees(components, u, v):
+    patch = SurfacePatch(name="random", components=components,
+                         u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+    assert outcome(lambda: kernel_g(patch, u, v)) == \
+        outcome(lambda: record_g(patch, u, v))
+
+
+@given(_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_record_on_random_graphs(height, u, v):
+    # A graph (u, v, h) is regular everywhere, so the comparison reaches g
+    # wherever h evaluates.
+    patch = SurfacePatch(name="graph", components=(Var("u"), Var("v"), height),
+                         u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+    assert outcome(lambda: kernel_g(patch, u, v)) == \
+        outcome(lambda: record_g(patch, u, v))
+
+
+@given(_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_field2_is_jet2_truncated(tree, u, v):
+    def over(ring, env):
+        value = expr.evaluate(tree, env, ring.const)
+        return bits(*(getattr(value, k) for k in ORDER2))
+
+    assert outcome(lambda: over(Field2, {"u": Field2(u, fu=1.0),
+                                         "v": Field2(v, fv=1.0)})) == \
+        outcome(lambda: over(Jet2, {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}))
+
+
+def test_jet_order2_matches_jet(scene):
+    patch = scene.surface("catenoid")
+    jet = patch.jet(1.3, -0.4)
+    for c, full in zip(patch.jet_order2(1.3, -0.4), jet.components):
+        assert bits(*(getattr(c, k) for k in ORDER2)) == \
+            bits(*(getattr(full, k) for k in ORDER2))
+
+
+def test_kernel_errors_match_record():
+    line = parse_surface("(u, 0, 0)", (0, 1), (0, 1), name="line")
+    assert outcome(lambda: kernel_g(line, 0.5, 0.5)) == \
+        outcome(lambda: record_g(line, 0.5, 0.5))
+    assert outcome(lambda: kernel_g(line, 0.5, 0.5))[0] is DegeneratePoint
+    with pytest.raises(DomainError):
+        tangency_gradient(line, 1.5, 0.5)

@@ -11,7 +11,8 @@ from tpcurves import (
     tangency_residual,
     trace_tangent_curve,
 )
-from tpcurves.errors import IdenticallyTangent, NoSeed, SingularLocus
+from tpcurves.errors import (ConfigError, IdenticallyTangent, NoSeed,
+                             SingularLocus)
 
 LATITUDE = 2 * math.pi / 3
 
@@ -113,3 +114,9 @@ def test_halving_step_keeps_vertices_on_locus(scene):
     exact = math.pi * math.sqrt(3)
     assert abs(coarse.arc_length - exact) < 0.01
     assert abs(fine.arc_length - exact) < 0.005
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+def test_step_must_be_positive_and_finite(scene, h):
+    with pytest.raises(ConfigError, match="h must be positive and finite"):
+        trace_tangent_curve(scene.surface("offset_sphere"), (2.0, 0.0), h=h)

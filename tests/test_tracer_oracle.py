@@ -1,0 +1,185 @@
+"""The tracer's order-2 corrector against the record-based one it replaced,
+pinned outputs of ``tpcurves trace``, and the tracer's evaluation counts."""
+
+import contextlib
+import csv
+import hashlib
+import io
+import math
+from collections import Counter
+
+import pytest
+
+from tpcurves import cli, parse_surface, point_geometry, tangent
+from tpcurves.surface import SurfacePatch
+from tpcurves.tangent import GRAD_FLOOR, trace_tangent_curve
+
+# Off-axis ellipsoid: its locus is no coordinate line, so the corrector
+# iterates at every vertex.
+ELLIPSOID = "(2*sin(u)*cos(v) + 0.6, sin(u)*sin(v) + 0.4, 1.5*cos(u) + 2.2)"
+
+
+def record_newton(patch, u, v, max_iter, tol):
+    """The corrector before the order-2 kernel, kept as the oracle: every
+    iterate builds a full PointGeometry, and the point comes from
+    SurfacePatch.value."""
+    def result(u, v, b):
+        return u, v, (b.g.f, b.g.fu, b.g.fv, tuple(patch.value(u, v)))
+
+    b = point_geometry(patch, u, v)
+    for _ in range(max_iter):
+        g = b.g.f
+        if abs(g) <= tol:
+            return result(u, v, b)
+        gu, gv = b.g.fu, b.g.fv
+        norm2 = gu * gu + gv * gv
+        if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
+            return result(u, v, b)
+        u -= g * gu / norm2
+        v -= g * gv / norm2
+        if not patch.contains(u, v):
+            return u, v, None
+        b = point_geometry(patch, u, v)
+    return result(u, v, b)
+
+
+def _patch(scene, name):
+    if name == "ellipsoid":
+        return parse_surface(ELLIPSOID, (0.05, 3.09), (-10.0, 10.0),
+                             name="ellipsoid")
+    return scene.surface(name)
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("offset_sphere", (2.0, 0.0)),
+    ("catenoid", (1.0, 1.2)),
+    ("helicoid", (1.0, 0.05)),
+    ("ellipsoid", (2.0, -1.0)),
+])
+def test_kernel_corrector_matches_record_corrector(scene, monkeypatch, name,
+                                                   seed):
+    patch = _patch(scene, name)
+    calls = Counter()
+    kernel = tangent.tangency_gradient
+
+    def counted(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(tangent, "tangency_gradient", counted)
+    fast = trace_tangent_curve(patch, seed, h=0.01)
+    monkeypatch.setattr(tangent, "_newton_correct", record_newton)
+    slow = trace_tangent_curve(patch, seed, h=0.01)
+
+    assert fast.status == slow.status
+    assert fast.vertices.tobytes() == slow.vertices.tobytes()
+    assert fast.residuals.tobytes() == slow.residuals.tobytes()
+    assert fast.arc_length.hex() == slow.arc_length.hex()
+    assert [(s.s.hex(), s.u.hex(), s.v.hex()) for s in fast.samples] == \
+        [(s.s.hex(), s.u.hex(), s.v.hex()) for s in slow.samples]
+    if name == "ellipsoid":
+        # Newton iterates here: the comparison covers its steps, not only
+        # predictor points that already lie on the locus.
+        assert fast.status == "closed"
+        assert calls["kernel"] > 2 * len(fast.vertices)
+
+
+# sha256 of stdout, trace.csv and trace.svg of ``tpcurves trace``, taken
+# with the record-based corrector.
+PINNED = [
+    ("offset_sphere", "2.0,0.0", None,
+     "debe2f66a38ec038f345967581c06272c8293d96b635a73d47e9ca4c80c2cc88",
+     "1ddc60c017fa5486a85bd4da7dc5e21ddb5e672145510c8a518180331abc838c",
+     "7fe2c1aeea150591b89248478376bc2c499f2d9016addd77c22c232d6a7e35ac"),
+    ("offset_sphere", "2.2,1.0", "0.02",
+     "f13ca4bb2b8356c643242f12033427207e7f3d02633f756de11817db0229a43f",
+     "f04201eb9920b2d97a010b3f1a9c8cd2f57f34aa3df979393d43408f8c4ba9db",
+     "a6814c7a96cc93c222ad33ae1f3aa56daf15a399093d543397045538345e3955"),
+    ("catenoid", "1.0,1.2", None,
+     "b02ce06a5674d1e72d5e4c62683810197092458a89442111ed36cf2dd591f505",
+     "bab707f35c9e9e877c5e5ecf0ff019a4e0027f175a329881ac2f82f10e513fca",
+     "19edb2de8fc332f61112e9489d0dcc1d643c509c1d3a3843861b7dfa4c4429f5"),
+    ("catenoid", "0.95,-1.15", "0.02",
+     "b9f6dda9db411286c8e3e07a530a0587bf3135ce2f0ead54d5cc3a9239cb2024",
+     "a90e73320979eb624c227058480850b90cfe68102f5c397d430b3ded58ef8c36",
+     "abce40b09abd094d3f699f77fac2546952a964584e0a7ad2843a364100188ed9"),
+    ("helicoid", "1.0,0.05", None,
+     "b326da1643af241b9234cb38b9fa4d6d22e7f9a7af5017b1cca2e7f720c2118f",
+     "aa92aa026a5325e97ad64bd060b224fc2bbb7530ef331a6bcf249d98d8a949dd",
+     "1603fcdbba6fdda092c2c058fec847eee4f20bacf1347d60c224258eb0805999"),
+    ("helicoid", "0.9,-0.08", "0.02",
+     "761f5cf32e9805abb3eb7973556e453e2d7930e7a8c7cb8ba48bc0d441f106ff",
+     "97ae5c5158c8280dc25ee62b7f91cf4609502d718c29fe574d4630fc4c4589b3",
+     "fd60b3e072ba8a0902c15472c4d2b4e58894e1bea6cb2c8be8425d4f8be780ef"),
+]
+
+
+def _run_trace(out, surface, seed, h):
+    argv = ["trace", surface, "--seed", seed, "--out", str(out)]
+    if h is not None:
+        argv += ["--h", h]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    return stdout.getvalue()
+
+
+@pytest.mark.parametrize("surface,seed,h,stdout_sha,csv_sha,svg_sha", PINNED)
+def test_trace_outputs_pinned(tmp_path, surface, seed, h, stdout_sha,
+                              csv_sha, svg_sha):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    stdout = _run_trace(tmp_path, surface, seed, h)
+    assert sha(stdout.encode()) == stdout_sha
+    assert sha((tmp_path / "trace.csv").read_bytes()) == csv_sha
+    assert sha((tmp_path / "trace.svg").read_bytes()) == svg_sha
+
+
+@pytest.fixture
+def patch_calls(monkeypatch):
+    """Counts of SurfacePatch.jet and SurfacePatch.value calls."""
+    calls = Counter()
+    for method in ("jet", "value"):
+        original = getattr(SurfacePatch, method)
+
+        def counted(self, u, v, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self, u, v)
+
+        monkeypatch.setattr(SurfacePatch, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_steps", [50, 400])
+def test_accepted_vertices_cost_no_jet(scene, patch_calls, max_steps):
+    traced = trace_tangent_curve(scene.surface("offset_sphere"), (2.0, 0.0),
+                                 h=0.01, max_steps=max_steps, resample=20)
+    assert len(traced.vertices) == max_steps + 1
+    # One record at the corrected seed and one per resampled sample,
+    # however many vertices were accepted.
+    assert patch_calls["jet"] == 1 + len(traced.samples)
+    assert patch_calls["value"] == 0
+    assert len(traced.geometry) == len(traced.samples) == 20
+    for s, geom in zip(traced.samples, traced.geometry):
+        assert (geom.jet.u, geom.jet.v) == (s.u, s.v)
+
+
+def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
+    _run_trace(tmp_path, "offset_sphere", "2.0,0.0", None)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 50
+    assert all(abs(float(r["g"])) < 1e-8 for r in rows)
+    assert patch_calls["jet"] == 1 + len(rows)
+    assert patch_calls["value"] == 0
+
+
+def test_resampled_records_are_the_samples_records(scene):
+    patch = scene.surface("catenoid")
+    traced = trace_tangent_curve(patch, (1.0, -1.2), h=0.02, resample=10)
+    for s, geom in zip(traced.samples, traced.geometry):
+        fresh = point_geometry(patch, s.u, s.v)
+        assert (geom.g.f, geom.lam.f, geom.mu.f) == \
+            (fresh.g.f, fresh.lam.f, fresh.mu.f)
+        assert math.isfinite(geom.g.f)
