@@ -201,8 +201,8 @@ def _thm31_checks(scene, sample):
     out.append(_asserted("trace-latitude-deviation/offset_sphere", "thm31",
                          theta_dev, 1e-6))
     comp_dev = rho_dev = lam_dev = mu_dev = 0.0
-    for s in traced.samples:
-        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
+    for s, geom in zip(traced.samples, traced.geometry):
+        rep = position_component_report(geom, s)
         comp_dev = max(comp_dev, rep.max_residual())
         rho_dev = max(rho_dev, abs(rep.rho - 3.0))
         lam_dev = max(lam_dev, abs(rep.lam + math.sqrt(3.0)))
@@ -279,8 +279,8 @@ def _pair_checks(scene, sample):
                          abs(gbar - 1.0), 1e-9,
                          note="image tangency residual must equal 1"))
     rel_worst = 0.0
-    for s in src_samples:
-        residual, premise = second_form_relation(pair, s)
+    for s, geometry in zip(src_samples, rep.geometry):
+        residual, premise = second_form_relation(pair, s, geometry)
         rel_worst = max(rel_worst, abs(residual))
     out.append(_empirical("second-form-relation/plane_cylinder", "thm32",
                           rel_worst,
@@ -296,8 +296,8 @@ def _pair_checks(scene, sample):
                              rep.max_kappa_g_residual, rep.max_lam_residual,
                              rep.max_mu_residual), 1e-12))
     rel_worst = 0.0
-    for s in src_samples:
-        residual, _ = second_form_relation(pair, s)
+    for s, geometry in zip(src_samples, rep.geometry):
+        residual, _ = second_form_relation(pair, s, geometry)
         rel_worst = max(rel_worst, abs(residual))
     out.append(_asserted("second-form-relation/identity_catenoid", "thm32",
                          rel_worst, 1e-12))

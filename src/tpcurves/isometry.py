@@ -90,6 +90,7 @@ class InvarianceReport:
     mu_residuals: np.ndarray
     source_tangency: np.ndarray  # g along the source curve
     target_tangency: np.ndarray  # g-bar along the image curve
+    geometry: tuple = ()  # (source, target) PointGeometry of each sample
 
     @property
     def source_tangent_position(self):
@@ -200,16 +201,18 @@ def verify_metric_match(pair, grid=(20, 20)):
     return MetricMatchReport(residuals=worst, grid=tuple(grid), skipped=skipped)
 
 
-def second_form_relation(pair, sample):
+def second_form_relation(pair, sample, geometry=None):
     """Residual of u'^2 (L Mbar - Lbar M) + v'^2 (M Nbar - Mbar N)
     + u'v' (L Nbar - Lbar N) at one sample.
 
+    ``geometry`` is the sample's (source, target) PointGeometry pair, as in
+    :attr:`InvarianceReport.geometry`; it is built here when not given.
     Returns (residual, premise_holds): the vanishing is only implied where
     both curves are tangent-position with equal decomposition coordinates,
     so callers must gate any pass/fail on the premise flag.
     """
-    src = point_geometry(pair.source, sample.u, sample.v)
-    tgt = point_geometry(pair.target, sample.u, sample.v)
+    src, tgt = geometry or (point_geometry(pair.source, sample.u, sample.v),
+                            point_geometry(pair.target, sample.u, sample.v))
     s2, t2 = src.second, tgt.second
     du, dv = sample.du, sample.dv
     residual = (du * du * (s2.L * t2.M - t2.L * s2.M)
@@ -231,7 +234,8 @@ def invariance_report(pair, samples):
     v(s)) data is pushed through the target patch (unit speed transfers
     because the metrics agree).  Geodesic curvature is computed
     intrinsically on both sides, so it stays defined even where the
-    ambient frame degenerates.
+    ambient frame degenerates.  The report keeps the records it builds in
+    ``geometry``.
     """
     n = len(samples)
     rho_src, rho_tgt = np.empty(n), np.empty(n)
@@ -241,9 +245,11 @@ def invariance_report(pair, samples):
     mu_res = np.empty(n)
     g_src = np.empty(n)
     g_tgt = np.empty(n)
+    geometry = []
     for i, s in enumerate(samples):
         src = point_geometry(pair.source, s.u, s.v)
         tgt = point_geometry(pair.target, s.u, s.v)
+        geometry.append((src, tgt))
         t = transfer_sample(tgt, s)
         rho_src[i] = float(np.dot(s.gamma, s.gamma))
         rho_tgt[i] = float(np.dot(t.gamma, t.gamma))
@@ -265,7 +271,8 @@ def invariance_report(pair, samples):
         t_comp_residuals=np.abs(tc_src - tc_tgt),
         kappa_g_residuals=np.abs(kg_src - kg_tgt),
         lam_residuals=lam_res, mu_residuals=mu_res,
-        source_tangency=g_src, target_tangency=g_tgt)
+        source_tangency=g_src, target_tangency=g_tgt,
+        geometry=tuple(geometry))
 
 
 def tangent_position_preservation(pair, samples):

@@ -1,35 +1,38 @@
 """Truncated Taylor jets: forward-mode exact derivatives.
 
-Two full-order rings drive surface and curve evaluation:
+Four rings carry every derivative the package takes:
 
-* ``Jet2``  -- scalar function of (u, v) with all partials through order 3.
-* ``Jet1``  -- scalar function of one parameter with derivatives through order 3.
+* ``Jet2``   -- scalar function of (u, v), all partials through order 3;
+* ``Jet1``   -- scalar function of one parameter, derivatives through order 3;
+* ``Field2`` -- value, gradient and Hessian in (u, v): Jet2 truncated at
+  order 2, for the metric and the tangency residual;
+* ``Field1`` -- value and gradient in (u, v): Field2 truncated at order 1,
+  for connection symbols and level-curve tangents.
 
-Two lighter rings carry scalar fields derived from a surface jet (metric
-coefficients, connection symbols, tangency residual), where fewer orders
-suffice:
+All four come from one definition, :func:`_ring`.  It unrolls each ring's
+product (the Leibniz rule) and its composition with an outer function (Faa
+di Bruno's formula) into straight-line code, once at import, from a table
+of multi-indices and a table of set partitions (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13), and compiles it with ``exec``
+as ``dataclasses`` does.  Subtraction, the one division rule (multiply by
+the composed reciprocal), the elementary functions and powers are the same
+sequence of ring operations in every ring, so each ring gives the
+low-order coefficients of the next bit for bit.  Elementary functions
+raise :class:`~tpcurves.errors.EvalError` at singular arguments, and where
+a value overflows, instead of producing NaNs.
 
-* ``Field2`` -- value, gradient and Hessian in (u, v).
-* ``Field1`` -- value and gradient in (u, v).
-
-All jets are immutable after construction; arithmetic lifts plain numbers to
-constants, so expression trees can be evaluated over any of these rings.
-The rings share one base for subtraction, division, the elementary
-functions and powers; each supplies only its product, sum and composition
-rule.  ``Field2``'s rules are ``Jet2``'s truncated at order 2, so a tree
-evaluated over ``Field2`` carries the low-order bits of the ``Jet2`` one.
-Elementary functions raise :class:`~tpcurves.errors.EvalError` at singular
-arguments, and where a value overflows, instead of producing NaNs.
-
-Coefficients of ``Jet2``, ``Jet1`` and ``Field2`` are floats, or 1-D numpy
-arrays with one entry per node of a batch (constant coefficients may stay
-floats).  The same arithmetic then evaluates every node at once, and gives
-at each node the bits that the float path gives, or raises the error the
-float path raises there.
+Jets are immutable after construction; arithmetic lifts plain numbers to
+constants, so expression trees can be evaluated over any ring.
+Coefficients are floats, or 1-D numpy arrays with one entry per node of a
+batch (constant coefficients may stay floats).  The same arithmetic then
+evaluates every node at once, and gives at each node the bits that the
+float path gives, or raises the error the float path raises there.
 """
 
 import math
-from itertools import repeat
+from collections import Counter
+from itertools import combinations, product, repeat
+from operator import add, sub
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,23 +64,6 @@ _NODE_MATH = SimpleNamespace(
 def _any(mask):
     """A singularity test at a float, or at any node of an array."""
     return mask is True or (mask is not False and mask.any())
-
-
-def _node_derivs(formula, w, arg, scalar):
-    """``formula(w, arg, _NODE_MATH)`` at a 1-D array of nodes ``w``.
-
-    Where a node's value is not representable, the error raised is the one
-    ``scalar`` (the float path) raises at the first node that fails, so both
-    paths fail alike.  Division by zero raises on arrays as it does on
-    floats.
-    """
-    try:
-        with np.errstate(divide="raise"):
-            return formula(w, arg, _NODE_MATH)
-    except (ArithmeticError, ValueError, EvalError):
-        for x in w.tolist():
-            scalar(x)
-        raise
 
 
 def _elem_formula(w, op, m):
@@ -119,20 +105,6 @@ def _elem_formula(w, op, m):
     raise ValueError(f"unknown elementary function '{op}'")
 
 
-def _elem_derivs(op, w):
-    """Value and first three derivatives of an elementary function at w.
-
-    Where a float result is not representable, Python raises OverflowError,
-    ZeroDivisionError or ValueError; each becomes EvalError.
-    """
-    if isinstance(w, float):
-        try:
-            return _elem_formula(w, op, math)
-        except (ArithmeticError, ValueError) as exc:
-            raise EvalError(f"{op} at {w!r}: {exc}") from exc
-    return _node_derivs(_elem_formula, w, op, lambda x: _elem_derivs(op, x))
-
-
 def _pow_formula(w, p, m):
     if _any(w <= 0.0):
         raise EvalError(f"{w} ** {p} undefined for non-integer exponent")
@@ -144,26 +116,49 @@ def _pow_formula(w, p, m):
     )
 
 
-def _pow_derivs(w, p):
-    """Derivatives of w**p for non-integer constant p; requires w > 0."""
+def _outer_derivs(formula, w, arg):
+    """Value and first three derivatives at w of the outer function that
+    ``formula(w, arg, m)`` computes with the math namespace ``m``: an
+    elementary function (:func:`_elem_formula`, ``arg`` its name) or a
+    non-integer power (:func:`_pow_formula`, ``arg`` the exponent).
+
+    Where a float result is not representable, Python raises OverflowError,
+    ZeroDivisionError or ValueError; each becomes EvalError.  At a 1-D
+    array of nodes the error raised is the one the float path raises at
+    the first node that fails, so both paths fail alike; division by zero
+    raises on arrays as it does on floats.
+    """
     if isinstance(w, float):
         try:
-            return _pow_formula(w, p, math)
+            return formula(w, arg, math)
         except (ArithmeticError, ValueError) as exc:
-            raise EvalError(f"x ** {p} at {w!r}: {exc}") from exc
-    return _node_derivs(_pow_formula, w, p, lambda x: _pow_derivs(x, p))
+            what = arg if formula is _elem_formula else f"x ** {arg}"
+            raise EvalError(f"{what} at {w!r}: {exc}") from exc
+    try:
+        with np.errstate(divide="raise"):
+            return formula(w, arg, _NODE_MATH)
+    except (ArithmeticError, ValueError, EvalError):
+        for x in w.tolist():
+            _outer_derivs(formula, x, arg)
+        raise
+
+
+def _elementary(op):
+    """The ring method composing a jet with the elementary function ``op``."""
+    def method(self):
+        return self._compose(op)
+    method.__name__ = op
+    return method
 
 
 class _Taylor:
     """Arithmetic and elementary functions shared by every jet ring.
 
-    A ring supplies ``__neg__``, ``__add__``, ``__mul__`` and
+    :func:`_ring` supplies ``__neg__``, ``__add__``, ``__mul__`` and
     ``_compose_coeffs(f0, f1, f2, f3)``, the composition with an outer
     function of value f0 and derivatives f1, f2, f3 (a ring that keeps
-    fewer orders ignores the higher ones).  Everything else is the same
-    sequence of ring operations in every ring, so a lower-order ring gives
-    the low-order coefficients of a higher-order one bit for bit; Field1,
-    which divides by its own quotient rule, is the exception.
+    fewer orders ignores the higher ones).  Everything here, division
+    included, is the same sequence of ring operations in every ring.
     """
 
     __slots__ = ()
@@ -179,6 +174,10 @@ class _Taylor:
     def const(cls, c):
         return cls(float(c))
 
+    def __repr__(self):
+        coeffs = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({coeffs})"
+
     def __sub__(self, other):
         return self + (-self._lift(other))
 
@@ -193,31 +192,10 @@ class _Taylor:
 
     def _compose(self, op):
         """Faa di Bruno composition with an elementary outer function."""
-        return self._compose_coeffs(*_elem_derivs(op, self.f))
+        return self._compose_coeffs(*_outer_derivs(_elem_formula, self.f, op))
 
-    def sin(self):
-        return self._compose("sin")
-
-    def cos(self):
-        return self._compose("cos")
-
-    def sinh(self):
-        return self._compose("sinh")
-
-    def cosh(self):
-        return self._compose("cosh")
-
-    def tanh(self):
-        return self._compose("tanh")
-
-    def exp(self):
-        return self._compose("exp")
-
-    def log(self):
-        return self._compose("log")
-
-    def sqrt(self):
-        return self._compose("sqrt")
+    sin, cos, sinh, cosh, tanh, exp, log, sqrt = map(_elementary, (
+        "sin", "cos", "sinh", "cosh", "tanh", "exp", "log", "sqrt"))
 
     def powc(self, p):
         """Power with constant exponent. Integer exponents work at any base."""
@@ -227,7 +205,7 @@ class _Taylor:
             if n < 0:
                 return (self._ipow(-n))._compose("recip")
             return self._ipow(n)
-        return self._compose_coeffs(*_pow_derivs(self.f, p))
+        return self._compose_coeffs(*_outer_derivs(_pow_formula, self.f, p))
 
     def _ipow(self, n):
         result = self.const(1.0)
@@ -241,259 +219,171 @@ class _Taylor:
             base = base * base  # only while a higher bit is left
 
 
-class Jet2(_Taylor):
-    """Order-3 truncated Taylor jet of a scalar function of (u, v)."""
+# The ring generator.  A coefficient is named by its multi-index alpha, the
+# number of derivatives taken in each variable.
 
-    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv",
-                 "fuuu", "fuuv", "fuvv", "fvvv")
-
-    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0,
-                 fuuu=0.0, fuuv=0.0, fuvv=0.0, fvvv=0.0):
-        self.f = f
-        self.fu = fu
-        self.fv = fv
-        self.fuu = fuu
-        self.fuv = fuv
-        self.fvv = fvv
-        self.fuuu = fuuu
-        self.fuuv = fuuv
-        self.fuvv = fuvv
-        self.fvvv = fvvv
-
-    @classmethod
-    def var_u(cls, value):
-        return cls(float(value), fu=1.0)
-
-    @classmethod
-    def var_v(cls, value):
-        return cls(float(value), fv=1.0)
-
-    def __repr__(self):
-        return f"Jet2(f={self.f!r}, fu={self.fu!r}, fv={self.fv!r}, ...)"
-
-    def __neg__(self):
-        return Jet2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv,
-                    -self.fvv, -self.fuuu, -self.fuuv, -self.fuvv, -self.fvvv)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Jet2(self.f + o.f, self.fu + o.fu, self.fv + o.fv,
-                    self.fuu + o.fuu, self.fuv + o.fuv, self.fvv + o.fvv,
-                    self.fuuu + o.fuuu, self.fuuv + o.fuuv,
-                    self.fuvv + o.fuvv, self.fvvv + o.fvvv)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        a, b = self, self._lift(other)
-        # Leibniz rule through order 3.
-        return Jet2(
-            a.f * b.f,
-            a.fu * b.f + a.f * b.fu,
-            a.fv * b.f + a.f * b.fv,
-            a.fuu * b.f + 2.0 * a.fu * b.fu + a.f * b.fuu,
-            a.fuv * b.f + a.fu * b.fv + a.fv * b.fu + a.f * b.fuv,
-            a.fvv * b.f + 2.0 * a.fv * b.fv + a.f * b.fvv,
-            a.fuuu * b.f + 3.0 * a.fuu * b.fu + 3.0 * a.fu * b.fuu + a.f * b.fuuu,
-            (a.fuuv * b.f + a.fuu * b.fv + 2.0 * a.fuv * b.fu
-             + 2.0 * a.fu * b.fuv + a.fv * b.fuu + a.f * b.fuuv),
-            (a.fuvv * b.f + a.fvv * b.fu + 2.0 * a.fuv * b.fv
-             + 2.0 * a.fv * b.fuv + a.fu * b.fvv + a.f * b.fuvv),
-            a.fvvv * b.f + 3.0 * a.fvv * b.fv + 3.0 * a.fv * b.fvv + a.f * b.fvvv,
-        )
-
-    __rmul__ = __mul__
-
-    def _compose_coeffs(self, f0, f1, f2, f3):
-        gu, gv = self.fu, self.fv
-        guu, guv, gvv = self.fuu, self.fuv, self.fvv
-        return Jet2(
-            f0,
-            f1 * gu,
-            f1 * gv,
-            f2 * gu * gu + f1 * guu,
-            f2 * gu * gv + f1 * guv,
-            f2 * gv * gv + f1 * gvv,
-            f3 * gu * gu * gu + 3.0 * f2 * gu * guu + f1 * self.fuuu,
-            (f3 * gu * gu * gv + f2 * (2.0 * gu * guv + guu * gv)
-             + f1 * self.fuuv),
-            (f3 * gu * gv * gv + f2 * (2.0 * gv * guv + gu * gvv)
-             + f1 * self.fuvv),
-            f3 * gv * gv * gv + 3.0 * f2 * gv * gvv + f1 * self.fvvv,
-        )
+def _indices(nvars, order):
+    """Multi-indices of degree <= order, by degree, and within a degree
+    with the earlier variables' powers first: f, fu, fv, fuu, fuv, fvv, ..."""
+    return sorted((a for a in product(range(order + 1), repeat=nvars)
+                   if sum(a) <= order),
+                  key=lambda a: (sum(a), [-k for k in a]))
 
 
-class Jet1(_Taylor):
-    """Order-3 truncated Taylor jet of a scalar function of one parameter."""
-
-    __slots__ = ("f", "d1", "d2", "d3")
-
-    def __init__(self, f, d1=0.0, d2=0.0, d3=0.0):
-        self.f = f
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
-
-    @classmethod
-    def var(cls, value):
-        return cls(float(value), d1=1.0)
-
-    def __repr__(self):
-        return f"Jet1({self.f!r}, {self.d1!r}, {self.d2!r}, {self.d3!r})"
-
-    def __neg__(self):
-        return Jet1(-self.f, -self.d1, -self.d2, -self.d3)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Jet1(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        a, b = self, self._lift(other)
-        return Jet1(
-            a.f * b.f,
-            a.d1 * b.f + a.f * b.d1,
-            a.d2 * b.f + 2.0 * a.d1 * b.d1 + a.f * b.d2,
-            a.d3 * b.f + 3.0 * a.d2 * b.d1 + 3.0 * a.d1 * b.d2 + a.f * b.d3,
-        )
-
-    __rmul__ = __mul__
-
-    def _compose_coeffs(self, f0, f1, f2, f3):
-        g1, g2, g3 = self.d1, self.d2, self.d3
-        return Jet1(
-            f0,
-            f1 * g1,
-            f2 * g1 * g1 + f1 * g2,
-            f3 * g1 * g1 * g1 + 3.0 * f2 * g1 * g2 + f1 * g3,
-        )
+def _letters(alpha):
+    """alpha spelled as a word of variables, its most repeated variable
+    first (ties: the earlier variable): fuvv is (v, v, u).  The rules below
+    run over the letters of this word, so it fixes the order in which a
+    coefficient's terms are summed, and with it the rounding."""
+    ranked = sorted(range(len(alpha)), key=lambda i: -alpha[i])
+    return [i for i in ranked for _ in range(alpha[i])]
 
 
-class Field2(_Taylor):
-    """Scalar field on the parameter plane: value, gradient and Hessian.
-
-    Its arithmetic is Jet2's truncated at order 2, so a tree evaluated over
-    Field2 gives the value, gradient and Hessian bits of the same tree
-    evaluated over Jet2.
-    """
-
-    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
-
-    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0):
-        self.f = f
-        self.fu = fu
-        self.fv = fv
-        self.fuu = fuu
-        self.fuv = fuv
-        self.fvv = fvv
-
-    @classmethod
-    def of_jet(cls, jet):
-        """Order-2 view of an order-3 jet's value."""
-        return cls(jet.f, jet.fu, jet.fv, jet.fuu, jet.fuv, jet.fvv)
-
-    @classmethod
-    def of_jet_du(cls, jet):
-        """Order-2 view of the u-partial of an order-3 jet."""
-        return cls(jet.fu, jet.fuu, jet.fuv, jet.fuuu, jet.fuuv, jet.fuvv)
-
-    @classmethod
-    def of_jet_dv(cls, jet):
-        """Order-2 view of the v-partial of an order-3 jet."""
-        return cls(jet.fv, jet.fuv, jet.fvv, jet.fuuv, jet.fuvv, jet.fvvv)
-
-    def du(self):
-        """Gradient-order view of the u-partial."""
-        return Field1(self.fu, self.fuu, self.fuv)
-
-    def dv(self):
-        return Field1(self.fv, self.fuv, self.fvv)
-
-    def lower(self):
-        return Field1(self.f, self.fu, self.fv)
-
-    def __repr__(self):
-        return f"Field2(f={self.f!r}, grad=({self.fu!r}, {self.fv!r}))"
-
-    def __neg__(self):
-        return Field2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv, -self.fvv)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Field2(self.f + o.f, self.fu + o.fu, self.fv + o.fv,
-                      self.fuu + o.fuu, self.fuv + o.fuv, self.fvv + o.fvv)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        a, b = self, self._lift(other)
-        return Field2(
-            a.f * b.f,
-            a.fu * b.f + a.f * b.fu,
-            a.fv * b.f + a.f * b.fv,
-            a.fuu * b.f + 2.0 * a.fu * b.fu + a.f * b.fuu,
-            a.fuv * b.f + a.fu * b.fv + a.fv * b.fu + a.f * b.fuv,
-            a.fvv * b.f + 2.0 * a.fv * b.fv + a.f * b.fvv,
-        )
-
-    __rmul__ = __mul__
-
-    def _compose_coeffs(self, f0, f1, f2, f3):
-        gu, gv = self.fu, self.fv
-        return Field2(
-            f0,
-            f1 * gu,
-            f1 * gv,
-            f2 * gu * gu + f1 * self.fuu,
-            f2 * gu * gv + f1 * self.fuv,
-            f2 * gv * gv + f1 * self.fvv,
-        )
+def _index(letters, nvars):
+    return tuple(map(letters.count, range(nvars)))
 
 
-class Field1(_Taylor):
-    """Scalar field on the parameter plane: value and gradient only.
+def _partitions(k):
+    """Set partitions of range(k), as lists of blocks, in reverse
+    lexicographic order of their restricted growth strings:
+    {0}{1}{2}, {0}{1,2}, {0,2}{1}, {0,1}{2}, {0,1,2}."""
+    growth = [r for r in product(range(k), repeat=k)
+              if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(k))]
+    return [[[i for i in range(k) if r[i] == b] for b in range(len(set(r)))]
+            for r in sorted(growth, reverse=True)]
 
-    Division is the quotient rule, not Field2's composed reciprocal, so a
-    quotient's bits differ from Field2's in the last places.
-    """
 
-    __slots__ = ("f", "fu", "fv")
+def _leibniz(alpha, nvars):
+    """Leibniz rule for coefficient alpha of a product a*b: the sum over
+    (beta, multiplicity) of multiplicity * a[beta] * b[alpha - beta], one
+    beta for each subset of alpha's letters, largest subsets first."""
+    w = _letters(alpha)
+    return Counter(_index(s, nvars) for size in range(len(w), -1, -1)
+                   for s in combinations(w, size)).items()
 
-    def __init__(self, f, fu=0.0, fv=0.0):
-        self.f = f
-        self.fu = fu
-        self.fv = fv
 
-    def __repr__(self):
-        return f"Field1(f={self.f!r}, grad=({self.fu!r}, {self.fv!r}))"
+def _faa_di_bruno(alpha, nvars, rank):
+    """Faa di Bruno's formula for coefficient alpha of f(g): for m from
+    len(alpha's word) down to 0, f_m times the sum over (monomial,
+    multiplicity) of multiplicity * prod g[beta], one monomial for each
+    partition of the letters into m blocks beta (factors in table order)."""
+    w = _letters(alpha)
+    by_blocks = {}
+    for blocks in _partitions(len(w)):
+        betas = sorted((_index([w[i] for i in b], nvars) for b in blocks),
+                       key=rank.get)
+        by_blocks.setdefault(len(blocks), []).append(tuple(betas))
+    return [(m, Counter(monomials).items())
+            for m, monomials in sorted(by_blocks.items(), reverse=True)]
 
-    def __neg__(self):
-        return Field1(-self.f, -self.fu, -self.fv)
 
-    def __add__(self, other):
-        o = self._lift(other)
-        return Field1(self.f + o.f, self.fu + o.fu, self.fv + o.fv)
+def _scaled(count, factors):
+    """count * factor * ... as source, multiplied left to right."""
+    return " * ".join([repr(float(count))] * (count > 1) + factors)
 
-    __radd__ = __add__
 
-    def __mul__(self, other):
-        a, b = self, self._lift(other)
-        return Field1(a.f * b.f, a.fu * b.f + a.f * b.fu, a.fv * b.f + a.f * b.fv)
+def _ring(name, nvars, order, names, doc):
+    """The jet ring ``name``: scalar functions of ``nvars`` variables
+    through ``order``, with coefficients ``names`` in :func:`_indices`
+    order, its arithmetic unrolled into straight-line code."""
+    names = names.split()
+    at = dict(zip(_indices(nvars, order), names))
+    rank = {alpha: i for i, alpha in enumerate(at)}
 
-    __rmul__ = __mul__
+    def product_coeff(alpha):
+        return " + ".join(
+            _scaled(c, [f"a.{at[b]}", f"b.{at[tuple(map(sub, alpha, b))]}"])
+            for b, c in _leibniz(alpha, nvars))
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o.f == 0.0:
-            raise EvalError("division by zero")
-        inv = 1.0 / o.f
-        f = self.f * inv
-        return Field1(f, (self.fu - f * o.fu) * inv, (self.fv - f * o.fv) * inv)
+    def composed_coeff(alpha):
+        sums = []
+        for m, monomials in _faa_di_bruno(alpha, nvars, rank):
+            terms = [(c, [f"g_{at[b]}" for b in mono])
+                     for mono, c in monomials]
+            # A lone monomial takes f_m into its product; several share it.
+            if len(terms) == 1:
+                (c, factors), = terms
+                sums.append(_scaled(c, [f"f{m}"] + factors))
+            else:
+                inner = " + ".join(_scaled(c, factors) for c, factors in terms)
+                sums.append(f"f{m} * ({inner})")
+        return " + ".join(sums)
 
-    def _compose_coeffs(self, f0, f1, f2, f3):
-        return Field1(f0, f1 * self.fu, f1 * self.fv)
+    def new(coeffs):
+        return f"        return {name}({', '.join(coeffs)})"
+
+    source = "\n".join([
+        f"class {name}(_Taylor):",
+        f"    __doc__ = {doc!r}",
+        f"    __slots__ = {tuple(names)!r}",
+        f"    def __init__(self, {names[0]}, "
+        + ", ".join(f"{n}=0.0" for n in names[1:]) + "):",
+        *(f"        self.{n} = {n}" for n in names),
+        "    def __neg__(self):",
+        new(f"-self.{n}" for n in names),
+        "    def __add__(self, other):",
+        "        o = self._lift(other)",
+        new(f"self.{n} + o.{n}" for n in names),
+        "    __radd__ = __add__",
+        "    def __mul__(self, other):",
+        "        a, b = self, self._lift(other)",
+        new(map(product_coeff, at)),
+        "    __rmul__ = __mul__",
+        "    def _compose_coeffs(self, f0, f1, f2, f3):",
+        "        " + ", ".join(f"g_{n}" for n in names[1:]) + ", = "
+        + ", ".join(f"self.{n}" for n in names[1:]) + ",",
+        new(map(composed_coeff, at)),
+    ])
+    scope = {"_Taylor": _Taylor, "__name__": __name__}
+    exec(source, scope)
+    ring = scope[name]
+    ring._at = at
+    return ring
+
+
+def _function(ring, params, coeffs):
+    """A compiled ``lambda params: ring(coeffs)``."""
+    scope = {ring.__name__: ring}
+    body = f"return {ring.__name__}({', '.join(coeffs)})"
+    exec(f"def build({params}):\n    {body}", scope)
+    return scope["build"]
+
+
+def _view(ring, source, shift):
+    """The ``ring`` value with the coefficients of a ``source`` jet at each
+    multi-index plus ``shift``: the jet's value (shift 0) or one partial
+    derivative (a unit shift), with fewer orders."""
+    names = (source._at[tuple(map(add, a, shift))] for a in ring._at)
+    return _function(ring, "jet", (f"jet.{n}" for n in names))
+
+
+def _variable(ring, unit):
+    """The constructor of the ring's variable of multi-index ``unit``."""
+    return staticmethod(_function(ring, "value",
+                                  [f"float(value), {ring._at[unit]}=1.0"]))
+
+
+Jet2 = _ring("Jet2", 2, 3, "f fu fv fuu fuv fvv fuuu fuuv fuvv fvvv",
+             "Order-3 truncated Taylor jet of a scalar function of (u, v).")
+Jet1 = _ring("Jet1", 1, 3, "f d1 d2 d3",
+             "Order-3 truncated Taylor jet of a scalar function of one "
+             "parameter.")
+Field2 = _ring("Field2", 2, 2, "f fu fv fuu fuv fvv",
+               "Scalar field on the parameter plane: value, gradient and "
+               "Hessian.")
+Field1 = _ring("Field1", 2, 1, "f fu fv",
+               "Scalar field on the parameter plane: value and gradient.")
+
+Jet2.var_u, Jet2.var_v = _variable(Jet2, (1, 0)), _variable(Jet2, (0, 1))
+Jet1.var = _variable(Jet1, (1,))
+# Order-2 views of an order-3 jet's value and partials, and order-1 views
+# of an order-2 field's.
+Field2.of_jet = staticmethod(_view(Field2, Jet2, (0, 0)))
+Field2.of_jet_du = staticmethod(_view(Field2, Jet2, (1, 0)))
+Field2.of_jet_dv = staticmethod(_view(Field2, Jet2, (0, 1)))
+Field2.lower = _view(Field1, Field2, (0, 0))
+Field2.du = _view(Field1, Field2, (1, 0))
+Field2.dv = _view(Field1, Field2, (0, 1))
 
 
 def dot3(a, b):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError, EvalError, ExpressionError
 from .expr import parse_constant
-from .isometry import register_pair
+from .isometry import INTRINSIC, RIGID_ORIGIN_FIXING, register_pair
 from .surface import parse_curve, parse_surface
 
 __all__ = ["SceneConfig", "RunOptions", "load_scene", "builtin_scene",
@@ -109,11 +109,23 @@ def _number(raw):
     return parse_constant(raw)
 
 
-def _number_pair(raw):
+def _range(raw, key):
+    """A parameter range ``low, high``: finite, with low < high."""
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ExpressionError(f"expected two comma-separated values: {raw!r}")
-    return _number(parts[0]), _number(parts[1])
+    low, high = _number(parts[0]), _number(parts[1])
+    if not -math.inf < low < high < math.inf:  # false for NaN too
+        raise ConfigError(f"{key} must be finite with low < high, got {raw!r}")
+    return low, high
+
+
+def _named(section):
+    """The name of a ``[kind name]`` section."""
+    name = section.partition(" ")[2].strip()
+    if not name:
+        raise ConfigError(f"section [{section}] has no name")
+    return name
 
 
 def parse_count(raw, name, minimum):
@@ -161,21 +173,25 @@ def load_scene_text(text, path="<string>"):
         body = parser[section]
         try:
             if section.startswith("surface "):
-                name = section.split(None, 1)[1]
+                name = _named(section)
                 scene.surfaces[name] = parse_surface(
                     body["components"],
-                    _number_pair(body["u_range"]),
-                    _number_pair(body["v_range"]),
+                    _range(body["u_range"], "u_range"),
+                    _range(body["v_range"], "v_range"),
                     name=name)
             elif section.startswith("curve "):
-                name = section.split(None, 1)[1]
+                name = _named(section)
                 scene.curves[name] = parse_curve(
                     body["u"], body["v"],
-                    _number_pair(body["t_range"]),
+                    _range(body["t_range"], "t_range"),
                     name=name, surface=body["surface"])
             elif section.startswith("pair "):
-                name = section.split(None, 1)[1]
+                name = _named(section)
                 kind = body["kind"].strip()
+                if kind not in (INTRINSIC, RIGID_ORIGIN_FIXING):
+                    raise ConfigError(
+                        f"kind must be {INTRINSIC} or {RIGID_ORIGIN_FIXING}, "
+                        f"got {kind!r}")
                 scene.pairs[name] = PairDef(
                     source=body["source"].strip(),
                     target=body["target"].strip(), kind=kind)

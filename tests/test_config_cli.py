@@ -5,10 +5,12 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcurves import cli
 from tpcurves.checks import Check
-from tpcurves.errors import ConfigError
+from tpcurves.errors import ConfigError, GeometryError
 from tpcurves.scene import load_scene, load_scene_text
 
 GOOD_SCENE = """\
@@ -89,6 +91,73 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
     rc = cli.main(["forms", "disc", "0.5", "0.5", "--config", str(path)])
     assert rc == 1
     assert re.search(r"scene\.ini:1: exp at 1000", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("old,new,line,message", [
+    ("[surface disc]", "[surface ]", 1, "section [surface ] has no name"),
+    ("[curve loop]", "[curve ]", 6, "section [curve ] has no name"),
+    ("[pair same]", "[pair ]", 12, "section [pair ] has no name"),
+    ("kind = intrinsic", "kind = bogus", 12,
+     "kind must be intrinsic or rigid-origin-fixing, got 'bogus'"),
+    ("u_range = -2, 2", "u_range = 2, -2", 1,
+     "u_range must be finite with low < high, got '2, -2'"),
+    ("v_range = -2, 2", "v_range = 2, 2", 1,
+     "v_range must be finite with low < high, got '2, 2'"),
+    ("t_range = 0, 2*pi", "t_range = 2*pi, 0", 6,
+     "t_range must be finite with low < high, got '2*pi, 0'"),
+    ("v_range = -2, 2", "v_range = -2, 1e308*10", 1,
+     "v_range must be finite with low < high, got '-2, 1e308*10'"),
+])
+def test_malformed_section_reports_line(tmp_path, capsys, old, new, line,
+                                        message):
+    bad = GOOD_SCENE.replace(old, new)
+    expected = re.escape(f"mem.ini:{line}: {message}")
+    with pytest.raises(ConfigError, match=expected):
+        load_scene_text(bad, "mem.ini")
+    path = tmp_path / "scene.ini"
+    path.write_text(bad)
+    assert cli.main(["isometry", "same", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
+_LINES = st.one_of(
+    st.sampled_from(["[surface a]", "[surface b]", "[curve c]", "[pair p]",
+                     "[options]", "[surface ]", "[curve ]", "[pair ]",
+                     "[surface]", "[mystery m]"]),
+    st.builds("{} = {}".format,
+              st.sampled_from(["components", "u_range", "v_range", "t_range",
+                               "u", "v", "surface", "source", "target",
+                               "kind", "grid", "samples", "h", "max_steps"]),
+              st.sampled_from(["(u, v, 0)", "(u, v, u*v)", "(u, 0, 0)",
+                               "(cos(u), sin(u), v)", "(u, v)", "0, 1",
+                               "1, 0", "0, 0", "-1, 1", "0, 2*pi", "t",
+                               "t/2", "cos(t)", "0.5", "log(0)",
+                               "0, 1e308*10", "a", "b", "intrinsic",
+                               "rigid-origin-fixing", "bogus", "8x8", "2",
+                               "0", "0.01", ""])
+              | st.text("uvt0123456789.,+-*/^()x ab", max_size=12)),
+    st.text(max_size=10))
+
+
+@given(st.lists(_LINES, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_load_scene_text_ends_in_error_or_valid_scene(lines):
+    try:
+        scene = load_scene_text("\n".join(lines), "fuzz.ini")
+    except GeometryError:  # ConfigError among them
+        return
+    for patch in scene.surfaces.values():
+        for low, high in (patch.u_range, patch.v_range):
+            assert -math.inf < low < high < math.inf
+    for curve in scene.curves.values():
+        assert -math.inf < curve.t_range[0] < curve.t_range[1] < math.inf
+        assert curve.surface in scene.surfaces
+    for name, pdef in scene.pairs.items():
+        assert pdef.kind in ("intrinsic", "rigid-origin-fixing")
+        try:
+            scene.pair(name, grid=(3, 3))
+        except GeometryError:
+            pass
 
 
 @pytest.mark.parametrize("line,message", [

@@ -1,9 +1,10 @@
 """The order-2 tangency kernel against the full per-point record.
 
 ``tangency_gradient`` must give ``PointGeometry.g``'s value and gradient
-bit for bit, and ``SurfacePatch.jet_order2`` the low-order coefficients of
-``SurfacePatch.jet``; where one side raises EvalError or DegeneratePoint,
-the other raises the same error.
+bit for bit, and equal the record's formula evaluated over Field1;
+``SurfacePatch.jet_order2`` must give the low-order coefficients of
+``SurfacePatch.jet``, and each jet ring those of the next; where one side
+raises EvalError or DegeneratePoint, the other raises the same error.
 """
 
 import random
@@ -17,7 +18,8 @@ from test_expr import _ast_strategy
 from tpcurves import expr, parse_surface, point_geometry, tangency_gradient
 from tpcurves.errors import DegeneratePoint, DomainError, EvalError
 from tpcurves.expr import Binary, Const, Var
-from tpcurves.jets import Field2, Jet2
+from tpcurves.forms import REGULARITY_THRESHOLD
+from tpcurves.jets import Field1, Field2, Jet2, cross3, dot3
 from tpcurves.surface import SurfacePatch
 
 ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
@@ -43,6 +45,21 @@ def record_g(patch, u, v):
 def kernel_g(patch, u, v):
     g, g_u, g_v, _ = tangency_gradient(patch, u, v)
     return bits(g, g_u, g_v)
+
+
+def field1_g(patch, u, v):
+    """The record's formula for g, evaluated over Field1."""
+    phi = patch.jet_order2(u, v)
+    p = [c.lower() for c in phi]
+    pu = [c.du() for c in phi]
+    pv = [c.dv() for c in phi]
+    E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+    det = E * G - F * F
+    if det.f <= REGULARITY_THRESHOLD:
+        raise DegeneratePoint(
+            f"EG - F^2 = {det.f} at (u, v) = ({float(u)}, {float(v)})")
+    g = dot3(p, cross3(pu, pv)) / det.sqrt()
+    return bits(g.f, g.fu, g.fv)
 
 
 def _trees():
@@ -108,6 +125,29 @@ def test_field2_is_jet2_truncated(tree, u, v):
     assert outcome(lambda: over(Field2, {"u": Field2(u, fu=1.0),
                                          "v": Field2(v, fv=1.0)})) == \
         outcome(lambda: over(Jet2, {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}))
+
+
+@given(_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_field1_is_field2_truncated(tree, u, v):
+    """With test_field2_is_jet2_truncated: each ring is the next one
+    truncated, on trees with /, integer and non-integer ^."""
+    def over(ring):
+        env = {"u": ring(u, fu=1.0), "v": ring(v, fv=1.0)}
+        value = expr.evaluate(tree, env, ring.const)
+        return bits(value.f, value.fu, value.fv)
+
+    assert outcome(lambda: over(Field1)) == outcome(lambda: over(Field2))
+
+
+def test_kernel_is_field1_evaluation(scene):
+    rng = random.Random(7)
+    for name, patch in scene.surfaces.items():
+        for _ in range(250):
+            u = rng.uniform(*patch.u_range)
+            v = rng.uniform(*patch.v_range)
+            assert outcome(lambda: kernel_g(patch, u, v)) == \
+                outcome(lambda: field1_g(patch, u, v)), (name, u, v)
 
 
 def test_jet_order2_matches_jet(scene):
