@@ -10,14 +10,13 @@ byte-identical CSV/JSON/SVG.
 """
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from .checks import TARGETS, run_checks
-from .curves import reparametrize_arclength
+from .curves import reparametrize_arclength, stack_samples
 from .errors import (
     ConfigError,
     DegeneratePoint,
@@ -118,19 +117,19 @@ def cmd_report_components(args):
     patch, curve = scene.curve_host(args.curve)
     n = scene.options.samples if args.samples is None else \
         parse_count(args.samples, "--samples", 2)
-    samples = reparametrize_arclength(patch, curve, n)
-    rows = []
-    worst = 0.0
-    for i, s in enumerate(samples):
-        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
-        worst = max(worst, rep.max_residual())
-        rows.append((i, s.s, s.u, s.v, rep.rho, rep.rho_direct,
-                     rep.t_comp, rep.t_direct,
-                     _nan(rep.n_comp), _nan(rep.n_direct),
-                     _nan(rep.b_comp), _nan(rep.b_direct),
-                     rep.normal_component))
+    samples = stack_samples(reparametrize_arclength(patch, curve, n))
+    rep = position_component_report(point_geometry(patch, samples.u,
+                                                   samples.v), samples)
+    # The running max over samples from 0, as Python's max takes it: a NaN
+    # residual never replaces the current worst.
+    worst = max([0.0, *rep.max_residual().tolist()])
+    columns = (samples.s, samples.u, samples.v, rep.rho, rep.rho_direct,
+               rep.t_comp, rep.t_direct, rep.n_comp, rep.n_direct,
+               rep.b_comp, rep.b_direct, rep.normal_component)
+    rows = list(zip(range(n), *(np.broadcast_to(c, (n,)).tolist()
+                                for c in columns)))
     print(f"position-component report for {args.curve}: "
-          f"{len(samples)} samples, max residual {fmt(worst)}")
+          f"{n} samples, max residual {fmt(worst)}")
     header = ("index", "s", "u", "v", "rho", "rho_direct", "t_comp",
               "t_direct", "n_comp", "n_direct", "b_comp", "b_direct", "g")
     if args.out:
@@ -145,10 +144,6 @@ def cmd_report_components(args):
         else:
             write_csv(_out_path(args.out, "components.csv"), header, rows)
     return 0
-
-
-def _nan(x):
-    return math.nan if x is None else x
 
 
 def cmd_verify(args):

@@ -21,7 +21,7 @@ sampled arc length agrees with an mpmath quadrature to within 4e-15.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,8 +32,8 @@ from .surface import ambient_jet
 
 __all__ = [
     "CurveSample", "FrenetData", "CurvatureReport",
-    "reparametrize_arclength", "frenet", "surface_curvatures",
-    "transfer_sample", "KAPPA_MIN",
+    "reparametrize_arclength", "stack_samples", "frenet",
+    "surface_curvatures", "transfer_sample", "KAPPA_MIN",
 ]
 
 # Below this curvature the principal normal is numerically meaningless.
@@ -66,7 +66,9 @@ class CurveSample:
 
     ``du``/``ddu``/``dddu`` are derivatives of u with respect to arc
     length.  Third-derivative fields are None for samples produced by the
-    tangency-locus tracer, which carries only second-order data.
+    tangency-locus tracer, which carries only second-order data.  A
+    stacked sample (:func:`stack_samples`) holds a whole curve: (n,)
+    arrays for the scalars and (3, n) arrays for the vectors.
     """
 
     s: float
@@ -282,16 +284,41 @@ def frenet(sample):
     return FrenetData(t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
+def stack_samples(samples):
+    """One CurveSample holding every sample of ``samples``: (n,) arrays for
+    the scalar fields and (3, n) arrays for the vectors.  A field that is
+    None in any sample (the tracer's third derivatives) is None."""
+    def stack(name):
+        values = [getattr(s, name) for s in samples]
+        if any(x is None for x in values):
+            return None
+        return np.array(values).T  # (n,) stays (n,); (n, 3) becomes (3, n)
+
+    return CurveSample(*(stack(f.name) for f in fields(CurveSample)))
+
+
+def ambient_dot(a, b):
+    """np.dot of two ambient vectors, or of each column pair of two (3, n)
+    arrays.  np.dot rounds differently from :func:`~tpcurves.jets.dot3`
+    (it may fuse a multiply into an add), so the ambient side of an
+    identity keeps it, one contiguous row at a time."""
+    if a.ndim == 1:
+        return np.dot(a, b)
+    rows_a, rows_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    return np.fromiter(map(np.dot, rows_a, rows_b), float, len(rows_a))
+
+
 def surface_curvatures(geom, sample):
-    """Geodesic and normal curvature of a unit-speed sample.
+    """Geodesic and normal curvature of a unit-speed sample, or of every
+    sample of a stacked one.
 
     kappa_g = gamma'' . (N x gamma'), kappa_n = gamma'' . N, with N the
     unit normal of ``geom``, the PointGeometry at the sample's parameter
-    point.
+    point (or points).
     """
     normal = geom.second.unit_normal
-    kappa_g = float(dot3(sample.ddgamma, cross3(normal, sample.dgamma)))
-    kappa_n = float(dot3(sample.ddgamma, normal))
+    kappa_g = dot3(sample.ddgamma, cross3(normal, sample.dgamma))
+    kappa_n = dot3(sample.ddgamma, normal)
     return CurvatureReport(kappa_g=kappa_g, kappa_n=kappa_n)
 
 
@@ -315,8 +342,8 @@ def transfer_sample(geom, sample):
     else:
         dddu, dddv = sample.dddu, sample.dddv
         dddgamma = (
-            jet.duuu * du ** 3 + 3.0 * jet.duuv * du * du * dv
-            + 3.0 * jet.duvv * du * dv * dv + jet.dvvv * dv ** 3
+            jet.duuu * du * du * du + 3.0 * jet.duuv * du * du * dv
+            + 3.0 * jet.duvv * du * dv * dv + jet.dvvv * dv * dv * dv
             + 3.0 * (jet.duu * du * ddu + jet.duv * (du * ddv + dv * ddu)
                      + jet.dvv * dv * ddv)
             + jet.du * dddu + jet.dv * dddv)

@@ -20,7 +20,8 @@ and the two routes are required to agree to 1e-10; a disagreement raises
 :class:`PointGeometry` is the per-point record every per-sample identity
 reads: one jet evaluation, the metric and the position-vector
 decomposition as order-2 fields, and the forms and connection symbols
-built on first use.
+built on first use.  Over a batched jet it is the record of a whole curve
+or grid, every field an array over the nodes.
 """
 
 import math
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePoint, OracleMismatch
-from .jets import Field1, Field2, cross3, dot3
+from .jets import Field1, Field2, cross3, dot3, failing_node
 
 __all__ = [
     "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
@@ -114,7 +115,11 @@ class Christoffel:
 
 
 class PointGeometry:
-    """Geometry of a patch at one parameter point, from one jet.
+    """Geometry of a patch at one parameter point, from one jet, or at
+    every node of a batched jet
+    (:meth:`~tpcurves.surface.SurfacePatch.jet_batch`): each coefficient
+    is then an array over the nodes (a float where it is the same at every
+    node) with the bits of the one-point record at each node.
 
     Built at once, as order-2 fields (value, gradient, Hessian): the metric
     coefficients ``E``, ``F``, ``G``, ``det`` = EG - F^2, ``area`` =
@@ -125,18 +130,18 @@ class PointGeometry:
     order-1 fields in :class:`Christoffel`'s order (not re-checked against
     the metric-formula oracle; :func:`christoffel` is).
 
-    Raises DegeneratePoint where EG - F^2 <= 1e-14.
+    Raises DegeneratePoint where EG - F^2 <= 1e-14, naming the first such
+    node of a batch.
     """
 
     def __init__(self, jet):
-        p = [Field2.of_jet(c) for c in jet.components]
-        pu = [Field2.of_jet_du(c) for c in jet.components]
-        pv = [Field2.of_jet_dv(c) for c in jet.components]
-        E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+        E, F, G, pu, pv = metric_fields(jet)
         det = E * G - F * F
-        if det.f <= REGULARITY_THRESHOLD:
-            raise DegeneratePoint(
-                f"EG - F^2 = {det.f} at (u, v) = ({jet.u}, {jet.v})")
+        bad = failing_node(det.f <= REGULARITY_THRESHOLD, det.f, jet.u, jet.v)
+        if bad:
+            raise DegeneratePoint("EG - F^2 = {} at (u, v) = ({}, {})"
+                                  .format(*bad))
+        p = [Field2.of_jet(c) for c in jet.components]
         area = det.sqrt()
         p_dot_u = dot3(p, pu)
         p_dot_v = dot3(p, pv)
@@ -160,7 +165,11 @@ class PointGeometry:
 
 
 def point_geometry(patch, u, v):
-    """The :class:`PointGeometry` of ``patch`` at (u, v)."""
+    """The :class:`PointGeometry` of ``patch`` at (u, v): floats, or 1-D
+    arrays of nodes, evaluated in one
+    :meth:`~tpcurves.surface.SurfacePatch.jet_batch` pass."""
+    if isinstance(u, np.ndarray):
+        return PointGeometry(patch.jet_batch(u, v))
     return PointGeometry(patch.jet(u, v))
 
 
@@ -226,10 +235,11 @@ def _cross1(a, b):
 
 
 def metric_fields(jet):
-    """E, F, G as order-2 scalar fields (value, gradient, Hessian)."""
+    """E, F, G and the partials phi_u, phi_v they come from, as order-2
+    fields (value, gradient, Hessian)."""
     pu = [Field2.of_jet_du(c) for c in jet.components]
     pv = [Field2.of_jet_dv(c) for c in jet.components]
-    return dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+    return dot3(pu, pu), dot3(pu, pv), dot3(pv, pv), pu, pv
 
 
 def _first_form(E, F, G):
@@ -245,7 +255,7 @@ def _first_form(E, F, G):
 
 def first_form(jet):
     """First fundamental form at a regular point."""
-    E, F, G = metric_fields(jet)
+    E, F, G, _, _ = metric_fields(jet)
     det = E.f * G.f - F.f * F.f
     if det <= REGULARITY_THRESHOLD:
         raise DegeneratePoint(
@@ -254,18 +264,20 @@ def first_form(jet):
 
 
 def second_form(jet):
-    """Second fundamental form, oriented by phi_u x phi_v."""
-    w = cross3(jet.du.tolist(), jet.dv.tolist())
+    """Second fundamental form, oriented by phi_u x phi_v, at a point or at
+    every node of a batched jet (``unit_normal`` is (3,) or (3, nodes))."""
+    w = cross3(jet.du, jet.dv)
     norm2 = dot3(w, w)
-    if norm2 <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(
-            f"|phi_u x phi_v|^2 = {norm2} at (u, v) = ({jet.u}, {jet.v})")
-    area = math.sqrt(norm2)
+    bad = failing_node(norm2 <= REGULARITY_THRESHOLD, norm2, jet.u, jet.v)
+    if bad:
+        raise DegeneratePoint("|phi_u x phi_v|^2 = {} at (u, v) = ({}, {})"
+                              .format(*bad))
+    area = np.sqrt(norm2)
     normal = [x / area for x in w]
     return SecondForm(
-        L=dot3(jet.duu.tolist(), normal),
-        M=dot3(jet.duv.tolist(), normal),
-        N=dot3(jet.dvv.tolist(), normal),
+        L=dot3(jet.duu, normal),
+        M=dot3(jet.duv, normal),
+        N=dot3(jet.dvv, normal),
         unit_normal=np.array(normal),
         area_element=area,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import transfer_sample
+from .curves import ambient_dot, stack_samples, transfer_sample
 from .errors import MetricMismatch
 from .forms import REGULARITY_THRESHOLD, metric_fields, point_geometry
 from .tangent import (
@@ -57,6 +57,7 @@ class IsometryPair:
     u_range: tuple
     v_range: tuple
     registration_residual: float  # max metric deviation on the grid
+    metric: "MetricMatchReport" = None  # the registration sweep, when known
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class InvarianceReport:
     mu_residuals: np.ndarray
     source_tangency: np.ndarray  # g along the source curve
     target_tangency: np.ndarray  # g-bar along the image curve
-    geometry: tuple = ()  # (source, target) PointGeometry of each sample
+    geometry: tuple = ()  # (source, target) PointGeometry over all samples
 
     @property
     def source_tangent_position(self):
@@ -161,7 +162,7 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     # Overflow and inf - inf pass silently, as they do in float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
         for patch in (source, target):
-            E, F, G = metric_fields(patch.jet_batch(us, vs))
+            E, F, G, _, _ = metric_fields(patch.jet_batch(us, vs))
             # first_form's regularity test, at every node at once.
             degenerate |= E.f * G.f - F.f * F.f <= REGULARITY_THRESHOLD
             coeffs.append(_metric_coeffs(E, F, G))
@@ -182,7 +183,7 @@ def register_pair(source, target, kind, grid=(20, 20)):
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     u_range, v_range = _shared_domain(source, target)
-    worst, _ = _metric_residuals(source, target, u_range, v_range, grid)
+    worst, skipped = _metric_residuals(source, target, u_range, v_range, grid)
     max_metric = float(np.max([worst["E"], worst["F"], worst["G"]]))
     # ``not <`` so that a NaN residual rejects the pair too.
     if not max_metric < REGISTRATION_TOLERANCE:
@@ -191,11 +192,19 @@ def register_pair(source, target, kind, grid=(20, 20)):
             f"'{target.name}' is not below {REGISTRATION_TOLERANCE}")
     return IsometryPair(source=source, target=target, kind=kind,
                         u_range=u_range, v_range=v_range,
-                        registration_residual=max_metric)
+                        registration_residual=max_metric,
+                        metric=MetricMatchReport(residuals=worst,
+                                                 grid=tuple(grid),
+                                                 skipped=skipped))
 
 
 def verify_metric_match(pair, grid=(20, 20)):
-    """Max residuals of E, F, G and their six derivatives over a grid."""
+    """Max residuals of E, F, G and their six derivatives over a grid.
+
+    On the registration grid this is the report :func:`register_pair`
+    kept, with no second sweep."""
+    if pair.metric is not None and pair.metric.grid == tuple(grid):
+        return pair.metric
     worst, skipped = _metric_residuals(
         pair.source, pair.target, pair.u_range, pair.v_range, grid)
     return MetricMatchReport(residuals=worst, grid=tuple(grid), skipped=skipped)
@@ -203,7 +212,8 @@ def verify_metric_match(pair, grid=(20, 20)):
 
 def second_form_relation(pair, sample, geometry=None):
     """Residual of u'^2 (L Mbar - Lbar M) + v'^2 (M Nbar - Mbar N)
-    + u'v' (L Nbar - Lbar N) at one sample.
+    + u'v' (L Nbar - Lbar N) at one sample, or at every sample of a
+    stacked one (arrays out).
 
     ``geometry`` is the sample's (source, target) PointGeometry pair, as in
     :attr:`InvarianceReport.geometry`; it is built here when not given.
@@ -218,10 +228,10 @@ def second_form_relation(pair, sample, geometry=None):
     residual = (du * du * (s2.L * t2.M - t2.L * s2.M)
                 + dv * dv * (s2.M * t2.N - t2.M * s2.N)
                 + du * dv * (s2.L * t2.N - t2.L * s2.N))
-    premise = (abs(src.g.f) < _LOCUS_TOL
-               and abs(tgt.g.f) < _LOCUS_TOL
-               and abs(src.lam.f - tgt.lam.f) < _LOCUS_TOL
-               and abs(src.mu.f - tgt.mu.f) < _LOCUS_TOL)
+    premise = ((abs(src.g.f) < _LOCUS_TOL)
+               & (abs(tgt.g.f) < _LOCUS_TOL)
+               & (abs(src.lam.f - tgt.lam.f) < _LOCUS_TOL)
+               & (abs(src.mu.f - tgt.mu.f) < _LOCUS_TOL))
     return residual, premise
 
 
@@ -234,45 +244,37 @@ def invariance_report(pair, samples):
     v(s)) data is pushed through the target patch (unit speed transfers
     because the metrics agree).  Geodesic curvature is computed
     intrinsically on both sides, so it stays defined even where the
-    ambient frame degenerates.  The report keeps the records it builds in
-    ``geometry``.
+    ambient frame degenerates.  Each side is one PointGeometry over all
+    samples; the report keeps the pair in ``geometry``.
     """
-    n = len(samples)
-    rho_src, rho_tgt = np.empty(n), np.empty(n)
-    tc_src, tc_tgt = np.empty(n), np.empty(n)
-    kg_src, kg_tgt = np.empty(n), np.empty(n)
-    lam_res = np.empty(n)
-    mu_res = np.empty(n)
-    g_src = np.empty(n)
-    g_tgt = np.empty(n)
-    geometry = []
-    for i, s in enumerate(samples):
-        src = point_geometry(pair.source, s.u, s.v)
-        tgt = point_geometry(pair.target, s.u, s.v)
-        geometry.append((src, tgt))
-        t = transfer_sample(tgt, s)
-        rho_src[i] = float(np.dot(s.gamma, s.gamma))
-        rho_tgt[i] = float(np.dot(t.gamma, t.gamma))
-        tc_src[i] = float(np.dot(s.dgamma, s.gamma))
-        tc_tgt[i] = float(np.dot(t.dgamma, t.gamma))
-        kg_src[i] = geodesic_curvature_formula(
-            velocity_coefficients(src, s), src).normalized
-        kg_tgt[i] = geodesic_curvature_formula(
-            velocity_coefficients(tgt, t), tgt).normalized
-        lam_res[i] = abs(src.lam.f - tgt.lam.f)
-        mu_res[i] = abs(src.mu.f - tgt.mu.f)
-        g_src[i] = src.g.f
-        g_tgt[i] = tgt.g.f
+    s = stack_samples(samples)
+    src = point_geometry(pair.source, s.u, s.v)
+    tgt = point_geometry(pair.target, s.u, s.v)
+    t = transfer_sample(tgt, s)
+    rho_src = ambient_dot(s.gamma, s.gamma)
+    rho_tgt = ambient_dot(t.gamma, t.gamma)
+    tc_src = ambient_dot(s.dgamma, s.gamma)
+    tc_tgt = ambient_dot(t.dgamma, t.gamma)
+    kg_src = geodesic_curvature_formula(
+        velocity_coefficients(src, s), src).normalized
+    kg_tgt = geodesic_curvature_formula(
+        velocity_coefficients(tgt, t), tgt).normalized
+
+    def per_sample(x):  # a field that is the same at every node is a float
+        return np.broadcast_to(x, s.u.shape)
+
     return InvarianceReport(
         rho_source=rho_src, rho_target=rho_tgt,
         t_comp_source=tc_src, t_comp_target=tc_tgt,
-        kappa_g_source=kg_src, kappa_g_target=kg_tgt,
+        kappa_g_source=per_sample(kg_src), kappa_g_target=per_sample(kg_tgt),
         rho_residuals=np.abs(rho_src - rho_tgt),
         t_comp_residuals=np.abs(tc_src - tc_tgt),
-        kappa_g_residuals=np.abs(kg_src - kg_tgt),
-        lam_residuals=lam_res, mu_residuals=mu_res,
-        source_tangency=g_src, target_tangency=g_tgt,
-        geometry=tuple(geometry))
+        kappa_g_residuals=per_sample(np.abs(kg_src - kg_tgt)),
+        lam_residuals=per_sample(np.abs(src.lam.f - tgt.lam.f)),
+        mu_residuals=per_sample(np.abs(src.mu.f - tgt.mu.f)),
+        source_tangency=per_sample(src.g.f),
+        target_tangency=per_sample(tgt.g.f),
+        geometry=(src, tgt))
 
 
 def tangent_position_preservation(pair, samples):

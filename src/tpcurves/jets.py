@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import EvalError
 
-__all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3"]
+__all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3",
+           "failing_node"]
 
 
 def _per_node(fn):
@@ -64,6 +65,23 @@ _NODE_MATH = SimpleNamespace(
 def _any(mask):
     """A singularity test at a float, or at any node of an array."""
     return mask is True or (mask is not False and mask.any())
+
+
+def failing_node(mask, *values):
+    """None where the test ``mask`` holds nowhere; else ``values`` as floats
+    at the first node where it holds (at a point, the values themselves).
+
+    ``mask`` and ``values`` are floats or arrays of nodes; a float stands
+    for its value at every node.  Errors raised on a batch name this node,
+    so they read as the float path's error at its first failing point.
+    """
+    if mask is False or mask is np.False_:  # the usual case at a point
+        return None
+    mask, *values = np.broadcast_arrays(mask, *values)
+    if not mask.any():
+        return None
+    node = np.unravel_index(mask.argmax(), mask.shape)
+    return [x[node].item() for x in values]
 
 
 def _elem_formula(w, op, m):

@@ -12,8 +12,12 @@ dot products the closed forms are checked against.
 Every per-sample function takes ``(geom, sample)``: ``geom`` is the
 :class:`~tpcurves.forms.PointGeometry` at the sample's parameter point,
 built once by :func:`~tpcurves.forms.point_geometry` and shared by every
-identity at that sample; none of them evaluates the patch again.  The
-tracer's Newton corrector builds no record: its iterates read g and its
+identity at that sample; none of them evaluates the patch again.  They
+are ring-generic: given the record of a whole curve (``point_geometry``
+over arrays of nodes) and its stacked sample
+(:func:`~tpcurves.curves.stack_samples`), one call evaluates every sample
+at once, each with the bits of the one-sample call.  The tracer's Newton
+corrector builds no record: its iterates read g and its
 gradient from :func:`~tpcurves.forms.tangency_gradient`, and the record is
 built once at each accepted sample and kept in
 :attr:`TracedCurve.geometry`.
@@ -44,11 +48,13 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import KAPPA_MIN, CurveSample, transfer_sample
+from .curves import KAPPA_MIN, CurveSample, ambient_dot, transfer_sample
 from .errors import (ConfigError, FrameUndefined, IdenticallyTangent, NoSeed,
                      SingularLocus)
-from .forms import point_geometry, second_form, tangency_gradient
-from .jets import cross3, dot3
+# second_form is no longer called here; bench/test_bench.py still checks
+# that the benchmark tracer wraps and restores this binding.
+from .forms import point_geometry, second_form, tangency_gradient  # noqa: F401
+from .jets import cross3, dot3, failing_node
 
 __all__ = [
     "TangentDecomposition", "FrameCoefficients", "PositionComponentReport",
@@ -115,7 +121,9 @@ class PositionComponentReport:
     """Closed-form position-vector components versus ambient dot products.
 
     ``n_comp``/``b_comp`` and their residuals are None when the curvature
-    is below the frame threshold; the first two parts survive.
+    is below the frame threshold; the first two parts survive.  Over a
+    stacked sample every field is an array, and those four are NaN at the
+    samples below the threshold.
     """
 
     rho: float
@@ -136,12 +144,16 @@ class PositionComponentReport:
     normal_component: float
 
     def max_residual(self):
-        vals = [self.rho_residual, self.t_residual]
-        if self.n_residual is not None:
-            vals.append(self.n_residual)
-        if self.b_residual is not None:
-            vals.append(self.b_residual)
-        return max(vals)
+        """The largest residual as Python's ``max`` takes it over rho, t, n
+        and b, in that order, sample by sample: a later value replaces the
+        current one only when greater, so a NaN counts only in first
+        place, and a missing (None, or NaN below the frame threshold)
+        normal or binormal part is skipped."""
+        worst = self.rho_residual
+        for r in (self.t_residual, self.n_residual, self.b_residual):
+            if r is not None:
+                worst = np.where(r > worst, r, worst)[()]
+        return worst
 
 
 def _along2(field, sample):
@@ -169,7 +181,7 @@ def decompose_position(patch, u, v):
     geom = point_geometry(patch, u, v)
     jet = geom.jet
     recon = (geom.lam.f * jet.du + geom.mu.f * jet.dv
-             + geom.g.f * second_form(jet).unit_normal)
+             + geom.g.f * geom.second.unit_normal)
     diff = jet.value - recon
     return TangentDecomposition(
         lam=geom.lam.f, mu=geom.mu.f, normal_component=geom.g.f,
@@ -273,26 +285,25 @@ def position_component_report(geom, sample):
     gamma = sample.gamma
 
     rho = lam * lam * E + 2.0 * lam * mu * F + mu * mu * G
-    rho_direct = float(np.dot(gamma, gamma))
+    rho_direct = ambient_dot(gamma, gamma)
     t_comp = (lam * coeffs.a1 * E + (lam * coeffs.a2 + mu * coeffs.a1) * F
               + mu * coeffs.a2 * G)
-    t_direct = float(np.dot(sample.dgamma, gamma))
+    t_direct = ambient_dot(sample.dgamma, gamma)
 
-    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    if kappa > KAPPA_MIN:
+    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
+    # Below the frame threshold these are discarded: no warnings for them.
+    with np.errstate(divide="ignore", invalid="ignore"):
         n_comp = (lam * coeffs.b1 * E + (lam * coeffs.b2 + mu * coeffs.b1) * F
                   + mu * coeffs.b2 * G) / kappa
         b_comp = (coeffs.a1 * coeffs.b3 * mu * (-det)
                   + coeffs.a2 * coeffs.b3 * lam * det) \
             / (kappa * geom.area.f)
         n_vec = sample.ddgamma / kappa
-        n_direct = float(dot3(n_vec, gamma))
-        b_direct = float(dot3(cross3(sample.dgamma, n_vec), gamma))
-        n_residual = abs(n_comp - n_direct)
-        b_residual = abs(b_comp - b_direct)
-    else:
-        n_comp = b_comp = n_direct = b_direct = None
-        n_residual = b_residual = None
+        n_direct = dot3(n_vec, gamma)
+        b_direct = dot3(cross3(sample.dgamma, n_vec), gamma)
+        n_comp, b_comp, n_direct, b_direct, n_residual, b_residual = _framed(
+            kappa, n_comp, b_comp, n_direct, b_direct,
+            abs(n_comp - n_direct), abs(b_comp - b_direct))
 
     return PositionComponentReport(
         rho=rho, t_comp=t_comp, n_comp=n_comp, b_comp=b_comp,
@@ -304,17 +315,29 @@ def position_component_report(geom, sample):
         kappa=kappa, lam=lam, mu=mu, normal_component=geom.g.f)
 
 
+def _framed(kappa, *values):
+    """``values`` where the curvature exceeds the frame threshold: NaN at
+    the other nodes of an array, all None at one sample below it."""
+    framed = kappa > KAPPA_MIN
+    if np.ndim(framed):
+        return [np.where(framed, x, np.nan) for x in values]
+    return values if framed else (None,) * len(values)
+
+
 def binormal_formula_check(geom, sample):
     """Distance between b = t x n and its moving-basis expansion.
 
     The expansion is (a1 b2 - a2 b1)(phi_u x phi_v) plus the B3 terms
     a1 b3 (F phi_u - E phi_v) + a2 b3 (G phi_u - F phi_v) divided by
     sqrt(EG - F^2); the whole vector is normalized to unit length and the
-    difference norm is returned after sign alignment.
+    difference norm is returned after sign alignment (inf where the
+    expansion vanishes).  Raises FrameUndefined, naming the first such
+    sample, if any curvature is at or below the frame threshold.
     """
-    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    if kappa <= KAPPA_MIN:
-        raise FrameUndefined(f"curvature {kappa} at s={sample.s}")
+    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
+    bad = failing_node(kappa <= KAPPA_MIN, kappa, sample.s)
+    if bad:
+        raise FrameUndefined("curvature {} at s={}".format(*bad))
     coeffs = frame_coefficients(geom, sample)
     E, F, G = geom.E.f, geom.F.f, geom.G.f
     jet = geom.jet
@@ -323,13 +346,15 @@ def binormal_formula_check(geom, sample):
            + (coeffs.a1 * coeffs.b3 * (F * jet.du - E * jet.dv)
               + coeffs.a2 * coeffs.b3 * (G * jet.du - F * jet.dv))
            / geom.area.f)
-    norm = math.sqrt(dot3(rhs, rhs))
-    if norm == 0.0:
-        return math.inf
-    rhs_unit = rhs / norm
+    norm = np.sqrt(dot3(rhs, rhs))
+    with np.errstate(divide="ignore", invalid="ignore"):  # where norm is 0
+        rhs_unit = rhs / norm
     b_vec = np.array(cross3(sample.dgamma, sample.ddgamma / kappa))
     minus, plus = rhs_unit - b_vec, rhs_unit + b_vec
-    return math.sqrt(min(dot3(minus, minus), dot3(plus, plus)))
+    d_minus, d_plus = dot3(minus, minus), dot3(plus, plus)
+    # Python's min(d_minus, d_plus): d_plus only where strictly smaller.
+    closest = np.where(d_plus < d_minus, d_plus, d_minus)
+    return np.where(norm == 0.0, math.inf, np.sqrt(closest))[()]
 
 
 # --- constructive tracing of the tangency locus -------------------------
