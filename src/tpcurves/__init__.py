@@ -81,7 +81,6 @@ from .tangent import (
     geodesic_curvature_formula,
     position_component_report,
     ratio_identity_check,
-    tangency_residual,
     trace_tangent_curve,
     velocity_coefficients,
 )

@@ -30,7 +30,7 @@ from .errors import (
     OracleMismatch,
     SingularLocus,
 )
-from .forms import christoffel, first_form, point_geometry, second_form
+from .forms import christoffel, point_geometry
 from .isometry import invariance_report, verify_metric_match
 from .report import fmt, parameter_plot_svg, to_json, write_csv, write_text
 from .scene import load_scene, parse_count, parse_grid, parse_positive
@@ -47,11 +47,8 @@ def _out_path(directory, name):
 
 
 def _forms_payload(scene, surface_name, u, v):
-    patch = scene.surface(surface_name)
-    jet = patch.jet(u, v)
-    form = first_form(jet)
-    sec = second_form(jet)
-    chris = christoffel(form)
+    geom = point_geometry(scene.surface(surface_name), u, v)
+    form, sec, chris = geom.form, geom.second, christoffel(geom.form)
     return {
         "surface": surface_name,
         "u": u,

@@ -14,23 +14,27 @@ formulas and from the general metric formula
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij),
 
-and the two routes are required to agree to 1e-10; a disagreement raises
-:class:`~tpcurves.errors.OracleMismatch`.
+and the two routes are required to agree to 1e-10 at every node; a
+disagreement, or a NaN or infinite symbol, raises
+:class:`~tpcurves.errors.OracleMismatch`.  Both routes take a point or a
+batched :class:`FirstForm`.
 
 :class:`PointGeometry` is the per-point record every per-sample identity
-reads: one jet evaluation, the metric and the position-vector
-decomposition as order-2 fields, and the forms and connection symbols
-built on first use.  Over a batched jet it is the record of a whole curve
-or grid, every field an array over the nodes.
+reads, and the one place where the metric, its regularity test and the
+connection symbols are put together: one jet evaluation, the metric and
+the position-vector decomposition as order-2 fields, and the forms and
+connection symbols built on first use (:func:`first_form` is its
+``form``).  Over a batched jet it is the record of a whole curve or grid,
+every field an array over the nodes.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DegeneratePoint, OracleMismatch
+from .errors import DegeneratePoint, GeometryError, OracleMismatch
 from .jets import Field1, Field2, cross3, dot3, failing_node
 
 __all__ = [
@@ -76,7 +80,7 @@ class FirstForm:
 
     @property
     def area_element(self):
-        return math.sqrt(self.det)
+        return np.sqrt(self.det)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,10 @@ class PointGeometry:
 
     @cached_property
     def form(self):
-        return _first_form(self.E, self.F, self.G)
+        E, F, G = self.E, self.F, self.G
+        return FirstForm(E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv,
+                         E.fuu, E.fuv, E.fvv, F.fuu, F.fuv, F.fvv,
+                         G.fuu, G.fuv, G.fvv)
 
     @cached_property
     def second(self):
@@ -169,7 +176,15 @@ def point_geometry(patch, u, v):
     arrays of nodes, evaluated in one
     :meth:`~tpcurves.surface.SurfacePatch.jet_batch` pass."""
     if isinstance(u, np.ndarray):
-        return PointGeometry(patch.jet_batch(u, v))
+        try:
+            return PointGeometry(patch.jet_batch(u, v))
+        except GeometryError:
+            # The batch raises its first error by kind (evaluation before
+            # regularity); replay node by node to raise the error the
+            # per-point loop meets first.
+            for x, y in zip(u.tolist(), v.tolist()):
+                point_geometry(patch, x, y)
+            raise
     return PointGeometry(patch.jet(u, v))
 
 
@@ -242,25 +257,10 @@ def metric_fields(jet):
     return dot3(pu, pu), dot3(pu, pv), dot3(pv, pv), pu, pv
 
 
-def _first_form(E, F, G):
-    """FirstForm of the metric fields E, F, G."""
-    return FirstForm(
-        E=E.f, F=F.f, G=G.f,
-        E_u=E.fu, E_v=E.fv, F_u=F.fu, F_v=F.fv, G_u=G.fu, G_v=G.fv,
-        E_uu=E.fuu, E_uv=E.fuv, E_vv=E.fvv,
-        F_uu=F.fuu, F_uv=F.fuv, F_vv=F.fvv,
-        G_uu=G.fuu, G_uv=G.fuv, G_vv=G.fvv,
-    )
-
-
 def first_form(jet):
-    """First fundamental form at a regular point."""
-    E, F, G, _, _ = metric_fields(jet)
-    det = E.f * G.f - F.f * F.f
-    if det <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(
-            f"EG - F^2 = {det} at (u, v) = ({jet.u}, {jet.v})")
-    return _first_form(E, F, G)
+    """First fundamental form at a regular point: the ``form`` of the
+    jet's :class:`PointGeometry`, which raises where it does."""
+    return PointGeometry(jet).form
 
 
 def second_form(jet):
@@ -284,29 +284,26 @@ def second_form(jet):
 
 
 def christoffel_from_metric(E, F, G, E_u, E_v, F_u, F_v, G_u, G_v):
-    """Independent oracle: Gamma^k_ij from the general metric formula.
+    """Independent oracle: Gamma^k_ij from the general metric formula, at a
+    point or at every node of arrays.
 
     Returns (g111, g112, g121, g122, g221, g222) with the same index
     convention as :class:`Christoffel`.
     """
-    g = np.array([[E, F], [F, G]])
     det = E * G - F * F
-    if det <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(f"EG - F^2 = {det}")
-    g_inv = np.array([[G, -F], [-F, E]]) / det
+    bad = failing_node(det <= REGULARITY_THRESHOLD, det)
+    if bad:
+        raise DegeneratePoint("EG - F^2 = {}".format(*bad))
+    g_inv = ((G / det, -F / det), (-F / det, E / det))
     # dg[a][i][j] = d_a g_ij
-    dg = np.array([[[E_u, F_u], [F_u, G_u]],
-                   [[E_v, F_v], [F_v, G_v]]])
-    gamma = np.zeros((2, 2, 2))  # gamma[k][i][j]
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                total = 0.0
-                for l in range(2):
-                    total += g_inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                gamma[k, i, j] = 0.5 * total
-    return (gamma[0, 0, 0], gamma[1, 0, 0], gamma[0, 0, 1],
-            gamma[1, 0, 1], gamma[0, 1, 1], gamma[1, 1, 1])
+    dg = (((E_u, F_u), (F_u, G_u)), ((E_v, F_v), (F_v, G_v)))
+
+    def gamma(k, i, j):
+        return 0.5 * sum(g_inv[k][l] * (dg[i][j][l] + dg[j][i][l]
+                                        - dg[l][i][j]) for l in (0, 1))
+
+    return (gamma(0, 0, 0), gamma(1, 0, 0), gamma(0, 0, 1),
+            gamma(1, 0, 1), gamma(0, 1, 1), gamma(1, 1, 1))
 
 
 def christoffel_fields(form):
@@ -333,30 +330,30 @@ def christoffel_fields(form):
 
 
 def christoffel(form):
-    """Connection symbols at a regular point, cross-checked against the
-    metric-formula oracle."""
-    if form.det <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(f"EG - F^2 = {form.det}")
-    g111, g112, g121, g122, g221, g222 = christoffel_fields(form)
+    """Connection symbols at a regular point, or at every node of a batched
+    form, cross-checked node by node against the metric-formula oracle.
+
+    Raises OracleMismatch where the two routes disagree or a symbol is NaN
+    or infinite, naming the first such node of a batch.
+    """
     oracle = christoffel_from_metric(
         form.E, form.F, form.G, form.E_u, form.E_v,
         form.F_u, form.F_v, form.G_u, form.G_v)
-    explicit = (g111.f, g112.f, g121.f, g122.f, g221.f, g222.f)
-    scale = max(1.0, max(abs(x) for x in explicit))
-    worst = max(abs(a - b) for a, b in zip(explicit, oracle))
-    if not worst <= _ORACLE_TOLERANCE * scale:
-        raise OracleMismatch(f"Christoffel routes disagree by {worst} at "
-                             f"(E, F, G) = ({form.E}, {form.F}, {form.G})")
-    return Christoffel(
-        g111=g111.f, g112=g112.f, g121=g121.f,
-        g122=g122.f, g221=g221.f, g222=g222.f,
-        g111_u=g111.fu, g111_v=g111.fv,
-        g112_u=g112.fu, g112_v=g112.fv,
-        g121_u=g121.fu, g121_v=g121.fv,
-        g122_u=g122.fu, g122_v=g122.fv,
-        g221_u=g221.fu, g221_v=g221.fv,
-        g222_u=g222.fu, g222_v=g222.fv,
-    )
+    fields = christoffel_fields(form)
+    explicit = [x.f for x in fields]
+    # np.maximum, unlike max, keeps a NaN wherever it sits (inf - inf is
+    # one); an infinite scale would pass any residual, so test finiteness.
+    with np.errstate(invalid="ignore"):
+        scale = reduce(np.maximum, map(abs, explicit), 1.0)
+        worst = reduce(np.maximum,
+                       (abs(a - b) for a, b in zip(explicit, oracle)))
+    ok = np.isfinite(worst) & (worst <= _ORACLE_TOLERANCE * scale)
+    bad = failing_node(~ok, worst, form.E, form.F, form.G)
+    if bad:
+        raise OracleMismatch("Christoffel routes disagree by {} at "
+                             "(E, F, G) = ({}, {}, {})".format(*bad))
+    return Christoffel(*explicit,
+                       *(d for x in fields for d in (x.fu, x.fv)))
 
 
 def gauss_equation_residual(jet, second, chris):

@@ -26,11 +26,7 @@ import numpy as np
 from .curves import ambient_dot, stack_samples, transfer_sample
 from .errors import MetricMismatch
 from .forms import REGULARITY_THRESHOLD, metric_fields, point_geometry
-from .tangent import (
-    geodesic_curvature_formula,
-    tangency_residual,
-    velocity_coefficients,
-)
+from .tangent import geodesic_curvature_formula, velocity_coefficients
 
 __all__ = [
     "IsometryPair", "MetricMatchReport", "InvarianceReport",
@@ -163,7 +159,7 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         for patch in (source, target):
             E, F, G, _, _ = metric_fields(patch.jet_batch(us, vs))
-            # first_form's regularity test, at every node at once.
+            # PointGeometry's regularity test, at every node at once.
             degenerate |= E.f * G.f - F.f * F.f <= REGULARITY_THRESHOLD
             coeffs.append(_metric_coeffs(E, F, G))
         keep = ~degenerate
@@ -282,12 +278,12 @@ def tangent_position_preservation(pair, samples):
     given by its unit-speed ``samples`` on the source patch.
 
     Raises ValueError when the source curve is not tangent-position (the
-    claim under test has no content then).
+    claim under test has no content then).  Both maxima are read from
+    :func:`invariance_report`.
     """
-    worst_src = max(abs(tangency_residual(pair.source, s.u, s.v))
-                    for s in samples)
-    if worst_src >= _LOCUS_TOL:
+    rep = invariance_report(pair, samples)
+    if not rep.source_tangent_position:
+        worst_src = float(np.max(np.abs(rep.source_tangency)))
         raise ValueError(
             f"source curve is not tangent-position (max |g| = {worst_src})")
-    return max(abs(tangency_residual(pair.target, s.u, s.v))
-               for s in samples)
+    return rep.max_target_tangency

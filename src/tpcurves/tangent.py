@@ -18,9 +18,9 @@ over arrays of nodes) and its stacked sample
 (:func:`~tpcurves.curves.stack_samples`), one call evaluates every sample
 at once, each with the bits of the one-sample call.  The tracer's Newton
 corrector builds no record: its iterates read g and its
-gradient from :func:`~tpcurves.forms.tangency_gradient`, and the record is
-built once at each accepted sample and kept in
-:attr:`TracedCurve.geometry`.
+gradient from :func:`~tpcurves.forms.tangency_gradient` (g alone is its
+first entry), and the record is built once at each accepted sample and
+kept in :attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -59,7 +59,7 @@ from .jets import cross3, dot3, failing_node
 __all__ = [
     "TangentDecomposition", "FrameCoefficients", "PositionComponentReport",
     "GeodesicCurvature", "TracedCurve",
-    "tangency_residual", "decompose_position", "frame_coefficients",
+    "decompose_position", "frame_coefficients",
     "velocity_coefficients", "ratio_identity_check",
     "position_component_report", "binormal_formula_check",
     "geodesic_curvature_formula", "trace_tangent_curve",
@@ -168,12 +168,6 @@ def _along2(field, sample):
 
 def _along1(field, sample):
     return field.f, field.fu * sample.du + field.fv * sample.dv
-
-
-def tangency_residual(patch, u, v):
-    """g(u, v) = phi . N; the point is on the locus iff this vanishes.
-    One order-2 evaluation (:func:`~tpcurves.forms.tangency_gradient`)."""
-    return tangency_gradient(patch, u, v)[0]
 
 
 def decompose_position(patch, u, v):
@@ -406,7 +400,7 @@ def _probe_identically_tangent(patch, u, v, radius):
         if not patch.contains(pu, pv):
             continue
         total += 1
-        if abs(tangency_residual(patch, pu, pv)) <= LOCUS_TOL:
+        if abs(tangency_gradient(patch, pu, pv)[0]) <= LOCUS_TOL:
             hits += 1
     return total >= 3 and hits == total
 
@@ -486,6 +480,7 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     if not 0.0 < h < math.inf:  # false for NaN too
         raise ConfigError(f"step size h must be positive and finite, got {h!r}")
     u, v, t = _correct_seed(patch, seed, h)
+    seed_t = t  # the kernel tuple at the first vertex; resampling reads it
     verts = [(u, v)]
     resid = [t[0]]
     ambient = [np.array(t[3])]
@@ -533,7 +528,7 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     vertices = np.array(verts)
     ambient = np.array(ambient)
     samples, geometry, length = _resample_locus(patch, vertices, ambient,
-                                                closed, resample)
+                                                closed, resample, seed_t)
     return TracedCurve(
         vertices=vertices, residuals=np.array(resid), closed=closed,
         status=status, seed=(float(seed[0]), float(seed[1])), h=h,
@@ -564,10 +559,12 @@ def _locus_sample(geom, s, sign):
     return transfer_sample(geom, skeleton)
 
 
-def _resample_locus(patch, vertices, ambient, closed, count):
+def _resample_locus(patch, vertices, ambient, closed, count, start):
     """Equal-arc-length samples along the traced polyline, corrected back
-    onto the locus before the per-point data is evaluated.  Returns the
-    samples, the PointGeometry of each, and the polyline length."""
+    onto the locus before the per-point data is evaluated.  ``start`` is
+    the :func:`~tpcurves.forms.tangency_gradient` tuple at the first
+    vertex.  Returns the samples, the PointGeometry of each, and the
+    polyline length."""
     if len(vertices) < 2 or count < 2:
         return [], [], 0.0
     pts = ambient
@@ -580,8 +577,7 @@ def _resample_locus(patch, vertices, ambient, closed, count):
         return [], [], 0.0
 
     # Marching direction sign relative to the tangent field at the start.
-    tu, tv = _tangent_dir(tangency_gradient(patch, vertices[0][0],
-                                            vertices[0][1]))
+    tu, tv = _tangent_dir(start)
     step_u = vertices[1][0] - vertices[0][0]
     step_v = vertices[1][1] - vertices[0][1]
     sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_expr import _ast_strategy
 
@@ -43,7 +43,7 @@ from tpcurves import (
 from tpcurves import checks
 from tpcurves.curves import KAPPA_MIN, stack_samples
 from tpcurves.errors import DegeneratePoint, EvalError, FrameUndefined
-from tpcurves.expr import Var
+from tpcurves.expr import Binary, Const, Unary, Var
 from tpcurves.jets import dot3
 from tpcurves.report import fmt
 from tpcurves.surface import SurfacePatch
@@ -191,6 +191,12 @@ def _samples_on(patch, us, vs, rng):
 
 @given(_ast_strategy(), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
+# log(cos v) / exp(u - c): the loop fails regularity at node 0, the batch's
+# evaluation would fail first at a later node.
+@example(node=Binary("/", Unary("log", Unary("cos", Var("v"))),
+                     Unary("exp", Binary("-", Var("u"),
+                                         Const(70.85007553569945)))),
+         seed=3628800)
 def test_random_surfaces_batch_equals_scalar(node, seed):
     # phi_u x phi_v = (-1, f_v, f_u): regular wherever f is finite.
     patch = SurfacePatch(name="tree", components=(node, Var("v"), Var("u")),

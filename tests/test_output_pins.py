@@ -4,7 +4,9 @@ sha256 digests of ``report-thm31 <curve> --samples 200`` (stdout and
 ``components.csv`` / ``components.json``) on all nine built-in curves, of
 ``verify --target all --format json`` and of ``isometry <pair> --curve
 <curve> --format json`` on the four pairs, taken with the per-sample loops
-the batched records replaced.
+the batched records replaced; and of ``forms <surface> u v`` (text and
+``--format json``) on the six gauss surfaces, taken with the per-point
+``first_form``/``second_form``/``christoffel`` chain the record replaced.
 """
 
 import contextlib
@@ -67,6 +69,34 @@ ISOMETRY_JSON = {
         "aa9f7471da9f7df4ffddab801071dcdcdbb650a233aa5a67cc7785e4ac04ea56",
 }
 
+# surface: ((u, v), text stdout, json stdout)
+FORMS = {
+    "plane": (
+        (0.7, -1.3),
+        "b716fba84de32b10092d9642bf7442ea2f72635e1d3ef36a194448c916ebcfe1",
+        "4b53af54b202b2bd9e1c719cf81ff54842dfeef98729a5d18f3c2b8daa06e9ea"),
+    "cone": (
+        (1.1, 1.7),
+        "74b16ab44102e72afc85e3e5c4750e287b4c8e6f544e00cb5fff81b5c94e1d3d",
+        "fbf6287f24994040836030042ea77bd8ec22385171f5551c68c274ba54b8581a"),
+    "sphere": (
+        (1.2, 0.9),
+        "df140d16abdcc928fbc0e22a8803a8b865f4080c9c9bb16db0fb2fb00bff245f",
+        "aa8d01f984536e93f378ed4231754f997e2f932660b0caf687958112ac4bfcb9"),
+    "offset_sphere": (
+        (2.0, 0.3),
+        "a1c6cff53b1b1c3157893f2b215ac6a98f012d89c79d927628f4de0cde726b8b",
+        "c02700c036a463d28c0634fbc5c43c48a1a28d6050ed5b2d581d411bb50e32cf"),
+    "catenoid": (
+        (2.5, 0.6),
+        "1be1215b3c2f749fdc2276394618f8bdbcc41e5c9f2d40204f3882fb489eabdc",
+        "2dbeb2953c998d2817e909891875a4e77b3f1870b04c87b5a407ac661deb8543"),
+    "helicoid": (
+        (4.0, -0.8),
+        "8dd4b07a9805ca606c01da063709e1a37406d6f7e02be7820ecf7cddc6e8bb05",
+        "c4ae31c4def4fad3d014a8df8714a36b2e85d72dbd3c1739230c7017344fba8a"),
+}
+
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -100,3 +130,11 @@ def test_verify_json_pinned():
 def test_isometry_json_pinned(pair, curve):
     stdout = run(["isometry", pair, "--curve", curve, "--format", "json"])
     assert sha(stdout) == ISOMETRY_JSON[pair, curve]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("surface", sorted(FORMS))
+def test_forms_pinned(surface, fmt):
+    (u, v), text_sha, json_sha = FORMS[surface]
+    stdout = run(["forms", surface, str(u), str(v), "--format", fmt])
+    assert sha(stdout) == (text_sha if fmt == "csv" else json_sha)
