@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .checks import TARGETS, run_checks
-from .curves import reparametrize_arclength, stack_samples
+from .curves import ambient_dot, reparametrize_arclength, stack_samples
 from .errors import (
     ConfigError,
     DegeneratePoint,
@@ -44,6 +44,13 @@ _ANALYSIS_ERRORS = (NoSeed, SingularLocus, IdenticallyTangent, DegeneratePoint,
 def _out_path(directory, name):
     os.makedirs(directory, exist_ok=True)
     return os.path.join(directory, name)
+
+
+def _rows(columns):
+    """(index, value, ...) rows from per-sample columns; a float repeats."""
+    n = len(columns[0])
+    return list(zip(range(n), *(np.broadcast_to(c, (n,)).tolist()
+                                for c in columns)))
 
 
 def _forms_payload(scene, surface_name, u, v):
@@ -96,11 +103,9 @@ def cmd_trace(args):
           f"closed={traced.closed} vertices={len(traced.vertices)} "
           f"length={fmt(traced.arc_length)}")
     if args.out:
-        rows = []
-        for i, (s, geom) in enumerate(zip(traced.samples, traced.geometry)):
-            rho = float(np.dot(s.gamma, s.gamma))
-            rows.append((i, s.s, s.u, s.v, geom.g.f, geom.lam.f, geom.mu.f,
-                         rho))
+        s, geom = traced.samples, traced.geometry
+        rows = _rows((s.s, s.u, s.v, geom.g.f, geom.lam.f, geom.mu.f,
+                      ambient_dot(s.gamma, s.gamma)))
         write_csv(_out_path(args.out, "trace.csv"),
                   ("index", "s", "u", "v", "g", "lambda", "mu", "rho"), rows)
         svg = parameter_plot_svg(patch.u_range, patch.v_range,
@@ -123,8 +128,7 @@ def cmd_report_components(args):
     columns = (samples.s, samples.u, samples.v, rep.rho, rep.rho_direct,
                rep.t_comp, rep.t_direct, rep.n_comp, rep.n_direct,
                rep.b_comp, rep.b_direct, rep.normal_component)
-    rows = list(zip(range(n), *(np.broadcast_to(c, (n,)).tolist()
-                                for c in columns)))
+    rows = _rows(columns)
     print(f"position-component report for {args.curve}: "
           f"{n} samples, max residual {fmt(worst)}")
     header = ("index", "s", "u", "v", "rho", "rho_direct", "t_comp",

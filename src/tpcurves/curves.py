@@ -65,10 +65,10 @@ class CurveSample:
     """One arc-length point of a unit-speed surface curve.
 
     ``du``/``ddu``/``dddu`` are derivatives of u with respect to arc
-    length.  Third-derivative fields are None for samples produced by the
-    tangency-locus tracer, which carries only second-order data.  A
-    stacked sample (:func:`stack_samples`) holds a whole curve: (n,)
-    arrays for the scalars and (3, n) arrays for the vectors.
+    length.  A stacked sample (:func:`stack_samples`) holds a whole
+    curve: (n,) arrays for the scalars and (3, n) arrays for the vectors.
+    The tangency-locus tracer returns one stacked sample per locus, with
+    no third-derivative data (those fields are None) and ``t`` NaN.
     """
 
     s: float

@@ -19,8 +19,9 @@ over arrays of nodes) and its stacked sample
 at once, each with the bits of the one-sample call.  The tracer's Newton
 corrector builds no record: its iterates read g and its
 gradient from :func:`~tpcurves.forms.tangency_gradient` (g alone is its
-first entry), and the record is built once at each accepted sample and
-kept in :attr:`TracedCurve.geometry`.
+first entry).  A traced locus is one batched record like any other
+curve: its accepted samples are stacked in :attr:`TracedCurve.samples`
+and one record over them is kept in :attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -44,7 +45,6 @@ Conventions, fixed once:
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from .errors import (ConfigError, FrameUndefined, IdenticallyTangent, NoSeed,
                      SingularLocus)
 # second_form is no longer called here; bench/test_bench.py still checks
 # that the benchmark tracer wraps and restores this binding.
-from .forms import point_geometry, second_form, tangency_gradient  # noqa: F401
+from .forms import (PointGeometry, point_geometry, second_form,  # noqa: F401
+                    tangency_gradient)
 from .jets import cross3, dot3, failing_node
 
 __all__ = [
@@ -120,24 +121,23 @@ class GeodesicCurvature:
 class PositionComponentReport:
     """Closed-form position-vector components versus ambient dot products.
 
-    ``n_comp``/``b_comp`` and their residuals are None when the curvature
-    is below the frame threshold; the first two parts survive.  Over a
-    stacked sample every field is an array, and those four are NaN at the
-    samples below the threshold.
+    The normal and binormal parts (``n_*``/``b_*``) are NaN where the
+    curvature is below the frame threshold; the first two parts survive.
+    Over a stacked sample every field is an array.
     """
 
     rho: float
     t_comp: float
-    n_comp: Optional[float]
-    b_comp: Optional[float]
+    n_comp: float
+    b_comp: float
     rho_direct: float
     t_direct: float
-    n_direct: Optional[float]
-    b_direct: Optional[float]
+    n_direct: float
+    b_direct: float
     rho_residual: float
     t_residual: float
-    n_residual: Optional[float]
-    b_residual: Optional[float]
+    n_residual: float
+    b_residual: float
     kappa: float
     lam: float
     mu: float
@@ -147,12 +147,11 @@ class PositionComponentReport:
         """The largest residual as Python's ``max`` takes it over rho, t, n
         and b, in that order, sample by sample: a later value replaces the
         current one only when greater, so a NaN counts only in first
-        place, and a missing (None, or NaN below the frame threshold)
-        normal or binormal part is skipped."""
+        place, and a normal or binormal part that is NaN below the frame
+        threshold is skipped."""
         worst = self.rho_residual
         for r in (self.t_residual, self.n_residual, self.b_residual):
-            if r is not None:
-                worst = np.where(r > worst, r, worst)[()]
+            worst = np.where(r > worst, r, worst)[()]
         return worst
 
 
@@ -285,7 +284,8 @@ def position_component_report(geom, sample):
     t_direct = ambient_dot(sample.dgamma, gamma)
 
     kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    # Below the frame threshold these are discarded: no warnings for them.
+    framed = kappa > KAPPA_MIN
+    # Below the frame threshold these are NaN: no warnings for them.
     with np.errstate(divide="ignore", invalid="ignore"):
         n_comp = (lam * coeffs.b1 * E + (lam * coeffs.b2 + mu * coeffs.b1) * F
                   + mu * coeffs.b2 * G) / kappa
@@ -295,9 +295,9 @@ def position_component_report(geom, sample):
         n_vec = sample.ddgamma / kappa
         n_direct = dot3(n_vec, gamma)
         b_direct = dot3(cross3(sample.dgamma, n_vec), gamma)
-        n_comp, b_comp, n_direct, b_direct, n_residual, b_residual = _framed(
-            kappa, n_comp, b_comp, n_direct, b_direct,
-            abs(n_comp - n_direct), abs(b_comp - b_direct))
+        n_comp, b_comp, n_direct, b_direct = (
+            np.where(framed, x, math.nan)[()]
+            for x in (n_comp, b_comp, n_direct, b_direct))
 
     return PositionComponentReport(
         rho=rho, t_comp=t_comp, n_comp=n_comp, b_comp=b_comp,
@@ -305,17 +305,8 @@ def position_component_report(geom, sample):
         n_direct=n_direct, b_direct=b_direct,
         rho_residual=abs(rho - rho_direct),
         t_residual=abs(t_comp - t_direct),
-        n_residual=n_residual, b_residual=b_residual,
+        n_residual=abs(n_comp - n_direct), b_residual=abs(b_comp - b_direct),
         kappa=kappa, lam=lam, mu=mu, normal_component=geom.g.f)
-
-
-def _framed(kappa, *values):
-    """``values`` where the curvature exceeds the frame threshold: NaN at
-    the other nodes of an array, all None at one sample below it."""
-    framed = kappa > KAPPA_MIN
-    if np.ndim(framed):
-        return [np.where(framed, x, np.nan) for x in values]
-    return values if framed else (None,) * len(values)
 
 
 def binormal_formula_check(geom, sample):
@@ -365,8 +356,10 @@ class TracedCurve:
     seed: tuple
     h: float
     arc_length: float  # ambient length of the polyline
-    samples: tuple  # arc-length resampled CurveSamples (second-order data)
-    geometry: tuple  # the PointGeometry of each sample, in the same order
+    # The unit-speed samples at equal arc length, stacked: (n,) scalars,
+    # (3, n) vectors, third-derivative fields None (second-order data).
+    samples: CurveSample
+    geometry: PointGeometry  # one record over the samples' (u, v)
 
 
 def _newton_correct(patch, u, v, max_iter, tol):
@@ -468,13 +461,14 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     the corrector is Newton along grad g to |g| <= 1e-10.  Stops on
     closure (return within half a step of the start after at least 10
     steps, in parameter or ambient distance), on domain exit, or at
-    ``max_steps``.  The result carries the vertex polyline and a list of
-    unit-speed samples resampled at equal arc length, with the
-    PointGeometry of each.  Newton iterates (seed, steps, resampling) and
-    the identically-tangent probe read g, g_u, g_v and the point from one
-    order-2 evaluation each (:func:`~tpcurves.forms.tangency_gradient`);
-    a full PointGeometry is built only at the corrected seed (g's Hessian
-    for the isolated-zero test) and at each accepted resample point.
+    ``max_steps``.  The result carries the vertex polyline, the unit-speed
+    samples resampled at equal arc length as one stacked CurveSample, and
+    one PointGeometry over them.  Newton iterates (seed, steps,
+    resampling) and the identically-tangent probe read g, g_u, g_v and the
+    point from one order-2 evaluation each
+    (:func:`~tpcurves.forms.tangency_gradient`); a full PointGeometry is
+    built only at the corrected seed (g's Hessian for the isolated-zero
+    test) and once, batched, over the accepted resample points.
     Raises ConfigError unless h is positive and finite.
     """
     if not 0.0 < h < math.inf:  # false for NaN too
@@ -532,12 +526,13 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     return TracedCurve(
         vertices=vertices, residuals=np.array(resid), closed=closed,
         status=status, seed=(float(seed[0]), float(seed[1])), h=h,
-        arc_length=length, samples=tuple(samples), geometry=tuple(geometry))
+        arc_length=length, samples=samples, geometry=geometry)
 
 
 def _locus_sample(geom, s, sign):
     """Exact second-order unit-speed data of the level curve through the
-    point of ``geom``.
+    point of ``geom`` at arc length ``s``, or a stacked sample through
+    every node of a batched ``geom`` (``s`` an array); ``t`` is NaN.
 
     The unit tangent field w solves I(w, w) = 1 with w proportional to
     (-g_v, g_u); its derivative along itself gives (u'', v'').  All of it
@@ -551,7 +546,8 @@ def _locus_sample(geom, s, sign):
     wu = t_u / den
     wv = t_v / den
     skeleton = CurveSample(
-        s=s, t=math.nan, u=geom.jet.u, v=geom.jet.v,
+        s=s, t=np.full(np.shape(s), math.nan)[()],
+        u=geom.jet.u, v=geom.jet.v,
         du=sign * wu.f, dv=sign * wv.f,
         ddu=wu.f * wu.fu + wv.f * wu.fv, ddv=wu.f * wv.fu + wv.f * wv.fv,
         dddu=None, dddv=None,
@@ -563,18 +559,22 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
     """Equal-arc-length samples along the traced polyline, corrected back
     onto the locus before the per-point data is evaluated.  ``start`` is
     the :func:`~tpcurves.forms.tangency_gradient` tuple at the first
-    vertex.  Returns the samples, the PointGeometry of each, and the
-    polyline length."""
+    vertex.  Returns the stacked sample and one PointGeometry over the
+    accepted points (empty when none is), and the polyline length."""
+    def batch(accepted=(), sign=1.0, total=0.0):
+        us, vs, ss = np.array(accepted, dtype=float).reshape(-1, 3).T
+        geom = point_geometry(patch, us, vs)
+        return _locus_sample(geom, ss, sign), geom, total
+
     if len(vertices) < 2 or count < 2:
-        return [], [], 0.0
-    pts = ambient
-    segs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        return batch()
+    segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     total = float(cum[-1])
     if closed:
-        total += float(np.linalg.norm(pts[0] - pts[-1]))
+        total += float(np.linalg.norm(ambient[0] - ambient[-1]))
     if total <= 0.0:
-        return [], [], 0.0
+        return batch()
 
     # Marching direction sign relative to the tangent field at the start.
     tu, tv = _tangent_dir(start)
@@ -582,8 +582,7 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
     step_v = vertices[1][1] - vertices[0][1]
     sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0
 
-    samples = []
-    geometry = []
+    accepted = []
     targets = [total * i / (count - 1) for i in range(count)]
     for s in targets:
         if not closed:
@@ -607,7 +606,5 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
         u, v, t = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
         if t is None or abs(t[0]) > LOCUS_TOL:
             continue
-        geom = point_geometry(patch, u, v)
-        samples.append(_locus_sample(geom, s, sign))
-        geometry.append(geom)
-    return samples, geometry, total
+        accepted.append((u, v, s))
+    return batch(accepted, sign, total)

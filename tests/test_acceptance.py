@@ -131,14 +131,14 @@ def test_c04_component_reproduction_on_trace(scene):
     and mu = 0 within 1e-7."""
     patch = scene.surface("offset_sphere")
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01, resample=50)
-    comp = rho_dev = lam_dev = mu_dev = 0.0
-    for s in traced.samples:
-        geom = point_geometry(patch, s.u, s.v)
-        rep = position_component_report(geom, s)
-        comp = max(comp, rep.max_residual())
-        rho_dev = max(rho_dev, abs(rep.rho - 3.0))
-        lam_dev = max(lam_dev, abs(rep.lam + SQRT3))
-        mu_dev = max(mu_dev, abs(rep.mu))
+    s = traced.samples
+    assert len(s.s) == 50
+    rep = position_component_report(point_geometry(patch, s.u, s.v), s)
+    # np.max: a NaN anywhere fails the bounds below.
+    comp = float(np.max(rep.max_residual()))
+    rho_dev = float(np.max(abs(rep.rho - 3.0)))
+    lam_dev = float(np.max(abs(rep.lam + SQRT3)))
+    mu_dev = float(np.max(abs(rep.mu)))
     ok = comp < 1e-7 and rho_dev < 1e-6 and lam_dev < 1e-7 and mu_dev < 1e-7
     report(4, ok, f"components {comp:.3e}, rho dev {rho_dev:.3e}, "
                   f"lam dev {lam_dev:.3e}, mu dev {mu_dev:.3e}")

@@ -2,9 +2,9 @@
 
 One PointGeometry over a whole curve and one stacked sample must give, at
 every sample, the bits of the same identity evaluated on that sample's own
-record, NaN positions included (None in the scalar path is NaN in the
-batch).  The per-sample loops that ``report-thm31``, the thm31 checks and
-``invariance_report`` ran before are kept here as the oracle.
+record, NaN positions included.  The per-sample loops that
+``report-thm31``, the thm31 checks and ``invariance_report`` ran before
+are kept here as the oracle.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_expr import _ast_strategy
+from test_tracer_oracle import one_point_locus
 
 from tpcurves import (
     CurveSample,
@@ -59,9 +60,9 @@ FIELD2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
 
 def assert_bits(batch, scalars, what=""):
-    """``batch`` holds at each sample the bits of ``scalars`` there; a None
-    or NaN scalar is a NaN in the batch."""
-    want = np.array([math.nan if x is None else x for x in scalars], float)
+    """``batch`` holds at each sample the bits of ``scalars`` there, NaN
+    where the scalar is NaN."""
+    want = np.array(scalars, float)
     got = np.array(np.broadcast_to(batch, want.shape), float)
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan, err_msg=what)
@@ -157,13 +158,16 @@ def test_builtin_curves_batch_equals_scalar(scene, name):
 
 
 def test_traced_samples_batch_equals_scalar(scene):
-    """Tracer samples carry no third derivatives: they stack to None."""
+    """The tracer's stacked sample and record against one-point records
+    and samples.  Tracer samples carry no third derivatives: they stack
+    to None."""
     patch = scene.surface("catenoid")
-    samples = trace_tangent_curve(patch, (1.0, 1.2), h=0.02,
-                                  resample=15).samples
-    batch = stack_samples(samples)
-    assert batch.dddu is None and batch.dddgamma is None
-    check_curve(patch, samples)
+    traced = trace_tangent_curve(patch, (1.0, 1.2), h=0.02, resample=15)
+    geoms, samples = zip(*one_point_locus(patch, traced))
+    for batch in (traced.samples, stack_samples(samples)):
+        assert batch.dddu is None and batch.dddgamma is None
+    assert_records(traced.geometry, geoms)
+    assert_identities(traced.geometry, traced.samples, geoms, samples)
 
 
 def test_stacked_sample_shapes(scene):
@@ -257,9 +261,9 @@ def test_binormal_names_first_sample_below_frame_threshold(scene):
     rep = position_component_report(point_geometry(patch, batch.u, batch.v),
                                      batch)
     assert np.isnan(rep.n_comp).all() and np.isnan(rep.b_residual).all()
-    assert position_component_report(
+    assert math.isnan(position_component_report(
         point_geometry(patch, samples[2].u, samples[2].v),
-        samples[2]).n_comp is None
+        samples[2]).n_comp)
 
 
 # --- the report-thm31 "max residual" line --------------------------------
@@ -321,6 +325,31 @@ def test_report_line_keeps_scalar_loop_max(scene, monkeypatch, tmp_path,
                          "--out", str(tmp_path)]) == 0
     assert _scalar_loop_max(residuals.values()) == expected
     assert stdout.getvalue().endswith(f"max residual {fmt(expected)}\n")
+
+
+# --- a NaN residual fails an asserted check --------------------------------
+
+def test_worst_keeps_a_nan_wherever_it_sits():
+    assert checks._worst(np.array([1e-12, 3e-12])) == 3e-12
+    assert checks._worst(np.array([])) == 0.0
+    for values in ([1e-12, NAN], [NAN, 1e-12]):
+        assert math.isnan(checks._worst(np.array(values)))
+
+
+def test_nan_on_the_traced_curve_fails_its_check(scene, monkeypatch):
+    """One NaN rho at the second traced sample makes rho-value/traced NaN,
+    and the check fails."""
+    real = checks.position_component_report
+
+    def with_nan(geom, sample):
+        rep = real(geom, sample)
+        return dataclasses.replace(rep, rho=np.where(
+            np.arange(np.size(rep.rho)) == 1, NAN, rep.rho))
+
+    monkeypatch.setattr(checks, "position_component_report", with_nan)
+    (check,) = [c for c in checks.run_checks(scene, "thm31")
+                if c.name == "rho-value/traced"]
+    assert math.isnan(check.value) and check.passed is False
 
 
 # --- the per-sample loops the batched callers replaced, as oracles ---------

@@ -42,24 +42,26 @@ def test_traced_vertices_on_locus(scene):
 def test_traced_samples_carry_unit_speed_data(scene):
     patch = scene.surface("offset_sphere")
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01, resample=40)
-    assert len(traced.samples) == 40
-    ss = [s.s for s in traced.samples]
+    samples = traced.samples
+    assert len(samples.s) == 40
+    ss = samples.s.tolist()
     assert all(b > a for a, b in zip(ss, ss[1:]))
-    for s in traced.samples:
-        assert abs(np.linalg.norm(s.dgamma) - 1.0) < 1e-10
-        assert abs(np.dot(s.dgamma, s.ddgamma)) < 1e-10
-        assert s.dddgamma is None  # tracer data stops at second order
+    for dgamma, ddgamma in zip(samples.dgamma.T, samples.ddgamma.T):
+        assert abs(np.linalg.norm(dgamma) - 1.0) < 1e-10
+        assert abs(np.dot(dgamma, ddgamma)) < 1e-10
+    assert samples.dddgamma is None  # tracer data stops at second order
 
 
 def test_traced_samples_satisfy_component_identities(scene):
     patch = scene.surface("offset_sphere")
     traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01, resample=50)
-    for s in traced.samples:
-        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
-        assert rep.max_residual() < 1e-7
-        assert rep.rho == pytest.approx(3.0, abs=1e-6)
-        assert rep.lam == pytest.approx(-math.sqrt(3), abs=1e-7)
-        assert rep.mu == pytest.approx(0.0, abs=1e-7)
+    s = traced.samples
+    assert len(s.s) == 50
+    rep = position_component_report(point_geometry(patch, s.u, s.v), s)
+    assert (rep.max_residual() < 1e-7).all()
+    assert rep.rho == pytest.approx(3.0, abs=1e-6)
+    assert rep.lam == pytest.approx(-math.sqrt(3), abs=1e-7)
+    assert rep.mu == pytest.approx(0.0, abs=1e-7)
 
 
 def test_origin_sphere_has_no_locus(scene):

@@ -3,14 +3,17 @@ pinned outputs of ``tpcurves trace``, and the tracer's evaluation counts."""
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from tpcurves import cli, parse_surface, point_geometry, tangent
+from tpcurves import CurveSample, cli, parse_surface, point_geometry, tangent
+from tpcurves.forms import tangency_gradient
 from tpcurves.surface import SurfacePatch
 from tpcurves.tangent import GRAD_FLOOR, trace_tangent_curve
 
@@ -41,6 +44,22 @@ def record_newton(patch, u, v, max_iter, tol):
             return u, v, None
         b = point_geometry(patch, u, v)
     return result(u, v, b)
+
+
+def one_point_locus(patch, traced):
+    """The tracer's former per-sample path, kept as the oracle: one record
+    and one ``_locus_sample`` at each traced (u, v, s), oriented by the
+    tracer's rule (+1 where the first step follows (-g_v, g_u) at the
+    first vertex).  Returns (record, sample) pairs."""
+    (u0, v0), (u1, v1) = traced.vertices[:2].tolist()
+    tu, tv = tangent._tangent_dir(tangency_gradient(patch, u0, v0))
+    sign = 1.0 if tu * (u1 - u0) + tv * (v1 - v0) >= 0.0 else -1.0
+    out = []
+    batch = traced.samples
+    for u, v, s in zip(batch.u.tolist(), batch.v.tolist(), batch.s.tolist()):
+        geom = point_geometry(patch, u, v)
+        out.append((geom, tangent._locus_sample(geom, s, sign)))
+    return out
 
 
 def _patch(scene, name):
@@ -75,8 +94,9 @@ def test_kernel_corrector_matches_record_corrector(scene, monkeypatch, name,
     assert fast.vertices.tobytes() == slow.vertices.tobytes()
     assert fast.residuals.tobytes() == slow.residuals.tobytes()
     assert fast.arc_length.hex() == slow.arc_length.hex()
-    assert [(s.s.hex(), s.u.hex(), s.v.hex()) for s in fast.samples] == \
-        [(s.s.hex(), s.u.hex(), s.v.hex()) for s in slow.samples]
+    for name in ("s", "u", "v"):
+        assert getattr(fast.samples, name).tobytes() == \
+            getattr(slow.samples, name).tobytes(), name
     if name == "ellipsoid":
         # Newton iterates here: the comparison covers its steps, not only
         # predictor points that already lie on the locus.
@@ -111,6 +131,11 @@ PINNED = [
      "761f5cf32e9805abb3eb7973556e453e2d7930e7a8c7cb8ba48bc0d441f106ff",
      "97ae5c5158c8280dc25ee62b7f91cf4609502d718c29fe574d4630fc4c4589b3",
      "fd60b3e072ba8a0902c15472c4d2b4e58894e1bea6cb2c8be8425d4f8be780ef"),
+    # One vertex (the first step leaves the domain): a header-only CSV.
+    ("helicoid", "6.28,0.0", "0.01",
+     "94cc70f74a4a73af9cb48936c2d1ff0016e80de2b2af70ee0d83a800cc53fe3b",
+     "42e78f03c63c14c73d48413439d2777ffb0e00e2d50a90b1fb662d07da8d80a7",
+     "e98e87d7979fcdfc8cee840097add105282ba6f40bafbdb7443f24f1bf7b793a"),
 ]
 
 
@@ -138,9 +163,9 @@ def test_trace_outputs_pinned(tmp_path, surface, seed, h, stdout_sha,
 
 @pytest.fixture
 def patch_calls(monkeypatch):
-    """Counts of SurfacePatch.jet and SurfacePatch.value calls."""
+    """Counts of SurfacePatch.jet, jet_batch and value calls."""
     calls = Counter()
-    for method in ("jet", "value"):
+    for method in ("jet", "jet_batch", "value"):
         original = getattr(SurfacePatch, method)
 
         def counted(self, u, v, _original=original, _method=method):
@@ -156,13 +181,14 @@ def test_accepted_vertices_cost_no_jet(scene, patch_calls, max_steps):
     traced = trace_tangent_curve(scene.surface("offset_sphere"), (2.0, 0.0),
                                  h=0.01, max_steps=max_steps, resample=20)
     assert len(traced.vertices) == max_steps + 1
-    # One record at the corrected seed and one per resampled sample,
-    # however many vertices were accepted.
-    assert patch_calls["jet"] == 1 + len(traced.samples)
+    # One record at the corrected seed and one batched record over the
+    # resampled samples, however many vertices were accepted.
+    assert patch_calls["jet"] == 1
+    assert patch_calls["jet_batch"] == 1
     assert patch_calls["value"] == 0
-    assert len(traced.geometry) == len(traced.samples) == 20
-    for s, geom in zip(traced.samples, traced.geometry):
-        assert (geom.jet.u, geom.jet.v) == (s.u, s.v)
+    assert len(traced.samples.s) == 20
+    assert traced.geometry.jet.u.tobytes() == traced.samples.u.tobytes()
+    assert traced.geometry.jet.v.tobytes() == traced.samples.v.tobytes()
 
 
 def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
@@ -171,15 +197,55 @@ def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 50
     assert all(abs(float(r["g"])) < 1e-8 for r in rows)
-    assert patch_calls["jet"] == 1 + len(rows)
+    assert patch_calls["jet"] == 1
+    assert patch_calls["jet_batch"] == 1
     assert patch_calls["value"] == 0
 
 
-def test_resampled_records_are_the_samples_records(scene):
-    patch = scene.surface("catenoid")
-    traced = trace_tangent_curve(patch, (1.0, -1.2), h=0.02, resample=10)
-    for s, geom in zip(traced.samples, traced.geometry):
-        fresh = point_geometry(patch, s.u, s.v)
-        assert (geom.g.f, geom.lam.f, geom.mu.f) == \
-            (fresh.g.f, fresh.lam.f, fresh.mu.f)
-        assert math.isfinite(geom.g.f)
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_resampled_records_are_the_samples_records(scene, monkeypatch):
+    """On the catenoid and on the off-axis ellipsoid, where Newton moves
+    the resample points: (u_i, v_i) are the scalar corrector's, and
+    column i of the stacked sample and of the batched record carries the
+    bits of the one-point record and sample at (u_i, v_i, s_i)."""
+    corrected = []
+    newton = tangent._newton_correct
+
+    def recorded(*args):
+        corrected.append(newton(*args))
+        return corrected[-1]
+
+    monkeypatch.setattr(tangent, "_newton_correct", recorded)
+    for name, seed in (("catenoid", (1.0, -1.2)), ("ellipsoid", (2.0, -1.0))):
+        patch = _patch(scene, name)
+        traced = trace_tangent_curve(patch, seed, h=0.02, resample=10)
+        batch, record = traced.samples, traced.geometry
+        n = len(batch.s)
+        assert n == 10, name
+        # The last ten corrections are the resampling's, all accepted.
+        assert list(zip(batch.u.tolist(), batch.v.tolist())) == \
+            [(u, v) for u, v, _ in corrected[-10:]], name
+        oracle = one_point_locus(patch, traced)
+        for f in dataclasses.fields(CurveSample):
+            got = getattr(batch, f.name)
+            if f.name.startswith("ddd"):
+                assert got is None and all(getattr(one, f.name) is None
+                                           for _, one in oracle), f.name
+                continue
+            assert got.shape == ((3, n) if f.name.endswith("gamma")
+                                 else (n,)), (name, f.name)
+            for i, (_, one) in enumerate(oracle):
+                assert _bits(got[..., i]) == _bits(getattr(one, f.name)), \
+                    (name, f.name, i)
+        for field in ("g", "lam", "mu", "E", "F", "G"):
+            for part in ("f", "fu", "fv", "fuu", "fuv", "fvv"):
+                got = np.broadcast_to(getattr(getattr(record, field), part),
+                                      (n,))
+                for i, (geom, _) in enumerate(oracle):
+                    want = getattr(getattr(geom, field), part)
+                    assert _bits(got[i]) == _bits(want), \
+                        (name, field, part, i)
+        assert all(math.isfinite(geom.g.f) for geom, _ in oracle), name
