@@ -561,20 +561,20 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
     the :func:`~tpcurves.forms.tangency_gradient` tuple at the first
     vertex.  Returns the stacked sample and one PointGeometry over the
     accepted points (empty when none is), and the polyline length."""
-    def batch(accepted=(), sign=1.0, total=0.0):
+    def batch(accepted, sign):
         us, vs, ss = np.array(accepted, dtype=float).reshape(-1, 3).T
         geom = point_geometry(patch, us, vs)
-        return _locus_sample(geom, ss, sign), geom, total
+        return _locus_sample(geom, ss, sign), geom
 
     if len(vertices) < 2 or count < 2:
-        return batch()
+        return (*batch((), 1.0), 0.0)
     segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     total = float(cum[-1])
     if closed:
         total += float(np.linalg.norm(ambient[0] - ambient[-1]))
     if total <= 0.0:
-        return batch()
+        return (*batch((), 1.0), 0.0)
 
     # Marching direction sign relative to the tangent field at the start.
     tu, tv = _tangent_dir(start)
@@ -607,4 +607,4 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
         if t is None or abs(t[0]) > LOCUS_TOL:
             continue
         accepted.append((u, v, s))
-    return batch(accepted, sign, total)
+    return (*batch(accepted, sign), total)

@@ -94,9 +94,9 @@ def test_kernel_corrector_matches_record_corrector(scene, monkeypatch, name,
     assert fast.vertices.tobytes() == slow.vertices.tobytes()
     assert fast.residuals.tobytes() == slow.residuals.tobytes()
     assert fast.arc_length.hex() == slow.arc_length.hex()
-    for name in ("s", "u", "v"):
-        assert getattr(fast.samples, name).tobytes() == \
-            getattr(slow.samples, name).tobytes(), name
+    for field in ("s", "u", "v"):
+        assert getattr(fast.samples, field).tobytes() == \
+            getattr(slow.samples, field).tobytes(), field
     if name == "ellipsoid":
         # Newton iterates here: the comparison covers its steps, not only
         # predictor points that already lie on the locus.
