@@ -28,20 +28,20 @@ connection symbols built on first use (:func:`first_form` is its
 every field an array over the nodes.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
+from . import expr
 from .errors import DegeneratePoint, GeometryError, OracleMismatch
-from .jets import Field1, Field2, cross3, dot3, failing_node
+from .jets import Field1, Field2, cross3, dot3, failing_node, straight_line
 
 __all__ = [
     "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
-    "REGULARITY_THRESHOLD",
+    "compile_tangency_kernel", "REGULARITY_THRESHOLD",
 ]
 
 # Below this EG - F^2, normalization amplifies noise past every stated
@@ -190,63 +190,36 @@ def point_geometry(patch, u, v):
 
 def tangency_gradient(patch, u, v):
     """(g, g_u, g_v, (x, y, z)): the tangency residual g = phi . N, its
-    gradient and the point phi at (u, v), from one order-2 evaluation of
-    the patch, with no order-3 jet, lam/mu or Hessian.
-
-    The triple arithmetic below is Field1's rule hand-inlined: the
-    record's formula for ``g`` evaluated over Field1, which is Field2
-    truncated, so g, g_u and g_v carry the bits of the record's ``g``.  It
-    is kept because it measured 34 us per call against 61 us for the same
-    steps over Field1 (offset_sphere, CPython 3.11, 2-core Xeon).  Raises
-    DegeneratePoint where the record does.
-    """
-    phi = patch.jet_order2(u, v)
-    p = [(c.f, c.fu, c.fv) for c in phi]
-    pu = [(c.fu, c.fuu, c.fuv) for c in phi]
-    pv = [(c.fv, c.fuv, c.fvv) for c in phi]
-    E, F, G = _dot1(pu, pu), _dot1(pu, pv), _dot1(pv, pv)
-    det = _sub1(_mul1(E, G), _mul1(F, F))
-    if det[0] <= REGULARITY_THRESHOLD:
-        raise DegeneratePoint(
-            f"EG - F^2 = {det[0]} at (u, v) = ({float(u)}, {float(v)})")
-    # area = sqrt(det), then 1/area, each composed as every ring composes.
-    r = math.sqrt(det[0])
-    half = 0.5 / r
-    area = (r, half * det[1], half * det[2])
-    iw = 1.0 / r
-    slope = -(iw * iw)
-    num = _dot1(p, _cross1(pu, pv))
-    g = num[0] * iw
-    g_u = num[1] * iw + num[0] * (slope * area[1])
-    g_v = num[2] * iw + num[0] * (slope * area[2])
-    return g, g_u, g_v, (p[0][0], p[1][0], p[2][0])
+    gradient and the point phi at (u, v), with the bits of the record's,
+    from the patch's kernel (:func:`compile_tangency_kernel`).  Where that
+    returns None, :func:`point_geometry`, the tree walk and the kernel's
+    oracle, raises its error (DomainError, EvalError, DegeneratePoint) or
+    gives the NaN results."""
+    out = (patch.tangency_kernel(float(u), float(v))
+           if patch.contains(u, v) else None)
+    if out is None:
+        geom = point_geometry(patch, u, v)
+        out = (geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist()))
+    return out
 
 
-# Value-and-gradient triples (f, f_u, f_v) under Field1's sum and product.
-
-def _mul1(a, b):
-    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])
-
-
-def _add1(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _sub1(a, b):
-    # a + (-b), as the rings subtract: a - b has the same bits except for
-    # the sign of a NaN.
-    return (a[0] + -b[0], a[1] + -b[1], a[2] + -b[2])
-
-
-def _dot1(a, b):
-    return _add1(_add1(_mul1(a[0], b[0]), _mul1(a[1], b[1])),
-                 _mul1(a[2], b[2]))
-
-
-def _cross1(a, b):
-    return (_sub1(_mul1(a[1], b[2]), _mul1(a[2], b[1])),
-            _sub1(_mul1(a[2], b[0]), _mul1(a[0], b[2])),
-            _sub1(_mul1(a[0], b[1]), _mul1(a[1], b[0])))
+def compile_tangency_kernel(components):
+    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)`` or None: the
+    component trees over Field2, then the record's formula for g over
+    Field1, recorded by :func:`~tpcurves.jets.straight_line`."""
+    def build(field2, u, v):
+        env = {"u": field2(u, fu=1.0), "v": field2(v, fv=1.0)}
+        phi = [expr.evaluate(c, env, field2.const) for c in components]
+        p = [c.lower() for c in phi]
+        pu = [c.du() for c in phi]
+        pv = [c.dv() for c in phi]
+        E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+        det = E * G - F * F
+        if det.f <= REGULARITY_THRESHOLD:  # recorded as a guard
+            raise DegeneratePoint("EG - F^2 at or below the threshold")
+        g = dot3(p, cross3(pu, pv)) / det.sqrt()
+        return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
+    return straight_line(build, ("u", "v"))
 
 
 def metric_fields(jet):

@@ -27,6 +27,8 @@ Coefficients are floats, or 1-D numpy arrays with one entry per node of a
 batch (constant coefficients may stay floats).  The same arithmetic then
 evaluates every node at once, and gives at each node the bits that the
 float path gives, or raises the error the float path raises there.
+:func:`straight_line` records one float evaluation, ring arithmetic
+included, as straight-line Python code that runs with no ring objects.
 """
 
 import math
@@ -37,10 +39,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EvalError
+from .errors import EvalError, GeometryError
 
 __all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3",
-           "failing_node"]
+           "failing_node", "straight_line"]
 
 
 def _per_node(fn):
@@ -152,6 +154,8 @@ def _outer_derivs(formula, w, arg):
         except (ArithmeticError, ValueError) as exc:
             what = arg if formula is _elem_formula else f"x ** {arg}"
             raise EvalError(f"{what} at {w!r}: {exc}") from exc
+    if isinstance(w, _Traced):
+        return formula(w, arg, w)
     try:
         with np.errstate(divide="raise"):
             return formula(w, arg, _NODE_MATH)
@@ -386,22 +390,28 @@ Jet2 = _ring("Jet2", 2, 3, "f fu fv fuu fuv fvv fuuu fuuv fuvv fvvv",
 Jet1 = _ring("Jet1", 1, 3, "f d1 d2 d3",
              "Order-3 truncated Taylor jet of a scalar function of one "
              "parameter.")
-Field2 = _ring("Field2", 2, 2, "f fu fv fuu fuv fvv",
-               "Scalar field on the parameter plane: value, gradient and "
-               "Hessian.")
-Field1 = _ring("Field1", 2, 1, "f fu fv",
-               "Scalar field on the parameter plane: value and gradient.")
 
+
+def _fields():
+    """Field2 and Field1, with Field2's order-1 views of its value and
+    partials."""
+    field2 = _ring("Field2", 2, 2, "f fu fv fuu fuv fvv",
+                   "Scalar field on the parameter plane: value, gradient "
+                   "and Hessian.")
+    field1 = _ring("Field1", 2, 1, "f fu fv", "Scalar field on the "
+                   "parameter plane: value and gradient.")
+    field2.lower, field2.du, field2.dv = (
+        _view(field1, field2, shift) for shift in ((0, 0), (1, 0), (0, 1)))
+    return field2, field1
+
+
+Field2, Field1 = _fields()
 Jet2.var_u, Jet2.var_v = _variable(Jet2, (1, 0)), _variable(Jet2, (0, 1))
 Jet1.var = _variable(Jet1, (1,))
-# Order-2 views of an order-3 jet's value and partials, and order-1 views
-# of an order-2 field's.
+# Order-2 views of an order-3 jet's value and partials.
 Field2.of_jet = staticmethod(_view(Field2, Jet2, (0, 0)))
 Field2.of_jet_du = staticmethod(_view(Field2, Jet2, (1, 0)))
 Field2.of_jet_dv = staticmethod(_view(Field2, Jet2, (0, 1)))
-Field2.lower = _view(Field1, Field2, (0, 0))
-Field2.du = _view(Field1, Field2, (1, 0))
-Field2.dv = _view(Field1, Field2, (0, 1))
 
 
 def dot3(a, b):
@@ -416,3 +426,93 @@ def cross3(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+# Straight-line programs (Griewank & Walther, ch. 6): a float function run
+# once over _Traced inputs writes down each float operation, in order, once
+# per operands (value numbering, Aho et al., *Compilers*, 2nd ed., 6.1).
+
+def _binary(symbol):
+    template = "{} " + symbol + " {}"
+    return (lambda a, b: a.record(template, a, b),
+            lambda a, b: a.record(template, b, a))
+
+
+class _Traced:
+    """A float of the program in ``lines``; ``names`` names each value and
+    guard in it.  Arithmetic, and ``x.sin(x)`` for ``math.sin(x)``, records
+    the operation.  A comparison is a singular test, past which the float
+    path raises: it records a guard returning None, and answers False."""
+
+    __slots__ = ("lines", "names", "name")
+
+    def __init__(self, lines, names, name):
+        self.lines, self.names, self.name = lines, names, name
+
+    def __str__(self):
+        return self.name
+
+    def __getattr__(self, function):
+        return lambda *args: self.record(
+            function + "(" + ", ".join(["{}"] * len(args)) + ")", *args)
+
+    def record(self, template, *operands, guard=False):
+        text = template.format(*operands)  # -0.0 stays apart from 0.0
+        if text not in self.names:
+            name = self.names[text] = f"t{len(self.names)}"
+            self.lines.append(f"if {text}: return None" if guard
+                              else f"{name} = {text}")
+        return not guard and _Traced(self.lines, self.names, self.names[text])
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+
+    def __neg__(self):
+        return self.record("-{}", self)
+
+    def __le__(self, other):
+        return self.record("{} <= {}", self, other, guard=True)
+
+    def __eq__(self, other):
+        return self.record("{} == {}", self, other, guard=True)
+
+
+# Recording runs on a twin of Field2 (same source, own code objects): CPython
+# runs a float operation in a faster form once it has seen only floats there,
+# which may keep the other NaN of two, so recording on the tree walk's own
+# ring would change its NaN bits.
+_RECORDING_FIELD2, _ = _fields()
+
+
+def straight_line(build, params):
+    """``build(field2, *params)``, floats and Field2 arithmetic returning
+    floats in nested tuples, as straight-line float code in ``params``.
+
+    ``build`` runs once, over traced inputs.  The program gives its bits,
+    and returns None where it raises (at its singular tests, where ``math``
+    or a division raises, everywhere if a constant subtree raises) and
+    where a result is NaN, whose bits only ``build`` gives (so 'nan' may
+    stand for any NaN constant)."""
+    lines, names, leaves = [], {}, []
+
+    def render(out):
+        if isinstance(out, tuple):
+            return "(" + "".join(render(x) + ", " for x in out) + ")"
+        leaves.append(str(out))
+        return leaves[-1]
+
+    try:
+        out = render(build(_RECORDING_FIELD2,
+                           *(_Traced(lines, names, p) for p in params)))
+        lines += ["if " + " or ".join(f"{x} != {x}" for x in leaves)
+                  + ": return None", "return " + out]
+    except GeometryError:
+        lines[:] = ["return None"]
+    scope = {**vars(math), "__name__": __name__}  # math, inf and nan
+    exec("\n".join([f"def program({', '.join(params)}):", "    try:",
+                     *("        " + line for line in lines),
+                     "    except (ArithmeticError, ValueError):",
+                     "        return None"]), scope)
+    return scope.pop("program")  # no cycle: it goes with its patch

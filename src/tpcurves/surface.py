@@ -3,7 +3,9 @@
 A :class:`SurfacePatch` is an analytic map (u, v) -> R^3 parsed from
 expression text; :meth:`SurfacePatch.jet` returns all partial derivatives
 through order 3 computed by forward-mode jets, with no finite differencing
-anywhere, and :meth:`SurfacePatch.jet_order2` those through order 2.  A
+anywhere, and :meth:`SurfacePatch.jet_order2` those through order 2 (the
+tree walk behind the tracer's kernel, :attr:`SurfacePatch.tangency_kernel`,
+straight-line code generated per patch on first use).  A
 :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Patches and paths are immutable after construction and all evaluation is
@@ -11,12 +13,14 @@ pure, so they are safe to use concurrently.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import expr
 from .errors import DomainError
+from .forms import compile_tangency_kernel
 from .jets import Field2, Jet1, Jet2
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -54,13 +58,23 @@ class SurfacePatch:
     u_range: tuple
     v_range: tuple
 
-    def contains(self, u, v):
+    @cached_property
+    def _bounds(self):  # the domain widened by the slack: u0, u1, v0, v1
         (u0, u1), (v0, v1) = self.u_range, self.v_range
         su = _DOMAIN_SLACK * max(1.0, abs(u0), abs(u1))
         sv = _DOMAIN_SLACK * max(1.0, abs(v0), abs(v1))
+        return u0 - su, u1 + su, v0 - sv, v1 + sv
+
+    def contains(self, u, v):
+        u0, u1, v0, v1 = self._bounds
         # ``&`` rather than ``and``: u and v may be arrays of nodes.
-        return ((u0 - su <= u) & (u <= u1 + su)
-                & (v0 - sv <= v) & (v <= v1 + sv))
+        return (u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1)
+
+    @cached_property
+    def tangency_kernel(self):
+        """:func:`~tpcurves.forms.compile_tangency_kernel` of this patch,
+        compiled on first use."""
+        return compile_tangency_kernel(self.components)
 
     def _require_inside(self, u, v):
         if not self.contains(u, v):

@@ -17,11 +17,12 @@ are ring-generic: given the record of a whole curve (``point_geometry``
 over arrays of nodes) and its stacked sample
 (:func:`~tpcurves.curves.stack_samples`), one call evaluates every sample
 at once, each with the bits of the one-sample call.  The tracer's Newton
-corrector builds no record: its iterates read g and its
-gradient from :func:`~tpcurves.forms.tangency_gradient` (g alone is its
-first entry).  A traced locus is one batched record like any other
-curve: its accepted samples are stacked in :attr:`TracedCurve.samples`
-and one record over them is kept in :attr:`TracedCurve.geometry`.
+corrector builds no record: its iterates read g and its gradient from
+:func:`~tpcurves.forms.tangency_gradient`, straight-line code generated
+once per patch (g alone is its first entry).  A traced locus is one
+batched record like any other curve: its accepted samples are stacked in
+:attr:`TracedCurve.samples` and one record over them is kept in
+:attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -460,12 +461,13 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     The predictor steps h (parameter units) along the level-set tangent;
     the corrector is Newton along grad g to |g| <= 1e-10.  Stops on
     closure (return within half a step of the start after at least 10
-    steps, in parameter or ambient distance), on domain exit, or at
+    steps, in parameter or ambient distance; a closed polyline's length
+    ends at its closest approach to the start), on domain exit, or at
     ``max_steps``.  The result carries the vertex polyline, the unit-speed
     samples resampled at equal arc length as one stacked CurveSample, and
     one PointGeometry over them.  Newton iterates (seed, steps,
     resampling) and the identically-tangent probe read g, g_u, g_v and the
-    point from one order-2 evaluation each
+    point from the patch's generated kernel
     (:func:`~tpcurves.forms.tangency_gradient`); a full PointGeometry is
     built only at the corrected seed (g's Hessian for the isolated-zero
     test) and once, batched, over the accepted resample points.
@@ -502,7 +504,8 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
             break
         u, v, t = cu, cv, ct
         pos = np.array(t[3])
-        chord_sum += float(np.linalg.norm(pos - ambient[-1]))
+        chord = pos - ambient[-1]  # sqrt(x.x) is np.linalg.norm(x), 1-D x
+        chord_sum += math.sqrt(chord.dot(chord))
         verts.append((u, v))
         resid.append(t[0])
         ambient.append(pos)
@@ -513,7 +516,8 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
         if step >= 10:
             mean_chord = chord_sum / step
             param_dist = math.hypot(u - verts[0][0], v - verts[0][1])
-            amb_dist = float(np.linalg.norm(pos - ambient[0]))
+            back = pos - ambient[0]
+            amb_dist = math.sqrt(back.dot(back))
             if param_dist < 0.5 * h or amb_dist < 0.5 * mean_chord:
                 closed = True
                 status = "closed"
@@ -568,6 +572,15 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
 
     if len(vertices) < 2 or count < 2:
         return (*batch((), 1.0), 0.0)
+    if closed:
+        # Closure fires within half a step either side of vertex 0: end a
+        # last segment that passes it at its closest approach to it.
+        d = ambient[-1] - ambient[-2]
+        tau = (ambient[0] - ambient[-2]).dot(d) / d.dot(d)
+        if 0.0 <= tau < 1.0:
+            ambient, vertices = ambient.copy(), vertices.copy()
+            ambient[-1] = ambient[-2] + tau * d
+            vertices[-1] = vertices[-2] + tau * (vertices[-1] - vertices[-2])
     segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     total = float(cum[-1])

@@ -1,0 +1,93 @@
+"""The generated tangency kernel: signed-zero constants, shared singular
+subtrees, and when kernels are compiled.
+
+``tangency_gradient`` runs a straight-line program compiled per patch
+(``SurfacePatch.tangency_kernel``); the tree walk (``jet_order2``,
+``point_geometry``) is its oracle and its error path.
+"""
+
+import math
+import struct
+
+import tpcurves.surface
+from tpcurves import builtin_scene, point_geometry, tangency_gradient
+from tpcurves.errors import DegeneratePoint, EvalError
+from tpcurves.expr import Binary, Const, Unary, Var
+from tpcurves.surface import SurfacePatch
+
+
+def bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def outcome(fn):
+    """``fn()``, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (EvalError, DegeneratePoint) as exc:
+        return type(exc), str(exc)
+
+
+def patch_of(*components):
+    return SurfacePatch(name="patch", components=components,
+                        u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+
+
+def test_signed_zero_constants_keep_their_bits():
+    # Const(0.0) == Const(-0.0), but -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is
+    # -0.0: the two constants must stay two values in the kernel.
+    patch = patch_of(Binary("+", Var("u"), Const(0.0)), Var("v"),
+                     Binary("+", Var("u"), Const(-0.0)))
+    for u, v in ((-0.0, 0.5), (-0.0, -0.0), (0.0, -1.25)):
+        out = patch.tangency_kernel(u, v)
+        assert out is not None  # the program, not its fallback
+        g = point_geometry(patch, u, v).g
+        assert bits(*out[:3]) == bits(g.f, g.fu, g.fv)
+        assert bits(*out[3]) == bits(*(c.f for c in patch.jet_order2(u, v)))
+        assert bits(*out[3]) == bits(u + 0.0, v, u + -0.0)
+        assert tangency_gradient(patch, u, v) == out
+
+
+def test_shared_singular_subtree_raises_the_tree_walks_first_error():
+    shared = Unary("log", Binary("-", Var("u"), Const(1.0)))
+    patch = patch_of(Binary("*", Var("v"), shared),
+                     Binary("+", Unary("sqrt", Var("u")), shared),
+                     shared)
+    for u in (0.5, -0.5, 1.0):
+        assert patch.tangency_kernel(u, 0.25) is None
+        got = outcome(lambda: tangency_gradient(patch, u, 0.25))
+        assert got == outcome(lambda: point_geometry(patch, u, 0.25))
+        assert got == outcome(lambda: patch.jet_order2(u, 0.25))
+        assert got[0] is EvalError
+    # Where it evaluates, the shared log is computed once.
+    calls = []
+    kernel = patch.tangency_kernel
+    log = kernel.__globals__["log"]
+    kernel.__globals__["log"] = lambda w: calls.append(w) or log(w)
+    try:
+        out = kernel(2.5, 0.25)
+    finally:
+        kernel.__globals__["log"] = log
+    assert calls == [1.5]
+    g = point_geometry(patch, 2.5, 0.25).g
+    assert bits(*out[:3]) == bits(g.f, g.fu, g.fv)
+
+
+def test_kernel_is_compiled_on_first_use_and_once(monkeypatch):
+    compiled = []
+    compile_kernel = tpcurves.surface.compile_tangency_kernel
+
+    def counted(components):
+        compiled.append(components)
+        return compile_kernel(components)
+
+    monkeypatch.setattr(tpcurves.surface, "compile_tangency_kernel", counted)
+    scene = builtin_scene()
+    assert compiled == []
+    patch = scene.surface("catenoid")
+    for k in range(50):
+        tangency_gradient(patch, 0.1 * k, 0.02 * k - 0.5)
+    assert compiled == [patch.components]
+    assert math.isfinite(
+        tangency_gradient(scene.surface("helicoid"), 1.0, 0.1)[0])
+    assert len(compiled) == 2
