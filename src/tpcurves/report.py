@@ -1,12 +1,14 @@
 """Deterministic CSV / JSON / SVG emission.
 
-Identical inputs must produce byte-identical outputs: floats are formatted
-with 17 significant digits in CSV, JSON keys are sorted, CSV uses LF line
-endings and UTF-8, and the SVG writer emits fixed-precision coordinates
-with no timestamps or generated ids.
+Identical inputs must produce byte-identical outputs.  CSV writes numbers
+with 17 significant digits.  JSON sorts keys and writes a float as its
+shortest round-trip ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` for the
+rest), which rounding to 17 digits never changes.  Text is UTF-8 with LF
+line endings; SVG has fixed-precision coordinates and no timestamps or ids.
 """
 
 import json
+from functools import cache
 
 __all__ = ["fmt", "write_csv", "to_json", "write_text", "parameter_plot_svg"]
 
@@ -17,26 +19,35 @@ def fmt(x):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) if isinstance(x, (int, float)) else str(x)
-                              for x in row))
+    """One line per row, a number per header column written as :func:`fmt`
+    writes it; a str cell raises ValueError, so nothing is written."""
+    template = ",".join(["{:.17g}"] * len(header))
+    lines = [",".join(header), *(template.format(*row) for row in rows)]
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _canonical(obj):
-    if isinstance(obj, float):
-        # Round-trip through the fixed format so JSON output is stable.
-        return float(fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
 def to_json(obj):
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``; a container of
+    scalars is one C-encoder call whose item separator holds the indent."""
+    encoder = cache(lambda inner: json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + inner, ": ")))
+
+    def emit(value, pad):
+        if not isinstance(value, (dict, list, tuple)) or not value:
+            return json.dumps(value)
+        inner, ends = pad + "  ", "{}" if isinstance(value, dict) else "[]"
+        members = value.values() if ends == "{}" else value
+        if not any(isinstance(v, (dict, list, tuple)) for v in members):
+            body = encoder(inner).encode(value)[1:-1]
+        elif ends == "{}":  # k as the encoder writes a key, then ": "
+            body = (",\n" + inner).join([
+                json.dumps({k: 0})[1:-2] + emit(v, inner)
+                for k, v in sorted(value.items())])
+        else:
+            body = (",\n" + inner).join([emit(v, inner) for v in value])
+        return ends[0] + "\n" + inner + body + "\n" + pad + ends[1]
+
+    return emit(obj, "") + "\n"
 
 
 def write_text(path, text):

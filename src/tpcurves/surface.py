@@ -12,6 +12,7 @@ Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -219,12 +220,21 @@ class CurvePath:
     def check_on(self, patch, samples=129):
         """Verify that the path stays inside the patch domain.
 
-        Only ``samples`` equally spaced parameters, endpoints included, are
-        tested, in one batched pass: a path that leaves the domain between
-        two of them and comes back passes.  The DomainError names the first
-        failing ``t``.
+        An affine path (:func:`~tpcurves.expr.is_affine`) with finite ends
+        inside passes: it runs along a segment of a convex set.  Others are
+        tested at ``samples`` equally spaced parameters, endpoints included,
+        in one batched pass, and pass if they leave between two and come
+        back.  The DomainError names the first failing ``t``.
         """
         t0, t1 = self.t_range
+        comps = (self.u_component, self.v_component)
+        if t0 <= t1 and all(map(expr.is_affine, comps)):
+            # This fails only at "/" by a zero Const, as the sampled pass does.
+            ends = [expr.evaluate(c, {"t": t}, float)
+                    for t in (t0, t1) for c in comps]
+            if all(map(math.isfinite, ends)) and \
+                    patch.contains(*ends[:2]) and patch.contains(*ends[2:]):
+                return
         ts = np.array([t0 + (t1 - t0) * i / (samples - 1)
                        for i in range(samples)])
         cj = self.jet(ts)

@@ -4,7 +4,9 @@ sha256 digests of ``report-thm31 <curve> --samples 200`` (stdout and
 ``components.csv`` / ``components.json``) on all nine built-in curves, of
 ``verify --target all --format json`` and of ``isometry <pair> --curve
 <curve> --format json`` on the four pairs, taken with the per-sample loops
-the batched records replaced; and of ``forms <surface> u v`` (text and
+the batched records replaced; of ``invariance.csv`` from ``isometry <pair>
+--curve <curve> --format csv --out DIR``, taken before the CSV writer
+formatted a whole row per call; and of ``forms <surface> u v`` (text and
 ``--format json``) on the six gauss surfaces, taken with the per-point
 ``first_form``/``second_form``/``christoffel`` chain the record replaced.
 """
@@ -68,6 +70,17 @@ ISOMETRY_JSON = {
     ("identity_catenoid", "catenoid_line"):
         "aa9f7471da9f7df4ffddab801071dcdcdbb650a233aa5a67cc7785e4ac04ea56",
 }
+# invariance.csv: the one CSV whose cells are numpy float64 values.
+INVARIANCE_CSV = {
+    ("catenoid_helicoid", "catenoid_line"):
+        "2f6f97ef9d93604734a8d1fbe7333b3bf6c952940298ca9c4509008fc170fca0",
+    ("plane_cylinder", "plane_circle"):
+        "2d8312122017d714296e0b576cb9e030c48c2f117793c598806ac3507c1dbb53",
+    ("offset_rotation", "offset_latitude"):
+        "69056cc7a87ad77c78ff53f6a0fd952ec282351bee34b7adb8d5067990636a07",
+    ("identity_catenoid", "catenoid_line"):
+        "ed8908f26e129dbbfb7a63d0c60389639080a19ed809db0f542a407f5ade709e",
+}
 
 # surface: ((u, v), text stdout, json stdout)
 FORMS = {
@@ -130,6 +143,25 @@ def test_verify_json_pinned():
 def test_isometry_json_pinned(pair, curve):
     stdout = run(["isometry", pair, "--curve", curve, "--format", "json"])
     assert sha(stdout) == ISOMETRY_JSON[pair, curve]
+
+
+@pytest.mark.parametrize("pair, curve", sorted(INVARIANCE_CSV))
+def test_isometry_invariance_csv_pinned(tmp_path, pair, curve):
+    run(["isometry", pair, "--curve", curve, "--format", "csv",
+         "--out", str(tmp_path)])
+    assert sha((tmp_path / "invariance.csv").read_bytes()) == \
+        INVARIANCE_CSV[pair, curve]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--target", "all"], "verify.json"),
+    (["forms", "sphere", "1.2", "0.9"], "forms.json"),
+    (["isometry", "plane_cylinder", "--curve", "plane_circle"],
+     "isometry.json"),
+])
+def test_json_file_equals_stdout(tmp_path, argv, name):
+    stdout = run(argv + ["--format", "json", "--out", str(tmp_path)])
+    assert (tmp_path / name).read_bytes() == stdout
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
