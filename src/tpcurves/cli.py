@@ -75,8 +75,9 @@ def _forms_payload(scene, surface_name, u, v):
 def cmd_forms(args):
     scene = load_scene(args.config)
     payload = _forms_payload(scene, args.surface, args.u, args.v)
+    text = to_json(payload) if args.format == "json" or args.out else None
     if args.format == "json":
-        sys.stdout.write(to_json(payload))
+        sys.stdout.write(text)
     else:
         print(f"surface {args.surface} at (u, v) = ({fmt(args.u)}, {fmt(args.v)})")
         for key in ("E", "F", "G", "E_u", "E_v", "F_u", "F_v", "G_u", "G_v",
@@ -86,7 +87,7 @@ def cmd_forms(args):
         nx, ny, nz = payload["unit_normal"]
         print(f"  normal     = ({fmt(nx)}, {fmt(ny)}, {fmt(nz)})")
     if args.out:
-        write_text(_out_path(args.out, "forms.json"), to_json(payload))
+        write_text(_out_path(args.out, "forms.json"), text)
     return 0
 
 
@@ -168,8 +169,9 @@ def cmd_verify(args):
     asserted_failures = [c for c in checks
                          if c.kind == "asserted" and not c.passed]
     payload["all_asserted_pass"] = not asserted_failures
+    text = to_json(payload) if args.format == "json" or args.out else None
     if args.format == "json":
-        sys.stdout.write(to_json(payload))
+        sys.stdout.write(text)
     else:
         for c in checks:
             if c.kind == "asserted":
@@ -181,7 +183,7 @@ def cmd_verify(args):
         print(f"{len(checks)} checks, "
               f"{len(asserted_failures)} asserted failure(s)")
     if args.out:
-        write_text(_out_path(args.out, "verify.json"), to_json(payload))
+        write_text(_out_path(args.out, "verify.json"), text)
     return 3 if asserted_failures else 0
 
 
@@ -213,8 +215,9 @@ def cmd_isometry(args):
             "source_tangent_position": rep.source_tangent_position,
             "tangent_position_preserved": rep.tangent_position_preserved,
         }
+    text = to_json(payload) if args.format == "json" or args.out else None
     if args.format == "json":
-        sys.stdout.write(to_json(payload))
+        sys.stdout.write(text)
     else:
         print(f"pair {args.pair} ({pair.kind}): "
               f"max metric residual {fmt(match.max_residual)} "
@@ -224,15 +227,12 @@ def cmd_isometry(args):
             for key, value in inv.items():
                 print(f"  {key} = {value if isinstance(value, bool) else fmt(value)}")
     if args.out:
-        write_text(_out_path(args.out, "isometry.json"), to_json(payload))
+        write_text(_out_path(args.out, "isometry.json"), text)
         if args.format == "csv" and rep is not None:
-            rows = [
-                (i, rep.rho_source[i], rep.rho_target[i],
-                 rep.t_comp_source[i], rep.t_comp_target[i],
-                 rep.kappa_g_source[i], rep.kappa_g_target[i],
-                 rep.source_tangency[i], rep.target_tangency[i])
-                for i in range(len(rep.rho_source))
-            ]
+            rows = _rows((rep.rho_source, rep.rho_target,
+                          rep.t_comp_source, rep.t_comp_target,
+                          rep.kappa_g_source, rep.kappa_g_target,
+                          rep.source_tangency, rep.target_tangency))
             write_csv(_out_path(args.out, "invariance.csv"),
                       ("index", "rho", "rho_bar", "t_comp", "t_comp_bar",
                        "kappa_g", "kappa_g_bar", "g", "g_bar"), rows)

@@ -28,12 +28,14 @@ batch (constant coefficients may stay floats).  The same arithmetic then
 evaluates every node at once, and gives at each node the bits that the
 float path gives, or raises the error the float path raises there.
 :func:`straight_line` records one float evaluation, ring arithmetic
-included, as straight-line Python code that runs with no ring objects.
+included, as straight-line Python code that runs with no ring objects:
+a value used once is written into its use, to a depth cap, and the rest
+are named.
 """
 
 import math
 from collections import Counter
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from operator import add, sub
 from types import SimpleNamespace
 
@@ -434,15 +436,18 @@ def cross3(a, b):
 
 def _binary(symbol):
     template = "{} " + symbol + " {}"
-    return (lambda a, b: a.record(template, a, b),
-            lambda a, b: a.record(template, b, a))
+    return (lambda a, b: a.record(template, a.name, str(b)),
+            lambda a, b: a.record(template, str(b), a.name))
 
 
 class _Traced:
-    """A float of the program in ``lines``; ``names`` names each value and
-    guard in it.  Arithmetic, and ``x.sin(x)`` for ``math.sin(x)``, records
-    the operation.  A comparison is a singular test, past which the float
-    path raises: it records a guard returning None, and answers False."""
+    """A float of the program in ``lines``, one ``(name, template,
+    operands)`` per operation, each operand as its text (``str`` keeps
+    -0.0 apart from 0.0) and name None for a guard; ``names`` numbers each
+    value and guard by its text.  Arithmetic, and ``x.sin(x)`` for
+    ``math.sin(x)``, records the operation.  A comparison is a singular
+    test, past which the float path raises: it records a guard returning
+    None, and answers False."""
 
     __slots__ = ("lines", "names", "name")
 
@@ -454,14 +459,14 @@ class _Traced:
 
     def __getattr__(self, function):
         return lambda *args: self.record(
-            function + "(" + ", ".join(["{}"] * len(args)) + ")", *args)
+            function + "(" + ", ".join(["{}"] * len(args)) + ")",
+            *map(str, args))
 
     def record(self, template, *operands, guard=False):
-        text = template.format(*operands)  # -0.0 stays apart from 0.0
+        text = template.format(*operands)
         if text not in self.names:
             name = self.names[text] = f"t{len(self.names)}"
-            self.lines.append(f"if {text}: return None" if guard
-                              else f"{name} = {text}")
+            self.lines.append((None if guard else name, template, operands))
         return not guard and _Traced(self.lines, self.names, self.names[text])
 
     __add__, __radd__ = _binary("+")
@@ -470,13 +475,13 @@ class _Traced:
     __truediv__, __rtruediv__ = _binary("/")
 
     def __neg__(self):
-        return self.record("-{}", self)
+        return self.record("-{}", self.name)
 
     def __le__(self, other):
-        return self.record("{} <= {}", self, other, guard=True)
+        return self.record("{} <= {}", self.name, str(other), guard=True)
 
     def __eq__(self, other):
-        return self.record("{} == {}", self, other, guard=True)
+        return self.record("{} == {}", self.name, str(other), guard=True)
 
 
 # Recording runs on a twin of Field2 (same source, own code objects): CPython
@@ -486,15 +491,52 @@ class _Traced:
 _RECORDING_FIELD2, _ = _fields()
 
 
+# Nesting at which a value is named even when used once: CPython's
+# tokenizer allows 200 nested parentheses.
+_MAX_DEPTH = 32
+
+
+def _render(lines, leaves):
+    """The statements of ``lines``.  A value used exactly once, and not a
+    leaf, is written into its use in parentheses, until its text is
+    _MAX_DEPTH parentheses deep; every other value is named, and a guard
+    returns None.  Each operation keeps its operands and their order, so
+    its bits, and each one is evaluated before the program returns."""
+    uses = Counter(chain.from_iterable([x for _, _, x in lines]))
+    once = {x for x, n in uses.items() if n == 1}.difference(leaves)
+    # A value still to be written into its use: its parenthesized text
+    # and that text's depth.
+    inline, body = {}, []
+    for name, template, operands in lines:
+        deep, parts = 0, []
+        for x in operands:
+            written = inline.pop(x, None)
+            if written is None:
+                parts.append(x)
+            else:
+                parts.append(written[0])
+                deep = max(deep, written[1])
+        text = template.format(*parts)
+        if name in once and deep < _MAX_DEPTH:
+            # A call adds its own parentheses.
+            inline[name] = "(" + text + ")", deep + 1 + ("(" in template)
+        elif name is None:
+            body.append("if " + text + ": return None")
+        else:
+            body.append(name + " = " + text)
+    return body
+
+
 def straight_line(build, params):
     """``build(field2, *params)``, floats and Field2 arithmetic returning
     floats in nested tuples, as straight-line float code in ``params``.
 
-    ``build`` runs once, over traced inputs.  The program gives its bits,
-    and returns None where it raises (at its singular tests, where ``math``
-    or a division raises, everywhere if a constant subtree raises) and
-    where a result is NaN, whose bits only ``build`` gives (so 'nan' may
-    stand for any NaN constant)."""
+    ``build`` runs once, over traced inputs; :func:`_render` then writes
+    each value used once into its use (to a depth cap) and names the rest.
+    The program gives its bits, and returns None where it raises (at its
+    singular tests, where ``math`` or a division raises, everywhere if a
+    constant subtree raises) and where a result is NaN, whose bits only
+    ``build`` gives (so 'nan' may stand for any NaN constant)."""
     lines, names, leaves = [], {}, []
 
     def render(out):
@@ -506,13 +548,14 @@ def straight_line(build, params):
     try:
         out = render(build(_RECORDING_FIELD2,
                            *(_Traced(lines, names, p) for p in params)))
-        lines += ["if " + " or ".join(f"{x} != {x}" for x in leaves)
-                  + ": return None", "return " + out]
+        body = _render(lines, leaves) + [
+            "if " + " or ".join(f"{x} != {x}" for x in leaves)
+            + ": return None", "return " + out]
     except GeometryError:
-        lines[:] = ["return None"]
+        body = ["return None"]
     scope = {**vars(math), "__name__": __name__}  # math, inf and nan
     exec("\n".join([f"def program({', '.join(params)}):", "    try:",
-                     *("        " + line for line in lines),
+                     *("        " + line for line in body),
                      "    except (ArithmeticError, ValueError):",
                      "        return None"]), scope)
     return scope.pop("program")  # no cycle: it goes with its patch

@@ -77,8 +77,8 @@ def parameter_plot_svg(u_range, v_range, polyline, seed=None,
         'fill="none" stroke="#888" stroke-width="1"/>',
     ]
     if len(polyline):
-        points = " ".join(f"{x:.4f},{y:.4f}"
-                          for x, y in (px(u, v) for u, v in polyline))
+        points = " ".join(["{:.4f},{:.4f}"] * len(polyline)).format(
+            *(c for u, v in polyline for c in px(u, v)))
         parts.append(f'<polyline points="{points}" fill="none" '
                      'stroke="#1f77b4" stroke-width="1.5"/>')
     if seed is not None:

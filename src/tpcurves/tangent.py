@@ -463,7 +463,11 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     closure (return within half a step of the start after at least 10
     steps, in parameter or ambient distance; a closed polyline's length
     ends at its closest approach to the start), on domain exit, or at
-    ``max_steps``.  The result carries the vertex polyline, the unit-speed
+    ``max_steps``.  The vertex loop runs in floats: ambient points stay the
+    kernel's 3-tuples, and the closure test measures chords as
+    sqrt(dx*dx + dy*dy + dz*dz), not through numpy's BLAS dot, which may
+    round the last bit differently; arc length and resampling read the
+    stacked arrays.  The result carries the vertex polyline, the unit-speed
     samples resampled at equal arc length as one stacked CurveSample, and
     one PointGeometry over them.  Newton iterates (seed, steps,
     resampling) and the identically-tangent probe read g, g_u, g_v and the
@@ -479,7 +483,9 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     seed_t = t  # the kernel tuple at the first vertex; resampling reads it
     verts = [(u, v)]
     resid = [t[0]]
-    ambient = [np.array(t[3])]
+    ambient = [t[3]]
+    u0, v0 = u, v
+    x0, y0, z0 = t[3]
     tu, tv = _tangent_dir(t)
     # Canonical initial orientation: dominant component positive.
     if (abs(tu) >= abs(tv) and tu < 0.0) or (abs(tu) < abs(tv) and tv < 0.0):
@@ -503,21 +509,21 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
             status = "corrector_stalled"
             break
         u, v, t = cu, cv, ct
-        pos = np.array(t[3])
-        chord = pos - ambient[-1]  # sqrt(x.x) is np.linalg.norm(x), 1-D x
-        chord_sum += math.sqrt(chord.dot(chord))
+        (x, y, z), (lx, ly, lz) = t[3], ambient[-1]
+        dx, dy, dz = x - lx, y - ly, z - lz
+        chord_sum += math.sqrt(dx * dx + dy * dy + dz * dz)
         verts.append((u, v))
         resid.append(t[0])
-        ambient.append(pos)
+        ambient.append(t[3])
         ntu, ntv = _tangent_dir(t)
         if ntu * tu + ntv * tv < 0.0:
             ntu, ntv = -ntu, -ntv
         tu, tv = ntu, ntv
         if step >= 10:
             mean_chord = chord_sum / step
-            param_dist = math.hypot(u - verts[0][0], v - verts[0][1])
-            back = pos - ambient[0]
-            amb_dist = math.sqrt(back.dot(back))
+            param_dist = math.hypot(u - u0, v - v0)
+            dx, dy, dz = x - x0, y - y0, z - z0
+            amb_dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if param_dist < 0.5 * h or amb_dist < 0.5 * mean_chord:
                 closed = True
                 status = "closed"
@@ -595,12 +601,13 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
     step_v = vertices[1][1] - vertices[0][1]
     sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0
 
-    accepted = []
     targets = [total * i / (count - 1) for i in range(count)]
-    for s in targets:
-        if not closed:
-            s = min(s, float(cum[-1]))
-        idx = int(np.searchsorted(cum, s, side="right")) - 1
+    if not closed:
+        targets = [min(s, total) for s in targets]
+    idxs = (np.searchsorted(cum, targets, side="right") - 1).tolist()
+    cum, segs, vertices = cum.tolist(), segs.tolist(), vertices.tolist()
+    accepted = []
+    for s, idx in zip(targets, idxs):
         if idx >= len(segs):
             if closed:
                 # Inside the closing chord.
@@ -614,8 +621,8 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
             den = segs[idx] if segs[idx] > 0.0 else 1.0
             frac = (s - cum[idx]) / den
             base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
-        u = float(base[0] + frac * (nxt[0] - base[0]))
-        v = float(base[1] + frac * (nxt[1] - base[1]))
+        u = base[0] + frac * (nxt[0] - base[0])
+        v = base[1] + frac * (nxt[1] - base[1])
         u, v, t = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
         if t is None or abs(t[0]) > LOCUS_TOL:
             continue

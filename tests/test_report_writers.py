@@ -1,9 +1,10 @@
-"""The JSON and CSV writers against the writers they replaced.
+"""The JSON, CSV and SVG writers against the writers they replaced.
 
 The oracles are the earlier implementations, kept verbatim: JSON went
 through a copy that re-parsed every float from its 17-digit form and then
 through ``json.dumps(sort_keys=True, indent=2)`` (the pure-Python encoder);
-CSV formatted one cell per call.  Both new writers must give the same bytes.
+CSV formatted one cell per call; the SVG polyline formatted one point per
+call.  The new writers must give the same bytes.
 """
 
 import json
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpcurves.report import fmt, to_json, write_csv, write_text
+from tpcurves.report import (fmt, parameter_plot_svg, to_json, write_csv,
+                             write_text)
 
 
 def _canonical(obj):
@@ -89,3 +91,56 @@ def test_write_csv_rejects_a_non_number(tmp_path):
         write_csv(tmp_path / "t.csv", ("index", "name"),
                   [(0, 1.5), (1, "x")])
     assert not (tmp_path / "t.csv").exists()
+
+
+def oracle_svg(u_range, v_range, polyline, seed=None, width=640, height=480):
+    margin = 40.0
+    u0, u1 = u_range
+    v0, v1 = v_range
+    su = (width - 2 * margin) / (u1 - u0)
+    sv = (height - 2 * margin) / (v1 - v0)
+
+    def px(u, v):
+        return (margin + (u - u0) * su,
+                height - margin - (v - v0) * sv)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{margin:.2f}" y="{margin:.2f}" '
+        f'width="{width - 2 * margin:.2f}" height="{height - 2 * margin:.2f}" '
+        'fill="none" stroke="#888" stroke-width="1"/>',
+    ]
+    if len(polyline):
+        points = " ".join(f"{x:.4f},{y:.4f}"
+                          for x, y in (px(u, v) for u, v in polyline))
+        parts.append(f'<polyline points="{points}" fill="none" '
+                     'stroke="#1f77b4" stroke-width="1.5"/>')
+    if seed is not None:
+        x, y = px(seed[0], seed[1])
+        parts.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="4" '
+                     'fill="#d62728"/>')
+    parts.append(
+        f'<text x="{margin:.2f}" y="{height - 12:.2f}" font-size="12" '
+        f'fill="#444">u: [{fmt(u0)}, {fmt(u1)}]  v: [{fmt(v0)}, {fmt(v1)}]'
+        '</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+COORDS = st.floats(-1e6, 1e6) | st.sampled_from(EDGE_FLOATS)
+
+
+@given(st.lists(st.tuples(COORDS, COORDS), max_size=40),
+       st.none() | st.tuples(COORDS, COORDS))
+@settings(max_examples=300, deadline=None)
+@example([], None)
+@example([], (0.5, 0.5))
+@example([(0.5, -0.25)], None)
+@example([(0.5, -0.25)], (0.5, -0.25))
+def test_parameter_plot_svg_matches_oracle(polyline, seed):
+    for u_range, v_range in (((0.0, 6.283185307179586), (-1.5, 1.5)),
+                             ((-5, 5), (0.25, 3.0))):
+        assert parameter_plot_svg(u_range, v_range, polyline, seed=seed) == \
+            oracle_svg(u_range, v_range, polyline, seed=seed)
