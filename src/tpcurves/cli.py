@@ -10,6 +10,7 @@ byte-identical CSV/JSON/SVG.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -249,7 +250,9 @@ def _parse_seed(raw):
         raise ConfigError(f"bad seed {raw!r}: {exc}") from exc
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="tpcurves",
         description="Differential geometry of curves on parametric surfaces "

@@ -30,9 +30,11 @@ at load time; unresolved names are load errors.
 """
 
 import configparser
+import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ConfigError, DomainError, EvalError, ExpressionError
 from .expr import parse_constant
@@ -59,11 +61,13 @@ class PairDef:
     kind: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
-    surfaces: dict = field(default_factory=dict)
-    curves: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
+    """A loaded scene: its surfaces, curves and pairs by name, read-only."""
+
+    surfaces: MappingProxyType
+    curves: MappingProxyType
+    pairs: MappingProxyType
     options: RunOptions = RunOptions()
     path: str = "<builtin>"
 
@@ -167,21 +171,20 @@ def load_scene_text(text, path="<string>"):
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
-    scene = SceneConfig(path=path)
-    options = {}
+    surfaces, curves, pairs, options = {}, {}, {}, {}
     for section in parser.sections():
         body = parser[section]
         try:
             if section.startswith("surface "):
                 name = _named(section)
-                scene.surfaces[name] = parse_surface(
+                surfaces[name] = parse_surface(
                     body["components"],
                     _range(body["u_range"], "u_range"),
                     _range(body["v_range"], "v_range"),
                     name=name)
             elif section.startswith("curve "):
                 name = _named(section)
-                scene.curves[name] = parse_curve(
+                curves[name] = parse_curve(
                     body["u"], body["v"],
                     _range(body["t_range"], "t_range"),
                     name=name, surface=body["surface"])
@@ -192,7 +195,7 @@ def load_scene_text(text, path="<string>"):
                     raise ConfigError(
                         f"kind must be {INTRINSIC} or {RIGID_ORIGIN_FIXING}, "
                         f"got {kind!r}")
-                scene.pairs[name] = PairDef(
+                pairs[name] = PairDef(
                     source=body["source"].strip(),
                     target=body["target"].strip(), kind=kind)
             elif section == "options":
@@ -212,28 +215,36 @@ def load_scene_text(text, path="<string>"):
             _fail(path, text, section, f"missing key {exc.args[0]!r}")
         except (ConfigError, ExpressionError, EvalError) as exc:
             _fail(path, text, section, str(exc))
-    scene.options = RunOptions(**options)
 
     # Resolve cross-references and check curve domains now, not at use time.
-    for name, curve in scene.curves.items():
-        if curve.surface not in scene.surfaces:
+    for name, curve in curves.items():
+        if curve.surface not in surfaces:
             _fail(path, text, f"curve {name}",
                   f"surface not found: {curve.surface}")
         try:
-            curve.check_on(scene.surfaces[curve.surface])
+            curve.check_on(surfaces[curve.surface])
         except (DomainError, EvalError) as exc:
             _fail(path, text, f"curve {name}", str(exc))
-    for name, pdef in scene.pairs.items():
+    for name, pdef in pairs.items():
         for ref in (pdef.source, pdef.target):
-            if ref not in scene.surfaces:
+            if ref not in surfaces:
                 _fail(path, text, f"pair {name}", f"surface not found: {ref}")
-    return scene
+    return SceneConfig(MappingProxyType(surfaces), MappingProxyType(curves),
+                       MappingProxyType(pairs), RunOptions(**options), path)
+
+
+@functools.cache
+def _builtin():
+    return load_scene_text(BUILTIN_SCENE_TEXT, "<builtin>")
 
 
 def load_scene(path=None):
-    """Load a scene file, or the built-in scene when no path is given."""
+    """Load a scene file, read and parsed on every call, or return the
+    built-in scene when no path is given: one read-only instance per
+    process, built on first use, so its patches' compiled kernels are
+    shared by every caller."""
     if path is None:
-        return load_scene_text(BUILTIN_SCENE_TEXT, "<builtin>")
+        return _builtin()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -243,6 +254,7 @@ def load_scene(path=None):
 
 
 def builtin_scene():
+    """The built-in scene: one shared, read-only instance per process."""
     return load_scene(None)
 
 

@@ -9,7 +9,9 @@ straight-line code generated per patch on first use).  A
 :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Patches and paths are immutable after construction and all evaluation is
-pure, so they are safe to use concurrently.
+pure, so they are safe to use concurrently.  On Python 3.12 and later,
+``cached_property`` takes no lock, so two threads may both compile a patch's
+kernel on first use; both get the same code, so this is harmless.
 """
 
 import math

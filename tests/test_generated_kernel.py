@@ -10,9 +10,10 @@ import math
 import struct
 
 import tpcurves.surface
-from tpcurves import builtin_scene, point_geometry, tangency_gradient
+from tpcurves import point_geometry, tangency_gradient
 from tpcurves.errors import DegeneratePoint, EvalError
 from tpcurves.expr import Binary, Const, Unary, Var
+from tpcurves.scene import BUILTIN_SCENE_TEXT, load_scene_text
 from tpcurves.surface import SurfacePatch
 
 
@@ -82,7 +83,8 @@ def test_kernel_is_compiled_on_first_use_and_once(monkeypatch):
         return compile_kernel(components)
 
     monkeypatch.setattr(tpcurves.surface, "compile_tangency_kernel", counted)
-    scene = builtin_scene()
+    # A fresh load: the shared built-in scene may have compiled kernels.
+    scene = load_scene_text(BUILTIN_SCENE_TEXT, "<builtin>")
     assert compiled == []
     patch = scene.surface("catenoid")
     for k in range(50):
