@@ -219,7 +219,7 @@ def compile_tangency_kernel(components):
             raise DegeneratePoint("EG - F^2 at or below the threshold")
         g = dot3(p, cross3(pu, pv)) / det.sqrt()
         return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
-    return straight_line(build, ("u", "v"))
+    return straight_line(build, ("u", "v"), Field2, arrays=False)
 
 
 def metric_fields(jet):

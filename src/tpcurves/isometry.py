@@ -145,9 +145,10 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     """Max |source - target| of each metric coefficient over the grid nodes
     where neither patch is degenerate, and the number of degenerate nodes.
 
-    Each patch is evaluated once, at all nodes together.  A NaN or inf
-    difference at any kept node makes that maximum NaN or inf, never 0, and
-    so does a grid on which no node is kept.
+    Each patch is evaluated once, at all nodes together, and a patch paired
+    with itself once in all.  A NaN or inf difference at any kept node makes
+    that maximum NaN or inf, never 0, and so does a grid on which no node
+    is kept.
     """
     m, n = grid
     us = np.repeat(np.linspace(u_range[0], u_range[1], m), n)
@@ -157,13 +158,13 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     worst = {}
     # Overflow and inf - inf pass silently, as they do in float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
-        for patch in (source, target):
+        for patch in (source,) if target is source else (source, target):
             E, F, G, _, _ = metric_fields(patch.jet_batch(us, vs))
             # PointGeometry's regularity test, at every node at once.
             degenerate |= E.f * G.f - F.f * F.f <= REGULARITY_THRESHOLD
             coeffs.append(_metric_coeffs(E, F, G))
         keep = ~degenerate
-        for key, a, b in zip(_METRIC_KEYS, *coeffs):
+        for key, a, b in zip(_METRIC_KEYS, coeffs[0], coeffs[-1]):
             diff = np.broadcast_to(np.abs(a - b), us.shape)[keep]
             # NaN when every node is degenerate: nothing was compared.
             worst[key] = float(diff.max()) if diff.size else math.nan
@@ -241,11 +242,13 @@ def invariance_report(pair, samples):
     because the metrics agree).  Geodesic curvature is computed
     intrinsically on both sides, so it stays defined even where the
     ambient frame degenerates.  Each side is one PointGeometry over all
-    samples; the report keeps the pair in ``geometry``.
+    samples, one for both sides when the pair is a patch and itself; the
+    report keeps the pair in ``geometry``.
     """
     s = stack_samples(samples)
     src = point_geometry(pair.source, s.u, s.v)
-    tgt = point_geometry(pair.target, s.u, s.v)
+    tgt = (src if pair.target is pair.source
+           else point_geometry(pair.target, s.u, s.v))
     t = transfer_sample(tgt, s)
     rho_src = ambient_dot(s.gamma, s.gamma)
     rho_tgt = ambient_dot(t.gamma, t.gamma)

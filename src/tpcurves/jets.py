@@ -27,12 +27,15 @@ Coefficients are floats, or 1-D numpy arrays with one entry per node of a
 batch (constant coefficients may stay floats).  The same arithmetic then
 evaluates every node at once, and gives at each node the bits that the
 float path gives, or raises the error the float path raises there.
-:func:`straight_line` records one float evaluation, ring arithmetic
-included, as straight-line Python code that runs with no ring objects:
-a value used once is written into its use, to a depth cap, and the rest
-are named.
+:func:`straight_line` records one evaluation, ring arithmetic included,
+on a twin of a ring, as straight-line Python code that runs with no ring
+objects: a value used once is written into its use, to a depth cap, and
+the rest are named.  It renders a float program (the tracer's kernel) or
+an array program over 1-D arrays of nodes (the batched jets), whose
+singular tests hold at any node and whose ``math`` runs node by node.
 """
 
+import functools
 import math
 from collections import Counter
 from itertools import chain, combinations, product, repeat
@@ -310,6 +313,7 @@ def _ring(name, nvars, order, names, doc):
     """The jet ring ``name``: scalar functions of ``nvars`` variables
     through ``order``, with coefficients ``names`` in :func:`_indices`
     order, its arithmetic unrolled into straight-line code."""
+    spec = (name, nvars, order, names, doc)
     names = names.split()
     at = dict(zip(_indices(nvars, order), names))
     rank = {alpha: i for i, alpha in enumerate(at)}
@@ -361,7 +365,7 @@ def _ring(name, nvars, order, names, doc):
     scope = {"_Taylor": _Taylor, "__name__": __name__}
     exec(source, scope)
     ring = scope[name]
-    ring._at = at
+    ring._at, ring._spec = at, spec
     return ring
 
 
@@ -484,11 +488,14 @@ class _Traced:
         return self.record("{} == {}", self.name, str(other), guard=True)
 
 
-# Recording runs on a twin of Field2 (same source, own code objects): CPython
-# runs a float operation in a faster form once it has seen only floats there,
-# which may keep the other NaN of two, so recording on the tree walk's own
-# ring would change its NaN bits.
-_RECORDING_FIELD2, _ = _fields()
+@functools.cache
+def _twin(ring):
+    """The twin of ``ring`` that :func:`straight_line` records on: the same
+    source with its own code objects, built on first use.  CPython runs a
+    float operation in a faster form once it has seen only floats there,
+    which may keep the other NaN of two, so recording on the tree walk's
+    own ring would change its NaN bits."""
+    return _fields()[0] if ring is Field2 else _ring(*ring._spec)
 
 
 # Nesting at which a value is named even when used once: CPython's
@@ -527,16 +534,26 @@ def _render(lines, leaves):
     return body
 
 
-def straight_line(build, params):
-    """``build(field2, *params)``, floats and Field2 arithmetic returning
-    floats in nested tuples, as straight-line float code in ``params``.
+def straight_line(build, params, ring, *, arrays):
+    """``build(twin, *params)``, floats and the arithmetic of ``twin``, the
+    recording twin of ``ring``, returning floats in nested tuples, as
+    straight-line code in ``params``.
 
     ``build`` runs once, over traced inputs; :func:`_render` then writes
     each value used once into its use (to a depth cap) and names the rest.
     The program gives its bits, and returns None where it raises (at its
     singular tests, where ``math`` or a division raises, everywhere if a
-    constant subtree raises) and where a result is NaN, whose bits only
-    ``build`` gives (so 'nan' may stand for any NaN constant)."""
+    constant subtree raises).
+
+    With ``arrays`` false the params are floats, and the program also
+    returns None where a result is NaN, whose bits only ``build`` gives
+    (so 'nan' may stand for any NaN constant).  With ``arrays`` true they
+    are 1-D arrays of nodes, as in a batched tree walk: a singular test
+    holds if it holds at any node, ``math`` runs node by node
+    (``_NODE_MATH``), and the program runs under the batched tree walk's
+    error states (overflow and invalid pass, a division by zero raises).
+    It has no NaN test, since numpy gives both the same NaN at a node; a
+    NaN constant in the recording makes a program that returns None."""
     lines, names, leaves = [], {}, []
 
     def render(out):
@@ -546,16 +563,27 @@ def straight_line(build, params):
         return leaves[-1]
 
     try:
-        out = render(build(_RECORDING_FIELD2,
+        out = render(build(_twin(ring),
                            *(_Traced(lines, names, p) for p in params)))
-        body = _render(lines, leaves) + [
-            "if " + " or ".join(f"{x} != {x}" for x in leaves)
-            + ": return None", "return " + out]
+        if not arrays:
+            body = _render(lines, leaves) + [
+                "if " + " or ".join(f"{x} != {x}" for x in leaves)
+                + ": return None", "return " + out]
+        elif "nan" in chain(leaves, *(x for _, _, x in lines)):
+            body = ["return None"]
+        else:
+            lines = [(name, template if name else "_any(" + template + ")",
+                      operands) for name, template, operands in lines]
+            body = _render(lines, leaves) + ["return " + out]
     except GeometryError:
         body = ["return None"]
     scope = {**vars(math), "__name__": __name__}  # math, inf and nan
+    if arrays:
+        scope.update(vars(_NODE_MATH), _any=_any, _errstate=np.errstate)
+        body = ['with _errstate(over="ignore", invalid="ignore", '
+                'divide="raise"):', *("    " + line for line in body)]
     exec("\n".join([f"def program({', '.join(params)}):", "    try:",
                      *("        " + line for line in body),
                      "    except (ArithmeticError, ValueError):",
                      "        return None"]), scope)
-    return scope.pop("program")  # no cycle: it goes with its patch
+    return scope.pop("program")  # no cycle: it goes with its owner

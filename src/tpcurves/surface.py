@@ -8,10 +8,19 @@ tree walk behind the tracer's kernel, :attr:`SurfacePatch.tangency_kernel`,
 straight-line code generated per patch on first use).  A
 :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
+Batched jets run generated code as well: :meth:`SurfacePatch.jet_batch`
+one straight-line array program per patch, and the batched
+:func:`ambient_jet` one per patch and curve (the curve's u(t), v(t)
+included), each recorded on first use by
+:func:`~tpcurves.jets.straight_line` and cached on the patch.  The tree
+walk over Jet2 and Jet1 arrays stays as their oracle and their error path;
+the per-point ``jet``, ``jet_order2`` and ``value`` walk the trees.
+
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
 ``cached_property`` takes no lock, so two threads may both compile a patch's
-kernel on first use; both get the same code, so this is harmless.
+kernel or program on first use; both get the same code, so this is
+harmless.
 """
 
 import math
@@ -24,7 +33,7 @@ import numpy as np
 from . import expr
 from .errors import DomainError
 from .forms import compile_tangency_kernel
-from .jets import Field2, Jet1, Jet2
+from .jets import Field2, Jet1, Jet2, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
            "parse_surface", "parse_curve"]
@@ -79,6 +88,26 @@ class SurfacePatch:
         compiled on first use."""
         return compile_tangency_kernel(self.components)
 
+    @cached_property
+    def _jet_program(self):
+        """:func:`_compile_jet_program` of this patch, compiled on first
+        use."""
+        return _compile_jet_program(self.components)
+
+    @cached_property
+    def _ambient_programs(self):
+        # id(curve) -> (curve, program); holding the curve keeps its id.
+        return {}
+
+    def _ambient_program(self, curve):
+        """:func:`_compile_ambient_program` of this patch and ``curve``,
+        compiled on first use."""
+        entry = self._ambient_programs.get(id(curve))
+        if entry is None:
+            entry = self._ambient_programs[id(curve)] = (
+                curve, _compile_ambient_program(self.components, curve))
+        return entry[1]
+
     def _require_inside(self, u, v):
         if not self.contains(u, v):
             raise DomainError(
@@ -111,7 +140,9 @@ class SurfacePatch:
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
-        pass over the expression trees.
+        pass: the patch's generated array program
+        (:func:`_compile_jet_program`), or the tree walk where that returns
+        None.
 
         The result's ``u`` and ``v`` are the node arrays and its derivative
         arrays have shape (3, nodes); each node's column carries the bits
@@ -125,22 +156,64 @@ class SurfacePatch:
         if not inside.all():
             first = int(np.argmin(inside))
             self._require_inside(u[first], v[first])
-        env = {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}
-        # Python floats overflow to inf and NaN without a word; so do these.
-        with np.errstate(over="ignore", invalid="ignore"):
-            comps = tuple(expr.evaluate(c, env, Jet2.const)
-                          for c in self.components)
-
-        def arr(attr):
-            out = np.empty((3, len(u)))
-            for row, c in zip(out, comps):
-                row[...] = getattr(c, attr)  # broadcasts a float coefficient
-            return out
-
-        return _surface_jet(u, v, comps, arr)
+        out = self._jet_program(u, v)
+        if out is None:  # the tree walk raises its first failing node's error
+            comps = _tree_walk(self.components,
+                               {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
+                               Jet2)
+        else:
+            comps = tuple(Jet2(*c) for c in out)
+        return _surface_jet(u, v, comps,
+                            lambda attr: _stack(comps, attr, len(u)))
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
+
+
+def _tree_walk(components, env, ring):
+    """The trees over ``ring`` at arrays of nodes in ``env``: the oracle and
+    the error path of the generated array programs."""
+    # Python floats overflow to inf and NaN without a word; so do these.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(expr.evaluate(c, env, ring.const) for c in components)
+
+
+def _stack(comps, attr, nodes):
+    """Coefficient ``attr`` of three component jets as a (3, nodes) array."""
+    out = np.empty((3, nodes))
+    for row, c in zip(out, comps):
+        row[...] = getattr(c, attr)  # broadcasts a float coefficient
+    return out
+
+
+def _coeffs(jet):
+    return tuple(getattr(jet, name) for name in jet.__slots__)
+
+
+def _compile_jet_program(components):
+    """Straight-line array code ``(u, v) -> coefficients`` or None: the
+    coefficients of the component trees over Jet2 at 1-D arrays of nodes,
+    recorded by :func:`~tpcurves.jets.straight_line`.  Where it returns
+    None, the tree walk over Jet2 arrays, its oracle, raises its error."""
+    def build(jet2, u, v):
+        env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
+        return tuple(_coeffs(expr.evaluate(c, env, jet2.const))
+                     for c in components)
+    return straight_line(build, ("u", "v"), Jet2, arrays=True)
+
+
+def _compile_ambient_program(components, curve):
+    """Straight-line array code ``t -> coefficients`` or None: the curve's
+    u(t), v(t) over Jet1, then the component trees over them, at a 1-D
+    array of nodes, as :func:`_compile_jet_program` records them."""
+    def build(jet1, t):
+        env = {"t": jet1(t, d1=1.0)}
+        u = expr.evaluate(curve.u_component, env, jet1.const)
+        v = expr.evaluate(curve.v_component, env, jet1.const)
+        env = {"u": u, "v": v}
+        return (_coeffs(u), _coeffs(v), *(
+            _coeffs(expr.evaluate(c, env, jet1.const)) for c in components))
+    return straight_line(build, ("t",), Jet1, arrays=True)
 
 
 def _surface_jet(u, v, comps, arr):
@@ -210,14 +283,9 @@ class CurvePath:
                 u=expr.evaluate(self.u_component, env, Jet1.const),
                 v=expr.evaluate(self.v_component, env, Jet1.const),
             )
-        env = {"t": Jet1(t, d1=1.0)}
-        # Python floats overflow to inf and NaN without a word; so do these.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return CurveJet(
-                t=t,
-                u=expr.evaluate(self.u_component, env, Jet1.const),
-                v=expr.evaluate(self.v_component, env, Jet1.const),
-            )
+        u, v = _tree_walk((self.u_component, self.v_component),
+                          {"t": Jet1(t, d1=1.0)}, Jet1)
+        return CurveJet(t=t, u=u, v=v)
 
     def check_on(self, patch, samples=129):
         """Verify that the path stays inside the patch domain.
@@ -269,8 +337,8 @@ def ambient_jet(patch, curve, t):
     then have shape (3, nodes), each column with the bits of the float call
     at that node, and the first node off the patch domain raises.
     """
-    cj = curve.jet(t)
     if not isinstance(t, np.ndarray):
+        cj = curve.jet(t)
         if not patch.contains(cj.u.f, cj.v.f):
             raise DomainError(
                 f"curve point ({cj.u.f}, {cj.v.f}) at t={t} outside domain "
@@ -284,6 +352,12 @@ def ambient_jet(patch, curve, t):
         d3 = np.array([c.d3 for c in comps])
         return cj, gamma, d1, d2, d3
 
+    curve._require_inside(t)
+    out = patch._ambient_program(curve)(t)
+    if out is None:  # the tree walk raises its first failing node's error
+        cj = curve.jet(t)
+    else:
+        cj = CurveJet(t=t, u=Jet1(*out[0]), v=Jet1(*out[1]))
     u = np.broadcast_to(cj.u.f, t.shape)
     v = np.broadcast_to(cj.v.f, t.shape)
     inside = patch.contains(u, v)
@@ -292,15 +366,8 @@ def ambient_jet(patch, curve, t):
         raise DomainError(
             f"curve point ({u[i]}, {v[i]}) at t={t[i]} outside domain "
             f"of '{patch.name}'")
-    env = {"u": cj.u, "v": cj.v}
-    with np.errstate(over="ignore", invalid="ignore"):
-        comps = tuple(expr.evaluate(c, env, Jet1.const)
-                      for c in patch.components)
-
-    def arr(attr):
-        out = np.empty((3, len(t)))
-        for row, c in zip(out, comps):
-            row[...] = getattr(c, attr)  # broadcasts a float coefficient
-        return out
-
-    return cj, arr("f"), arr("d1"), arr("d2"), arr("d3")
+    if out is None:
+        comps = _tree_walk(patch.components, {"u": cj.u, "v": cj.v}, Jet1)
+    else:
+        comps = tuple(Jet1(*c) for c in out[2:])
+    return cj, *(_stack(comps, attr, len(t)) for attr in Jet1.__slots__)
