@@ -51,8 +51,11 @@ __all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3",
 
 
 def _per_node(fn):
-    """``fn`` from ``math`` applied node by node to a 1-D array."""
+    """``fn`` from ``math`` applied node by node to a 1-D array, or at a
+    float."""
     def apply(w, *args):
+        if isinstance(w, float):
+            return fn(w, *args)
         return np.fromiter(map(fn, w.tolist(), *map(repeat, args)),
                            float, len(w))
     return apply
@@ -62,8 +65,10 @@ def _per_node(fn):
 # power differ from libm in the last place, so every transcendental call goes
 # through ``math`` once per node: batched jets then equal scalar jets bit for
 # bit, and raise where ``math`` raises.  numpy's sqrt is correctly rounded.
+# A float, which an array program meets where a coefficient that it takes is
+# the same at every node, goes to ``math`` as it does in the tree walk.
 _NODE_MATH = SimpleNamespace(
-    sqrt=np.sqrt,
+    sqrt=lambda w: math.sqrt(w) if isinstance(w, float) else np.sqrt(w),
     **{name: _per_node(getattr(math, name))
        for name in ("sin", "cos", "sinh", "cosh", "tanh", "exp", "log",
                     "pow")})
@@ -542,18 +547,20 @@ def straight_line(build, params, ring, *, arrays):
     ``build`` runs once, over traced inputs; :func:`_render` then writes
     each value used once into its use (to a depth cap) and names the rest.
     The program gives its bits, and returns None where it raises (at its
-    singular tests, where ``math`` or a division raises, everywhere if a
-    constant subtree raises).
+    singular tests, and where ``math`` or a division raises).
 
     With ``arrays`` false the params are floats, and the program also
-    returns None where a result is NaN, whose bits only ``build`` gives
-    (so 'nan' may stand for any NaN constant).  With ``arrays`` true they
-    are 1-D arrays of nodes, as in a batched tree walk: a singular test
-    holds if it holds at any node, ``math`` runs node by node
-    (``_NODE_MATH``), and the program runs under the batched tree walk's
-    error states (overflow and invalid pass, a division by zero raises).
-    It has no NaN test, since numpy gives both the same NaN at a node; a
-    NaN constant in the recording makes a program that returns None."""
+    returns None where a result is NaN, whose bits only ``build`` gives (so
+    'nan' may stand for any NaN constant), and everywhere if a constant
+    subtree raises.  With ``arrays`` true they are 1-D arrays of nodes, or
+    floats where a value is the same at every node, as in a batched tree
+    walk: a singular test holds if it holds at any node, ``math`` runs node
+    by node (``_NODE_MATH``), and the program runs under the batched tree
+    walk's error states (overflow and invalid pass, a division by zero
+    raises).  It has no NaN test, since numpy gives both the same NaN at a
+    node; a recording that meets a NaN constant, or a constant subtree that
+    raises, gives no program but None: the batched tree walk alone gives
+    those NaN bits and that error."""
     lines, names, leaves = [], {}, []
 
     def render(out):
@@ -570,12 +577,14 @@ def straight_line(build, params, ring, *, arrays):
                 "if " + " or ".join(f"{x} != {x}" for x in leaves)
                 + ": return None", "return " + out]
         elif "nan" in chain(leaves, *(x for _, _, x in lines)):
-            body = ["return None"]
+            return None
         else:
             lines = [(name, template if name else "_any(" + template + ")",
                       operands) for name, template, operands in lines]
             body = _render(lines, leaves) + ["return " + out]
     except GeometryError:
+        if arrays:
+            return None
         body = ["return None"]
     scope = {**vars(math), "__name__": __name__}  # math, inf and nan
     if arrays:

@@ -10,11 +10,12 @@ straight-line code generated per patch on first use).  A
 
 Batched jets run generated code as well: :meth:`SurfacePatch.jet_batch`
 one straight-line array program per patch, and the batched
-:func:`ambient_jet` one per patch and curve (the curve's u(t), v(t)
-included), each recorded on first use by
+:func:`ambient_jet` another per patch, which takes the coefficients of
+any curve's jets u(t), v(t); each is recorded on first use by
 :func:`~tpcurves.jets.straight_line` and cached on the patch.  The tree
 walk over Jet2 and Jet1 arrays stays as their oracle and their error path;
-the per-point ``jet``, ``jet_order2`` and ``value`` walk the trees.
+the per-point ``jet``, ``jet_order2`` and ``value`` and the curve's own
+u(t), v(t) walk the trees.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
@@ -95,18 +96,10 @@ class SurfacePatch:
         return _compile_jet_program(self.components)
 
     @cached_property
-    def _ambient_programs(self):
-        # id(curve) -> (curve, program); holding the curve keeps its id.
-        return {}
-
-    def _ambient_program(self, curve):
-        """:func:`_compile_ambient_program` of this patch and ``curve``,
-        compiled on first use."""
-        entry = self._ambient_programs.get(id(curve))
-        if entry is None:
-            entry = self._ambient_programs[id(curve)] = (
-                curve, _compile_ambient_program(self.components, curve))
-        return entry[1]
+    def _ambient_program(self):
+        """:func:`_compile_ambient_program` of this patch, compiled on first
+        use."""
+        return _compile_ambient_program(self.components)
 
     def _require_inside(self, u, v):
         if not self.contains(u, v):
@@ -141,8 +134,8 @@ class SurfacePatch:
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
         pass: the patch's generated array program
-        (:func:`_compile_jet_program`), or the tree walk where that returns
-        None.
+        (:func:`_compile_jet_program`), or the tree walk where there is
+        none or it returns None.
 
         The result's ``u`` and ``v`` are the node arrays and its derivative
         arrays have shape (3, nodes); each node's column carries the bits
@@ -156,18 +149,23 @@ class SurfacePatch:
         if not inside.all():
             first = int(np.argmin(inside))
             self._require_inside(u[first], v[first])
-        out = self._jet_program(u, v)
-        if out is None:  # the tree walk raises its first failing node's error
-            comps = _tree_walk(self.components,
-                               {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
-                               Jet2)
-        else:
-            comps = tuple(Jet2(*c) for c in out)
+        comps = _run(self._jet_program, (u, v), self.components,
+                     {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}, Jet2)
         return _surface_jet(u, v, comps,
                             lambda attr: _stack(comps, attr, len(u)))
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
+
+
+def _run(program, args, components, env, ring):
+    """The component jets over ``ring`` at arrays of nodes: ``program(*args)``,
+    or the tree walk in ``env`` where there is no program or it returns
+    None, which then raises its first failing node's error."""
+    out = None if program is None else program(*args)
+    if out is None:
+        return _tree_walk(components, env, ring)
+    return tuple(ring(*c) for c in out)
 
 
 def _tree_walk(components, env, ring):
@@ -193,8 +191,9 @@ def _coeffs(jet):
 def _compile_jet_program(components):
     """Straight-line array code ``(u, v) -> coefficients`` or None: the
     coefficients of the component trees over Jet2 at 1-D arrays of nodes,
-    recorded by :func:`~tpcurves.jets.straight_line`.  Where it returns
-    None, the tree walk over Jet2 arrays, its oracle, raises its error."""
+    recorded by :func:`~tpcurves.jets.straight_line`, or None where it
+    gives no program.  Where there is none or it returns None, the tree
+    walk over Jet2 arrays, its oracle, raises its error."""
     def build(jet2, u, v):
         env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
         return tuple(_coeffs(expr.evaluate(c, env, jet2.const))
@@ -202,18 +201,18 @@ def _compile_jet_program(components):
     return straight_line(build, ("u", "v"), Jet2, arrays=True)
 
 
-def _compile_ambient_program(components, curve):
-    """Straight-line array code ``t -> coefficients`` or None: the curve's
-    u(t), v(t) over Jet1, then the component trees over them, at a 1-D
-    array of nodes, as :func:`_compile_jet_program` records them."""
-    def build(jet1, t):
-        env = {"t": jet1(t, d1=1.0)}
-        u = expr.evaluate(curve.u_component, env, jet1.const)
-        v = expr.evaluate(curve.v_component, env, jet1.const)
-        env = {"u": u, "v": v}
-        return (_coeffs(u), _coeffs(v), *(
-            _coeffs(expr.evaluate(c, env, jet1.const)) for c in components))
-    return straight_line(build, ("t",), Jet1, arrays=True)
+def _compile_ambient_program(components):
+    """Straight-line array code or None, as :func:`_compile_jet_program`
+    records it: the coefficients of the component trees over Jet1 at the
+    coefficients of a curve's jets u(t), v(t) (each a 1-D array of nodes,
+    or a float where it is the same at every node), so one program serves
+    every curve on the patch."""
+    def build(jet1, *coeffs):
+        env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
+        return tuple(_coeffs(expr.evaluate(c, env, jet1.const))
+                     for c in components)
+    params = [x + name for x in "uv" for name in Jet1.__slots__]
+    return straight_line(build, params, Jet1, arrays=True)
 
 
 def _surface_jet(u, v, comps, arr):
@@ -337,8 +336,8 @@ def ambient_jet(patch, curve, t):
     then have shape (3, nodes), each column with the bits of the float call
     at that node, and the first node off the patch domain raises.
     """
+    cj = curve.jet(t)
     if not isinstance(t, np.ndarray):
-        cj = curve.jet(t)
         if not patch.contains(cj.u.f, cj.v.f):
             raise DomainError(
                 f"curve point ({cj.u.f}, {cj.v.f}) at t={t} outside domain "
@@ -352,12 +351,6 @@ def ambient_jet(patch, curve, t):
         d3 = np.array([c.d3 for c in comps])
         return cj, gamma, d1, d2, d3
 
-    curve._require_inside(t)
-    out = patch._ambient_program(curve)(t)
-    if out is None:  # the tree walk raises its first failing node's error
-        cj = curve.jet(t)
-    else:
-        cj = CurveJet(t=t, u=Jet1(*out[0]), v=Jet1(*out[1]))
     u = np.broadcast_to(cj.u.f, t.shape)
     v = np.broadcast_to(cj.v.f, t.shape)
     inside = patch.contains(u, v)
@@ -366,8 +359,6 @@ def ambient_jet(patch, curve, t):
         raise DomainError(
             f"curve point ({u[i]}, {v[i]}) at t={t[i]} outside domain "
             f"of '{patch.name}'")
-    if out is None:
-        comps = _tree_walk(patch.components, {"u": cj.u, "v": cj.v}, Jet1)
-    else:
-        comps = tuple(Jet1(*c) for c in out[2:])
+    comps = _run(patch._ambient_program, _coeffs(cj.u) + _coeffs(cj.v),
+                 patch.components, {"u": cj.u, "v": cj.v}, Jet1)
     return cj, *(_stack(comps, attr, len(t)) for attr in Jet1.__slots__)

@@ -1,16 +1,19 @@
 """When batched-jet programs are compiled, and sweeps of a patch paired
 with itself.
 
-``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` compile one
-array program per patch (per patch and curve) on first use, recorded on
-twin rings that are built on the first compile, not at import; the shared
-built-in scene then reuses them in every later op of the process.
+``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` each compile one
+array program per patch on first use (the latter serves every curve on
+the patch), recorded on twin rings that are built on the first compile,
+not at import; the shared built-in scene then reuses them in every later
+op of the process, and a curve used once compiles nothing.
 """
 
 import functools
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +21,12 @@ import pytest
 
 import tpcurves
 import tpcurves.surface
-from tpcurves import builtin_scene, cli, point_geometry
+from tpcurves import builtin_scene, cli, parse_curve, point_geometry
 from tpcurves import scene as scene_module
 from tpcurves.curves import reparametrize_arclength
 from tpcurves.isometry import invariance_report
 from tpcurves.scene import BUILTIN_SCENE_TEXT
-from tpcurves.surface import SurfacePatch
+from tpcurves.surface import SurfacePatch, ambient_jet
 
 
 @pytest.fixture
@@ -53,7 +56,7 @@ def test_loading_the_scene_compiles_nothing():
         "from tpcurves import jets\n"
         "scene = tpcurves.builtin_scene()\n"
         "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
-        "          if name in ('_jet_program', '_ambient_programs',\n"
+        "          if name in ('_jet_program', '_ambient_program',\n"
         "                      'tangency_kernel')]\n"
         "print(jets._twin.cache_info().currsize, cached)\n")
     env = {**os.environ,
@@ -88,6 +91,21 @@ def test_config_patch_compiles_its_own_program(tmp_path, compiled, capsys):
     scene = builtin_scene()
     assert compiled == [scene.surface("catenoid").components,
                         scene.surface("helicoid").components]
+
+
+def test_a_discarded_curve_leaves_nothing_on_a_builtin_patch():
+    scene = builtin_scene()
+    patch = scene.surface("catenoid")
+    ts = np.linspace(0.0, 1.0, 9)
+    ambient_jet(patch, scene.curve("catenoid_line"), ts)
+    before = dict(vars(patch))
+    curve = parse_curve("0.5 + t", "0.25 * t", (0.0, 1.0))
+    ambient_jet(patch, curve, ts)  # runs the patch's program
+    gone = weakref.ref(curve)
+    del curve
+    gc.collect()
+    assert gone() is None
+    assert vars(patch) == before
 
 
 def test_identity_pair_evaluates_its_patch_once(scene, monkeypatch):

@@ -1,8 +1,9 @@
 """Batched jets as generated array programs, against the tree walk.
 
 ``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` run straight-line
-array code recorded per patch (and per curve); the tree walk over Jet2 and
-Jet1 arrays is their oracle and their error path.  Each coefficient must
+array code recorded per patch (the latter over the coefficients of a
+curve's jets u(t), v(t)); the tree walk over Jet2 and Jet1 arrays is their
+oracle and their error path.  Each coefficient must
 have the tree walk's bits at every node and stay a float where the tree
 walk keeps a float; a batch with a failing node raises the tree walk's
 error, type and text.
@@ -28,6 +29,14 @@ def tree_walk(patch, u, v):
                      for c in patch.components)
 
 
+def curve_coeffs(curve, t):
+    """The arguments of a patch's ambient program: the coefficients of the
+    curve's jets u(t), v(t)."""
+    cj = curve.jet(t)
+    return [getattr(jet, name) for jet in (cj.u, cj.v)
+            for name in Jet1.__slots__]
+
+
 def ambient_tree_walk(patch, curve, t):
     """u(t), v(t) and the component jets of the batched ``ambient_jet``,
     walking the trees over Jet1."""
@@ -44,6 +53,23 @@ def outcome(fn):
         return fn()
     except (EvalError, DomainError) as exc:
         return type(exc), str(exc)
+
+
+def raised(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+def program_output(program, args, want):
+    """``program(*args)``, which must give jets where the tree walk gave
+    ``want``.  Only a recording that met a NaN constant gives no program,
+    and then some coefficient of ``want`` is NaN at every node."""
+    if program is None:
+        assert any(np.isnan(getattr(c, name)).all()
+                   for c in want for name in type(c).__slots__)
+        return None
+    out = program(*args)
+    assert out is not None  # no guard gave way at nodes the tree walk took
+    return out
 
 
 def assert_same_coeffs(got, want, nan_bits=True):
@@ -68,6 +94,7 @@ def test_jet_batch_has_the_tree_walks_bits_on_builtin_surfaces(scene):
     for name, patch in scene.surfaces.items():
         u = rng.uniform(*patch.u_range, 300)
         v = rng.uniform(*patch.v_range, 300)
+        assert patch._jet_program is not None, name
         assert patch._jet_program(u, v) is not None, name  # no fallback
         assert_same_coeffs(patch.jet_batch(u, v).components,
                            tree_walk(patch, u, v))
@@ -77,7 +104,9 @@ def test_ambient_jet_has_the_tree_walks_bits_on_builtin_curves(scene):
     for name, curve in scene.curves.items():
         patch = scene.surface(curve.surface)
         t = np.linspace(*curve.t_range, 240)
-        out = patch._ambient_program(curve)(t)
+        program = patch._ambient_program
+        assert program is not None, name
+        out = program(*curve_coeffs(curve, t))
         assert out is not None, name  # no fallback
         cj, gamma, d1, d2, d3 = ambient_jet(patch, curve, t)
         want = ambient_tree_walk(patch, curve, t)
@@ -86,7 +115,7 @@ def test_ambient_jet_has_the_tree_walks_bits_on_builtin_curves(scene):
                          for k in ("f", "d1", "d2", "d3") for c in want[2:]])
         assert rows.view(np.int64).tolist() == \
             np.concatenate([gamma, d1, d2, d3]).view(np.int64).tolist(), name
-        assert_same_coeffs([Jet1(*c) for c in out[2:]], want[2:])
+        assert_same_coeffs([Jet1(*c) for c in out], want[2:])
 
 
 # Nodes at which most trees evaluate, and nodes at which many fail.
@@ -105,42 +134,46 @@ def patch_of(components):
 @settings(max_examples=150, deadline=None)
 def test_jet_batch_matches_the_tree_walk_on_random_trees(components):
     patch = patch_of(components)
+    program = patch._jet_program
     for u, v in (POSITIVE, MIXED):
         got = outcome(lambda: patch.jet_batch(u, v).components)
         want = outcome(lambda: tree_walk(patch, u, v))
-        if isinstance(want, tuple) and isinstance(want[0], type):
+        if raised(want):
             assert got == want  # the same error
-            assert patch._jet_program(u, v) is None
+            assert program is None or program(u, v) is None
         else:
+            # jet_batch ran the program wherever there is one.
+            program_output(program, (u, v), want)
             assert_same_coeffs(got, want, nan_bits=False)
 
 
 def test_a_nan_constant_leaves_the_batch_to_the_tree_walk():
     # inf * 0.0 among the constant coefficients: a NaN whose bits only the
-    # tree walk gives, so the patch gets a program that always gives way.
+    # tree walk gives, so the patch gets no program.
     patch = parse_surface("(u, v, u * (1e200 * 1e200))", (-3, 3), (-3, 3))
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
     assert np.isnan(want[2].fuu).all()
-    assert patch._jet_program(u, v) is None
+    assert patch._jet_program is None
     assert_same_coeffs(patch.jet_batch(u, v).components, want)
-
-
-CURVE = parse_curve("0.5 + t", "1.5 - t*t/2", (-1.0, 1.5))
 
 
 @given(st.lists(_trees(), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_ambient_jet_matches_the_tree_walk_on_random_trees(components):
     patch = patch_of(components)
+    curve = parse_curve("0.5 + t", "1.5 - t*t/2", (-1.0, 1.5))
     t = np.linspace(-1.0, 1.5, 11)
-    want = outcome(lambda: ambient_tree_walk(patch, CURVE, t))
-    out = patch._ambient_program(CURVE)(t)
-    if isinstance(want, tuple) and isinstance(want[0], type):
-        assert out is None
-        assert outcome(lambda: ambient_jet(patch, CURVE, t)) == want
-    elif out is not None:
-        assert_same_coeffs([Jet1(*c) for c in out], want, nan_bits=False)
+    want = outcome(lambda: ambient_tree_walk(patch, curve, t))
+    program = patch._ambient_program
+    if raised(want):
+        assert program is None or program(*curve_coeffs(curve, t)) is None
+        assert outcome(lambda: ambient_jet(patch, curve, t)) == want
+    else:
+        out = program_output(program, curve_coeffs(curve, t), want[2:])
+        if out is not None:
+            assert_same_coeffs([Jet1(*c) for c in out], want[2:],
+                               nan_bits=False)
 
 
 # Each batch has one failing node, the third; the texts are those the
