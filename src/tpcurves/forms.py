@@ -26,6 +26,15 @@ the position-vector decomposition as order-2 fields, and the forms and
 connection symbols built on first use (:func:`first_form` is its
 ``form``).  Over a batched jet it is the record of a whole curve or grid,
 every field an array over the nodes.
+
+Two straight-line programs per patch are recorded here from one builder,
+the component trees over Field2 lowered to order-1 position and partials
+with E, F, G over them: the tracer's float kernel
+(:func:`compile_tangency_kernel`: g and its gradient, order 2) and the
+metric program of a grid sweep (:func:`compile_metric_program`: E, F, G
+and their first derivatives, order 2).  The third per-patch program, the
+order-3 jet program behind batched records, is in
+:mod:`~tpcurves.surface`.
 """
 
 from dataclasses import dataclass
@@ -41,7 +50,8 @@ __all__ = [
     "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
-    "compile_tangency_kernel", "REGULARITY_THRESHOLD",
+    "compile_tangency_kernel", "compile_metric_program",
+    "metric_coefficients", "REGULARITY_THRESHOLD",
 ]
 
 # Below this EG - F^2, normalization amplifies noise past every stated
@@ -203,17 +213,44 @@ def tangency_gradient(patch, u, v):
     return out
 
 
+def _order1_metric(field2, components, u, v):
+    """The component trees over ``field2`` at (u, v), lowered to order-1
+    fields: the position p and the partials phi_u, phi_v, with E, F, G
+    over them.  Ring-generic: the tangency kernel and the metric program
+    are recorded from it, and over Field2 at arrays of nodes it is the
+    metric program's oracle and error path."""
+    env = {"u": field2(u, fu=1.0), "v": field2(v, fv=1.0)}
+    phi = [expr.evaluate(c, env, field2.const) for c in components]
+    p = [c.lower() for c in phi]
+    pu = [c.du() for c in phi]
+    pv = [c.dv() for c in phi]
+    return p, pu, pv, dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+
+
+def metric_coefficients(field2, components, u, v):
+    """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v of the component trees over
+    ``field2`` at (u, v): second partials of phi at most."""
+    E, F, G = _order1_metric(field2, components, u, v)[3:]
+    return E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv
+
+
+def compile_metric_program(components):
+    """Straight-line array code ``(u, v) -> metric_coefficients`` or None,
+    recorded by :func:`~tpcurves.jets.straight_line` over Field2 at 1-D
+    arrays of nodes.  Where there is none or it returns None,
+    :func:`metric_coefficients` over Field2 arrays, its oracle, raises its
+    error."""
+    def build(field2, u, v):
+        return metric_coefficients(field2, components, u, v)
+    return straight_line(build, ("u", "v"), Field2, arrays=True)
+
+
 def compile_tangency_kernel(components):
     """Straight-line code ``(u, v) -> (g, g_u, g_v, point)`` or None: the
     component trees over Field2, then the record's formula for g over
     Field1, recorded by :func:`~tpcurves.jets.straight_line`."""
     def build(field2, u, v):
-        env = {"u": field2(u, fu=1.0), "v": field2(v, fv=1.0)}
-        phi = [expr.evaluate(c, env, field2.const) for c in components]
-        p = [c.lower() for c in phi]
-        pu = [c.du() for c in phi]
-        pv = [c.dv() for c in phi]
-        E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+        p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
         det = E * G - F * F
         if det.f <= REGULARITY_THRESHOLD:  # recorded as a guard
             raise DegeneratePoint("EG - F^2 at or below the threshold")

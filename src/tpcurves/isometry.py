@@ -25,7 +25,7 @@ import numpy as np
 
 from .curves import ambient_dot, stack_samples, transfer_sample
 from .errors import MetricMismatch
-from .forms import REGULARITY_THRESHOLD, metric_fields, point_geometry
+from .forms import REGULARITY_THRESHOLD, point_geometry
 from .tangent import geodesic_curvature_formula, velocity_coefficients
 
 __all__ = [
@@ -136,19 +136,16 @@ def _shared_domain(source, target):
 _METRIC_KEYS = ("E", "F", "G", "E_u", "E_v", "F_u", "F_v", "G_u", "G_v")
 
 
-def _metric_coeffs(E, F, G):
-    """Coefficients of the metric fields in ``_METRIC_KEYS`` order."""
-    return (E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv)
-
-
 def _metric_residuals(source, target, u_range, v_range, grid):
     """Max |source - target| of each metric coefficient over the grid nodes
     where neither patch is degenerate, and the number of degenerate nodes.
 
     Each patch is evaluated once, at all nodes together, and a patch paired
-    with itself once in all.  A NaN or inf difference at any kept node makes
-    that maximum NaN or inf, never 0, and so does a grid on which no node
-    is kept.
+    with itself once in all, by
+    :meth:`~tpcurves.surface.SurfacePatch.metric_batch`: the patch's metric
+    program, of order 2, not its order-3 jet or ambient program.  A NaN or
+    inf difference at any kept node makes that maximum NaN or inf, never
+    0, and so does a grid on which no node is kept.
     """
     m, n = grid
     us = np.repeat(np.linspace(u_range[0], u_range[1], m), n)
@@ -159,10 +156,10 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     # Overflow and inf - inf pass silently, as they do in float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
         for patch in (source,) if target is source else (source, target):
-            E, F, G, _, _ = metric_fields(patch.jet_batch(us, vs))
+            coeffs.append(patch.metric_batch(us, vs))
+            E, F, G = coeffs[-1][:3]
             # PointGeometry's regularity test, at every node at once.
-            degenerate |= E.f * G.f - F.f * F.f <= REGULARITY_THRESHOLD
-            coeffs.append(_metric_coeffs(E, F, G))
+            degenerate |= E * G - F * F <= REGULARITY_THRESHOLD
         keep = ~degenerate
         for key, a, b in zip(_METRIC_KEYS, coeffs[0], coeffs[-1]):
             diff = np.broadcast_to(np.abs(a - b), us.shape)[keep]

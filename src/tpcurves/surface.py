@@ -8,14 +8,21 @@ tree walk behind the tracer's kernel, :attr:`SurfacePatch.tangency_kernel`,
 straight-line code generated per patch on first use).  A
 :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
-Batched jets run generated code as well: :meth:`SurfacePatch.jet_batch`
-one straight-line array program per patch, and the batched
-:func:`ambient_jet` another per patch, which takes the coefficients of
-any curve's jets u(t), v(t); each is recorded on first use by
-:func:`~tpcurves.jets.straight_line` and cached on the patch.  The tree
-walk over Jet2 and Jet1 arrays stays as their oracle and their error path;
-the per-point ``jet``, ``jet_order2`` and ``value`` and the curve's own
-u(t), v(t) walk the trees.
+Batched evaluation runs generated code as well, three straight-line array
+programs per patch, each recorded on first use by
+:func:`~tpcurves.jets.straight_line` and cached on the patch:
+
+* the jet program of :meth:`SurfacePatch.jet_batch`, over Jet2 (order 3:
+  the connection symbols and their derivatives need third partials);
+* the ambient program of the batched :func:`ambient_jet`, over Jet1 at the
+  coefficients of any curve's jets u(t), v(t) (order 3 along the curve);
+* the metric program of :meth:`SurfacePatch.metric_batch`, over Field2
+  (order 2: E, F, G and their first derivatives, all a metric grid sweep
+  compares, need second partials only).
+
+The tree walk over Jet2, Jet1 and Field2 arrays stays as their oracle and
+their error path; the per-point ``jet``, ``jet_order2`` and ``value`` and
+the curve's own u(t), v(t) walk the trees.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
@@ -33,7 +40,8 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .forms import compile_tangency_kernel
+from .forms import (compile_metric_program, compile_tangency_kernel,
+                    metric_coefficients)
 from .jets import Field2, Jet1, Jet2, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -101,12 +109,29 @@ class SurfacePatch:
         use."""
         return _compile_ambient_program(self.components)
 
+    @cached_property
+    def _metric_program(self):
+        """:func:`~tpcurves.forms.compile_metric_program` of this patch,
+        compiled on first use."""
+        return compile_metric_program(self.components)
+
     def _require_inside(self, u, v):
         if not self.contains(u, v):
             raise DomainError(
                 f"({u}, {v}) outside domain "
                 f"[{self.u_range[0]}, {self.u_range[1]}] x "
                 f"[{self.v_range[0]}, {self.v_range[1]}] of '{self.name}'")
+
+    def _nodes_inside(self, u, v):
+        """Two equal-length 1-D arrays of nodes as float arrays; the first
+        node outside the domain raises :meth:`jet`'s DomainError."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        inside = self.contains(u, v)
+        if not inside.all():
+            first = int(np.argmin(inside))
+            self._require_inside(u[first], v[first])
+        return u, v
 
     def value(self, u, v):
         """Position only, evaluated over plain floats."""
@@ -143,16 +168,33 @@ class SurfacePatch:
         a coefficient is the same at every node.  A node outside the domain,
         or one where :meth:`jet` would raise EvalError, raises that error.
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        inside = self.contains(u, v)
-        if not inside.all():
-            first = int(np.argmin(inside))
-            self._require_inside(u[first], v[first])
+        u, v = self._nodes_inside(u, v)
         comps = _run(self._jet_program, (u, v), self.components,
                      {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}, Jet2)
         return _surface_jet(u, v, comps,
                             lambda attr: _stack(comps, attr, len(u)))
+
+    def metric_batch(self, u, v):
+        """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
+        equal-length 1-D arrays, in one pass: the patch's generated array
+        program (:func:`~tpcurves.forms.compile_metric_program`), or
+        :func:`~tpcurves.forms.metric_coefficients` over Field2 arrays
+        where there is none or it returns None.
+
+        Each is an array over the nodes, or a float where it is the same at
+        every node, with the bits of the coefficients of
+        :func:`~tpcurves.forms.metric_fields` over :meth:`jet_batch`; it
+        needs second partials only.  A node outside the domain, or one
+        where :meth:`jet` would raise EvalError, raises that error.
+        """
+        u, v = self._nodes_inside(u, v)
+        program = self._metric_program
+        out = None if program is None else program(u, v)
+        if out is None:
+            # As in the tree walk, overflow and invalid operations pass.
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = metric_coefficients(Field2, self.components, u, v)
+        return out
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import KAPPA_MIN, CurveSample, ambient_dot, transfer_sample
-from .errors import (ConfigError, FrameUndefined, IdenticallyTangent, NoSeed,
-                     SingularLocus)
+from .errors import (ConfigError, DomainError, FrameUndefined,
+                     IdenticallyTangent, NoSeed, SingularLocus)
 # second_form is no longer called here; bench/test_bench.py still checks
 # that the benchmark tracer wraps and restores this binding.
 from .forms import (PointGeometry, point_geometry, second_form,  # noqa: F401
@@ -363,10 +363,21 @@ class TracedCurve:
     geometry: PointGeometry  # one record over the samples' (u, v)
 
 
+def _gradient_or_none(patch, u, v):
+    """:func:`~tpcurves.forms.tangency_gradient` at (u, v), or None off the
+    domain.  Its own domain test is the only one made at (u, v), so the
+    tracer tests no point before evaluating it there."""
+    try:
+        return tangency_gradient(patch, u, v)
+    except DomainError:
+        return None
+
+
 def _newton_correct(patch, u, v, max_iter, tol):
     """Newton along grad g toward the zero set.  Returns (u, v, t) with t
     the :func:`~tpcurves.forms.tangency_gradient` tuple (g, g_u, g_v,
-    point) at the returned (u, v), or None off the domain."""
+    point) at the returned (u, v), or None where a step left the domain.
+    A start off the domain raises DomainError."""
     t = tangency_gradient(patch, u, v)
     for _ in range(max_iter):
         g, gu, gv, _ = t
@@ -377,9 +388,9 @@ def _newton_correct(patch, u, v, max_iter, tol):
             return u, v, t
         u -= g * gu / norm2
         v -= g * gv / norm2
-        if not patch.contains(u, v):
+        t = _gradient_or_none(patch, u, v)
+        if t is None:
             return u, v, None
-        t = tangency_gradient(patch, u, v)
     return u, v, t
 
 
@@ -391,10 +402,11 @@ def _probe_identically_tangent(patch, u, v, radius):
         ang = 2.0 * math.pi * k / 8.0
         pu = u + radius * math.cos(ang)
         pv = v + radius * math.sin(ang)
-        if not patch.contains(pu, pv):
+        t = _gradient_or_none(patch, pu, pv)
+        if t is None:
             continue
         total += 1
-        if abs(tangency_gradient(patch, pu, pv)[0]) <= LOCUS_TOL:
+        if abs(t[0]) <= LOCUS_TOL:
             hits += 1
     return total >= 3 and hits == total
 
@@ -412,18 +424,19 @@ def _isolated_zero(patch, u, v, h):
         return False
     if float(np.linalg.norm(step)) > 5.0 * h:
         return False
-    uc, vc = u - step[0], v - step[1]
-    if not patch.contains(uc, vc):
+    t = _gradient_or_none(patch, u - step[0], v - step[1])
+    if t is None:
         return False
-    g, gu, gv, _ = tangency_gradient(patch, uc, vc)
+    g, gu, gv, _ = t
     return abs(g) <= LOCUS_TOL and math.hypot(gu, gv) <= GRAD_FLOOR
 
 
 def _correct_seed(patch, seed, h):
-    u, v = float(seed[0]), float(seed[1])
-    if not patch.contains(u, v):
-        raise NoSeed(f"seed {seed} outside the parameter domain")
-    u, v, t = _newton_correct(patch, u, v, _NEWTON_MAX, TRACE_TOL)
+    try:
+        u, v, t = _newton_correct(patch, float(seed[0]), float(seed[1]),
+                                  _NEWTON_MAX, TRACE_TOL)
+    except DomainError:
+        raise NoSeed(f"seed {seed} outside the parameter domain") from None
     if t is None:
         raise NoSeed("seed correction left the parameter domain")
     g, gu, gv, _ = t
@@ -495,11 +508,11 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     status = "max_steps"
     chord_sum = 0.0
     for step in range(1, max_steps + 1):
-        pu, pv = u + h * tu, v + h * tv
-        if not patch.contains(pu, pv):
-            status = "domain_exit"
-            break
-        cu, cv, ct = _newton_correct(patch, pu, pv, _CORRECTOR_MAX, TRACE_TOL)
+        try:
+            cu, cv, ct = _newton_correct(patch, u + h * tu, v + h * tv,
+                                         _CORRECTOR_MAX, TRACE_TOL)
+        except DomainError:  # the predictor left the domain
+            ct = None
         if ct is None:
             status = "domain_exit"
             break

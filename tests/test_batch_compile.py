@@ -1,11 +1,12 @@
-"""When batched-jet programs are compiled, and sweeps of a patch paired
-with itself.
+"""When batched programs are compiled, and sweeps of a patch paired with
+itself.
 
-``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` each compile one
-array program per patch on first use (the latter serves every curve on
-the patch), recorded on twin rings that are built on the first compile,
-not at import; the shared built-in scene then reuses them in every later
-op of the process, and a curve used once compiles nothing.
+``SurfacePatch.jet_batch``, ``SurfacePatch.metric_batch`` and the batched
+``ambient_jet`` each compile one array program per patch on first use (the
+last serves every curve on the patch), recorded on twin rings that are
+built on the first compile, not at import; the shared built-in scene then
+reuses them in every later op of the process, and a curve used once
+compiles nothing.  A metric grid sweep runs the metric program alone.
 """
 
 import functools
@@ -38,16 +39,38 @@ def fresh_builtin(monkeypatch):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """The components of every jet_batch program compiled, in order."""
+    """(kind, components) of every jet_batch ("jet") and metric_batch
+    ("metric") program compiled, in order."""
     seen = []
-    compile_program = tpcurves.surface._compile_jet_program
 
-    def counted(components):
-        seen.append(components)
-        return compile_program(components)
+    def count(kind, name):
+        compile_program = getattr(tpcurves.surface, name)
 
-    monkeypatch.setattr(tpcurves.surface, "_compile_jet_program", counted)
+        def counted(components):
+            seen.append((kind, components))
+            return compile_program(components)
+
+        monkeypatch.setattr(tpcurves.surface, name, counted)
+
+    count("jet", "_compile_jet_program")
+    count("metric", "compile_metric_program")
     return seen
+
+
+def counting(monkeypatch, calls, *methods):
+    """Record (method, patch name, node count) of each call of the named
+    SurfacePatch methods in ``calls``."""
+    def count(name):
+        method = getattr(SurfacePatch, name)
+
+        def counted(self, u, v):
+            calls.append((name, self.name, len(u)))
+            return method(self, u, v)
+
+        monkeypatch.setattr(SurfacePatch, name, counted)
+
+    for name in methods:
+        count(name)
 
 
 def test_loading_the_scene_compiles_nothing():
@@ -57,7 +80,7 @@ def test_loading_the_scene_compiles_nothing():
         "scene = tpcurves.builtin_scene()\n"
         "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
         "          if name in ('_jet_program', '_ambient_program',\n"
-        "                      'tangency_kernel')]\n"
+        "                      '_metric_program', 'tangency_kernel')]\n"
         "print(jets._twin.cache_info().currsize, cached)\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(tpcurves.__file__).parents[1])}
@@ -73,8 +96,9 @@ def test_repeated_isometry_ops_compile_one_program_per_patch(
         assert cli.main(argv) == 0
     outputs = capsys.readouterr().out
     scene = builtin_scene()
-    assert compiled == [scene.surface("catenoid").components,
-                        scene.surface("helicoid").components]
+    # The registration sweep runs the metric program alone.
+    assert compiled == [("metric", scene.surface("catenoid").components),
+                        ("metric", scene.surface("helicoid").components)]
     assert outputs == outputs[:len(outputs) // 5] * 5
 
 
@@ -89,8 +113,11 @@ def test_config_patch_compiles_its_own_program(tmp_path, compiled, capsys):
     assert cli.main(argv + ["--config", str(path)]) == 0
     assert capsys.readouterr().out == builtin
     scene = builtin_scene()
-    assert compiled == [scene.surface("catenoid").components,
-                        scene.surface("helicoid").components]
+    catenoid = scene.surface("catenoid").components
+    helicoid = scene.surface("helicoid").components
+    # The registration sweep, then the invariance report's records.
+    assert compiled == [("metric", catenoid), ("metric", helicoid),
+                        ("jet", catenoid), ("jet", helicoid)]
 
 
 def test_a_discarded_curve_leaves_nothing_on_a_builtin_patch():
@@ -110,21 +137,15 @@ def test_a_discarded_curve_leaves_nothing_on_a_builtin_patch():
 
 def test_identity_pair_evaluates_its_patch_once(scene, monkeypatch):
     calls = []
-    jet_batch = SurfacePatch.jet_batch
-
-    def counted(self, u, v):
-        calls.append(self.name)
-        return jet_batch(self, u, v)
-
-    monkeypatch.setattr(SurfacePatch, "jet_batch", counted)
+    counting(monkeypatch, calls, "jet_batch", "metric_batch")
     pair = scene.pair("identity_catenoid")  # registers the pair again
-    assert calls == ["catenoid"]
+    assert calls == [("metric_batch", "catenoid", 400)]
     patch = pair.source
     assert pair.registration_residual == 0.0
     samples = reparametrize_arclength(patch, scene.curve("catenoid_line"), 30)
     calls.clear()
     report = invariance_report(pair, samples)
-    assert calls == ["catenoid"]
+    assert calls == [("jet_batch", "catenoid", 30)]
     src, tgt = report.geometry
     assert src is tgt
     assert np.array_equal(report.kappa_g_residuals, np.zeros(30))

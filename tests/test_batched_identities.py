@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_batch_compile import counting
 from test_expr import _ast_strategy
 from test_tracer_oracle import one_point_locus
 
@@ -470,21 +471,17 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
 
 def test_metric_match_reuses_the_registration_sweep(scene, monkeypatch):
     calls = []
-    batch = SurfacePatch.jet_batch
-
-    def counted(self, u, v):
-        calls.append(len(u))
-        return batch(self, u, v)
-
-    monkeypatch.setattr(SurfacePatch, "jet_batch", counted)
+    # A sweep evaluates the metric program alone, never the order-3 jets.
+    counting(monkeypatch, calls, "metric_batch", "jet_batch")
+    sweep = [("metric_batch", name, 84) for name in ("catenoid", "helicoid")]
     source, target = scene.surface("catenoid"), scene.surface("helicoid")
     pair = register_pair(source, target, "intrinsic", (12, 7))
-    assert calls == [84, 84]
+    assert calls == sweep
     kept = verify_metric_match(pair, [12, 7])
-    assert calls == [84, 84]
+    assert calls == sweep
     fresh = verify_metric_match(dataclasses.replace(pair, metric=None),
                                 (12, 7))
-    assert calls == [84] * 4
+    assert calls == sweep * 2
     assert kept == fresh
     verify_metric_match(pair, (7, 12))  # another grid sweeps again
-    assert calls == [84] * 6
+    assert calls == sweep * 3

@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tpcurves import CurveSample, cli, parse_surface, point_geometry, tangent
+from tpcurves import (CurveSample, builtin_scene, cli, parse_surface,
+                      point_geometry, tangent)
 from tpcurves.forms import tangency_gradient
 from tpcurves.surface import SurfacePatch
 from tpcurves.tangent import GRAD_FLOOR, trace_tangent_curve
@@ -200,6 +201,44 @@ def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
     assert patch_calls["jet"] == 1
     assert patch_calls["jet_batch"] == 1
     assert patch_calls["value"] == 0
+
+
+def test_one_domain_test_precedes_each_kernel_call(tmp_path, monkeypatch):
+    """``tpcurves trace offset_sphere``: each point the kernel runs at
+    (seed, predictor points, Newton iterates, resample targets) is tested
+    against the domain once, by ``tangency_gradient``, and the outputs keep
+    their pinned bytes."""
+    patch = builtin_scene().surface("offset_sphere")
+    events = []
+    contains = SurfacePatch.contains
+    kernel = patch.tangency_kernel
+
+    def tested(self, u, v):
+        if self is patch and not isinstance(u, np.ndarray):
+            events.append(("test", u, v))
+        return contains(self, u, v)
+
+    def run(u, v):
+        events.append(("kernel", u, v))
+        return kernel(u, v)
+
+    monkeypatch.setattr(SurfacePatch, "contains", tested)
+    monkeypatch.setitem(vars(patch), "tangency_kernel", run)
+    surface, seed, h, *shas = PINNED[0]
+    stdout = _run_trace(tmp_path, surface, seed, h)
+    since = Counter()  # scalar domain tests since the last kernel call
+    kernel_calls = 0
+    for kind, u, v in events:
+        if kind == "test":
+            since[u, v] += 1
+        else:
+            assert since[u, v] == 1, (u, v)
+            since.clear()
+            kernel_calls += 1
+    assert kernel_calls > 600
+    outputs = (stdout.encode(), (tmp_path / "trace.csv").read_bytes(),
+               (tmp_path / "trace.svg").read_bytes())
+    assert [hashlib.sha256(x).hexdigest() for x in outputs] == shas
 
 
 def _bits(x):
