@@ -17,6 +17,7 @@ from .curves import (
     FrenetData,
     frenet,
     reparametrize_arclength,
+    sample_arclength,
     stack_samples,
     surface_curvatures,
     transfer_sample,

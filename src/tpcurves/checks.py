@@ -24,8 +24,7 @@ import numpy as np
 
 from .curves import (
     KAPPA_MIN,
-    reparametrize_arclength,
-    stack_samples,
+    sample_arclength,
     surface_curvatures,
 )
 from .forms import christoffel, gauss_equation_residual, point_geometry
@@ -124,7 +123,7 @@ def _curve_residuals(scene, sample, curve_name):
     """Worst residual of each per-sample thm31 identity along one curve,
     from one PointGeometry over all its samples."""
     patch, curve = scene.curve_host(curve_name)
-    s = stack_samples(sample(patch, curve, scene.options.samples))
+    s = sample(patch, curve, scene.options.samples)
     geom = point_geometry(patch, s.u, s.v)
     curv = surface_curvatures(geom, s)
     kappa = np.sqrt(dot3(s.ddgamma, s.ddgamma))
@@ -176,8 +175,9 @@ def _thm31_checks(scene, sample):
         out.append(_asserted(f"kappa-g-consistency/{name}", "thm31",
                              worst[name]["kappa_g"], 1e-8))
     patch, curve = scene.curve_host("plane_circle")
-    s = sample(patch, curve, 9)[3]
-    value = surface_curvatures(point_geometry(patch, s.u, s.v), s).kappa_g
+    s = sample(patch, curve, 9)
+    value = surface_curvatures(point_geometry(patch, s.u, s.v),
+                               s).kappa_g[3]
     out.append(_asserted("kappa-g-plane-circle-value", "thm31",
                          abs(value - 0.5), 1e-9,
                          note="radius-2 circle, counterclockwise"))
@@ -272,8 +272,7 @@ def _pair_checks(scene, sample):
     out.append(_asserted("counterexample-gbar-value/plane_cylinder", "thm32",
                          abs(gbar - 1.0), 1e-9,
                          note="image tangency residual must equal 1"))
-    residual, _ = second_form_relation(pair, stack_samples(src_samples),
-                                       rep.geometry)
+    residual, _ = second_form_relation(pair, src_samples, rep.geometry)
     rel_worst = _worst(abs(residual))
     out.append(_empirical("second-form-relation/plane_cylinder", "thm32",
                           rel_worst,
@@ -288,8 +287,7 @@ def _pair_checks(scene, sample):
                          max(rep.max_rho_residual, rep.max_t_comp_residual,
                              rep.max_kappa_g_residual, rep.max_lam_residual,
                              rep.max_mu_residual), 1e-12))
-    residual, _ = second_form_relation(pair, stack_samples(src_samples),
-                                       rep.geometry)
+    residual, _ = second_form_relation(pair, src_samples, rep.geometry)
     rel_worst = _worst(abs(residual))
     out.append(_asserted("second-form-relation/identity_catenoid", "thm32",
                          rel_worst, 1e-12))
@@ -299,8 +297,8 @@ def _pair_checks(scene, sample):
 def run_checks(scene, target="all"):
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    # One sample list per (patch, curve, n), kept for this call only.
-    sample = functools.cache(reparametrize_arclength)
+    # One stacked sample per (patch, curve, n), kept for this call only.
+    sample = functools.cache(sample_arclength)
     out = []
     if target in ("gauss", "all"):
         out.extend(_gauss_checks(scene))

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .checks import TARGETS, run_checks
-from .curves import ambient_dot, reparametrize_arclength, stack_samples
+from .curves import ambient_dot, sample_arclength
 from .errors import (
     ConfigError,
     DegeneratePoint,
@@ -121,7 +121,7 @@ def cmd_report_components(args):
     patch, curve = scene.curve_host(args.curve)
     n = scene.options.samples if args.samples is None else \
         parse_count(args.samples, "--samples", 2)
-    samples = stack_samples(reparametrize_arclength(patch, curve, n))
+    samples = sample_arclength(patch, curve, n)
     rep = position_component_report(point_geometry(patch, samples.u,
                                                    samples.v), samples)
     # The running max over samples from 0, as Python's max takes it: a NaN
@@ -203,7 +203,7 @@ def cmd_isometry(args):
     rep = None
     if args.curve:
         _, curve = scene.curve_host(args.curve)
-        rep = invariance_report(pair, reparametrize_arclength(
+        rep = invariance_report(pair, sample_arclength(
             pair.source, curve, scene.options.samples))
         payload["curve"] = args.curve
         payload["invariance"] = {

@@ -1,9 +1,10 @@
 """Arc-length parametrization, Frenet frames, geodesic and normal curvature.
 
 Every downstream identity assumes unit speed, so curves enter the rest of
-the library only through :func:`reparametrize_arclength`, which works in a
-few batched passes over 1-D arrays of parameters (one ``ambient_jet`` call
-each):
+the library only through :func:`sample_arclength` (one stacked
+:class:`CurveSample` per curve) or its per-sample view
+:func:`reparametrize_arclength`.  The sampler works in a few batched
+passes over 1-D arrays of parameters (one ``ambient_jet`` call each):
 
 * a table of cumulative arc length over composite Gauss-Legendre panels of
   order 8, each panel halved until its integral and the sum over its halves
@@ -11,9 +12,10 @@ each):
 * Newton's method with a bisection safeguard (steps below 1e-12 in t) for
   all targets at once, each inside its own panel, integrating the speed
   with the same rule from the panel start;
-* one final pass building every sample, its derivatives of (u, v) and of
-  gamma with respect to s taken from the exact inverse-function chain rule
-  through order 3 (torsion is too noise sensitive for finite differences).
+* one final pass at every target, its derivatives of (u, v) and of gamma
+  with respect to s taken from the exact inverse-function chain rule
+  through order 3 (torsion is too noise sensitive for finite differences),
+  kept as the columns of one stacked sample.
 
 A speed at or below 1e-10, a table that does not settle, or a Newton loop
 that does not converge raises IrregularCurve.  On the test curves the
@@ -32,7 +34,7 @@ from .surface import ambient_jet
 
 __all__ = [
     "CurveSample", "FrenetData", "CurvatureReport",
-    "reparametrize_arclength", "stack_samples", "frenet",
+    "sample_arclength", "reparametrize_arclength", "stack_samples", "frenet",
     "surface_curvatures", "transfer_sample", "KAPPA_MIN",
 ]
 
@@ -62,13 +64,16 @@ _GL_WEIGHTS = np.array([
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One arc-length point of a unit-speed surface curve.
+    """One arc-length point of a unit-speed surface curve, or a whole
+    curve stacked.
 
     ``du``/``ddu``/``dddu`` are derivatives of u with respect to arc
-    length.  A stacked sample (:func:`stack_samples`) holds a whole
-    curve: (n,) arrays for the scalars and (3, n) arrays for the vectors.
-    The tangency-locus tracer returns one stacked sample per locus, with
-    no third-derivative data (those fields are None) and ``t`` NaN.
+    length.  A single sample holds Python floats and (3,) vectors.  A
+    stacked sample holds a whole curve: (n,) arrays for the scalars and
+    (3, n) arrays for the vectors.  :func:`sample_arclength` returns one;
+    :func:`stack_samples` builds one from single samples.  The
+    tangency-locus tracer returns one stacked sample per locus, with no
+    third-derivative data (those fields are None) and ``t`` NaN.
     """
 
     s: float
@@ -215,10 +220,11 @@ def _invert(patch, curve, edges, cumulative, targets):
     return out
 
 
-def reparametrize_arclength(patch, curve, samples=50):
+def sample_arclength(patch, curve, samples=50):
     """Sample a curve at equally spaced arc-length values.
 
-    Returns ``samples`` CurveSamples covering [t0, t1], endpoints included.
+    Returns one stacked CurveSample of ``samples`` points covering
+    [t0, t1], endpoints included.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -237,9 +243,23 @@ def reparametrize_arclength(patch, curve, samples=50):
     return _samples_at(patch, curve, t, s)
 
 
+def reparametrize_arclength(patch, curve, samples=50):
+    """The samples of :func:`sample_arclength` as a list of single
+    CurveSamples: Python floats and contiguous (3,) vectors."""
+    batch = sample_arclength(patch, curve, samples)
+    columns = (x.tolist() if x.ndim == 1 else np.ascontiguousarray(x.T)
+               for x in (getattr(batch, f.name) for f in fields(CurveSample)))
+    return [CurveSample(*values) for values in zip(*columns)]  # field order
+
+
 def _samples_at(patch, curve, t, s):
-    """CurveSamples at parameters ``t`` and arc lengths ``s`` from one
-    ambient-jet pass, via the exact inverse-function chain rule."""
+    """The stacked CurveSample at parameters ``t`` and arc lengths ``s``
+    from one ambient-jet pass, via the exact inverse-function chain rule.
+
+    Each field is laid out as :func:`stack_samples` lays out a list of
+    single samples: fresh (n,) arrays, constants included, and (3, n)
+    transposes of C-contiguous (n, 3) arrays.
+    """
     cj, gamma, g1, g2, g3 = ambient_jet(patch, curve, t)
     sd1 = _speed(curve, t, g1)  # ds/dt
     sd2 = dot3(g1, g2) / sd1
@@ -254,18 +274,19 @@ def _samples_at(patch, curve, t, s):
                 d2 * ts1 * ts1 + d1 * ts2,
                 d3 * ts1 ** 3 + 3.0 * d2 * ts1 * ts2 + d1 * ts3)
 
-    def floats(x):
-        return np.broadcast_to(x, t.shape).tolist()
+    def scalars(x):
+        return np.array(np.broadcast_to(x, t.shape))
 
-    def rows(x):
-        return np.ascontiguousarray(x.T)  # one (3,) row per sample
+    def vectors(x):
+        return np.ascontiguousarray(x.T).T
 
-    du, ddu, dddu = map(floats, by_s(cj.u.d1, cj.u.d2, cj.u.d3))
-    dv, ddv, dddv = map(floats, by_s(cj.v.d1, cj.v.d2, cj.v.d3))
-    dg, ddg, dddg = map(rows, by_s(g1, g2, g3))
-    fields = (s.tolist(), t.tolist(), floats(cj.u.f), floats(cj.v.f),
-              du, dv, ddu, ddv, dddu, dddv, rows(gamma), dg, ddg, dddg)
-    return [CurveSample(*values) for values in zip(*fields)]  # field order
+    du, ddu, dddu = map(scalars, by_s(cj.u.d1, cj.u.d2, cj.u.d3))
+    dv, ddv, dddv = map(scalars, by_s(cj.v.d1, cj.v.d2, cj.v.d3))
+    dg, ddg, dddg = map(vectors, by_s(g1, g2, g3))
+    return CurveSample(
+        s=scalars(s), t=scalars(t), u=scalars(cj.u.f), v=scalars(cj.v.f),
+        du=du, dv=dv, ddu=ddu, ddv=ddv, dddu=dddu, dddv=dddv,
+        gamma=vectors(gamma), dgamma=dg, ddgamma=ddg, dddgamma=dddg)
 
 
 def frenet(sample):
@@ -287,7 +308,11 @@ def frenet(sample):
 def stack_samples(samples):
     """One CurveSample holding every sample of ``samples``: (n,) arrays for
     the scalar fields and (3, n) arrays for the vectors.  A field that is
-    None in any sample (the tracer's third derivatives) is None."""
+    None in any sample (the tracer's third derivatives) is None.  A
+    CurveSample that is already stacked is returned as it is."""
+    if isinstance(samples, CurveSample):
+        return samples
+
     def stack(name):
         values = [getattr(s, name) for s in samples]
         if any(x is None for x in values):

@@ -233,14 +233,14 @@ def invariance_report(pair, samples):
     """Evaluate the invariance claims along a curve given in shared
     parameters.
 
-    ``samples`` are the curve's unit-speed samples on the source patch
-    (:func:`~tpcurves.curves.reparametrize_arclength`); the same (u(s),
-    v(s)) data is pushed through the target patch (unit speed transfers
-    because the metrics agree).  Geodesic curvature is computed
-    intrinsically on both sides, so it stays defined even where the
-    ambient frame degenerates.  Each side is one PointGeometry over all
-    samples, one for both sides when the pair is a patch and itself; the
-    report keeps the pair in ``geometry``.
+    ``samples`` are the curve's unit-speed samples on the source patch,
+    stacked (:func:`~tpcurves.curves.sample_arclength`) or as a list of
+    single samples; the same (u(s), v(s)) data is pushed through the
+    target patch (unit speed transfers because the metrics agree).
+    Geodesic curvature is computed intrinsically on both sides, so it
+    stays defined even where the ambient frame degenerates.  Each side is
+    one PointGeometry over all samples, one for both sides when the pair
+    is a patch and itself; the report keeps the pair in ``geometry``.
     """
     s = stack_samples(samples)
     src = point_geometry(pair.source, s.u, s.v)
@@ -275,7 +275,8 @@ def invariance_report(pair, samples):
 
 def tangent_position_preservation(pair, samples):
     """Max |g-bar| along the image of a source tangent-position curve,
-    given by its unit-speed ``samples`` on the source patch.
+    given by its unit-speed ``samples`` on the source patch, in either form
+    :func:`invariance_report` takes.
 
     Raises ValueError when the source curve is not tangent-position (the
     claim under test has no content then).  Both maxima are read from

@@ -15,7 +15,7 @@ built once by :func:`~tpcurves.forms.point_geometry` and shared by every
 identity at that sample; none of them evaluates the patch again.  They
 are ring-generic: given the record of a whole curve (``point_geometry``
 over arrays of nodes) and its stacked sample
-(:func:`~tpcurves.curves.stack_samples`), one call evaluates every sample
+(:func:`~tpcurves.curves.sample_arclength`), one call evaluates every sample
 at once, each with the bits of the one-sample call.  The tracer's Newton
 corrector builds no record: its iterates read g and its gradient from
 :func:`~tpcurves.forms.tangency_gradient`, straight-line code generated

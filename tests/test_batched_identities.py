@@ -12,6 +12,7 @@ import dataclasses
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tpcurves import (
     ratio_identity_check,
     register_pair,
     reparametrize_arclength,
+    sample_arclength,
     second_form,
     second_form_relation,
     surface_curvatures,
@@ -42,7 +44,7 @@ from tpcurves import (
     velocity_coefficients,
     verify_metric_match,
 )
-from tpcurves import checks
+from tpcurves import checks, curves
 from tpcurves.curves import KAPPA_MIN, stack_samples
 from tpcurves.errors import DegeneratePoint, EvalError, FrameUndefined
 from tpcurves.expr import Binary, Const, Unary, Var
@@ -434,9 +436,8 @@ def scalar_curve_residuals(scene, sample, curve_name):
 
 @pytest.mark.parametrize("name", checks._ALL_CURVES)
 def test_curve_residuals_equal_scalar_loop(scene, name):
-    sample = reparametrize_arclength
-    got = checks._curve_residuals(scene, sample, name)
-    want = scalar_curve_residuals(scene, sample, name)
+    got = checks._curve_residuals(scene, sample_arclength, name)
+    want = scalar_curve_residuals(scene, reparametrize_arclength, name)
     for key, value in want.items():
         assert got.get(key, 0.0).hex() == float(value).hex(), key
 
@@ -461,10 +462,66 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
         return dataclasses.replace(rep, kappa_g=kappa_g)
 
     monkeypatch.setattr(checks, "surface_curvatures", steep)
-    sample = reparametrize_arclength
-    got = checks._curve_residuals(scene, sample, "plane_circle")
-    want = scalar_curve_residuals(scene, sample, "plane_circle")
+    got = checks._curve_residuals(scene, sample_arclength, "plane_circle")
+    want = scalar_curve_residuals(scene, reparametrize_arclength,
+                                  "plane_circle")
     assert got["pythagoras"].hex() == want["pythagoras"].hex()
+
+
+# --- curves are sampled straight into stacked arrays ---------------------
+
+def count_curve_samples(monkeypatch):
+    """Record, for each CurveSample built, whether it is a single sample
+    (a scalar ``s``) rather than a stacked one."""
+    single = []
+    init = CurveSample.__init__
+
+    def counted(self, *args, **kwargs):
+        single.append(np.ndim(args[0] if args else kwargs["s"]) == 0)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveSample, "__init__", counted)
+    return single
+
+
+def test_report_builds_no_per_sample_object(scene, monkeypatch, tmp_path):
+    calls = []
+    counting(monkeypatch, calls, "jet_batch")
+    single = count_curve_samples(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report-thm31", "catenoid_line", "--samples", "40",
+                         "--out", str(tmp_path)]) == 0
+    assert single and not any(single)
+    assert calls == [("jet_batch", "catenoid", 40)]  # one record, all samples
+
+
+def test_verify_stacks_no_sample_list(scene, monkeypatch):
+    """One ``verify`` stacks no list of samples and samples each (patch,
+    curve, n) once, its final pass included."""
+    lists, sampled = [], {}
+    stack, samples_at = curves.stack_samples, curves._samples_at
+
+    def counted_stack(samples):
+        if not isinstance(samples, CurveSample):
+            lists.append(len(samples))
+        return stack(samples)
+
+    def counted_samples_at(patch, curve, t, s):
+        key = (patch.name, curve.name, len(t))
+        sampled[key] = sampled.get(key, 0) + 1
+        return samples_at(patch, curve, t, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tpcurves" and \
+                getattr(module, "stack_samples", None) is stack:
+            monkeypatch.setattr(module, "stack_samples", counted_stack)
+    monkeypatch.setattr(curves, "_samples_at", counted_samples_at)
+    single = count_curve_samples(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--target", "all"]) == 0
+    assert lists == []
+    assert sampled and all(n == 1 for n in sampled.values()), sampled
+    assert not any(single)
 
 
 # --- the registration sweep is kept ---------------------------------------

@@ -1,5 +1,5 @@
 """The per-point geometry record against independent oracles, and the
-one-record-per-sample, one-sample-list-per-curve contracts built on it."""
+one-record-per-sample, one-sampling-per-curve contracts built on it."""
 
 import numpy as np
 import pytest
@@ -104,14 +104,14 @@ def test_per_sample_functions_evaluate_no_jet(scene, monkeypatch):
 
 def test_run_checks_samples_each_curve_once(scene, monkeypatch):
     calls = {}
-    sample = checks.reparametrize_arclength
+    sample = checks.sample_arclength
 
     def counting(patch, curve, samples=50):
         key = (patch.name, curve.name, samples)
         calls[key] = calls.get(key, 0) + 1
         return sample(patch, curve, samples)
 
-    monkeypatch.setattr(checks, "reparametrize_arclength", counting)
+    monkeypatch.setattr(checks, "sample_arclength", counting)
     checks.run_checks(scene, "all")
     assert calls
     assert all(n == 1 for n in calls.values()), calls

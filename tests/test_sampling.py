@@ -5,6 +5,7 @@ length integrated in mpmath at 20 digits.
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -12,12 +13,17 @@ import numpy as np
 import pytest
 
 from tpcurves import (
+    CurveSample,
+    cli,
     curves,
     parse_curve,
     parse_surface,
     reparametrize_arclength,
+    sample_arclength,
+    stack_samples,
 )
 from tpcurves.errors import DomainError, IrregularCurve
+from tpcurves.scene import load_scene
 from tpcurves.surface import ambient_jet
 
 BUILTIN_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
@@ -76,6 +82,87 @@ def test_samples_carry_floats_and_contiguous_vectors(scene):
         for field in ("gamma", "dgamma", "ddgamma", "dddgamma"):
             vec = getattr(s, field)
             assert vec.shape == (3,) and vec.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", (2, 7, 50, 200))
+@pytest.mark.parametrize("name", BUILTIN_CURVES)
+def test_stacked_sampler_equals_stacked_list(scene, name, n):
+    """Every field of the stacked sampler has the shape, dtype, layout and
+    bits of the per-sample list stacked, constant coordinates included."""
+    patch, curve = scene.curve_host(name)
+    got = sample_arclength(patch, curve, n)
+    want = stack_samples(reparametrize_arclength(patch, curve, n))
+    for field in dataclasses.fields(CurveSample):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.shape, a.dtype, a.strides, a.flags.writeable) == \
+            (b.shape, b.dtype, b.strides, b.flags.writeable), field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def test_constant_coordinate_is_a_float_array(scene):
+    patch, curve = scene.curve_host("cone_circle")
+    batch = sample_arclength(patch, curve, 7)
+    for name in ("v", "dv", "ddv", "dddv"):
+        x = getattr(batch, name)
+        assert x.shape == (7,) and x.dtype == np.float64
+        assert np.unique(x).size == 1, name
+    assert stack_samples(batch) is batch
+
+
+FAILING_SCENE = """\
+[surface disc]
+components = (u, v, 0)
+u_range = -2, 2
+v_range = -2, 2
+
+[surface square]
+components = (u, v, u*v)
+u_range = -1, 1
+v_range = -1, 1
+
+[curve loop]
+surface = disc
+u = 1.5*cos(t)
+v = sin(t)
+t_range = 0, 2*pi
+
+[curve wobble]
+surface = disc
+u = 1.99 + 0.02*sin(128*pi*t)^2
+v = t
+t_range = 0, 1
+
+[curve stall]
+surface = disc
+u = t^3
+v = 0
+t_range = -1, 1
+"""
+
+
+@pytest.mark.parametrize("surface, curve, error, match", [
+    # Off the other patch at the first domain test.
+    ("square", "loop", DomainError, "leaves domain of 'square' at t=0.0"),
+    # Passes the load-time test between its test points, leaves at a node.
+    ("disc", "wobble", DomainError, "^curve point .* outside domain"),
+    ("disc", "stall", IrregularCurve, "speed 0.0 at t=0.0"),
+])
+def test_config_curve_failures_keep_their_text(tmp_path, capsys, surface,
+                                               curve, error, match):
+    path = tmp_path / "scene.ini"
+    path.write_text(FAILING_SCENE)
+    scene = load_scene(path)
+    patch, path_curve = scene.surface(surface), scene.curve(curve)
+    with pytest.raises(error, match=match) as listed:
+        reparametrize_arclength(patch, path_curve, 20)
+    with pytest.raises(error) as stacked:
+        sample_arclength(patch, path_curve, 20)
+    assert str(stacked.value) == str(listed.value)
+    if surface == "disc":  # the curve's host: report-thm31 says the same
+        rc = cli.main(["report-thm31", curve, "--config", str(path),
+                       "--samples", "20"])
+        assert rc == 2  # an analysis error
+        assert capsys.readouterr().err == f"error: {listed.value}\n"
 
 
 # Speed |dgamma/dt| of each extra curve, written out by hand in mpmath.
