@@ -16,9 +16,7 @@ from .curves import (
     CurveSample,
     FrenetData,
     frenet,
-    reparametrize_arclength,
     sample_arclength,
-    stack_samples,
     surface_curvatures,
     transfer_sample,
 )

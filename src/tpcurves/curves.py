@@ -1,10 +1,9 @@
 """Arc-length parametrization, Frenet frames, geodesic and normal curvature.
 
 Every downstream identity assumes unit speed, so curves enter the rest of
-the library only through :func:`sample_arclength` (one stacked
-:class:`CurveSample` per curve) or its per-sample view
-:func:`reparametrize_arclength`.  The sampler works in a few batched
-passes over 1-D arrays of parameters (one ``ambient_jet`` call each):
+the library only through :func:`sample_arclength`, one stacked
+:class:`CurveSample` per curve.  The sampler works in a few batched passes
+over 1-D arrays of parameters (one ``ambient_jet`` call each):
 
 * a table of cumulative arc length over composite Gauss-Legendre panels of
   order 8, each panel halved until its integral and the sum over its halves
@@ -23,18 +22,18 @@ sampled arc length agrees with an mpmath quadrature to within 4e-15.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import FrameUndefined, IrregularCurve
-from .jets import cross3, dot3
+from .jets import cross3, dot3, failing_node
 from .surface import ambient_jet
 
 __all__ = [
     "CurveSample", "FrenetData", "CurvatureReport",
-    "sample_arclength", "reparametrize_arclength", "stack_samples", "frenet",
+    "sample_arclength", "frenet",
     "surface_curvatures", "transfer_sample", "KAPPA_MIN",
 ]
 
@@ -64,16 +63,14 @@ _GL_WEIGHTS = np.array([
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One arc-length point of a unit-speed surface curve, or a whole
-    curve stacked.
+    """The arc-length samples of a unit-speed surface curve, stacked:
+    (n,) arrays for the scalars and (3, n) arrays for the vectors.
 
     ``du``/``ddu``/``dddu`` are derivatives of u with respect to arc
-    length.  A single sample holds Python floats and (3,) vectors.  A
-    stacked sample holds a whole curve: (n,) arrays for the scalars and
-    (3, n) arrays for the vectors.  :func:`sample_arclength` returns one;
-    :func:`stack_samples` builds one from single samples.  The
-    tangency-locus tracer returns one stacked sample per locus, with no
-    third-derivative data (those fields are None) and ``t`` NaN.
+    length.  :func:`sample_arclength` returns one.  The tangency-locus
+    tracer returns one per locus, with no third-derivative data (those
+    fields are None) and ``t`` NaN.  Every per-sample function also takes
+    a single point: floats and (3,) vectors.
     """
 
     s: float
@@ -94,7 +91,8 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Orthonormal moving frame of a unit-speed space curve.
+    """Orthonormal moving frame of a unit-speed space curve, at each
+    sample of a stacked one: (3, n) vectors, (n,) curvatures.
 
     ``tau`` is NaN when the sample lacks third-derivative data.
     """
@@ -120,11 +118,11 @@ def _speed(curve, t, d1):
     IrregularCurve naming the first such node.
     """
     speed = np.sqrt(dot3(d1, d1))
-    regular = (speed > _SPEED_FLOOR) & np.isfinite(speed)
-    if not regular.all():
-        i = int(np.argmin(regular))
-        raise IrregularCurve(
-            f"curve '{curve.name}' speed {speed[i]} at t={t[i]}")
+    bad = failing_node(
+        np.logical_not((speed > _SPEED_FLOOR) & np.isfinite(speed)), speed, t)
+    if bad:
+        raise IrregularCurve("curve '{}' speed {} at t={}"
+                             .format(curve.name, *bad))
     return speed
 
 
@@ -243,22 +241,12 @@ def sample_arclength(patch, curve, samples=50):
     return _samples_at(patch, curve, t, s)
 
 
-def reparametrize_arclength(patch, curve, samples=50):
-    """The samples of :func:`sample_arclength` as a list of single
-    CurveSamples: Python floats and contiguous (3,) vectors."""
-    batch = sample_arclength(patch, curve, samples)
-    columns = (x.tolist() if x.ndim == 1 else np.ascontiguousarray(x.T)
-               for x in (getattr(batch, f.name) for f in fields(CurveSample)))
-    return [CurveSample(*values) for values in zip(*columns)]  # field order
-
-
 def _samples_at(patch, curve, t, s):
     """The stacked CurveSample at parameters ``t`` and arc lengths ``s``
     from one ambient-jet pass, via the exact inverse-function chain rule.
 
-    Each field is laid out as :func:`stack_samples` lays out a list of
-    single samples: fresh (n,) arrays, constants included, and (3, n)
-    transposes of C-contiguous (n, 3) arrays.
+    Each field is a fresh (n,) array, constants included, or the (3, n)
+    transpose of a C-contiguous (n, 3) array.
     """
     cj, gamma, g1, g2, g3 = ambient_jet(patch, curve, t)
     sd1 = _speed(curve, t, g1)  # ds/dt
@@ -290,36 +278,22 @@ def _samples_at(patch, curve, t, s):
 
 
 def frenet(sample):
-    """Frenet frame of a unit-speed sample; requires positive curvature."""
-    kappa = math.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    if kappa <= KAPPA_MIN:
-        raise FrameUndefined(f"curvature {kappa} at s={sample.s}")
+    """Frenet frame of a unit-speed sample, or of every sample of a stacked
+    one; requires positive curvature.  Raises FrameUndefined, naming the
+    first such sample, where the curvature is at or below KAPPA_MIN."""
+    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
+    bad = failing_node(kappa <= KAPPA_MIN, kappa, sample.s)
+    if bad:
+        raise FrameUndefined("curvature {} at s={}".format(*bad))
     t = sample.dgamma
     n = sample.ddgamma / kappa
     b = np.array(cross3(t, n))
     if sample.dddgamma is None:
         tau = math.nan
     else:
-        tau = float(dot3(cross3(sample.dgamma, sample.ddgamma),
-                         sample.dddgamma)) / (kappa * kappa)
+        tau = dot3(cross3(sample.dgamma, sample.ddgamma),
+                   sample.dddgamma) / (kappa * kappa)
     return FrenetData(t=t, n=n, b=b, kappa=kappa, tau=tau)
-
-
-def stack_samples(samples):
-    """One CurveSample holding every sample of ``samples``: (n,) arrays for
-    the scalar fields and (3, n) arrays for the vectors.  A field that is
-    None in any sample (the tracer's third derivatives) is None.  A
-    CurveSample that is already stacked is returned as it is."""
-    if isinstance(samples, CurveSample):
-        return samples
-
-    def stack(name):
-        values = [getattr(s, name) for s in samples]
-        if any(x is None for x in values):
-            return None
-        return np.array(values).T  # (n,) stays (n,); (n, 3) becomes (3, n)
-
-    return CurveSample(*(stack(f.name) for f in fields(CurveSample)))
 
 
 def ambient_dot(a, b):

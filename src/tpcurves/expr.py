@@ -175,10 +175,10 @@ class _Parser:
             caret_pos = self.advance()[2]
             rhs = self.parse_exponent()
             try:
-                value = _const_fold(rhs)
-            except EvalError:
-                value = None
-            if value is None or not math.isfinite(value):
+                value = evaluate(rhs, {}, float)
+            except (EvalError, KeyError):  # KeyError: a variable
+                value = math.nan
+            if not math.isfinite(value):
                 raise ExpressionSyntaxError(
                     "exponent must be a finite constant expression", caret_pos)
             node = Binary("^", node, Const(value))
@@ -220,26 +220,6 @@ class _Parser:
         if kind == "end":
             raise ExpressionSyntaxError("unexpected end of input", pos)
         raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
-
-
-def _const_fold(node):
-    """Evaluate a tree with no free variables; None if variables occur."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Unary):
-        arg = _const_fold(node.arg)
-        if arg is None:
-            return None
-        if node.op == "neg":
-            return -arg
-        return _apply_unary_float(node.op, arg)
-    arg_l = _const_fold(node.lhs)
-    arg_r = _const_fold(node.rhs)
-    if arg_l is None or arg_r is None:
-        return None
-    return _apply_binary_float(node.op, arg_l, arg_r)
 
 
 def parse_expression(text, variables):
@@ -285,11 +265,7 @@ def parse_components(text, variables, count):
 
 def parse_constant(text):
     """Parse an expression with no variables and evaluate it to a float."""
-    node = parse_expression(text, ())
-    value = _const_fold(node)
-    if value is None:  # unreachable: no variables were declared
-        raise ExpressionSyntaxError("expected a constant expression", 0)
-    return value
+    return evaluate(parse_expression(text, ()), {}, float)
 
 
 # --- evaluation --------------------------------------------------------

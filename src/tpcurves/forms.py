@@ -150,18 +150,12 @@ class PointGeometry:
 
     def __init__(self, jet):
         E, F, G, pu, pv = metric_fields(jet)
-        det = E * G - F * F
-        bad = failing_node(det.f <= REGULARITY_THRESHOLD, det.f, jet.u, jet.v)
-        if bad:
-            raise DegeneratePoint("EG - F^2 = {} at (u, v) = ({}, {})"
-                                  .format(*bad))
         p = [Field2.of_jet(c) for c in jet.components]
-        area = det.sqrt()
+        det, area, self.g = _tangency(p, pu, pv, E, F, G, jet.u, jet.v)
         p_dot_u = dot3(p, pu)
         p_dot_v = dot3(p, pv)
         self.jet = jet
         self.E, self.F, self.G, self.det, self.area = E, F, G, det, area
-        self.g = dot3(p, cross3(pu, pv)) / area
         self.lam = (G * p_dot_u - F * p_dot_v) / det
         self.mu = (E * p_dot_v - F * p_dot_u) / det
 
@@ -179,6 +173,21 @@ class PointGeometry:
     @cached_property
     def chris(self):
         return christoffel_fields(self.form)
+
+
+def _tangency(p, pu, pv, E, F, G, u, v):
+    """det = EG - F^2, area = sqrt(det) and the tangency residual
+    g = p . (pu x pv) / area over any ring, at (u, v).  Raises
+    DegeneratePoint where det <= REGULARITY_THRESHOLD, naming the first
+    such node; recorded, that test is the kernel's guard."""
+    det = E * G - F * F
+    bad = failing_node(det.f <= REGULARITY_THRESHOLD, det.f, u, v)
+    if bad:
+        raise DegeneratePoint("EG - F^2 = {} at (u, v) = ({}, {})"
+                              .format(*bad))
+    triple = dot3(p, cross3(pu, pv))
+    area = det.sqrt()
+    return det, area, triple / area
 
 
 def point_geometry(patch, u, v):
@@ -251,10 +260,7 @@ def compile_tangency_kernel(components):
     Field1, recorded by :func:`~tpcurves.jets.straight_line`."""
     def build(field2, u, v):
         p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
-        det = E * G - F * F
-        if det.f <= REGULARITY_THRESHOLD:  # recorded as a guard
-            raise DegeneratePoint("EG - F^2 at or below the threshold")
-        g = dot3(p, cross3(pu, pv)) / det.sqrt()
+        g = _tangency(p, pu, pv, E, F, G, u, v)[2]
         return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
     return straight_line(build, ("u", "v"), Field2, arrays=False)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ambient_dot, stack_samples, transfer_sample
+from .curves import ambient_dot, transfer_sample
 from .errors import MetricMismatch
 from .forms import REGULARITY_THRESHOLD, point_geometry
 from .tangent import geodesic_curvature_formula, velocity_coefficients
@@ -234,30 +234,29 @@ def invariance_report(pair, samples):
     parameters.
 
     ``samples`` are the curve's unit-speed samples on the source patch,
-    stacked (:func:`~tpcurves.curves.sample_arclength`) or as a list of
-    single samples; the same (u(s), v(s)) data is pushed through the
-    target patch (unit speed transfers because the metrics agree).
-    Geodesic curvature is computed intrinsically on both sides, so it
-    stays defined even where the ambient frame degenerates.  Each side is
-    one PointGeometry over all samples, one for both sides when the pair
-    is a patch and itself; the report keeps the pair in ``geometry``.
+    stacked (:func:`~tpcurves.curves.sample_arclength`); the same
+    (u(s), v(s)) data is pushed through the target patch (unit speed
+    transfers because the metrics agree).  Geodesic curvature is computed
+    intrinsically on both sides, so it stays defined even where the
+    ambient frame degenerates.  Each side is one PointGeometry over all
+    samples, one for both sides when the pair is a patch and itself; the
+    report keeps the pair in ``geometry``.
     """
-    s = stack_samples(samples)
-    src = point_geometry(pair.source, s.u, s.v)
+    src = point_geometry(pair.source, samples.u, samples.v)
     tgt = (src if pair.target is pair.source
-           else point_geometry(pair.target, s.u, s.v))
-    t = transfer_sample(tgt, s)
-    rho_src = ambient_dot(s.gamma, s.gamma)
+           else point_geometry(pair.target, samples.u, samples.v))
+    t = transfer_sample(tgt, samples)
+    rho_src = ambient_dot(samples.gamma, samples.gamma)
     rho_tgt = ambient_dot(t.gamma, t.gamma)
-    tc_src = ambient_dot(s.dgamma, s.gamma)
+    tc_src = ambient_dot(samples.dgamma, samples.gamma)
     tc_tgt = ambient_dot(t.dgamma, t.gamma)
     kg_src = geodesic_curvature_formula(
-        velocity_coefficients(src, s), src).normalized
+        velocity_coefficients(src, samples), src).normalized
     kg_tgt = geodesic_curvature_formula(
         velocity_coefficients(tgt, t), tgt).normalized
 
     def per_sample(x):  # a field that is the same at every node is a float
-        return np.broadcast_to(x, s.u.shape)
+        return np.broadcast_to(x, samples.u.shape)
 
     return InvarianceReport(
         rho_source=rho_src, rho_target=rho_tgt,
@@ -275,8 +274,7 @@ def invariance_report(pair, samples):
 
 def tangent_position_preservation(pair, samples):
     """Max |g-bar| along the image of a source tangent-position curve,
-    given by its unit-speed ``samples`` on the source patch, in either form
-    :func:`invariance_report` takes.
+    given by its stacked unit-speed ``samples`` on the source patch.
 
     Raises ValueError when the source curve is not tangent-position (the
     claim under test has no content then).  Both maxima are read from

@@ -467,6 +467,8 @@ class _Traced:
         return self.name
 
     def __getattr__(self, function):
+        if function.startswith("_"):  # numpy's probes: __array_struct__...
+            raise AttributeError(function)
         return lambda *args: self.record(
             function + "(" + ", ".join(["{}"] * len(args)) + ")",
             *map(str, args))
@@ -539,6 +541,15 @@ def _render(lines, leaves):
     return body
 
 
+def _live(lines, leaves):
+    """The leaves and the operands of ``lines`` on which the leaves depend."""
+    live = set(leaves)
+    for name, _, operands in reversed(lines):
+        if name in live:
+            live.update(operands)
+    return live
+
+
 def straight_line(build, params, ring, *, arrays):
     """``build(twin, *params)``, floats and the arithmetic of ``twin``, the
     recording twin of ``ring``, returning floats in nested tuples, as
@@ -558,9 +569,11 @@ def straight_line(build, params, ring, *, arrays):
     by node (``_NODE_MATH``), and the program runs under the batched tree
     walk's error states (overflow and invalid pass, a division by zero
     raises).  It has no NaN test, since numpy gives both the same NaN at a
-    node; a recording that meets a NaN constant, or a constant subtree that
-    raises, gives no program but None: the batched tree walk alone gives
-    those NaN bits and that error."""
+    node; a recording whose result depends on a NaN constant, or with a
+    constant subtree that raises, gives no program but None: the batched
+    tree walk alone gives those NaN bits and that error.  A NaN constant
+    whose value no result uses (as in ``(u / 5e-324) ^ 0``) keeps the
+    program."""
     lines, names, leaves = [], {}, []
 
     def render(out):
@@ -576,7 +589,7 @@ def straight_line(build, params, ring, *, arrays):
             body = _render(lines, leaves) + [
                 "if " + " or ".join(f"{x} != {x}" for x in leaves)
                 + ": return None", "return " + out]
-        elif "nan" in chain(leaves, *(x for _, _, x in lines)):
+        elif "nan" in _live(lines, leaves):
             return None
         else:
             lines = [(name, template if name else "_any(" + template + ")",

@@ -42,7 +42,7 @@ from . import expr
 from .errors import DomainError
 from .forms import (compile_metric_program, compile_tangency_kernel,
                     metric_coefficients)
-from .jets import Field2, Jet1, Jet2, straight_line
+from .jets import Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
            "parse_surface", "parse_curve"]
@@ -127,10 +127,9 @@ class SurfacePatch:
         node outside the domain raises :meth:`jet`'s DomainError."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        inside = self.contains(u, v)
-        if not inside.all():
-            first = int(np.argmin(inside))
-            self._require_inside(u[first], v[first])
+        bad = failing_node(np.logical_not(self.contains(u, v)), u, v)
+        if bad:
+            self._require_inside(*bad)
         return u, v
 
     def value(self, u, v):
@@ -299,13 +298,11 @@ class CurvePath:
     def _require_inside(self, t):
         t0, t1 = self.t_range
         slack = _DOMAIN_SLACK * max(1.0, abs(t0), abs(t1))
-        if isinstance(t, np.ndarray):
-            inside = (t0 - slack <= t) & (t <= t1 + slack)
-            if inside.all():
-                return
-            t = t[np.argmin(inside)]  # the first failing node
-        if not (t0 - slack <= t <= t1 + slack):
-            raise DomainError(f"t={t} outside [{t0}, {t1}] of curve '{self.name}'")
+        bad = failing_node(
+            np.logical_not((t0 - slack <= t) & (t <= t1 + slack)), t)
+        if bad:
+            raise DomainError("t={} outside [{}, {}] of curve '{}'"
+                              .format(*bad, t0, t1, self.name))
 
     def jet(self, t):
         """u(t), v(t) with t-derivatives through order 3.
@@ -349,14 +346,12 @@ class CurvePath:
         ts = np.array([t0 + (t1 - t0) * i / (samples - 1)
                        for i in range(samples)])
         cj = self.jet(ts)
-        u = np.broadcast_to(cj.u.f, ts.shape)
-        v = np.broadcast_to(cj.v.f, ts.shape)
-        inside = patch.contains(u, v)
-        if not inside.all():
-            i = int(np.argmin(inside))
+        bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
+                           ts, cj.u.f, cj.v.f)
+        if bad:
             raise DomainError(
-                f"curve '{self.name}' leaves domain of '{patch.name}' "
-                f"at t={ts[i]}: (u, v)=({u[i]}, {v[i]})")
+                "curve '{}' leaves domain of '{}' at t={}: (u, v)=({}, {})"
+                .format(self.name, patch.name, *bad))
 
 
 def parse_curve(u_text, v_text, t_range, name="curve", surface=None):
@@ -379,11 +374,12 @@ def ambient_jet(patch, curve, t):
     at that node, and the first node off the patch domain raises.
     """
     cj = curve.jet(t)
+    bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
+                       cj.u.f, cj.v.f, t)
+    if bad:
+        raise DomainError("curve point ({}, {}) at t={} outside domain of "
+                          "'{}'".format(*bad, patch.name))
     if not isinstance(t, np.ndarray):
-        if not patch.contains(cj.u.f, cj.v.f):
-            raise DomainError(
-                f"curve point ({cj.u.f}, {cj.v.f}) at t={t} outside domain "
-                f"of '{patch.name}'")
         env = {"u": cj.u, "v": cj.v}
         comps = tuple(expr.evaluate(c, env, Jet1.const)
                       for c in patch.components)
@@ -392,15 +388,6 @@ def ambient_jet(patch, curve, t):
         d2 = np.array([c.d2 for c in comps])
         d3 = np.array([c.d3 for c in comps])
         return cj, gamma, d1, d2, d3
-
-    u = np.broadcast_to(cj.u.f, t.shape)
-    v = np.broadcast_to(cj.v.f, t.shape)
-    inside = patch.contains(u, v)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise DomainError(
-            f"curve point ({u[i]}, {v[i]}) at t={t[i]} outside domain "
-            f"of '{patch.name}'")
     comps = _run(patch._ambient_program, _coeffs(cj.u) + _coeffs(cj.v),
                  patch.components, {"u": cj.u, "v": cj.v}, Jet1)
     return cj, *(_stack(comps, attr, len(t)) for attr in Jet1.__slots__)

@@ -9,20 +9,20 @@ and gamma'', the fundamental forms and the Frenet frame.  This module
 computes every ingredient exactly from jet data and provides the ambient
 dot products the closed forms are checked against.
 
-Every per-sample function takes ``(geom, sample)``: ``geom`` is the
-:class:`~tpcurves.forms.PointGeometry` at the sample's parameter point,
+Every per-sample function takes ``(geom, sample)``: ``sample`` is a
+curve's stacked :class:`~tpcurves.curves.CurveSample`
+(:func:`~tpcurves.curves.sample_arclength`) and ``geom`` the
+:class:`~tpcurves.forms.PointGeometry` over all its parameter points,
 built once by :func:`~tpcurves.forms.point_geometry` and shared by every
-identity at that sample; none of them evaluates the patch again.  They
-are ring-generic: given the record of a whole curve (``point_geometry``
-over arrays of nodes) and its stacked sample
-(:func:`~tpcurves.curves.sample_arclength`), one call evaluates every sample
-at once, each with the bits of the one-sample call.  The tracer's Newton
-corrector builds no record: its iterates read g and its gradient from
-:func:`~tpcurves.forms.tangency_gradient`, straight-line code generated
-once per patch (g alone is its first entry).  A traced locus is one
-batched record like any other curve: its accepted samples are stacked in
-:attr:`TracedCurve.samples` and one record over them is kept in
-:attr:`TracedCurve.geometry`.
+identity; none of them evaluates the patch again.  One call evaluates
+every sample, each with the bits the same call gives at that one point
+(a one-point record and a sample of floats and (3,) vectors).  The
+tracer's Newton corrector builds no record: its iterates read g and its
+gradient from :func:`~tpcurves.forms.tangency_gradient`, straight-line
+code generated once per patch (g alone is its first entry).  A traced
+locus is one batched record like any other curve: its accepted samples
+are stacked in :attr:`TracedCurve.samples` and one record over them is
+kept in :attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -49,14 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import KAPPA_MIN, CurveSample, ambient_dot, transfer_sample
-from .errors import (ConfigError, DomainError, FrameUndefined,
-                     IdenticallyTangent, NoSeed, SingularLocus)
+from .curves import (KAPPA_MIN, CurveSample, ambient_dot, frenet,
+                     transfer_sample)
+from .errors import (ConfigError, DomainError, IdenticallyTangent, NoSeed,
+                     SingularLocus)
 # second_form is no longer called here; bench/test_bench.py still checks
 # that the benchmark tracer wraps and restores this binding.
 from .forms import (PointGeometry, point_geometry, second_form,  # noqa: F401
                     tangency_gradient)
-from .jets import cross3, dot3, failing_node
+from .jets import cross3, dot3
 
 __all__ = [
     "TangentDecomposition", "FrameCoefficients", "PositionComponentReport",
@@ -317,13 +318,10 @@ def binormal_formula_check(geom, sample):
     a1 b3 (F phi_u - E phi_v) + a2 b3 (G phi_u - F phi_v) divided by
     sqrt(EG - F^2); the whole vector is normalized to unit length and the
     difference norm is returned after sign alignment (inf where the
-    expansion vanishes).  Raises FrameUndefined, naming the first such
-    sample, if any curvature is at or below the frame threshold.
+    expansion vanishes).  Raises :func:`~tpcurves.curves.frenet`'s
+    FrameUndefined where a curvature is at or below the frame threshold.
     """
-    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    bad = failing_node(kappa <= KAPPA_MIN, kappa, sample.s)
-    if bad:
-        raise FrameUndefined("curvature {} at s={}".format(*bad))
+    b_vec = frenet(sample).b
     coeffs = frame_coefficients(geom, sample)
     E, F, G = geom.E.f, geom.F.f, geom.G.f
     jet = geom.jet
@@ -335,7 +333,6 @@ def binormal_formula_check(geom, sample):
     norm = np.sqrt(dot3(rhs, rhs))
     with np.errstate(divide="ignore", invalid="ignore"):  # where norm is 0
         rhs_unit = rhs / norm
-    b_vec = np.array(cross3(sample.dgamma, sample.ddgamma / kappa))
     minus, plus = rhs_unit - b_vec, rhs_unit + b_vec
     d_minus, d_plus = dot3(minus, minus), dot3(plus, plus)
     # Python's min(d_minus, d_plus): d_plus only where strictly smaller.

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from sample_list import split_samples
 
 from tpcurves import (
     christoffel,
@@ -20,7 +21,7 @@ from tpcurves import (
     invariance_report,
     point_geometry,
     position_component_report,
-    reparametrize_arclength,
+    sample_arclength,
     second_form,
     surface_curvatures,
     tangency_gradient,
@@ -106,7 +107,7 @@ def test_c03_coefficient_identities(scene):
     worst = 0.0
     for name in TP_CURVES:
         patch, curve = scene.curve_host(name)
-        for s in reparametrize_arclength(patch, curve, 50):
+        for s in split_samples(sample_arclength(patch, curve, 50)):
             geom = point_geometry(patch, s.u, s.v)
             co = frame_coefficients(geom, s)
             kn = surface_curvatures(geom, s).kappa_n
@@ -115,7 +116,7 @@ def test_c03_coefficient_identities(scene):
     # The gamma''-expansion route reproduces kappa_n on every curve.
     for name in ALL_CURVES:
         patch, curve = scene.curve_host(name)
-        for s in reparametrize_arclength(patch, curve, 50):
+        for s in split_samples(sample_arclength(patch, curve, 50)):
             geom = point_geometry(patch, s.u, s.v)
             co = velocity_coefficients(geom, s)
             kn = surface_curvatures(geom, s).kappa_n
@@ -153,7 +154,7 @@ def test_c05_curvature_pythagoras(scene):
     worst = 0.0
     for name in ALL_CURVES:
         patch, curve = scene.curve_host(name)
-        for s in reparametrize_arclength(patch, curve, 50):
+        for s in split_samples(sample_arclength(patch, curve, 50)):
             kappa = float(np.linalg.norm(s.ddgamma))
             if kappa <= 1e-9:
                 continue
@@ -172,14 +173,14 @@ def test_c06_kappa_g_consistency(scene):
     worst = 0.0
     for name in ALL_CURVES:
         patch, curve = scene.curve_host(name)
-        for s in reparametrize_arclength(patch, curve, 50):
+        for s in split_samples(sample_arclength(patch, curve, 50)):
             geom = point_geometry(patch, s.u, s.v)
             direct = surface_curvatures(geom, s).kappa_g
             intrinsic = geodesic_curvature_formula(
                 velocity_coefficients(geom, s), geom).normalized
             worst = max(worst, abs(direct - intrinsic))
     patch, curve = scene.curve_host("plane_circle")
-    sample = reparametrize_arclength(patch, curve, 9)[4]
+    sample = split_samples(sample_arclength(patch, curve, 9))[4]
     geom = point_geometry(patch, sample.u, sample.v)
     circle_dev = abs(surface_curvatures(geom, sample).kappa_g - 0.5)
     ok = worst < 1e-8 and circle_dev < 1e-9
@@ -196,7 +197,7 @@ def test_c07_intrinsic_invariance_catenoid_helicoid(scene):
     match = verify_metric_match(pair, (20, 20))
     _, curve = scene.curve_host("catenoid_line")
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     ok = match.max_residual < 1e-10 and rep.max_kappa_g_residual < 1e-7
     report(7, ok, f"metric {match.max_residual:.3e}, "
                   f"kappa_g dev {rep.max_kappa_g_residual:.3e}")
@@ -210,9 +211,9 @@ def test_c08_rigid_invariance(scene):
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     preserved = tangent_position_preservation(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     worst = max(rep.max_rho_residual, rep.max_t_comp_residual,
                 rep.max_lam_residual, rep.max_mu_residual, preserved)
     ok = worst < 1e-9
@@ -227,13 +228,13 @@ def test_c09_counterexample_regression(scene):
     failing without affecting the exit status."""
     pair = scene.pair("plane_cylinder")
     _, curve = scene.curve_host("plane_circle")
-    samples = reparametrize_arclength(pair.source, curve, 50)
+    samples = split_samples(sample_arclength(pair.source, curve, 50))
     src_g = max(abs(tangency_gradient(pair.source, s.u, s.v)[0])
                 for s in samples)
     gbar = [tangency_gradient(pair.target, s.u, s.v)[0] for s in samples]
     gbar_dev = max(abs(g - 1.0) for g in gbar)
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     kappa_ok = rep.max_kappa_g_residual < 1e-7
     flagged = not rep.tangent_position_preserved
     ok = src_g < 1e-8 and gbar_dev < 1e-9 and kappa_ok and flagged

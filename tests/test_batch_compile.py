@@ -24,7 +24,7 @@ import tpcurves
 import tpcurves.surface
 from tpcurves import builtin_scene, cli, parse_curve, point_geometry
 from tpcurves import scene as scene_module
-from tpcurves.curves import reparametrize_arclength
+from tpcurves.curves import sample_arclength
 from tpcurves.isometry import invariance_report
 from tpcurves.scene import BUILTIN_SCENE_TEXT
 from tpcurves.surface import SurfacePatch, ambient_jet
@@ -142,7 +142,7 @@ def test_identity_pair_evaluates_its_patch_once(scene, monkeypatch):
     assert calls == [("metric_batch", "catenoid", 400)]
     patch = pair.source
     assert pair.registration_residual == 0.0
-    samples = reparametrize_arclength(patch, scene.curve("catenoid_line"), 30)
+    samples = sample_arclength(patch, scene.curve("catenoid_line"), 30)
     calls.clear()
     report = invariance_report(pair, samples)
     assert calls == [("jet_batch", "catenoid", 30)]

@@ -61,8 +61,9 @@ def raised(outcome):
 
 def program_output(program, args, want):
     """``program(*args)``, which must give jets where the tree walk gave
-    ``want``.  Only a recording that met a NaN constant gives no program,
-    and then some coefficient of ``want`` is NaN at every node."""
+    ``want``.  Only a recording whose result depends on a NaN constant
+    gives no program, and then some coefficient of ``want`` is NaN at every
+    node."""
     if program is None:
         assert any(np.isnan(getattr(c, name)).all()
                    for c in want for name in type(c).__slots__)
@@ -220,3 +221,14 @@ def test_a_failing_curve_node_raises_the_tree_walks_error():
     with pytest.raises(DomainError) as caught:
         ambient_jet(patch, parse_curve("t", "0.5", (-1.0, 1.0)), t)
     assert str(caught.value) == "t=1.5 outside [-1.0, 1.0] of curve 'curve'"
+
+
+def test_a_nan_constant_no_result_uses_keeps_the_program():
+    # u / 5e-324 has NaN constant coefficients (inf * 0.0), which ^ 0
+    # drops: no result is NaN, so the patch keeps its program.
+    patch = parse_surface("(u, v, (u / 5e-324) ^ 0)", (-3, 3), (-3, 3))
+    u, v = POSITIVE
+    want = tree_walk(patch, u, v)
+    assert patch._jet_program is not None
+    assert patch._jet_program(u, v) is not None  # no fallback
+    assert_same_coeffs(patch.jet_batch(u, v).components, want)

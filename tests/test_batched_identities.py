@@ -12,12 +12,12 @@ import dataclasses
 import io
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sample_list import split_samples
 from test_batch_compile import counting
 from test_expr import _ast_strategy
 from test_tracer_oracle import one_point_locus
@@ -34,7 +34,6 @@ from tpcurves import (
     position_component_report,
     ratio_identity_check,
     register_pair,
-    reparametrize_arclength,
     sample_arclength,
     second_form,
     second_form_relation,
@@ -45,7 +44,7 @@ from tpcurves import (
     verify_metric_match,
 )
 from tpcurves import checks, curves
-from tpcurves.curves import KAPPA_MIN, stack_samples
+from tpcurves.curves import KAPPA_MIN
 from tpcurves.errors import DegeneratePoint, EvalError, FrameUndefined
 from tpcurves.expr import Binary, Const, Unary, Var
 from tpcurves.jets import dot3
@@ -146,8 +145,8 @@ def assert_identities(batch_geom, batch, geoms, samples):
                            [getattr(m, name) for m in moved_each], name)
 
 
-def check_curve(patch, samples):
-    batch = stack_samples(samples)
+def check_curve(patch, batch, samples):
+    """``batch`` and its samples one by one, ``samples``."""
     geom = point_geometry(patch, batch.u, batch.v)
     geoms = [point_geometry(patch, s.u, s.v) for s in samples]
     assert_records(geom, geoms)
@@ -157,7 +156,8 @@ def check_curve(patch, samples):
 @pytest.mark.parametrize("name", CURVES)
 def test_builtin_curves_batch_equals_scalar(scene, name):
     patch, curve = scene.curve_host(name)
-    check_curve(patch, reparametrize_arclength(patch, curve, 40))
+    batch = sample_arclength(patch, curve, 40)
+    check_curve(patch, batch, split_samples(batch))
 
 
 def test_traced_samples_batch_equals_scalar(scene):
@@ -167,33 +167,32 @@ def test_traced_samples_batch_equals_scalar(scene):
     patch = scene.surface("catenoid")
     traced = trace_tangent_curve(patch, (1.0, 1.2), h=0.02, resample=15)
     geoms, samples = zip(*one_point_locus(patch, traced))
-    for batch in (traced.samples, stack_samples(samples)):
-        assert batch.dddu is None and batch.dddgamma is None
+    assert traced.samples.dddu is None and traced.samples.dddgamma is None
     assert_records(traced.geometry, geoms)
     assert_identities(traced.geometry, traced.samples, geoms, samples)
 
 
 def test_stacked_sample_shapes(scene):
     patch, curve = scene.curve_host("offset_latitude")
-    samples = reparametrize_arclength(patch, curve, 7)
-    batch = stack_samples(samples)
+    batch = sample_arclength(patch, curve, 7)
     assert isinstance(batch, CurveSample)
     assert batch.u.shape == (7,) and batch.gamma.shape == (3, 7)
-    assert_vectors(batch.dddgamma, [s.dddgamma for s in samples])
+    assert batch.dddgamma.shape == (3, 7)
 
 
-def _samples_on(patch, us, vs, rng):
-    """Samples with arbitrary parameter derivatives at the nodes, their
-    ambient data from each node's scalar record."""
-    out = []
-    for u, v in zip(us, vs):
-        du, dv, ddu, ddv, dddu, dddv = rng.uniform(-2.0, 2.0, 6).tolist()
-        skeleton = CurveSample(s=0.0, t=0.0, u=u, v=v, du=du, dv=dv,
-                               ddu=ddu, ddv=ddv, dddu=dddu, dddv=dddv,
-                               gamma=None, dgamma=None, ddgamma=None,
-                               dddgamma=None)
-        out.append(transfer_sample(point_geometry(patch, u, v), skeleton))
-    return out
+def _skeleton(s, u, v, du, dv, ddu, ddv, dddu, dddv):
+    return CurveSample(s=s, t=s, u=u, v=v, du=du, dv=dv, ddu=ddu, ddv=ddv,
+                       dddu=dddu, dddv=dddv, gamma=None, dgamma=None,
+                       ddgamma=None, dddgamma=None)
+
+
+def _samples_on(patch, us, vs, derivs):
+    """Samples with the parameter derivatives ``derivs`` (one row per
+    node) at the nodes, their ambient data from each node's scalar
+    record."""
+    return [transfer_sample(point_geometry(patch, u, v),
+                            _skeleton(0.0, u, v, *d))
+            for u, v, d in zip(us, vs, derivs.tolist())]
 
 
 @given(_ast_strategy(), st.integers(0, 2**32 - 1))
@@ -211,14 +210,18 @@ def test_random_surfaces_batch_equals_scalar(node, seed):
     rng = np.random.default_rng(seed)
     us = rng.uniform(-1.5, 2.0, 12).tolist()
     vs = rng.uniform(0.0, 3.0, 12).tolist()
+    derivs = rng.uniform(-2.0, 2.0, (12, 6))
+    u, v = np.array(us), np.array(vs)
     with np.errstate(all="ignore"):
         try:
-            samples = _samples_on(patch, us, vs, rng)
+            samples = _samples_on(patch, us, vs, derivs)
         except (EvalError, DegeneratePoint) as exc:
             with pytest.raises(type(exc)):
-                point_geometry(patch, np.array(us), np.array(vs))
+                point_geometry(patch, u, v)
             return
-        check_curve(patch, samples)
+        batch = transfer_sample(point_geometry(patch, u, v),
+                                _skeleton(np.zeros(12), u, v, *derivs.T))
+        check_curve(patch, batch, samples)
 
 
 @pytest.mark.parametrize("text, v_range", [
@@ -253,8 +256,8 @@ def test_second_form_names_first_degenerate_node():
 
 def test_binormal_names_first_sample_below_frame_threshold(scene):
     patch, curve = scene.curve_host("cone_ruling")  # a straight line
-    samples = reparametrize_arclength(patch, curve, 5)
-    batch = stack_samples(samples)
+    batch = sample_arclength(patch, curve, 5)
+    samples = split_samples(batch)
     with pytest.raises(FrameUndefined) as scalar:
         binormal_formula_check(point_geometry(patch, samples[0].u,
                                               samples[0].v), samples[0])
@@ -294,7 +297,7 @@ def _scalar_loop_max(columns):
 
 def test_max_residual_keeps_python_max_semantics(scene):
     patch, curve = scene.curve_host("offset_latitude")
-    batch = stack_samples(reparametrize_arclength(patch, curve, 6))
+    batch = sample_arclength(patch, curve, 6)
     rep = dataclasses.replace(
         position_component_report(point_geometry(patch, batch.u, batch.v),
                                   batch),
@@ -388,18 +391,17 @@ def scalar_invariance(pair, samples):
 def test_invariance_report_equals_scalar_loop(scene, pair_name, curve_name):
     pair = scene.pair(pair_name)
     _, curve = scene.curve_host(curve_name)
-    samples = reparametrize_arclength(pair.source, curve, 30)
-    rep = invariance_report(pair, samples)
-    want, relation = scalar_invariance(pair, samples)
+    batch = sample_arclength(pair.source, curve, 30)
+    rep = invariance_report(pair, batch)
+    want, relation = scalar_invariance(pair, split_samples(batch))
     for key, values in want.items():
         assert_bits(getattr(rep, key), values, key)
-    residual, premise = second_form_relation(pair, stack_samples(samples),
-                                             rep.geometry)
+    residual, premise = second_form_relation(pair, batch, rep.geometry)
     assert_bits(residual, [r for r, _ in relation], "relation")
     assert premise.tolist() == [p for _, p in relation]
 
 
-def scalar_curve_residuals(scene, sample, curve_name):
+def scalar_curve_residuals(scene, curve_name):
     """checks._curve_residuals' former loop: one record per sample."""
     patch, curve = scene.curve_host(curve_name)
     worst = dict.fromkeys(("a1", "a2", "a3", "b3", "ratio", "pythagoras",
@@ -408,7 +410,8 @@ def scalar_curve_residuals(scene, sample, curve_name):
     def record(key, value):
         worst[key] = max(worst[key], value)
 
-    for s in sample(patch, curve, scene.options.samples):
+    for s in split_samples(sample_arclength(patch, curve,
+                                            scene.options.samples)):
         geom = point_geometry(patch, s.u, s.v)
         curv = checks.surface_curvatures(geom, s)
         # surface_curvatures returned Python floats then.
@@ -437,7 +440,7 @@ def scalar_curve_residuals(scene, sample, curve_name):
 @pytest.mark.parametrize("name", checks._ALL_CURVES)
 def test_curve_residuals_equal_scalar_loop(scene, name):
     got = checks._curve_residuals(scene, sample_arclength, name)
-    want = scalar_curve_residuals(scene, reparametrize_arclength, name)
+    want = scalar_curve_residuals(scene, name)
     for key, value in want.items():
         assert got.get(key, 0.0).hex() == float(value).hex(), key
 
@@ -447,7 +450,8 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
     last place; the batched check keeps the former.  Sample 0 gets a
     geodesic curvature at which the two give different residuals."""
     patch, curve = scene.curve_host("plane_circle")
-    first = reparametrize_arclength(patch, curve, scene.options.samples)[0]
+    first = split_samples(sample_arclength(patch, curve,
+                                           scene.options.samples))[0]
     curv = surface_curvatures(point_geometry(patch, first.u, first.v), first)
     c = float(curv.kappa_n) ** 2 - dot3(first.ddgamma, first.ddgamma)
     rng = random.Random(20261018)
@@ -463,8 +467,7 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
 
     monkeypatch.setattr(checks, "surface_curvatures", steep)
     got = checks._curve_residuals(scene, sample_arclength, "plane_circle")
-    want = scalar_curve_residuals(scene, reparametrize_arclength,
-                                  "plane_circle")
+    want = scalar_curve_residuals(scene, "plane_circle")
     assert got["pythagoras"].hex() == want["pythagoras"].hex()
 
 
@@ -496,30 +499,20 @@ def test_report_builds_no_per_sample_object(scene, monkeypatch, tmp_path):
 
 
 def test_verify_stacks_no_sample_list(scene, monkeypatch):
-    """One ``verify`` stacks no list of samples and samples each (patch,
+    """One ``verify`` builds no single sample and samples each (patch,
     curve, n) once, its final pass included."""
-    lists, sampled = [], {}
-    stack, samples_at = curves.stack_samples, curves._samples_at
-
-    def counted_stack(samples):
-        if not isinstance(samples, CurveSample):
-            lists.append(len(samples))
-        return stack(samples)
+    sampled = {}
+    samples_at = curves._samples_at
 
     def counted_samples_at(patch, curve, t, s):
         key = (patch.name, curve.name, len(t))
         sampled[key] = sampled.get(key, 0) + 1
         return samples_at(patch, curve, t, s)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tpcurves" and \
-                getattr(module, "stack_samples", None) is stack:
-            monkeypatch.setattr(module, "stack_samples", counted_stack)
     monkeypatch.setattr(curves, "_samples_at", counted_samples_at)
     single = count_curve_samples(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--target", "all"]) == 0
-    assert lists == []
     assert sampled and all(n == 1 for n in sampled.values()), sampled
     assert not any(single)
 

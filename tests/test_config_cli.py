@@ -107,6 +107,7 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
      "t_range must be finite with low < high, got '2*pi, 0'"),
     ("v_range = -2, 2", "v_range = -2, 1e308*10", 1,
      "v_range must be finite with low < high, got '-2, 1e308*10'"),
+    ("u_range = -2, 2", "u_range = 1/0, 2", 1, "division by zero"),
 ])
 def test_malformed_section_reports_line(tmp_path, capsys, old, new, line,
                                         message):

@@ -102,6 +102,36 @@ def test_parse_constant():
     assert expr.parse_constant("pi - 0.15") == pytest.approx(math.pi - 0.15)
 
 
+EXPONENT_ERROR = ("exponent must be a finite constant expression"
+                  " (at position 1)")
+
+
+@pytest.mark.parametrize("text,variables,error,message", [
+    ("2^u", ("u",), ExpressionSyntaxError, EXPONENT_ERROR),
+    ("2^log(-1)", (), ExpressionSyntaxError, EXPONENT_ERROR),
+    ("2^(1/0)", (), ExpressionSyntaxError, EXPONENT_ERROR),
+    ("u^v", ("u", "v"), ExpressionSyntaxError, EXPONENT_ERROR),
+])
+def test_exponent_error_texts(text, variables, error, message):
+    with pytest.raises(error) as info:
+        expr.parse_expression(text, variables)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("2^u", UnknownIdentifierError, "unknown identifier 'u' (at position 2)"),
+    ("2^log(-1)", ExpressionSyntaxError, EXPONENT_ERROR),
+    ("2^(1/0)", ExpressionSyntaxError, EXPONENT_ERROR),
+    ("1/0", EvalError, "division by zero"),
+    ("log(-1)", EvalError, "log of non-positive value -1.0"),
+])
+def test_parse_constant_error_texts(text, error, message):
+    with pytest.raises(error) as info:
+        expr.parse_constant(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # --- serialization round trips ------------------------------------------
 
 def _ast_strategy():

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from sample_list import split_samples
 
 from tpcurves import (
     IsometryPair,
     invariance_report,
     parse_surface,
     register_pair,
-    reparametrize_arclength,
+    sample_arclength,
     second_form_relation,
     tangent_position_preservation,
     verify_metric_match,
@@ -88,7 +89,7 @@ def test_rigid_rotation_preserves_everything(scene):
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     assert rep.max_rho_residual < 1e-9
     assert rep.max_t_comp_residual < 1e-9
     assert rep.max_lam_residual < 1e-9
@@ -97,14 +98,14 @@ def test_rigid_rotation_preserves_everything(scene):
     assert rep.source_tangent_position
     assert rep.tangent_position_preserved
     assert tangent_position_preservation(
-        pair, reparametrize_arclength(pair.source, curve, 50)) < 1e-9
+        pair, sample_arclength(pair.source, curve, 50)) < 1e-9
 
 
 def test_catenoid_helicoid_invariance(scene):
     pair = scene.pair("catenoid_helicoid")
     _, curve = scene.curve_host("catenoid_line")
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     # Intrinsic: geodesic curvature transfers exactly.
     assert rep.max_kappa_g_residual < 1e-7
     # Extrinsic: length of the position vector does not.
@@ -121,7 +122,7 @@ def test_kappa_g_invariance_all_pairs_all_curves(scene):
         pair = scene.pair(pair_name)
         _, curve = scene.curve_host(curve_name)
         rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 25))
+        pair, sample_arclength(pair.source, curve, 25))
         assert rep.max_kappa_g_residual < 1e-7, pair_name
 
 
@@ -131,12 +132,12 @@ def test_plane_cylinder_counterexample(scene):
     pair = scene.pair("plane_cylinder")
     _, curve = scene.curve_host("plane_circle")
     rep = invariance_report(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     assert rep.source_tangent_position
     assert not rep.tangent_position_preserved
     assert np.max(np.abs(rep.target_tangency - 1.0)) < 1e-9
     gbar = tangent_position_preservation(
-        pair, reparametrize_arclength(pair.source, curve, 50))
+        pair, sample_arclength(pair.source, curve, 50))
     assert abs(gbar - 1.0) < 1e-9
 
 
@@ -145,13 +146,13 @@ def test_preservation_requires_tangent_position_source(scene):
     _, curve = scene.curve_host("catenoid_line")
     with pytest.raises(ValueError, match="not tangent-position"):
         tangent_position_preservation(
-        pair, reparametrize_arclength(pair.source, curve, 10))
+        pair, sample_arclength(pair.source, curve, 10))
 
 
 def test_second_form_relation_identity_pair(scene):
     pair = scene.pair("identity_catenoid")
     _, curve = scene.curve_host("catenoid_line")
-    for s in reparametrize_arclength(pair.source, curve, 15):
+    for s in split_samples(sample_arclength(pair.source, curve, 15)):
         residual, _ = second_form_relation(pair, s)
         assert residual == 0.0
 
@@ -159,7 +160,7 @@ def test_second_form_relation_identity_pair(scene):
 def test_second_form_relation_rigid_pair(scene):
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
-    for s in reparametrize_arclength(pair.source, curve, 15):
+    for s in split_samples(sample_arclength(pair.source, curve, 15)):
         residual, premise = second_form_relation(pair, s)
         assert premise
         assert abs(residual) < 1e-10
@@ -168,7 +169,7 @@ def test_second_form_relation_rigid_pair(scene):
 def test_second_form_relation_premise_fails_on_counterexample(scene):
     pair = scene.pair("plane_cylinder")
     _, curve = scene.curve_host("plane_circle")
-    s = reparametrize_arclength(pair.source, curve, 9)[2]
+    s = split_samples(sample_arclength(pair.source, curve, 9))[2]
     residual, premise = second_form_relation(pair, s)
     assert not premise  # image curve is not tangent-position
     assert math.isfinite(residual)
@@ -181,7 +182,7 @@ def test_rho_and_t_comp_invariance_formulas(scene):
 
     pair = scene.pair("offset_rotation")
     _, curve = scene.curve_host("offset_latitude")
-    samples = reparametrize_arclength(pair.source, curve, 15)
+    samples = split_samples(sample_arclength(pair.source, curve, 15))
     from tpcurves import transfer_sample
 
     for s in samples:

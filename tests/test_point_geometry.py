@@ -3,6 +3,7 @@ one-record-per-sample, one-sampling-per-curve contracts built on it."""
 
 import numpy as np
 import pytest
+from sample_list import split_samples
 
 from tpcurves import (
     binormal_formula_check,
@@ -14,7 +15,7 @@ from tpcurves import (
     point_geometry,
     position_component_report,
     ratio_identity_check,
-    reparametrize_arclength,
+    sample_arclength,
     surface_curvatures,
     transfer_sample,
     velocity_coefficients,
@@ -85,7 +86,7 @@ def test_record_rejects_degenerate_point():
 
 def test_per_sample_functions_evaluate_no_jet(scene, monkeypatch):
     patch, curve = scene.curve_host("offset_latitude")
-    samples = reparametrize_arclength(patch, curve, 5)
+    samples = split_samples(sample_arclength(patch, curve, 5))
     geoms = [point_geometry(patch, s.u, s.v) for s in samples]
 
     def no_jet(self, u, v):

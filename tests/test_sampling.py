@@ -12,15 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sample_list import split_samples
+
 from tpcurves import (
     CurveSample,
     cli,
     curves,
     parse_curve,
     parse_surface,
-    reparametrize_arclength,
     sample_arclength,
-    stack_samples,
 )
 from tpcurves.errors import DomainError, IrregularCurve
 from tpcurves.scene import load_scene
@@ -73,30 +73,22 @@ def test_array_domain_checks_name_first_failing_node():
         ambient_jet(PLANE, line, np.array([1.0, 6.0, 7.0]))
 
 
-def test_samples_carry_floats_and_contiguous_vectors(scene):
-    patch, curve = scene.curve_host("catenoid_line")
-    for s in reparametrize_arclength(patch, curve, 9):
-        for field in ("s", "t", "u", "v", "du", "dv", "ddu", "ddv", "dddu",
-                      "dddv"):
-            assert type(getattr(s, field)) is float
-        for field in ("gamma", "dgamma", "ddgamma", "dddgamma"):
-            vec = getattr(s, field)
-            assert vec.shape == (3,) and vec.flags.c_contiguous
-
-
 @pytest.mark.parametrize("n", (2, 7, 50, 200))
 @pytest.mark.parametrize("name", BUILTIN_CURVES)
 def test_stacked_sampler_equals_stacked_list(scene, name, n):
-    """Every field of the stacked sampler has the shape, dtype, layout and
-    bits of the per-sample list stacked, constant coordinates included."""
+    """Every field of the stacked sampler is laid out as a list of single
+    samples stacked by ``np.array(rows).T``, constant coordinates
+    included: a writeable float (n,) array, or the (3, n) transpose of a
+    C-contiguous (n, 3) array."""
     patch, curve = scene.curve_host(name)
     got = sample_arclength(patch, curve, n)
-    want = stack_samples(reparametrize_arclength(patch, curve, n))
     for field in dataclasses.fields(CurveSample):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+        a = getattr(got, field.name)
+        rows = [getattr(s, field.name) for s in split_samples(got)]
+        want = np.array(rows).T
         assert (a.shape, a.dtype, a.strides, a.flags.writeable) == \
-            (b.shape, b.dtype, b.strides, b.flags.writeable), field.name
-        assert a.tobytes() == b.tobytes(), field.name
+            (want.shape, want.dtype, want.strides, True), field.name
+        assert a.tobytes() == want.tobytes(), field.name
 
 
 def test_constant_coordinate_is_a_float_array(scene):
@@ -106,7 +98,6 @@ def test_constant_coordinate_is_a_float_array(scene):
         x = getattr(batch, name)
         assert x.shape == (7,) and x.dtype == np.float64
         assert np.unique(x).size == 1, name
-    assert stack_samples(batch) is batch
 
 
 FAILING_SCENE = """\
@@ -153,16 +144,13 @@ def test_config_curve_failures_keep_their_text(tmp_path, capsys, surface,
     path.write_text(FAILING_SCENE)
     scene = load_scene(path)
     patch, path_curve = scene.surface(surface), scene.curve(curve)
-    with pytest.raises(error, match=match) as listed:
-        reparametrize_arclength(patch, path_curve, 20)
-    with pytest.raises(error) as stacked:
+    with pytest.raises(error, match=match) as raised:
         sample_arclength(patch, path_curve, 20)
-    assert str(stacked.value) == str(listed.value)
     if surface == "disc":  # the curve's host: report-thm31 says the same
         rc = cli.main(["report-thm31", curve, "--config", str(path),
                        "--samples", "20"])
         assert rc == 2  # an analysis error
-        assert capsys.readouterr().err == f"error: {listed.value}\n"
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 # Speed |dgamma/dt| of each extra curve, written out by hand in mpmath.
@@ -193,7 +181,7 @@ def test_arc_length_matches_mpmath(name, n):
     worst = 0.0
     with mpmath.workdps(20):
         s_exact, t_prev = mpmath.mpf(0), mpmath.mpf(curve.t_range[0])
-        for sample in reparametrize_arclength(patch, curve, n):
+        for sample in split_samples(sample_arclength(patch, curve, n)):
             t = mpmath.mpf(sample.t)
             s_exact += mpmath.quad(lambda x: speed(mpmath, x), [t_prev, t],
                                      method="gauss-legendre")
@@ -209,7 +197,7 @@ def test_speed_zero_between_gauss_nodes_raises(u_text, n):
     node lands there, the panel edge does."""
     stopped = parse_curve(u_text, "0", (-1, 1), name="stopped")
     with pytest.raises(IrregularCurve, match="speed 0.0 at t=0.0"):
-        reparametrize_arclength(PLANE, stopped, n)
+        sample_arclength(PLANE, stopped, n)
 
 
 @pytest.mark.parametrize("constant, value, match", [
@@ -218,16 +206,16 @@ def test_speed_zero_between_gauss_nodes_raises(u_text, n):
     ("_NEWTON_ITERS", 1, "did not converge"),
 ])
 def test_unconverged_sampling_raises(monkeypatch, constant, value, match):
-    reparametrize_arclength(PLANE, ELLIPSE, 50)  # converges as shipped
+    sample_arclength(PLANE, ELLIPSE, 50)  # converges as shipped
     monkeypatch.setattr(curves, constant, value)
     with pytest.raises(IrregularCurve, match=match):
-        reparametrize_arclength(PLANE, ELLIPSE, 50)
+        sample_arclength(PLANE, ELLIPSE, 50)
 
 
 def test_empty_parameter_range_raises():
     point = parse_curve("t", "0", (1, 1), name="point")
     with pytest.raises(IrregularCurve, match="empty parameter range"):
-        reparametrize_arclength(PLANE, point, 9)
+        sample_arclength(PLANE, point, 9)
 
 
 def test_library_has_no_assert_statements():

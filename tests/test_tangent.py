@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from sample_list import split_samples
 
 from tpcurves import (
     binormal_formula_check,
@@ -14,7 +15,7 @@ from tpcurves import (
     point_geometry,
     position_component_report,
     ratio_identity_check,
-    reparametrize_arclength,
+    sample_arclength,
     surface_curvatures,
     tangency_gradient,
     velocity_coefficients,
@@ -95,7 +96,7 @@ TP_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
 @pytest.mark.parametrize("name", TP_CURVES)
 def test_velocity_identities_along_tangent_position_curves(scene, name):
     patch, curve = scene.curve_host(name)
-    for s in reparametrize_arclength(patch, curve, 25):
+    for s in split_samples(sample_arclength(patch, curve, 25)):
         geom = point_geometry(patch, s.u, s.v)
         co = frame_coefficients(geom, s)
         assert abs(co.a1 - s.du) < 1e-8
@@ -106,7 +107,7 @@ def test_velocity_identities_along_tangent_position_curves(scene, name):
 
 def test_plane_circle_coefficients_trivial(scene):
     patch, curve = scene.curve_host("plane_circle")
-    s = reparametrize_arclength(patch, curve, 9)[2]
+    s = split_samples(sample_arclength(patch, curve, 9))[2]
     co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     assert co.a1 == pytest.approx(s.du, abs=1e-12)
     assert co.a2 == pytest.approx(s.dv, abs=1e-12)
@@ -118,7 +119,7 @@ def test_plane_circle_coefficients_trivial(scene):
                                            (2.0, "cone_circle_v2")])
 def test_cone_circle_coefficients(scene, v0, curve_name):
     patch, curve = scene.curve_host(curve_name)
-    s = reparametrize_arclength(patch, curve, 9)[3]
+    s = split_samples(sample_arclength(patch, curve, 9))[3]
     co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     du = 1.0 / v0  # unit speed on E = v^2
     assert co.a1 == pytest.approx(du, rel=1e-12)
@@ -132,7 +133,7 @@ def test_gamma_second_derivative_expansion(scene):
     patch, curve = scene.curve_host("offset_latitude")
     from tpcurves import second_form
 
-    for s in reparametrize_arclength(patch, curve, 9):
+    for s in split_samples(sample_arclength(patch, curve, 9)):
         co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
         jet = patch.jet(s.u, s.v)
         normal = second_form(jet).unit_normal
@@ -145,7 +146,7 @@ def test_velocity_route_b3_is_normal_curvature_everywhere(scene):
     # reproduces kappa_n for any unit-speed curve.
     for name in ("catenoid_line", "cylinder_helix", "sphere_meridian"):
         patch, curve = scene.curve_host(name)
-        for s in reparametrize_arclength(patch, curve, 15):
+        for s in split_samples(sample_arclength(patch, curve, 15)):
             geom = point_geometry(patch, s.u, s.v)
             co = velocity_coefficients(geom, s)
             assert abs(co.b3 - surface_curvatures(geom, s).kappa_n) < 1e-10
@@ -154,7 +155,7 @@ def test_velocity_route_b3_is_normal_curvature_everywhere(scene):
 @pytest.mark.parametrize("name", TP_CURVES)
 def test_ratio_identity(scene, name):
     patch, curve = scene.curve_host(name)
-    for s in reparametrize_arclength(patch, curve, 15):
+    for s in split_samples(sample_arclength(patch, curve, 15)):
         geom = point_geometry(patch, s.u, s.v)
         assert abs(ratio_identity_check(geom, s)) < 1e-10
 
@@ -165,7 +166,7 @@ def test_offset_circle_component_values(scene):
     """Frozen hand values on the traced circle: rho = 3, <t,g> = 0,
     <n,g> = -sqrt(3)/2, <b,g> = 3/2, kappa = 2/sqrt(3)."""
     patch, curve = scene.curve_host("offset_latitude")
-    for s in reparametrize_arclength(patch, curve, 9):
+    for s in split_samples(sample_arclength(patch, curve, 9)):
         geom = point_geometry(patch, s.u, s.v)
         rep = position_component_report(geom, s)
         assert rep.rho == pytest.approx(3.0, abs=1e-12)
@@ -180,7 +181,7 @@ def test_offset_circle_component_values(scene):
 
 def test_plane_circle_tangential_component_zero(scene):
     patch, curve = scene.curve_host("plane_circle")
-    for s in reparametrize_arclength(patch, curve, 9):
+    for s in split_samples(sample_arclength(patch, curve, 9)):
         geom = point_geometry(patch, s.u, s.v)
         rep = position_component_report(geom, s)
         assert rep.t_comp == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +193,7 @@ def test_plane_circle_tangential_component_zero(scene):
                                            (2.0, "cone_circle_v2")])
 def test_cone_circle_rho(scene, v0, curve_name):
     patch, curve = scene.curve_host(curve_name)
-    for s in reparametrize_arclength(patch, curve, 9):
+    for s in split_samples(sample_arclength(patch, curve, 9)):
         geom = point_geometry(patch, s.u, s.v)
         rep = position_component_report(geom, s)
         assert rep.rho == pytest.approx(2.0 * v0 * v0, rel=1e-12)
@@ -203,7 +204,7 @@ def test_cone_circle_rho(scene, v0, curve_name):
 @pytest.mark.parametrize("name", TP_CURVES)
 def test_component_residuals_on_locus_curves(scene, name):
     patch, curve = scene.curve_host(name)
-    for s in reparametrize_arclength(patch, curve, 25):
+    for s in split_samples(sample_arclength(patch, curve, 25)):
         geom = point_geometry(patch, s.u, s.v)
         assert position_component_report(geom, s).max_residual() < 1e-7
 
@@ -216,14 +217,14 @@ def test_component_residuals_on_locus_curves(scene, name):
                                       ("plane_circle", 1e-9)])
 def test_binormal_expansion(scene, name, tol):
     patch, curve = scene.curve_host(name)
-    for s in reparametrize_arclength(patch, curve, 15):
+    for s in split_samples(sample_arclength(patch, curve, 15)):
         geom = point_geometry(patch, s.u, s.v)
         assert binormal_formula_check(geom, s) < tol
 
 
 def test_plane_circle_binormal_is_plane_normal(scene):
     patch, curve = scene.curve_host("plane_circle")
-    s = reparametrize_arclength(patch, curve, 9)[1]
+    s = split_samples(sample_arclength(patch, curve, 9))[1]
     co = frame_coefficients(point_geometry(patch, s.u, s.v), s)
     assert co.b3 == pytest.approx(0.0, abs=1e-14)
     b = np.cross(s.dgamma, s.ddgamma / np.linalg.norm(s.ddgamma))
@@ -234,7 +235,7 @@ def test_plane_circle_binormal_is_plane_normal(scene):
 
 def test_plane_circle_kappa_g_value(scene):
     patch, curve = scene.curve_host("plane_circle")
-    s = reparametrize_arclength(patch, curve, 9)[4]
+    s = split_samples(sample_arclength(patch, curve, 9))[4]
     geom = point_geometry(patch, s.u, s.v)
     kg = geodesic_curvature_formula(frame_coefficients(geom, s), geom)
     assert kg.normalized == pytest.approx(0.5, abs=1e-9)
@@ -245,7 +246,7 @@ def test_plane_circle_kappa_g_value(scene):
                                               "sphere_latitude"))
 def test_kappa_g_formula_matches_ambient_definition(scene, name):
     patch, curve = scene.curve_host(name)
-    for s in reparametrize_arclength(patch, curve, 15):
+    for s in split_samples(sample_arclength(patch, curve, 15)):
         geom = point_geometry(patch, s.u, s.v)
         direct = surface_curvatures(geom, s).kappa_g
         form = first_form(patch.jet(s.u, s.v))
