@@ -119,12 +119,12 @@ def _worst(values):
     return float(np.max(values, initial=0.0))
 
 
-def _curve_residuals(scene, sample, curve_name):
+def _curve_residuals(scene, sample, record, curve_name):
     """Worst residual of each per-sample thm31 identity along one curve,
     from one PointGeometry over all its samples."""
     patch, curve = scene.curve_host(curve_name)
     s = sample(patch, curve, scene.options.samples)
-    geom = point_geometry(patch, s.u, s.v)
+    geom = record(patch, s)
     curv = surface_curvatures(geom, s)
     kappa = np.sqrt(dot3(s.ddgamma, s.ddgamma))
     framed = kappa > KAPPA_MIN
@@ -153,8 +153,8 @@ def _curve_residuals(scene, sample, curve_name):
     return worst
 
 
-def _thm31_checks(scene, sample):
-    worst = {name: _curve_residuals(scene, sample, name)
+def _thm31_checks(scene, sample, record):
+    worst = {name: _curve_residuals(scene, sample, record, name)
              for name in _ALL_CURVES}
     out = []
     for name in _TP_CURVES:
@@ -176,8 +176,7 @@ def _thm31_checks(scene, sample):
                              worst[name]["kappa_g"], 1e-8))
     patch, curve = scene.curve_host("plane_circle")
     s = sample(patch, curve, 9)
-    value = surface_curvatures(point_geometry(patch, s.u, s.v),
-                               s).kappa_g[3]
+    value = surface_curvatures(record(patch, s), s).kappa_g[3]
     out.append(_asserted("kappa-g-plane-circle-value", "thm31",
                          abs(value - 0.5), 1e-9,
                          note="radius-2 circle, counterclockwise"))
@@ -212,10 +211,15 @@ def _thm31_checks(scene, sample):
     return out
 
 
-def _pair_checks(scene, sample):
+def _pair_checks(scene, sample, record):
     out = []
     grid = scene.options.grid
     nsamp = scene.options.samples
+
+    def report(pair, samples):
+        return invariance_report(pair, samples,
+                                 geometry=(record(pair.source, samples),
+                                           record(pair.target, samples)))
 
     # Intrinsic pair: only the metric and geodesic curvature are asserted.
     pair = scene.pair("catenoid_helicoid")
@@ -223,7 +227,7 @@ def _pair_checks(scene, sample):
     out.append(_asserted("metric-match/catenoid_helicoid", "thm32",
                          match.max_residual, 1e-10))
     _, curve = scene.curve_host("catenoid_line")
-    rep = invariance_report(pair, sample(pair.source, curve, nsamp))
+    rep = report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("kappa-g-invariance/catenoid_helicoid", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
     out.append(_empirical("rho-invariance/catenoid_helicoid", "thm32",
@@ -239,7 +243,7 @@ def _pair_checks(scene, sample):
     out.append(_asserted("metric-match/offset_rotation", "thm32",
                          match.max_residual, 1e-9))
     _, curve = scene.curve_host("offset_latitude")
-    rep = invariance_report(pair, sample(pair.source, curve, nsamp))
+    rep = report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("rigid-rho-invariance/offset_rotation", "thm32",
                          rep.max_rho_residual, 1e-9))
     out.append(_asserted("rigid-t-comp-invariance/offset_rotation", "thm32",
@@ -261,7 +265,7 @@ def _pair_checks(scene, sample):
                          match.max_residual, 1e-10))
     _, curve = scene.curve_host("plane_circle")
     src_samples = sample(pair.source, curve, nsamp)
-    rep = invariance_report(pair, src_samples)
+    rep = report(pair, src_samples)
     out.append(_asserted("kappa-g-invariance/plane_cylinder", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
     gbar = rep.max_target_tangency
@@ -282,7 +286,7 @@ def _pair_checks(scene, sample):
     pair = scene.pair("identity_catenoid")
     _, curve = scene.curve_host("catenoid_line")
     src_samples = sample(pair.source, curve, nsamp)
-    rep = invariance_report(pair, src_samples)
+    rep = report(pair, src_samples)
     out.append(_asserted("identity-all-residuals/identity_catenoid", "thm32",
                          max(rep.max_rho_residual, rep.max_t_comp_residual,
                              rep.max_kappa_g_residual, rep.max_lam_residual,
@@ -297,13 +301,22 @@ def _pair_checks(scene, sample):
 def run_checks(scene, target="all"):
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    # One stacked sample per (patch, curve, n), kept for this call only.
+    # One stacked sample per (patch, curve, n), and one PointGeometry per
+    # (patch, sample), kept for this call only.
     sample = functools.cache(sample_arclength)
+    records = {}
+
+    def record(patch, s):
+        key = patch, id(s)  # a sample holds arrays, so it has no hash
+        if key not in records:  # the entry keeps s, and so its id
+            records[key] = s, point_geometry(patch, s.u, s.v)
+        return records[key][1]
+
     out = []
     if target in ("gauss", "all"):
         out.extend(_gauss_checks(scene))
     if target in ("thm31", "all"):
-        out.extend(_thm31_checks(scene, sample))
+        out.extend(_thm31_checks(scene, sample, record))
     if target in ("thm32", "all"):
-        out.extend(_pair_checks(scene, sample))
+        out.extend(_pair_checks(scene, sample, record))
     return out

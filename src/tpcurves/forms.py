@@ -238,15 +238,16 @@ def _order1_metric(field2, components, u, v):
 
 def metric_coefficients(field2, components, u, v):
     """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v of the component trees over
-    ``field2`` at (u, v): second partials of phi at most."""
+    ``field2`` at (u, v), floats or arrays of nodes that broadcast
+    together: second partials of phi at most."""
     E, F, G = _order1_metric(field2, components, u, v)[3:]
     return E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv
 
 
 def compile_metric_program(components):
     """Straight-line array code ``(u, v) -> metric_coefficients`` or None,
-    recorded by :func:`~tpcurves.jets.straight_line` over Field2 at 1-D
-    arrays of nodes.  Where there is none or it returns None,
+    recorded by :func:`~tpcurves.jets.straight_line` over Field2 at arrays
+    of nodes that broadcast together.  Where there is none or it returns None,
     :func:`metric_coefficients` over Field2 arrays, its oracle, raises its
     error."""
     def build(field2, u, v):

@@ -140,18 +140,22 @@ def _metric_residuals(source, target, u_range, v_range, grid):
     """Max |source - target| of each metric coefficient over the grid nodes
     where neither patch is degenerate, and the number of degenerate nodes.
 
-    Each patch is evaluated once, at all nodes together, and a patch paired
+    Each patch is evaluated once, on the grid's axes, and a patch paired
     with itself once in all, by
     :meth:`~tpcurves.surface.SurfacePatch.metric_batch`: the patch's metric
-    program, of order 2, not its order-3 jet or ambient program.  A NaN or
-    inf difference at any kept node makes that maximum NaN or inf, never
-    0, and so does a grid on which no node is kept.
+    program, of order 2, not its order-3 jet or ambient program.  It takes
+    a (m, 1) column of u and a (1, n) row of v, so a value of u alone is
+    computed m times and one of v alone n times; each node still gets the
+    scalar operations it got as one of m * n flattened nodes, and the first
+    failing node in row-major order is the first of those.  A NaN or inf
+    difference at any kept node makes that maximum NaN or inf, never 0,
+    and so does a grid on which no node is kept.
     """
     m, n = grid
-    us = np.repeat(np.linspace(u_range[0], u_range[1], m), n)
-    vs = np.tile(np.linspace(v_range[0], v_range[1], n), m)
+    us = np.linspace(u_range[0], u_range[1], m)[:, None]
+    vs = np.linspace(v_range[0], v_range[1], n)[None, :]
     coeffs = []
-    degenerate = np.zeros(us.shape, dtype=bool)
+    degenerate = np.zeros((m, n), dtype=bool)
     worst = {}
     # Overflow and inf - inf pass silently, as they do in float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,12 +164,15 @@ def _metric_residuals(source, target, u_range, v_range, grid):
             E, F, G = coeffs[-1][:3]
             # PointGeometry's regularity test, at every node at once.
             degenerate |= E * G - F * F <= REGULARITY_THRESHOLD
-        keep = ~degenerate
+        skipped = int(np.count_nonzero(degenerate))
+        keep = ~degenerate if skipped or not degenerate.size else None
         for key, a, b in zip(_METRIC_KEYS, coeffs[0], coeffs[-1]):
-            diff = np.broadcast_to(np.abs(a - b), us.shape)[keep]
+            diff = np.abs(a - b)
+            if keep is not None:
+                diff = np.broadcast_to(diff, keep.shape)[keep]
             # NaN when every node is degenerate: nothing was compared.
             worst[key] = float(diff.max()) if diff.size else math.nan
-    return worst, int(np.count_nonzero(degenerate))
+    return worst, skipped
 
 
 def register_pair(source, target, kind, grid=(20, 20)):
@@ -229,7 +236,7 @@ def second_form_relation(pair, sample, geometry=None):
     return residual, premise
 
 
-def invariance_report(pair, samples):
+def invariance_report(pair, samples, geometry=None):
     """Evaluate the invariance claims along a curve given in shared
     parameters.
 
@@ -240,11 +247,16 @@ def invariance_report(pair, samples):
     intrinsically on both sides, so it stays defined even where the
     ambient frame degenerates.  Each side is one PointGeometry over all
     samples, one for both sides when the pair is a patch and itself; the
-    report keeps the pair in ``geometry``.
+    report keeps the pair in ``geometry``.  A caller that has them passes
+    them as ``geometry``, as to :func:`second_form_relation`; they are
+    built here when not given.
     """
-    src = point_geometry(pair.source, samples.u, samples.v)
-    tgt = (src if pair.target is pair.source
-           else point_geometry(pair.target, samples.u, samples.v))
+    if geometry:
+        src, tgt = geometry
+    else:
+        src = point_geometry(pair.source, samples.u, samples.v)
+        tgt = (src if pair.target is pair.source
+               else point_geometry(pair.target, samples.u, samples.v))
     t = transfer_sample(tgt, samples)
     rho_src = ambient_dot(samples.gamma, samples.gamma)
     rho_tgt = ambient_dot(t.gamma, t.gamma)

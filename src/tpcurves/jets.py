@@ -23,16 +23,17 @@ a value overflows, instead of producing NaNs.
 
 Jets are immutable after construction; arithmetic lifts plain numbers to
 constants, so expression trees can be evaluated over any ring.
-Coefficients are floats, or 1-D numpy arrays with one entry per node of a
-batch (constant coefficients may stay floats).  The same arithmetic then
-evaluates every node at once, and gives at each node the bits that the
-float path gives, or raises the error the float path raises there.
+Coefficients are floats, or numpy arrays over the nodes of a batch that
+broadcast together (constant coefficients may stay floats).  The same
+arithmetic then evaluates every node at once, and gives at each node the
+bits that the float path gives, or raises the error the float path raises
+there.
 :func:`straight_line` records one evaluation, ring arithmetic included,
 on a twin of a ring, as straight-line Python code that runs with no ring
 objects: a value used once is written into its use, to a depth cap, and
 the rest are named.  It renders a float program (the tracer's kernel) or
-an array program over 1-D arrays of nodes (the batched jets), whose
-singular tests hold at any node and whose ``math`` runs node by node.
+an array program over arrays of nodes (the batched jets), whose singular
+tests hold at any node and whose ``math`` runs once per array entry.
 """
 
 import functools
@@ -51,11 +52,13 @@ __all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3",
 
 
 def _per_node(fn):
-    """``fn`` from ``math`` applied node by node to a 1-D array, or at a
-    float."""
+    """``fn`` from ``math`` applied entry by entry to an array of any shape,
+    or at a float."""
     def apply(w, *args):
         if isinstance(w, float):
             return fn(w, *args)
+        if w.ndim != 1:
+            return apply(w.ravel(), *args).reshape(w.shape)
         return np.fromiter(map(fn, w.tolist(), *map(repeat, args)),
                            float, len(w))
     return apply
@@ -63,10 +66,13 @@ def _per_node(fn):
 
 # ``math`` over arrays of nodes.  numpy's own exp, log, sinh, cosh, tanh and
 # power differ from libm in the last place, so every transcendental call goes
-# through ``math`` once per node: batched jets then equal scalar jets bit for
-# bit, and raise where ``math`` raises.  numpy's sqrt is correctly rounded.
-# A float, which an array program meets where a coefficient that it takes is
-# the same at every node, goes to ``math`` as it does in the tree walk.
+# through ``math`` once per array entry: batched jets then equal scalar jets
+# bit for bit, and raise where ``math`` raises.  On a grid given by its axes,
+# an (m, 1) column and a (1, n) row that broadcast together, a value of u
+# alone is computed m times and a value of v alone n times, not m * n times.
+# numpy's sqrt is correctly rounded.  A float, which an array program meets
+# where a coefficient that it takes is the same at every node, goes to
+# ``math`` as it does in the tree walk.
 _NODE_MATH = SimpleNamespace(
     sqrt=lambda w: math.sqrt(w) if isinstance(w, float) else np.sqrt(w),
     **{name: _per_node(getattr(math, name))
@@ -81,7 +87,8 @@ def _any(mask):
 
 def failing_node(mask, *values):
     """None where the test ``mask`` holds nowhere; else ``values`` as floats
-    at the first node where it holds (at a point, the values themselves).
+    at the first node where it holds, in row-major order (at a point, the
+    values themselves).
 
     ``mask`` and ``values`` are floats or arrays of nodes; a float stands
     for its value at every node.  Errors raised on a batch name this node,
@@ -89,9 +96,9 @@ def failing_node(mask, *values):
     """
     if mask is False or mask is np.False_:  # the usual case at a point
         return None
-    mask, *values = np.broadcast_arrays(mask, *values)
-    if not mask.any():
+    if mask is not True and not mask.any():  # the usual case on a batch
         return None
+    mask, *values = np.broadcast_arrays(mask, *values)
     node = np.unravel_index(mask.argmax(), mask.shape)
     return [x[node].item() for x in values]
 
@@ -153,10 +160,10 @@ def _outer_derivs(formula, w, arg):
     non-integer power (:func:`_pow_formula`, ``arg`` the exponent).
 
     Where a float result is not representable, Python raises OverflowError,
-    ZeroDivisionError or ValueError; each becomes EvalError.  At a 1-D
-    array of nodes the error raised is the one the float path raises at
-    the first node that fails, so both paths fail alike; division by zero
-    raises on arrays as it does on floats.
+    ZeroDivisionError or ValueError; each becomes EvalError.  At an array
+    of nodes the error raised is the one the float path raises at the
+    first entry that fails, in row-major order, so both paths fail alike;
+    division by zero raises on arrays as it does on floats.
     """
     if isinstance(w, float):
         try:
@@ -170,7 +177,7 @@ def _outer_derivs(formula, w, arg):
         with np.errstate(divide="raise"):
             return formula(w, arg, _NODE_MATH)
     except (ArithmeticError, ValueError, EvalError):
-        for x in w.tolist():
+        for x in w.ravel().tolist():
             _outer_derivs(formula, x, arg)
         raise
 
@@ -563,11 +570,12 @@ def straight_line(build, params, ring, *, arrays):
     With ``arrays`` false the params are floats, and the program also
     returns None where a result is NaN, whose bits only ``build`` gives (so
     'nan' may stand for any NaN constant), and everywhere if a constant
-    subtree raises.  With ``arrays`` true they are 1-D arrays of nodes, or
-    floats where a value is the same at every node, as in a batched tree
-    walk: a singular test holds if it holds at any node, ``math`` runs node
-    by node (``_NODE_MATH``), and the program runs under the batched tree
-    walk's error states (overflow and invalid pass, a division by zero
+    subtree raises.  With ``arrays`` true they are arrays of nodes that
+    broadcast together (1-D, or a grid's (m, 1) and (1, n) axes), or floats
+    where a value is the same at every node, as in a batched tree walk: a
+    singular test holds if it holds at any node, ``math`` runs once per
+    array entry (``_NODE_MATH``), and the program runs under the batched
+    tree walk's error states (overflow and invalid pass, a division by zero
     raises).  It has no NaN test, since numpy gives both the same NaN at a
     node; a recording whose result depends on a NaN constant, or with a
     constant subtree that raises, gives no program but None: the batched

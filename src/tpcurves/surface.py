@@ -18,7 +18,9 @@ programs per patch, each recorded on first use by
   coefficients of any curve's jets u(t), v(t) (order 3 along the curve);
 * the metric program of :meth:`SurfacePatch.metric_batch`, over Field2
   (order 2: E, F, G and their first derivatives, all a metric grid sweep
-  compares, need second partials only).
+  compares, need second partials only), at node arrays that broadcast
+  together: a grid sweep passes its axes, a (m, 1) column of u and a
+  (1, n) row of v, so a value of u alone is computed at m entries.
 
 The tree walk over Jet2, Jet1 and Field2 arrays stays as their oracle and
 their error path; the per-point ``jet``, ``jet_order2`` and ``value`` and
@@ -123,8 +125,9 @@ class SurfacePatch:
                 f"[{self.v_range[0]}, {self.v_range[1]}] of '{self.name}'")
 
     def _nodes_inside(self, u, v):
-        """Two equal-length 1-D arrays of nodes as float arrays; the first
-        node outside the domain raises :meth:`jet`'s DomainError."""
+        """Two arrays of nodes that broadcast together, as float arrays; the
+        first node outside the domain, in row-major order of their
+        broadcast, raises :meth:`jet`'s DomainError."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         bad = failing_node(np.logical_not(self.contains(u, v)), u, v)
@@ -175,16 +178,19 @@ class SurfacePatch:
 
     def metric_batch(self, u, v):
         """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
-        equal-length 1-D arrays, in one pass: the patch's generated array
-        program (:func:`~tpcurves.forms.compile_metric_program`), or
+        arrays of nodes that broadcast together, in one pass: the patch's
+        generated array program
+        (:func:`~tpcurves.forms.compile_metric_program`), or
         :func:`~tpcurves.forms.metric_coefficients` over Field2 arrays
         where there is none or it returns None.
 
-        Each is an array over the nodes, or a float where it is the same at
-        every node, with the bits of the coefficients of
-        :func:`~tpcurves.forms.metric_fields` over :meth:`jet_batch`; it
-        needs second partials only.  A node outside the domain, or one
-        where :meth:`jet` would raise EvalError, raises that error.
+        Each is an array that broadcasts to the nodes' shape, or a float
+        where it is the same at every node, with the bits of the
+        coefficients of :func:`~tpcurves.forms.metric_fields` over
+        :meth:`jet_batch` at each node; it needs second partials only.  On
+        a grid's (m, 1) and (1, n) axes, a coefficient of u alone has shape
+        (m, 1).  The first node outside the domain, or where :meth:`jet`
+        would raise EvalError, in row-major order, raises that error.
         """
         u, v = self._nodes_inside(u, v)
         program = self._metric_program

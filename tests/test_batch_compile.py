@@ -59,12 +59,13 @@ def compiled(monkeypatch):
 
 def counting(monkeypatch, calls, *methods):
     """Record (method, patch name, node count) of each call of the named
-    SurfacePatch methods in ``calls``."""
+    SurfacePatch methods in ``calls``; the nodes are those of ``u`` and
+    ``v`` broadcast together (a grid sweep passes a grid's axes)."""
     def count(name):
         method = getattr(SurfacePatch, name)
 
         def counted(self, u, v):
-            calls.append((name, self.name, len(u)))
+            calls.append((name, self.name, np.broadcast(u, v).size))
             return method(self, u, v)
 
         monkeypatch.setattr(SurfacePatch, name, counted)

@@ -437,9 +437,15 @@ def scalar_curve_residuals(scene, curve_name):
     return worst
 
 
+def build_record(patch, s):
+    """A new PointGeometry over a stacked sample, as ``run_checks`` builds
+    each (patch, sample) record the first time."""
+    return point_geometry(patch, s.u, s.v)
+
+
 @pytest.mark.parametrize("name", checks._ALL_CURVES)
 def test_curve_residuals_equal_scalar_loop(scene, name):
-    got = checks._curve_residuals(scene, sample_arclength, name)
+    got = checks._curve_residuals(scene, sample_arclength, build_record, name)
     want = scalar_curve_residuals(scene, name)
     for key, value in want.items():
         assert got.get(key, 0.0).hex() == float(value).hex(), key
@@ -466,7 +472,8 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
         return dataclasses.replace(rep, kappa_g=kappa_g)
 
     monkeypatch.setattr(checks, "surface_curvatures", steep)
-    got = checks._curve_residuals(scene, sample_arclength, "plane_circle")
+    got = checks._curve_residuals(scene, sample_arclength, build_record,
+                                  "plane_circle")
     want = scalar_curve_residuals(scene, "plane_circle")
     assert got["pythagoras"].hex() == want["pythagoras"].hex()
 
@@ -515,6 +522,20 @@ def test_verify_stacks_no_sample_list(scene, monkeypatch):
         assert cli.main(["verify", "--target", "all"]) == 0
     assert sampled and all(n == 1 for n in sampled.values()), sampled
     assert not any(single)
+
+
+def test_verify_builds_each_record_once(scene, monkeypatch):
+    """One ``verify`` builds one PointGeometry per (patch, sample): a
+    curve's record on its host serves the thm31 residuals and every pair
+    with that host as its source (and, for a patch paired with itself,
+    its target).  The 19 are 6 gauss point sets, 8 curves on their hosts,
+    the 9-sample plane circle, the traced locus and 3 pair targets."""
+    calls = []
+    counting(monkeypatch, calls, "jet_batch")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--target", "all"]) == 0
+    assert len(calls) == 19, calls
+    assert calls.count(("jet_batch", "catenoid", scene.options.samples)) == 1
 
 
 # --- the registration sweep is kept ---------------------------------------

@@ -32,10 +32,14 @@ from tpcurves.surface import SurfacePatch
 
 def order3(patch, u, v):
     """The metric coefficients as sweeps took them before: ``metric_fields``
-    over the order-3 ``jet_batch``."""
+    over the order-3 ``jet_batch``, which takes 1-D arrays, at the nodes of
+    ``u`` and ``v`` broadcast together and flattened; arrays come back in
+    the nodes' shape."""
+    u, v = np.broadcast_arrays(u, v)
     with np.errstate(over="ignore", invalid="ignore"):
-        E, F, G, _, _ = metric_fields(patch.jet_batch(u, v))
-    return E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv
+        E, F, G, _, _ = metric_fields(patch.jet_batch(u.ravel(), v.ravel()))
+    return tuple(x if isinstance(x, float) else x.reshape(u.shape)
+                 for x in (E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv))
 
 
 def assert_same(got, want, nan_bits=True):
