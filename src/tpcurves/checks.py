@@ -22,18 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (
-    KAPPA_MIN,
-    sample_arclength,
-    surface_curvatures,
-)
+from .curves import _frame, sample_arclength, surface_curvatures
 from .forms import christoffel, gauss_equation_residual, point_geometry
 from .isometry import (
     invariance_report,
     second_form_relation,
     verify_metric_match,
 )
-from .jets import dot3
 from .tangent import (
     binormal_formula_check,
     frame_coefficients,
@@ -61,6 +56,8 @@ _ALL_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
 _COMPONENT_CURVE = "offset_latitude"
 
 _RNG_SEED = 20260810
+# Random points keep this share of each parameter range from its ends.
+_MARGIN = 0.02
 _LATITUDE = 2.0 * math.pi / 3.0
 
 
@@ -90,11 +87,11 @@ def _empirical(name, target, value, note=""):
                  threshold=None, passed=None, note=note)
 
 
-def _random_points(patch, count, rng, margin=0.02):
+def _random_points(patch, count, rng):
     (u0, u1), (v0, v1) = patch.u_range, patch.v_range
     du, dv = u1 - u0, v1 - v0
-    us = rng.uniform(u0 + margin * du, u1 - margin * du, count)
-    vs = rng.uniform(v0 + margin * dv, v1 - margin * dv, count)
+    us = rng.uniform(u0 + _MARGIN * du, u1 - _MARGIN * du, count)
+    vs = rng.uniform(v0 + _MARGIN * dv, v1 - _MARGIN * dv, count)
     return us, vs
 
 
@@ -126,8 +123,7 @@ def _curve_residuals(scene, sample, record, curve_name):
     s = sample(patch, curve, scene.options.samples)
     geom = record(patch, s)
     curv = surface_curvatures(geom, s)
-    kappa = np.sqrt(dot3(s.ddgamma, s.ddgamma))
-    framed = kappa > KAPPA_MIN
+    kappa, framed = _frame(s)[:2]
     # x ** 2 on Python floats is libm's pow, which differs from x * x in the
     # last place for about one value in a thousand; keep its bits.
     kg2, kn2 = (np.fromiter((x ** 2 for x in k.tolist()), float, k.size)

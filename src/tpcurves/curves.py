@@ -277,23 +277,32 @@ def _samples_at(patch, curve, t, s):
         gamma=vectors(gamma), dgamma=dg, ddgamma=ddg, dddgamma=dddg)
 
 
+def _frame(sample):
+    """kappa = |gamma''|, the mask kappa > KAPPA_MIN where the frame is
+    defined, the normal n = gamma'' / kappa and the binormal
+    b = gamma' x n of a unit-speed sample, or of every sample of a stacked
+    one.  Raises nothing: outside the mask, n and b are meaningless."""
+    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = sample.ddgamma / kappa
+        b = np.array(cross3(sample.dgamma, n))
+    return kappa, kappa > KAPPA_MIN, n, b
+
+
 def frenet(sample):
     """Frenet frame of a unit-speed sample, or of every sample of a stacked
     one; requires positive curvature.  Raises FrameUndefined, naming the
     first such sample, where the curvature is at or below KAPPA_MIN."""
-    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
+    kappa, _, n, b = _frame(sample)
     bad = failing_node(kappa <= KAPPA_MIN, kappa, sample.s)
     if bad:
         raise FrameUndefined("curvature {} at s={}".format(*bad))
-    t = sample.dgamma
-    n = sample.ddgamma / kappa
-    b = np.array(cross3(t, n))
     if sample.dddgamma is None:
         tau = math.nan
     else:
         tau = dot3(cross3(sample.dgamma, sample.ddgamma),
                    sample.dddgamma) / (kappa * kappa)
-    return FrenetData(t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return FrenetData(t=sample.dgamma, n=n, b=b, kappa=kappa, tau=tau)
 
 
 def ambient_dot(a, b):

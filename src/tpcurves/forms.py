@@ -24,8 +24,9 @@ reads, and the one place where the metric, its regularity test and the
 connection symbols are put together: one jet evaluation, the metric and
 the position-vector decomposition as order-2 fields, and the forms and
 connection symbols built on first use (:func:`first_form` is its
-``form``).  Over a batched jet it is the record of a whole curve or grid,
-every field an array over the nodes.
+``form``; its symbols read its E, F, G fields, with no form built).  Over
+a batched jet it is the record of a whole curve or grid, every field an
+array over the nodes.
 
 Two straight-line programs per patch are recorded here from one builder,
 the component trees over Field2 lowered to order-1 position and partials
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import expr
 from .errors import DegeneratePoint, GeometryError, OracleMismatch
-from .jets import Field1, Field2, cross3, dot3, failing_node, straight_line
+from .jets import Field2, cross3, dot3, failing_node, straight_line
 
 __all__ = [
     "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
@@ -172,7 +173,7 @@ class PointGeometry:
 
     @cached_property
     def chris(self):
-        return christoffel_fields(self.form)
+        return christoffel_fields(self.E, self.F, self.G)
 
 
 def _tangency(p, pu, pv, E, F, G, u, v):
@@ -323,17 +324,12 @@ def christoffel_from_metric(E, F, G, E_u, E_v, F_u, F_v, G_u, G_v):
             gamma(1, 0, 1), gamma(0, 1, 1), gamma(1, 1, 1))
 
 
-def christoffel_fields(form):
-    """The six symbols as order-1 fields (value plus u, v derivatives)."""
-    E, F, G = (Field1(form.E, form.E_u, form.E_v),
-               Field1(form.F, form.F_u, form.F_v),
-               Field1(form.G, form.G_u, form.G_v))
-    E_u = Field1(form.E_u, form.E_uu, form.E_uv)
-    E_v = Field1(form.E_v, form.E_uv, form.E_vv)
-    F_u = Field1(form.F_u, form.F_uu, form.F_uv)
-    F_v = Field1(form.F_v, form.F_uv, form.F_vv)
-    G_u = Field1(form.G_u, form.G_uu, form.G_uv)
-    G_v = Field1(form.G_v, form.G_uv, form.G_vv)
+def christoffel_fields(E, F, G):
+    """The six symbols as order-1 fields (value plus u, v derivatives),
+    from the metric coefficients as order-2 fields."""
+    E_u, E_v, F_u, F_v, G_u, G_v = (d for x in (E, F, G)
+                                    for d in (x.du(), x.dv()))
+    E, F, G = E.lower(), F.lower(), G.lower()
     # x / den multiplies x by den's composed reciprocal; composing it once
     # gives the six quotients' bits with one reciprocal instead of six.
     inv = ((E * G - F * F) * 2.0)._compose("recip")
@@ -353,10 +349,12 @@ def christoffel(form):
     Raises OracleMismatch where the two routes disagree or a symbol is NaN
     or infinite, naming the first such node of a batch.
     """
-    oracle = christoffel_from_metric(
-        form.E, form.F, form.G, form.E_u, form.E_v,
-        form.F_u, form.F_v, form.G_u, form.G_v)
-    fields = christoffel_fields(form)
+    E, F, G = (Field2(*(getattr(form, x + d) for d in
+                        ("", "_u", "_v", "_uu", "_uv", "_vv")))
+               for x in "EFG")
+    oracle = christoffel_from_metric(E.f, F.f, G.f, E.fu, E.fv,
+                                     F.fu, F.fv, G.fu, G.fv)
+    fields = christoffel_fields(E, F, G)
     explicit = [x.f for x in fields]
     # np.maximum, unlike max, keeps a NaN wherever it sits (inf - inf is
     # one); an infinite scale would pass any residual, so test finiteness.
@@ -365,7 +363,7 @@ def christoffel(form):
         worst = reduce(np.maximum,
                        (abs(a - b) for a, b in zip(explicit, oracle)))
     ok = np.isfinite(worst) & (worst <= _ORACLE_TOLERANCE * scale)
-    bad = failing_node(~ok, worst, form.E, form.F, form.G)
+    bad = failing_node(~ok, worst, E.f, F.f, G.f)
     if bad:
         raise OracleMismatch("Christoffel routes disagree by {} at "
                              "(E, F, G) = ({}, {}, {})".format(*bad))

@@ -381,26 +381,15 @@ def _ring(name, nvars, order, names, doc):
     return ring
 
 
-def _function(ring, params, coeffs):
-    """A compiled ``lambda params: ring(coeffs)``."""
-    scope = {ring.__name__: ring}
-    body = f"return {ring.__name__}({', '.join(coeffs)})"
-    exec(f"def build({params}):\n    {body}", scope)
-    return scope["build"]
-
-
 def _view(ring, source, shift):
     """The ``ring`` value with the coefficients of a ``source`` jet at each
     multi-index plus ``shift``: the jet's value (shift 0) or one partial
-    derivative (a unit shift), with fewer orders."""
-    names = (source._at[tuple(map(add, a, shift))] for a in ring._at)
-    return _function(ring, "jet", (f"jet.{n}" for n in names))
-
-
-def _variable(ring, unit):
-    """The constructor of the ring's variable of multi-index ``unit``."""
-    return staticmethod(_function(ring, "value",
-                                  [f"float(value), {ring._at[unit]}=1.0"]))
+    derivative (a unit shift), with fewer orders, as compiled code."""
+    coeffs = (f"jet.{source._at[tuple(map(add, a, shift))]}" for a in ring._at)
+    scope = {ring.__name__: ring}
+    exec(f"def view(jet):\n    return {ring.__name__}({', '.join(coeffs)})",
+         scope)
+    return scope["view"]
 
 
 Jet2 = _ring("Jet2", 2, 3, "f fu fv fuu fuv fvv fuuu fuuv fuvv fvvv",
@@ -424,8 +413,6 @@ def _fields():
 
 
 Field2, Field1 = _fields()
-Jet2.var_u, Jet2.var_v = _variable(Jet2, (1, 0)), _variable(Jet2, (0, 1))
-Jet1.var = _variable(Jet1, (1,))
 # Order-2 views of an order-3 jet's value and partials.
 Field2.of_jet = staticmethod(_view(Field2, Jet2, (0, 0)))
 Field2.of_jet_du = staticmethod(_view(Field2, Jet2, (1, 0)))

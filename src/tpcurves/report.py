@@ -55,10 +55,10 @@ def write_text(path, text):
         fh.write(text)
 
 
-def parameter_plot_svg(u_range, v_range, polyline, seed=None,
-                       width=640, height=480):
-    """Static plot of the parameter domain with a traced polyline."""
-    margin = 40.0
+def parameter_plot_svg(u_range, v_range, polyline, seed=None):
+    """Static 640 x 480 plot of the parameter domain with a traced
+    polyline."""
+    width, height, margin = 640, 480, 40.0
     u0, u1 = u_range
     v0, v1 = v_range
     su = (width - 2 * margin) / (u1 - u0)

@@ -72,29 +72,28 @@ class SceneConfig:
     path: str = "<builtin>"
 
     def surface(self, name):
-        try:
-            return self.surfaces[name]
-        except KeyError:
-            raise ConfigError(f"surface not found: {name}") from None
+        return _lookup(self.surfaces, "surface", name)
 
     def curve(self, name):
-        try:
-            return self.curves[name]
-        except KeyError:
-            raise ConfigError(f"curve not found: {name}") from None
+        return _lookup(self.curves, "curve", name)
 
     def curve_host(self, name):
         curve = self.curve(name)
         return self.surface(curve.surface), curve
 
     def pair(self, name, grid=None):
-        try:
-            pdef = self.pairs[name]
-        except KeyError:
-            raise ConfigError(f"pair not found: {name}") from None
+        pdef = _lookup(self.pairs, "pair", name)
         return register_pair(self.surface(pdef.source),
                              self.surface(pdef.target),
                              pdef.kind, grid=grid or self.options.grid)
+
+
+def _lookup(table, kind, name):
+    """``table[name]``; ConfigError "<kind> not found: <name>" otherwise."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigError(f"{kind} not found: {name}") from None
 
 
 def _section_line(text, section):
@@ -109,16 +108,12 @@ def _fail(path, text, section, message):
     raise ConfigError(f"{path}:{_section_line(text, section)}: {message}")
 
 
-def _number(raw):
-    return parse_constant(raw)
-
-
 def _range(raw, key):
     """A parameter range ``low, high``: finite, with low < high."""
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ExpressionError(f"expected two comma-separated values: {raw!r}")
-    low, high = _number(parts[0]), _number(parts[1])
+    low, high = parse_constant(parts[0]), parse_constant(parts[1])
     if not -math.inf < low < high < math.inf:  # false for NaN too
         raise ConfigError(f"{key} must be finite with low < high, got {raw!r}")
     return low, high
@@ -148,7 +143,7 @@ def parse_positive(raw, name):
     """``raw``, a constant expression, as a positive finite number for the
     option ``name``; ConfigError otherwise (zero, negative, NaN, inf)."""
     try:
-        value = _number(raw)
+        value = parse_constant(raw)
     except (ExpressionError, EvalError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
     if not 0.0 < value < math.inf:  # false for NaN too

@@ -3,10 +3,9 @@
 A :class:`SurfacePatch` is an analytic map (u, v) -> R^3 parsed from
 expression text; :meth:`SurfacePatch.jet` returns all partial derivatives
 through order 3 computed by forward-mode jets, with no finite differencing
-anywhere, and :meth:`SurfacePatch.jet_order2` those through order 2 (the
-tree walk behind the tracer's kernel, :attr:`SurfacePatch.tangency_kernel`,
-straight-line code generated per patch on first use).  A
-:class:`CurvePath` is a pair u(t), v(t) over one parameter.
+anywhere.  The tracer's kernel, :attr:`SurfacePatch.tangency_kernel`, is
+straight-line code over order-2 fields, generated per patch on first use.
+A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Batched evaluation runs generated code as well, three straight-line array
 programs per patch, each recorded on first use by
@@ -23,8 +22,9 @@ programs per patch, each recorded on first use by
   (1, n) row of v, so a value of u alone is computed at m entries.
 
 The tree walk over Jet2, Jet1 and Field2 arrays stays as their oracle and
-their error path; the per-point ``jet``, ``jet_order2`` and ``value`` and
-the curve's own u(t), v(t) walk the trees.
+their error path.  At a point, ``jet``, ``ambient_jet`` and the curve's own
+u(t), v(t) run the same tree walk over floats, and ``value`` walks the
+trees over plain floats.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
@@ -50,6 +50,7 @@ __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
            "parse_surface", "parse_curve"]
 
 _DOMAIN_SLACK = 1e-9
+_CHECK_SAMPLES = 129  # parameters at which check_on tests a curved path
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,10 @@ class SurfacePatch:
     def jet(self, u, v):
         """All partials through order 3 at (u, v)."""
         self._require_inside(u, v)
-        env = {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}
-        comps = tuple(expr.evaluate(c, env, Jet2.const) for c in self.components)
-        arr = lambda attr: np.array([getattr(c, attr) for c in comps])
-        return _surface_jet(float(u), float(v), comps, arr)
-
-    def jet_order2(self, u, v):
-        """The three components at (u, v) as :class:`~tpcurves.jets.Field2`
-        values: partials through order 2 only, with the bits of
-        :meth:`jet`'s value, first and second partials."""
-        self._require_inside(u, v)
-        env = {"u": Field2(float(u), fu=1.0), "v": Field2(float(v), fv=1.0)}
-        return tuple(expr.evaluate(c, env, Field2.const)
-                     for c in self.components)
+        u, v = float(u), float(v)
+        return _surface_jet(u, v, _tree_walk(
+            self.components, {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
+            Jet2))
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
@@ -171,10 +163,9 @@ class SurfacePatch:
         or one where :meth:`jet` would raise EvalError, raises that error.
         """
         u, v = self._nodes_inside(u, v)
-        comps = _run(self._jet_program, (u, v), self.components,
-                     {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}, Jet2)
-        return _surface_jet(u, v, comps,
-                            lambda attr: _stack(comps, attr, len(u)))
+        return _surface_jet(u, v, _run(
+            self._jet_program, (u, v), self.components,
+            {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}, Jet2))
 
     def metric_batch(self, u, v):
         """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
@@ -216,18 +207,20 @@ def _run(program, args, components, env, ring):
 
 
 def _tree_walk(components, env, ring):
-    """The trees over ``ring`` at arrays of nodes in ``env``: the oracle and
-    the error path of the generated array programs."""
+    """The trees over ``ring`` in ``env``, at a point or at arrays of nodes:
+    the per-point evaluation, and the oracle and the error path of the
+    generated array programs."""
     # Python floats overflow to inf and NaN without a word; so do these.
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(expr.evaluate(c, env, ring.const) for c in components)
 
 
-def _stack(comps, attr, nodes):
-    """Coefficient ``attr`` of three component jets as a (3, nodes) array."""
-    out = np.empty((3, nodes))
-    for row, c in zip(out, comps):
-        row[...] = getattr(c, attr)  # broadcasts a float coefficient
+def _stack(comps, attr, shape):
+    """Coefficient ``attr`` of three component jets at nodes of ``shape``
+    as a (3, *shape) array: (3,) at a point."""
+    out = np.empty((3, *shape))
+    for i, c in enumerate(comps):
+        out[i] = getattr(c, attr)  # broadcasts a float coefficient
     return out
 
 
@@ -262,16 +255,12 @@ def _compile_ambient_program(components):
     return straight_line(build, params, Jet1, arrays=True)
 
 
-def _surface_jet(u, v, comps, arr):
-    """SurfaceJet of component jets; ``arr(attr)`` stacks one coefficient."""
+def _surface_jet(u, v, comps):
+    """SurfaceJet of component jets at a point or at 1-D arrays of nodes;
+    its fields from ``value`` to ``dvvv`` are in Jet2's coefficient order."""
     return SurfaceJet(
-        u=u, v=v,
-        value=arr("f"), du=arr("fu"), dv=arr("fv"),
-        duu=arr("fuu"), duv=arr("fuv"), dvv=arr("fvv"),
-        duuu=arr("fuuu"), duuv=arr("fuuv"), duvv=arr("fuvv"),
-        dvvv=arr("fvvv"),
-        components=comps,
-    )
+        u, v, *(_stack(comps, attr, np.shape(u)) for attr in Jet2.__slots__),
+        components=comps)
 
 
 def parse_surface(text, u_range, v_range, name="surface"):
@@ -321,22 +310,17 @@ class CurvePath:
         """
         self._require_inside(t)
         if not isinstance(t, np.ndarray):
-            env = {"t": Jet1.var(t)}
-            return CurveJet(
-                t=float(t),
-                u=expr.evaluate(self.u_component, env, Jet1.const),
-                v=expr.evaluate(self.v_component, env, Jet1.const),
-            )
+            t = float(t)
         u, v = _tree_walk((self.u_component, self.v_component),
                           {"t": Jet1(t, d1=1.0)}, Jet1)
         return CurveJet(t=t, u=u, v=v)
 
-    def check_on(self, patch, samples=129):
+    def check_on(self, patch):
         """Verify that the path stays inside the patch domain.
 
         An affine path (:func:`~tpcurves.expr.is_affine`) with finite ends
         inside passes: it runs along a segment of a convex set.  Others are
-        tested at ``samples`` equally spaced parameters, endpoints included,
+        tested at 129 equally spaced parameters, endpoints included,
         in one batched pass, and pass if they leave between two and come
         back.  The DomainError names the first failing ``t``.
         """
@@ -349,8 +333,8 @@ class CurvePath:
             if all(map(math.isfinite, ends)) and \
                     patch.contains(*ends[:2]) and patch.contains(*ends[2:]):
                 return
-        ts = np.array([t0 + (t1 - t0) * i / (samples - 1)
-                       for i in range(samples)])
+        ts = np.array([t0 + (t1 - t0) * i / (_CHECK_SAMPLES - 1)
+                       for i in range(_CHECK_SAMPLES)])
         cj = self.jet(ts)
         bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
                            ts, cj.u.f, cj.v.f)
@@ -385,15 +369,10 @@ def ambient_jet(patch, curve, t):
     if bad:
         raise DomainError("curve point ({}, {}) at t={} outside domain of "
                           "'{}'".format(*bad, patch.name))
-    if not isinstance(t, np.ndarray):
-        env = {"u": cj.u, "v": cj.v}
-        comps = tuple(expr.evaluate(c, env, Jet1.const)
-                      for c in patch.components)
-        gamma = np.array([c.f for c in comps])
-        d1 = np.array([c.d1 for c in comps])
-        d2 = np.array([c.d2 for c in comps])
-        d3 = np.array([c.d3 for c in comps])
-        return cj, gamma, d1, d2, d3
-    comps = _run(patch._ambient_program, _coeffs(cj.u) + _coeffs(cj.v),
-                 patch.components, {"u": cj.u, "v": cj.v}, Jet1)
-    return cj, *(_stack(comps, attr, len(t)) for attr in Jet1.__slots__)
+    env = {"u": cj.u, "v": cj.v}
+    if isinstance(t, np.ndarray):
+        comps = _run(patch._ambient_program, _coeffs(cj.u) + _coeffs(cj.v),
+                     patch.components, env, Jet1)
+    else:
+        comps = _tree_walk(patch.components, env, Jet1)
+    return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1.__slots__)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (KAPPA_MIN, CurveSample, ambient_dot, frenet,
+from .curves import (CurveSample, _frame, ambient_dot, frenet,
                      transfer_sample)
 from .errors import (ConfigError, DomainError, IdenticallyTangent, NoSeed,
                      SingularLocus)
@@ -285,8 +285,7 @@ def position_component_report(geom, sample):
               + mu * coeffs.a2 * G)
     t_direct = ambient_dot(sample.dgamma, gamma)
 
-    kappa = np.sqrt(dot3(sample.ddgamma, sample.ddgamma))
-    framed = kappa > KAPPA_MIN
+    kappa, framed, n_vec, b_vec = _frame(sample)
     # Below the frame threshold these are NaN: no warnings for them.
     with np.errstate(divide="ignore", invalid="ignore"):
         n_comp = (lam * coeffs.b1 * E + (lam * coeffs.b2 + mu * coeffs.b1) * F
@@ -294,9 +293,8 @@ def position_component_report(geom, sample):
         b_comp = (coeffs.a1 * coeffs.b3 * mu * (-det)
                   + coeffs.a2 * coeffs.b3 * lam * det) \
             / (kappa * geom.area.f)
-        n_vec = sample.ddgamma / kappa
         n_direct = dot3(n_vec, gamma)
-        b_direct = dot3(cross3(sample.dgamma, n_vec), gamma)
+        b_direct = dot3(b_vec, gamma)
         n_comp, b_comp, n_direct, b_direct = (
             np.where(framed, x, math.nan)[()]
             for x in (n_comp, b_comp, n_direct, b_direct))

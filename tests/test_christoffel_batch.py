@@ -137,12 +137,12 @@ def test_non_finite_symbol_fails_the_oracle(scene, key, value):
 def test_infinite_symbol_fails_against_a_finite_oracle(scene, monkeypatch):
     # An infinite symbol makes the scale infinite, which no finite
     # tolerance test alone rejects.
-    form = first_form(scene.surface("sphere").jet(0.7, 0.4))
-    fields = list(forms.christoffel_fields(form))
+    geom = point_geometry(scene.surface("sphere"), 0.7, 0.4)
+    fields = list(forms.christoffel_fields(geom.E, geom.F, geom.G))
     fields[5] = Field1(math.inf, 0.0, 0.0)
-    monkeypatch.setattr(forms, "christoffel_fields", lambda form: fields)
+    monkeypatch.setattr(forms, "christoffel_fields", lambda E, F, G: fields)
     with pytest.raises(OracleMismatch, match="disagree by inf"):
-        christoffel(form)
+        christoffel(geom.form)
 
 
 @pytest.mark.parametrize("key, value", [("G_v", math.inf), ("F_v", math.nan),

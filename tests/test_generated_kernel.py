@@ -2,12 +2,14 @@
 subtrees, and when kernels are compiled.
 
 ``tangency_gradient`` runs a straight-line program compiled per patch
-(``SurfacePatch.tangency_kernel``); the tree walk (``jet_order2``,
+(``SurfacePatch.tangency_kernel``); the tree walk (``order2``,
 ``point_geometry``) is its oracle and its error path.
 """
 
 import math
 import struct
+
+from test_tangency_kernel import order2
 
 import tpcurves.surface
 from tpcurves import point_geometry, tangency_gradient
@@ -44,7 +46,7 @@ def test_signed_zero_constants_keep_their_bits():
         assert out is not None  # the program, not its fallback
         g = point_geometry(patch, u, v).g
         assert bits(*out[:3]) == bits(g.f, g.fu, g.fv)
-        assert bits(*out[3]) == bits(*(c.f for c in patch.jet_order2(u, v)))
+        assert bits(*out[3]) == bits(*(c.f for c in order2(patch, u, v)))
         assert bits(*out[3]) == bits(u + 0.0, v, u + -0.0)
         assert tangency_gradient(patch, u, v) == out
 
@@ -58,7 +60,7 @@ def test_shared_singular_subtree_raises_the_tree_walks_first_error():
         assert patch.tangency_kernel(u, 0.25) is None
         got = outcome(lambda: tangency_gradient(patch, u, 0.25))
         assert got == outcome(lambda: point_geometry(patch, u, 0.25))
-        assert got == outcome(lambda: patch.jet_order2(u, 0.25))
+        assert got == outcome(lambda: order2(patch, u, 0.25))
         assert got[0] is EvalError
     # Where it evaluates, the shared log is computed once.
     calls = []

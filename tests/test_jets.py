@@ -170,9 +170,9 @@ def test_eval_singularities():
 
 def test_integer_pow_at_zero_base():
     # Repeated multiplication keeps integer powers exact at base 0.
-    j = Jet2.var_u(0.0).powc(3)
+    j = Jet2(0.0, fu=1.0).powc(3)
     assert (j.f, j.fu, j.fuu, j.fuuu) == (0.0, 0.0, 0.0, 6.0)
-    t = Jet1.var(0.0).powc(2)
+    t = Jet1(0.0, d1=1.0).powc(2)
     assert (t.f, t.d1, t.d2) == (0.0, 0.0, 2.0)
 
 
@@ -182,14 +182,14 @@ def test_integer_pow_computes_no_unused_square():
     with np.errstate(over="raise"):
         j = Jet2(np.array([20.0]), fu=1.0)._ipow(200)
         t = Jet1(np.array([20.0]), d1=1.0)._ipow(200)
-    assert j.f[0] == t.f[0] == Jet2.var_u(20.0).powc(200).f
+    assert j.f[0] == t.f[0] == Jet2(20.0, fu=1.0).powc(200).f
     assert math.isfinite(j.f[0])
-    assert Jet2.var_u(3.0)._ipow(0).f == 1.0
+    assert Jet2(3.0, fu=1.0)._ipow(0).f == 1.0
 
 
 def test_fractional_pow_requires_positive_base():
     with pytest.raises(EvalError):
-        Jet2.var_u(-1.0).powc(0.5)
-    j = Jet2.var_u(4.0).powc(0.5)
+        Jet2(-1.0, fu=1.0).powc(0.5)
+    j = Jet2(4.0, fu=1.0).powc(0.5)
     assert j.f == pytest.approx(2.0)
     assert j.fu == pytest.approx(0.25)

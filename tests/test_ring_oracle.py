@@ -31,14 +31,6 @@ class Jet2(jets._Taylor):
         self.fuu, self.fuv, self.fvv = fuu, fuv, fvv
         self.fuuu, self.fuuv, self.fuvv, self.fvvv = fuuu, fuuv, fuvv, fvvv
 
-    @classmethod
-    def var_u(cls, value):
-        return cls(float(value), fu=1.0)
-
-    @classmethod
-    def var_v(cls, value):
-        return cls(float(value), fv=1.0)
-
     def __neg__(self):
         return Jet2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv,
                     -self.fvv, -self.fuuu, -self.fuuv, -self.fuvv, -self.fvvv)
@@ -95,10 +87,6 @@ class Jet1(jets._Taylor):
 
     def __init__(self, f, d1=0.0, d2=0.0, d3=0.0):
         self.f, self.d1, self.d2, self.d3 = f, d1, d2, d3
-
-    @classmethod
-    def var(cls, value):
-        return cls(float(value), d1=1.0)
 
     def __neg__(self):
         return Jet1(-self.f, -self.d1, -self.d2, -self.d3)
@@ -296,13 +284,6 @@ def test_views_match_hand_written(a):
             assert bits(getattr(field_new, lower)()) == \
                 bits(getattr(field_old, lower)()), (view, lower)
     assert type(jets.Field2.of_jet(new).du()) is jets.Field1
-
-
-@given(COEFF)
-def test_variables_match_hand_written(x):
-    assert bits(jets.Jet2.var_u(x)) == bits(Jet2.var_u(x))
-    assert bits(jets.Jet2.var_v(x)) == bits(Jet2.var_v(x))
-    assert bits(jets.Jet1.var(x)) == bits(Jet1.var(x))
 
 
 @given(coefficients(6), coefficients(6), COEFF)

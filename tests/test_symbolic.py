@@ -125,7 +125,7 @@ def magnitude(node, env, ring):
 def jet2_error(node, u, v):
     """Worst scaled error of the Jet2 partials of ``node`` at (u, v), or
     None where the float evaluation fails or is not finite."""
-    env = {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}
+    env = {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}
     try:
         jet = expr.evaluate(node, env, Jet2.const)
         scale = magnitude(node, env, Jet2)
@@ -159,7 +159,7 @@ def test_jets_match_sympy_on_random_trees(node, u, v):
     error = jet2_error(node, u, v)
     assert error is None or error <= REL_TOL
     # Along u, with v held at a constant: the Jet1 route.
-    error = jet1_error(node, {"u": Jet1.var(u), "v": Jet1(v)},
+    error = jet1_error(node, {"u": Jet1(u, d1=1.0), "v": Jet1(v)},
                        {"u": T, "v": sympy.Rational(v)}, u)
     assert error is None or error <= REL_TOL
 
@@ -189,7 +189,7 @@ def test_jets_match_sympy_on_builtin_curves(scene):
             t = _inside(rng, *curve.t_range)
             cj = curve.jet(t)
             for node in (curve.u_component, curve.v_component):
-                assert jet1_error(node, {"t": Jet1.var(t)}, sym_t, t) \
+                assert jet1_error(node, {"t": Jet1(t, d1=1.0)}, sym_t, t) \
                     <= REL_TOL, (name, t)
             for node in patch.components:
                 assert jet1_error(node, {"u": cj.u, "v": cj.v}, sym_uv, t) \

@@ -1,10 +1,11 @@
 """The order-2 tangency kernel against the full per-point record.
 
 ``tangency_gradient`` must give ``PointGeometry.g``'s value and gradient
-bit for bit, and equal the record's formula evaluated over Field1;
-``SurfacePatch.jet_order2`` must give the low-order coefficients of
-``SurfacePatch.jet``, and each jet ring those of the next; where one side
-raises EvalError or DegeneratePoint, the other raises the same error.
+bit for bit, and equal the record's formula evaluated over Field1; the
+tree walk over Field2 (:func:`order2`) must give the low-order
+coefficients of ``SurfacePatch.jet``, and each jet ring those of the next;
+where one side raises EvalError or DegeneratePoint, the other raises the
+same error.
 """
 
 import random
@@ -37,6 +38,14 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def order2(patch, u, v):
+    """The three components at (u, v) over Field2: the order-2 tree walk
+    that the tangency kernel records."""
+    env = {"u": Field2(float(u), fu=1.0), "v": Field2(float(v), fv=1.0)}
+    return tuple(expr.evaluate(c, env, Field2.const)
+                 for c in patch.components)
+
+
 def record_g(patch, u, v):
     g = point_geometry(patch, u, v).g
     return bits(g.f, g.fu, g.fv)
@@ -49,7 +58,7 @@ def kernel_g(patch, u, v):
 
 def field1_g(patch, u, v):
     """The record's formula for g, evaluated over Field1."""
-    phi = patch.jet_order2(u, v)
+    phi = order2(patch, u, v)
     p = [c.lower() for c in phi]
     pu = [c.du() for c in phi]
     pv = [c.dv() for c in phi]
@@ -124,7 +133,8 @@ def test_field2_is_jet2_truncated(tree, u, v):
 
     assert outcome(lambda: over(Field2, {"u": Field2(u, fu=1.0),
                                          "v": Field2(v, fv=1.0)})) == \
-        outcome(lambda: over(Jet2, {"u": Jet2.var_u(u), "v": Jet2.var_v(v)}))
+        outcome(lambda: over(Jet2, {"u": Jet2(u, fu=1.0),
+                                    "v": Jet2(v, fv=1.0)}))
 
 
 @given(_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -153,7 +163,7 @@ def test_kernel_is_field1_evaluation(scene):
 def test_jet_order2_matches_jet(scene):
     patch = scene.surface("catenoid")
     jet = patch.jet(1.3, -0.4)
-    for c, full in zip(patch.jet_order2(1.3, -0.4), jet.components):
+    for c, full in zip(order2(patch, 1.3, -0.4), jet.components):
         assert bits(*(getattr(c, k) for k in ORDER2)) == \
             bits(*(getattr(full, k) for k in ORDER2))
 

@@ -1,6 +1,9 @@
 """Position-vector decomposition, coefficient systems, component identities."""
 
+import dataclasses
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from tpcurves import (
     decompose_position,
     first_form,
     frame_coefficients,
+    frenet,
     geodesic_curvature_formula,
     point_geometry,
     position_component_report,
@@ -20,6 +24,10 @@ from tpcurves import (
     tangency_gradient,
     velocity_coefficients,
 )
+from tpcurves.checks import _curve_residuals
+from tpcurves.errors import FrameUndefined
+from tpcurves.jets import dot3
+from tpcurves.scene import load_scene_text
 
 SQRT3 = math.sqrt(3.0)
 
@@ -254,3 +262,69 @@ def test_kappa_g_formula_matches_ambient_definition(scene, name):
         assert abs(kg.normalized - direct) < 1e-8
         # Documented scaling between the raw and normalized values.
         assert abs(kg.raw - kg.normalized * form.area_element) < 1e-10
+
+
+# --- one stacked sample with framed and unframed nodes -------------------
+
+INFLECTION_SCENE = """\
+[surface plane]
+components = (u, v, 0)
+u_range = -2, 2
+v_range = -2, 2
+
+[curve cubic]
+surface = plane
+u = t
+v = t^3
+t_range = -1, 1
+
+[options]
+samples = 9
+"""
+
+
+def test_frame_rule_at_an_inflection():
+    """u = t, v = t^3 has curvature 0 at t = 0, the middle of an odd
+    number of samples; every other sample has a frame."""
+    scene = load_scene_text(INFLECTION_SCENE)
+    patch, curve = scene.curve_host("cubic")
+    s = sample_arclength(patch, curve, 9)
+    mid = 4
+    kappa = np.sqrt(dot3(s.ddgamma, s.ddgamma))
+    assert kappa[mid] < 1e-9 < kappa[np.arange(9) != mid].min()
+
+    with pytest.raises(FrameUndefined) as exc:
+        frenet(s)
+    assert str(exc.value) == f"curvature {kappa[mid]} at s={s.s[mid]}"
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = position_component_report(point_geometry(patch, s.u, s.v), s)
+    parts = ("n_comp", "b_comp", "n_direct", "b_direct", "n_residual",
+             "b_residual")
+    for i, one in enumerate(split_samples(s)):
+        single = position_component_report(
+            point_geometry(patch, one.u, one.v), one)
+        for name in parts:
+            got = getattr(rep, name)[i]
+            if i == mid:
+                assert math.isnan(got), name
+            else:
+                assert struct.pack("<d", got) == \
+                    struct.pack("<d", getattr(single, name)), (name, i)
+
+    # The Pythagoras residual skips the unframed node: a NaN curvature
+    # there leaves it unframed too, and the worst residual unchanged.
+    def record(patch, sample):
+        return point_geometry(patch, sample.u, sample.v)
+
+    def nan_at_mid(patch, curve, count):
+        sample = sample_arclength(patch, curve, count)
+        ddgamma = sample.ddgamma.copy()
+        ddgamma[:, mid] = math.nan
+        return dataclasses.replace(sample, ddgamma=ddgamma)
+
+    worst = _curve_residuals(scene, sample_arclength, record, "cubic")
+    assert worst["pythagoras"] < 1e-12
+    assert _curve_residuals(scene, nan_at_mid, record, "cubic")[
+        "pythagoras"] == worst["pythagoras"]
