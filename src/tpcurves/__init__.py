@@ -39,7 +39,6 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .forms import (
-    Christoffel,
     FirstForm,
     PointGeometry,
     SecondForm,
@@ -70,12 +69,9 @@ from .surface import (
 )
 from .tangent import (
     FrameCoefficients,
-    GeodesicCurvature,
     PositionComponentReport,
-    TangentDecomposition,
     TracedCurve,
     binormal_formula_check,
-    decompose_position,
     frame_coefficients,
     geodesic_curvature_formula,
     position_component_report,

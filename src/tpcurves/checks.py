@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import _frame, sample_arclength, surface_curvatures
-from .forms import christoffel, gauss_equation_residual, point_geometry
+from .forms import gauss_equation_residual, point_geometry
 from .isometry import (
     invariance_report,
     second_form_relation,
@@ -103,8 +103,7 @@ def _gauss_checks(scene):
     for name in _GAUSS_SURFACES:
         patch = scene.surface(name)
         geom = point_geometry(patch, *_random_points(patch, 100, rng))
-        residuals = gauss_equation_residual(geom.jet, geom.second,
-                                            christoffel(geom.form))
+        residuals = gauss_equation_residual(geom)
         worst = float(np.max(np.abs(residuals)))
         out.append(_asserted(f"gauss-residual/{name}", "gauss", worst, 1e-8))
     return out
@@ -128,8 +127,8 @@ def _curve_residuals(scene, sample, record, curve_name):
     # last place for about one value in a thousand; keep its bits.
     kg2, kn2 = (np.fromiter((x ** 2 for x in k.tolist()), float, k.size)
                 for k in (curv.kappa_g, curv.kappa_n))
-    intrinsic = geodesic_curvature_formula(
-        velocity_coefficients(geom, s), geom).normalized
+    intrinsic = geodesic_curvature_formula(velocity_coefficients(geom, s),
+                                           geom)
     worst = {
         "pythagoras": _worst(abs(kg2 + kn2 - kappa * kappa)[framed]),
         "kappa_g": _worst(abs(curv.kappa_g - intrinsic)),

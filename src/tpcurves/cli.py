@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``forms``, ``trace``, ``report-thm31``, ``verify``,
-``isometry``.  Exit codes: 0 success, 1 load/config error, 2
-analysis-level failure (no reachable locus, degenerate point, ...),
-3 asserted-check failure in ``verify``.
+``isometry``.  Exit codes: 0 success, 1 load/config error or an
+``--out`` that cannot be created or written, 2 analysis-level failure
+(no reachable locus, degenerate point, ...), 3 asserted-check failure in
+``verify``.
 
 All file output is deterministic: identical config and flags produce
 byte-identical CSV/JSON/SVG.
@@ -56,20 +57,21 @@ def _rows(columns):
 
 def _forms_payload(scene, surface_name, u, v):
     geom = point_geometry(scene.surface(surface_name), u, v)
-    form, sec, chris = geom.form, geom.second, christoffel(geom.form)
+    E, F, G, sec = geom.E, geom.F, geom.G, geom.second
+    g111, g112, g121, g122, g221, g222 = christoffel(geom)
     return {
         "surface": surface_name,
         "u": u,
         "v": v,
-        "E": form.E, "F": form.F, "G": form.G,
-        "E_u": form.E_u, "E_v": form.E_v,
-        "F_u": form.F_u, "F_v": form.F_v,
-        "G_u": form.G_u, "G_v": form.G_v,
+        "E": E.f, "F": F.f, "G": G.f,
+        "E_u": E.fu, "E_v": E.fv,
+        "F_u": F.fu, "F_v": F.fv,
+        "G_u": G.fu, "G_v": G.fv,
         "L": sec.L, "M": sec.M, "N": sec.N,
         "unit_normal": list(sec.unit_normal),
-        "Gamma1_11": chris.g111, "Gamma2_11": chris.g112,
-        "Gamma1_12": chris.g121, "Gamma2_12": chris.g122,
-        "Gamma1_22": chris.g221, "Gamma2_22": chris.g222,
+        "Gamma1_11": g111.f, "Gamma2_11": g112.f,
+        "Gamma1_12": g121.f, "Gamma2_12": g122.f,
+        "Gamma1_22": g221.f, "Gamma2_22": g222.f,
     }
 
 
@@ -316,7 +318,7 @@ def main(argv=None):
     except _ANALYSIS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

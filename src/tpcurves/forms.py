@@ -16,17 +16,18 @@ formulas and from the general metric formula
 
 and the two routes are required to agree to 1e-10 at every node; a
 disagreement, or a NaN or infinite symbol, raises
-:class:`~tpcurves.errors.OracleMismatch`.  Both routes take a point or a
-batched :class:`FirstForm`.
+:class:`~tpcurves.errors.OracleMismatch`.  Both routes work at a point or
+at every node of a batched record.
 
 :class:`PointGeometry` is the per-point record every per-sample identity
 reads, and the one place where the metric, its regularity test and the
 connection symbols are put together: one jet evaluation, the metric and
-the position-vector decomposition as order-2 fields, and the forms and
-connection symbols built on first use (:func:`first_form` is its
-``form``; its symbols read its E, F, G fields, with no form built).  Over
-a batched jet it is the record of a whole curve or grid, every field an
-array over the nodes.
+the position-vector decomposition as order-2 fields, and the second form
+and connection symbols built on first use.  :func:`christoffel` checks
+the record's symbols against the metric-formula oracle on its E, F, G
+fields, and :func:`first_form` copies those fields into a
+:class:`FirstForm`.  Over a batched jet it is the record of a whole curve
+or grid, every field an array over the nodes.
 
 Two straight-line programs per patch are recorded here from one builder,
 the component trees over Field2 lowered to order-1 position and partials
@@ -48,7 +49,7 @@ from .errors import DegeneratePoint, GeometryError, OracleMismatch
 from .jets import Field2, cross3, dot3, failing_node, straight_line
 
 __all__ = [
-    "FirstForm", "SecondForm", "Christoffel", "PointGeometry",
+    "FirstForm", "SecondForm", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
     "compile_tangency_kernel", "compile_metric_program",
@@ -105,30 +106,6 @@ class SecondForm:
     area_element: float  # |phi_u x phi_v| = sqrt(EG - F^2)
 
 
-@dataclass(frozen=True)
-class Christoffel:
-    """Connection symbols g<ij><k> = Gamma^k_ij and their u, v derivatives."""
-
-    g111: float
-    g112: float  # Gamma^2_11
-    g121: float  # Gamma^1_12
-    g122: float  # Gamma^2_12
-    g221: float  # Gamma^1_22
-    g222: float  # Gamma^2_22
-    g111_u: float
-    g111_v: float
-    g112_u: float
-    g112_v: float
-    g121_u: float
-    g121_v: float
-    g122_u: float
-    g122_v: float
-    g221_u: float
-    g221_v: float
-    g222_u: float
-    g222_v: float
-
-
 class PointGeometry:
     """Geometry of a patch at one parameter point, from one jet, or at
     every node of a batched jet
@@ -140,10 +117,11 @@ class PointGeometry:
     coefficients ``E``, ``F``, ``G``, ``det`` = EG - F^2, ``area`` =
     sqrt(det), the tangency residual ``g`` = phi . N and the coordinates
     ``lam``, ``mu`` of the position vector, phi = lam phi_u + mu phi_v + g N.
-    Built on first use: ``form`` (:class:`FirstForm`), ``second``
-    (:class:`SecondForm`) and ``chris``, the six connection symbols as
-    order-1 fields in :class:`Christoffel`'s order (not re-checked against
-    the metric-formula oracle; :func:`christoffel` is).
+    Built on first use: ``second`` (:class:`SecondForm`) and ``chris``,
+    the six connection symbols Gamma^1_11, Gamma^2_11, Gamma^1_12,
+    Gamma^2_12, Gamma^1_22, Gamma^2_22 as order-1 fields (value plus u, v
+    derivatives), checked against the metric-formula oracle by
+    :func:`christoffel`.
 
     Raises DegeneratePoint where EG - F^2 <= 1e-14, naming the first such
     node of a batch.
@@ -159,13 +137,6 @@ class PointGeometry:
         self.E, self.F, self.G, self.det, self.area = E, F, G, det, area
         self.lam = (G * p_dot_u - F * p_dot_v) / det
         self.mu = (E * p_dot_v - F * p_dot_u) / det
-
-    @cached_property
-    def form(self):
-        E, F, G = self.E, self.F, self.G
-        return FirstForm(E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv,
-                         E.fuu, E.fuv, E.fvv, F.fuu, F.fuv, F.fvv,
-                         G.fuu, G.fuv, G.fvv)
 
     @cached_property
     def second(self):
@@ -276,9 +247,13 @@ def metric_fields(jet):
 
 
 def first_form(jet):
-    """First fundamental form at a regular point: the ``form`` of the
-    jet's :class:`PointGeometry`, which raises where it does."""
-    return PointGeometry(jet).form
+    """First fundamental form at a regular point: the E, F, G fields of
+    the jet's :class:`PointGeometry`, which raises where it does."""
+    geom = PointGeometry(jet)
+    E, F, G = geom.E, geom.F, geom.G
+    return FirstForm(E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv,
+                     E.fuu, E.fuv, E.fvv, F.fuu, F.fuv, F.fvv,
+                     G.fuu, G.fuv, G.fvv)
 
 
 def second_form(jet):
@@ -305,8 +280,9 @@ def christoffel_from_metric(E, F, G, E_u, E_v, F_u, F_v, G_u, G_v):
     """Independent oracle: Gamma^k_ij from the general metric formula, at a
     point or at every node of arrays.
 
-    Returns (g111, g112, g121, g122, g221, g222) with the same index
-    convention as :class:`Christoffel`.
+    Returns Gamma^k_ij in the order of :attr:`PointGeometry.chris`:
+    (Gamma^1_11, Gamma^2_11, Gamma^1_12, Gamma^2_12, Gamma^1_22,
+    Gamma^2_22).
     """
     det = E * G - F * F
     bad = failing_node(det <= REGULARITY_THRESHOLD, det)
@@ -342,20 +318,18 @@ def christoffel_fields(E, F, G):
     return g111, g112, g121, g122, g221, g222
 
 
-def christoffel(form):
-    """Connection symbols at a regular point, or at every node of a batched
-    form, cross-checked node by node against the metric-formula oracle.
+def christoffel(geom):
+    """The connection symbols ``geom.chris`` of a :class:`PointGeometry`,
+    at a point or at every node of a batched record, cross-checked node by
+    node against the metric-formula oracle on the record's E, F, G fields.
 
     Raises OracleMismatch where the two routes disagree or a symbol is NaN
     or infinite, naming the first such node of a batch.
     """
-    E, F, G = (Field2(*(getattr(form, x + d) for d in
-                        ("", "_u", "_v", "_uu", "_uv", "_vv")))
-               for x in "EFG")
+    E, F, G = geom.E, geom.F, geom.G
     oracle = christoffel_from_metric(E.f, F.f, G.f, E.fu, E.fv,
                                      F.fu, F.fv, G.fu, G.fv)
-    fields = christoffel_fields(E, F, G)
-    explicit = [x.f for x in fields]
+    explicit = [x.f for x in geom.chris]
     # np.maximum, unlike max, keeps a NaN wherever it sits (inf - inf is
     # one); an infinite scale would pass any residual, so test finiteness.
     with np.errstate(invalid="ignore"):
@@ -367,19 +341,22 @@ def christoffel(form):
     if bad:
         raise OracleMismatch("Christoffel routes disagree by {} at "
                              "(E, F, G) = ({}, {}, {})".format(*bad))
-    return Christoffel(*explicit,
-                       *(d for x in fields for d in (x.fu, x.fv)))
+    return geom.chris
 
 
-def gauss_equation_residual(jet, second, chris):
-    """Residuals of the moving-frame expansion of the second partials.
+def gauss_equation_residual(geom):
+    """Residuals of the moving-frame expansion of the second partials,
+    from a :class:`PointGeometry` whose symbols :func:`christoffel`
+    checks first.
 
     r_uu = phi_uu - Gamma^1_11 phi_u - Gamma^2_11 phi_v - L N, and the
     uv/vv analogues; each is an exact identity, so the residuals measure
     implementation error only.
     """
+    g111, g112, g121, g122, g221, g222 = (x.f for x in christoffel(geom))
+    jet, second = geom.jet, geom.second
     n = second.unit_normal
-    r_uu = jet.duu - chris.g111 * jet.du - chris.g112 * jet.dv - second.L * n
-    r_uv = jet.duv - chris.g121 * jet.du - chris.g122 * jet.dv - second.M * n
-    r_vv = jet.dvv - chris.g221 * jet.du - chris.g222 * jet.dv - second.N * n
+    r_uu = jet.duu - g111 * jet.du - g112 * jet.dv - second.L * n
+    r_uv = jet.duv - g121 * jet.du - g122 * jet.dv - second.M * n
+    r_vv = jet.dvv - g221 * jet.du - g222 * jet.dv - second.N * n
     return r_uu, r_uv, r_vv

@@ -262,10 +262,9 @@ def invariance_report(pair, samples, geometry=None):
     rho_tgt = ambient_dot(t.gamma, t.gamma)
     tc_src = ambient_dot(samples.dgamma, samples.gamma)
     tc_tgt = ambient_dot(t.dgamma, t.gamma)
-    kg_src = geodesic_curvature_formula(
-        velocity_coefficients(src, samples), src).normalized
-    kg_tgt = geodesic_curvature_formula(
-        velocity_coefficients(tgt, t), tgt).normalized
+    kg_src = geodesic_curvature_formula(velocity_coefficients(src, samples),
+                                        src)
+    kg_tgt = geodesic_curvature_formula(velocity_coefficients(tgt, t), tgt)
 
     def per_sample(x):  # a field that is the same at every node is a float
         return np.broadcast_to(x, samples.u.shape)

@@ -60,10 +60,8 @@ from .forms import (PointGeometry, point_geometry, second_form,  # noqa: F401
 from .jets import cross3, dot3
 
 __all__ = [
-    "TangentDecomposition", "FrameCoefficients", "PositionComponentReport",
-    "GeodesicCurvature", "TracedCurve",
-    "decompose_position", "frame_coefficients",
-    "velocity_coefficients", "ratio_identity_check",
+    "FrameCoefficients", "PositionComponentReport", "TracedCurve",
+    "frame_coefficients", "velocity_coefficients", "ratio_identity_check",
     "position_component_report", "binormal_formula_check",
     "geodesic_curvature_formula", "trace_tangent_curve",
 ]
@@ -75,16 +73,6 @@ GRAD_FLOOR = 1e-8
 LOCUS_TOL = 1e-8
 _NEWTON_MAX = 25
 _CORRECTOR_MAX = 10
-
-
-@dataclass(frozen=True)
-class TangentDecomposition:
-    """Position vector in the basis {phi_u, phi_v, N}."""
-
-    lam: float
-    mu: float
-    normal_component: float  # gamma . N; zero on the tangent-position locus
-    residual: float  # | gamma - lam phi_u - mu phi_v - (gamma.N) N |
 
 
 @dataclass(frozen=True)
@@ -105,18 +93,6 @@ class FrameCoefficients:
     b1: float
     b2: float
     b3: float
-
-
-@dataclass(frozen=True)
-class GeodesicCurvature:
-    """Geodesic curvature from the coefficient formula.
-
-    ``raw`` is (b1 a2 - b2 a1)(F^2 - GE) = kappa_g * sqrt(EG - F^2);
-    ``normalized`` is kappa_g itself, (a1 b2 - a2 b1) sqrt(EG - F^2).
-    """
-
-    raw: float
-    normalized: float
 
 
 @dataclass(frozen=True)
@@ -169,18 +145,6 @@ def _along2(field, sample):
 
 def _along1(field, sample):
     return field.f, field.fu * sample.du + field.fv * sample.dv
-
-
-def decompose_position(patch, u, v):
-    """Coordinates of the position vector in {phi_u, phi_v, N}."""
-    geom = point_geometry(patch, u, v)
-    jet = geom.jet
-    recon = (geom.lam.f * jet.du + geom.mu.f * jet.dv
-             + geom.g.f * geom.second.unit_normal)
-    diff = jet.value - recon
-    return TangentDecomposition(
-        lam=geom.lam.f, mu=geom.mu.f, normal_component=geom.g.f,
-        residual=math.sqrt(dot3(diff, diff)))
 
 
 def frame_coefficients(geom, sample):
@@ -253,16 +217,10 @@ def ratio_identity_check(geom, sample):
 
 
 def geodesic_curvature_formula(coeffs, geom):
-    """Geodesic curvature from moving-basis coefficients.
-
-    The normalized value (a1 b2 - a2 b1) sqrt(EG - F^2) equals the ambient
-    definition gamma'' . (N x gamma'); ``raw`` keeps the unnormalized
-    coefficient combination, which is kappa_g scaled by sqrt(EG - F^2).
-    """
-    raw = (coeffs.b1 * coeffs.a2 - coeffs.b2 * coeffs.a1) * (-geom.det.f)
-    normalized = ((coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1)
-                  * geom.area.f)
-    return GeodesicCurvature(raw=raw, normalized=normalized)
+    """Geodesic curvature kappa_g = (a1 b2 - a2 b1) sqrt(EG - F^2) from
+    moving-basis coefficients; it equals the ambient definition
+    gamma'' . (N x gamma')."""
+    return (coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1) * geom.area.f
 
 
 def position_component_report(geom, sample):

@@ -1,11 +1,12 @@
-"""The Christoffel oracle over batched forms, and the gauss checks' one
+"""The Christoffel oracle over batched records, and the gauss checks' one
 record per surface.
 
-``christoffel`` and ``christoffel_from_metric`` take a point or a batched
-:class:`FirstForm`; every node must carry the bits of the one-point call,
-and the oracle must check every node.  The numpy matrix version of the
-oracle that the tuple version replaced is kept here as its bitwise oracle,
-and the per-point chain the gauss checks ran before is kept as theirs.
+``christoffel`` takes a point or a batched :class:`PointGeometry` and
+returns its own ``chris``, and ``christoffel_from_metric`` its metric
+fields; every node must carry the bits of the one-point call, and the
+oracle must check every node.  The numpy matrix version of the oracle
+that the tuple version replaced is kept here as its bitwise oracle, and
+the per-point chain the gauss checks ran before is kept as theirs.
 """
 
 import dataclasses
@@ -16,24 +17,22 @@ import pytest
 
 from tpcurves import (
     FirstForm,
+    PointGeometry,
     christoffel,
     christoffel_from_metric,
     first_form,
     gauss_equation_residual,
     parse_surface,
     point_geometry,
-    second_form,
 )
 from tpcurves import checks, forms
 from tpcurves.errors import DegeneratePoint, OracleMismatch
-from tpcurves.jets import Field1
+from tpcurves.jets import Field1, Field2
 from tpcurves.surface import SurfacePatch
 
 _METRIC = ("E", "F", "G", "E_u", "E_v", "F_u", "F_v", "G_u", "G_v")
 _FIELDS = tuple(f.name for f in dataclasses.fields(FirstForm))
-_CHRIS = ("g111", "g112", "g121", "g122", "g221", "g222",
-          "g111_u", "g111_v", "g112_u", "g112_v", "g121_u", "g121_v",
-          "g122_u", "g122_v", "g221_u", "g221_v", "g222_u", "g222_v")
+_FIELD2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
 
 def numpy_christoffel_from_metric(E, F, G, E_u, E_v, F_u, F_v, G_u, G_v):
@@ -75,16 +74,37 @@ def points(patch, count, rng):
             rng.uniform(v0 + 0.02 * dv, v1 - 0.02 * dv, count))
 
 
-def node(form, i, n):
-    """The one-point FirstForm at node ``i`` of a batched one of ``n``."""
-    return FirstForm(**{k: np.broadcast_to(getattr(form, k), (n,))[i].item()
-                        for k in _FIELDS})
+def metric(geom, key):
+    """The record's metric field named as in :class:`FirstForm`: ``E`` is
+    ``geom.E.f``, ``E_uv`` is ``geom.E.fuv``."""
+    name, _, partial = key.partition("_")
+    return getattr(getattr(geom, name), "f" + partial)
 
 
-def batched_form(scene, name, count, seed):
+def at_node(x, i, n):
+    return np.broadcast_to(x, (n,))[i].item()
+
+
+def corrupt(geom, key, nodes, value):
+    """Set the record's metric field ``key`` to ``value`` at ``nodes`` (a
+    point record takes ``nodes=None``); its symbols are built from it."""
+    name, _, partial = key.partition("_")
+    field = getattr(geom, name)
+    coeffs = [getattr(field, d) for d in _FIELD2]
+    k = _FIELD2.index("f" + partial)
+    if nodes is None:
+        coeffs[k] = value
+    else:
+        coeffs[k] = np.broadcast_to(coeffs[k], geom.jet.u.shape).copy()
+        coeffs[k][nodes] = value
+    setattr(geom, name, Field2(*coeffs))
+    return geom
+
+
+def batched_record(scene, name, count, seed):
     patch = scene.surface(name)
     us, vs = points(patch, count, np.random.default_rng(seed))
-    return patch, us, vs, point_geometry(patch, us, vs).form
+    return patch, us, vs, point_geometry(patch, us, vs)
 
 
 def test_tuple_oracle_matches_numpy_oracle_bitwise(scene):
@@ -92,11 +112,10 @@ def test_tuple_oracle_matches_numpy_oracle_bitwise(scene):
     compared = 0
     for patch in scene.surfaces.values():
         us, vs = points(patch, 1800 // len(scene.surfaces) + 1, rng)
-        form = point_geometry(patch, us, vs).form
-        batch = christoffel_from_metric(*(getattr(form, k) for k in _METRIC))
+        geom = point_geometry(patch, us, vs)
+        batch = christoffel_from_metric(*(metric(geom, k) for k in _METRIC))
         for i in range(us.size):
-            one = node(form, i, us.size)
-            args = [getattr(one, k) for k in _METRIC]
+            args = [at_node(metric(geom, k), i, us.size) for k in _METRIC]
             got = christoffel_from_metric(*args)
             assert same_bits(got, numpy_christoffel_from_metric(*args))
             assert all(same_bits(np.broadcast_to(b, us.shape)[i], g)
@@ -113,25 +132,33 @@ def test_tuple_oracle_matches_numpy_oracle_bitwise(scene):
 @pytest.mark.parametrize("name", ["plane", "cone", "sphere", "offset_sphere",
                                   "catenoid", "helicoid"])
 def test_batched_christoffel_equals_per_point_bitwise(scene, name):
-    patch, us, vs, form = batched_form(scene, name, 40, 7)
-    chris = christoffel(form)
+    patch, us, vs, geom = batched_record(scene, name, 40, 7)
+    chris = christoffel(geom)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        one_form = first_form(patch.jet(u, v))
-        one = christoffel(one_form)
-        for key in _CHRIS:
-            assert same_bits(np.broadcast_to(getattr(chris, key),
-                                             us.shape)[i],
-                             getattr(one, key)), (name, key, i)
-        assert same_bits(np.broadcast_to(form.area_element, us.shape)[i],
-                         one_form.area_element)
+        one_geom = point_geometry(patch, u, v)
+        one = christoffel(one_geom)
+        for k, (batch, point) in enumerate(zip(chris, one)):
+            for d in ("f", "fu", "fv"):
+                assert same_bits(at_node(getattr(batch, d), i, us.size),
+                                 getattr(point, d)), (name, k, d, i)
+        assert same_bits(at_node(geom.area.f, i, us.size), one_geom.area.f)
+
+
+def test_christoffel_returns_the_record_symbols(scene):
+    patch, _, _, batch = batched_record(scene, "catenoid", 5, 2)
+    for geom in (point_geometry(patch, 0.3, 0.4), batch):
+        got = christoffel(geom)
+        assert len(got) == 6
+        assert all(a is b for a, b in zip(got, geom.chris))
 
 
 @pytest.mark.parametrize("key, value", [("G_v", math.inf), ("F_v", math.nan),
                                         ("E_u", -math.inf)])
 def test_non_finite_symbol_fails_the_oracle(scene, key, value):
-    form = first_form(scene.surface("sphere").jet(0.7, 0.4))
+    geom = corrupt(point_geometry(scene.surface("sphere"), 0.7, 0.4),
+                   key, None, value)
     with pytest.raises(OracleMismatch, match="Christoffel routes disagree"):
-        christoffel(dataclasses.replace(form, **{key: value}))
+        christoffel(geom)
 
 
 def test_infinite_symbol_fails_against_a_finite_oracle(scene, monkeypatch):
@@ -142,27 +169,34 @@ def test_infinite_symbol_fails_against_a_finite_oracle(scene, monkeypatch):
     fields[5] = Field1(math.inf, 0.0, 0.0)
     monkeypatch.setattr(forms, "christoffel_fields", lambda E, F, G: fields)
     with pytest.raises(OracleMismatch, match="disagree by inf"):
-        christoffel(geom.form)
+        christoffel(geom)
 
 
 @pytest.mark.parametrize("key, value", [("G_v", math.inf), ("F_v", math.nan),
                                         ("E_v", -math.inf)])
 def test_batch_names_first_failing_node(scene, key, value):
-    _, us, _, form = batched_form(scene, "sphere", 9, 11)
-    column = np.broadcast_to(getattr(form, key), us.shape).copy()
-    column[[4, 6]] = value
-    bad = dataclasses.replace(form, **{key: column})
-    with pytest.raises(OracleMismatch) as raised, \
-            np.errstate(invalid="ignore"):
-        christoffel(bad)
-    with pytest.raises(OracleMismatch) as scalar:
-        christoffel(node(bad, 4, us.size))
-    assert str(raised.value) == str(scalar.value)
-    christoffel(node(bad, 3, us.size))  # the nodes before it pass
+    patch, us, vs, geom = batched_record(scene, "sphere", 9, 11)
+    bad = corrupt(geom, key, [4, 6], value)
+
+    def point(i):
+        return point_geometry(patch, us[i].item(), vs[i].item())
+
+    for check in (christoffel, gauss_equation_residual):
+        with pytest.raises(OracleMismatch) as raised, \
+                np.errstate(invalid="ignore"):
+            check(bad)
+        with pytest.raises(OracleMismatch) as scalar:
+            check(corrupt(point(4), key, None, value))
+        assert str(raised.value) == str(scalar.value)
+        assert str(raised.value).endswith(
+            "at (E, F, G) = ({}, {}, {})".format(*(
+                at_node(metric(geom, k), 4, us.size) for k in "EFG")))
+        for i in range(4):  # the nodes before it pass
+            check(point(i))
 
 
 def test_oracle_checks_every_node(scene, monkeypatch):
-    _, us, _, form = batched_form(scene, "catenoid", 12, 3)
+    _, us, _, geom = batched_record(scene, "catenoid", 12, 3)
     oracle = christoffel_from_metric
 
     def off_at_last_node(*args):
@@ -172,11 +206,10 @@ def test_oracle_checks_every_node(scene, monkeypatch):
 
     monkeypatch.setattr(forms, "christoffel_from_metric", off_at_last_node)
     with pytest.raises(OracleMismatch) as raised:
-        christoffel(form)
+        christoffel(geom)
     assert str(raised.value).endswith(
         "at (E, F, G) = ({}, {}, {})".format(*(
-            np.broadcast_to(getattr(form, k), us.shape)[-1].item()
-            for k in ("E", "F", "G"))))
+            at_node(metric(geom, k), -1, us.size) for k in "EFG")))
 
 
 def test_batched_oracle_names_first_degenerate_node():
@@ -191,8 +224,10 @@ def test_first_form_is_the_record_form():
     with pytest.raises(DegeneratePoint) as raised:
         first_form(patch.jet(0.4, 0.0))
     assert str(raised.value) == "EG - F^2 = 0.0 at (u, v) = (0.4, 0.0)"
-    jet = patch.jet(0.4, 0.5)
-    assert first_form(jet) == point_geometry(patch, 0.4, 0.5).form
+    form = first_form(patch.jet(0.4, 0.5))
+    geom = point_geometry(patch, 0.4, 0.5)
+    for key in _FIELDS:
+        assert same_bits(getattr(form, key), metric(geom, key)), key
 
 
 def test_gauss_checks_equal_the_per_point_chain(scene, monkeypatch):
@@ -213,14 +248,10 @@ def test_gauss_checks_equal_the_per_point_chain(scene, monkeypatch):
     for check, name in zip(got, checks._GAUSS_SURFACES):
         patch = scene.surface(name)
         us, vs = points(patch, 100, rng)
-        geom = point_geometry(patch, us, vs)
-        batched = gauss_equation_residual(geom.jet, geom.second,
-                                          christoffel(geom.form))
+        batched = gauss_equation_residual(point_geometry(patch, us, vs))
         worst = 0.0
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            jet = patch.jet(u, v)
-            residuals = gauss_equation_residual(
-                jet, second_form(jet), christoffel(first_form(jet)))
+            residuals = gauss_equation_residual(PointGeometry(patch.jet(u, v)))
             for r_batch, r_point in zip(batched, residuals):
                 assert same_bits(r_batch[:, i], r_point), (name, i)
             worst = max(worst, max(float(np.max(np.abs(r)))

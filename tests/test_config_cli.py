@@ -335,6 +335,25 @@ def test_cli_forms_overflow_exit_1(tmp_path, capsys):
     assert "range error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "offset_sphere", "--seed", "2.0,0.0"],
+    ["report-thm31", "plane_circle"],
+    ["verify", "--target", "gauss"],
+    ["isometry", "plane_cylinder", "--curve", "plane_circle",
+     "--format", "csv"],
+    ["forms", "sphere", "0.7", "0.4"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "taken"
+    path.write_text("a file, not a directory")
+    rc = cli.main(argv + ["--out", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert path.read_text() == "a file, not a directory"
+
+
 def test_cli_custom_config(tmp_path, capsys):
     path = tmp_path / "scene.ini"
     path.write_text(GOOD_SCENE)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpcurves import (
+    PointGeometry,
     christoffel,
     christoffel_from_metric,
     first_form,
@@ -85,51 +86,55 @@ def test_unit_normal_invariants(scene):
                 1.0, np.linalg.norm(jet.dv))
 
 
+def symbols(jet):
+    """(g111, g112, g121, g122, g221, g222): the values of the checked
+    connection symbols of the jet's record."""
+    return tuple(x.f for x in christoffel(PointGeometry(jet)))
+
+
 def test_plane_christoffel_zero(scene):
-    chris = christoffel(first_form(scene.surface("plane").jet(0.0, 0.0)))
-    for name in ("g111", "g112", "g121", "g122", "g221", "g222"):
-        assert getattr(chris, name) == 0.0
+    assert symbols(scene.surface("plane").jet(0.0, 0.0)) == (0.0,) * 6
 
 
 def test_cone_christoffel_spot_values(scene):
-    chris = christoffel(first_form(scene.surface("cone").jet(1.2, 1.0)))
-    assert chris.g121 == pytest.approx(1.0, abs=1e-10)
-    assert chris.g112 == pytest.approx(-0.5, abs=1e-10)
-    for name in ("g111", "g122", "g221", "g222"):
-        assert abs(getattr(chris, name)) < 1e-10
+    g111, g112, g121, g122, g221, g222 = symbols(
+        scene.surface("cone").jet(1.2, 1.0))
+    assert g121 == pytest.approx(1.0, abs=1e-10)
+    assert g112 == pytest.approx(-0.5, abs=1e-10)
+    for value in (g111, g122, g221, g222):
+        assert abs(value) < 1e-10
 
 
 def test_sphere_christoffel_spot_values(scene):
     theta = math.pi / 3
-    chris = christoffel(first_form(scene.surface("sphere").jet(theta, 2.0)))
-    assert chris.g122 == pytest.approx(1 / math.tan(theta), rel=1e-12)
-    assert chris.g221 == pytest.approx(-math.sin(theta) * math.cos(theta),
-                                       rel=1e-12)
+    g122, g221 = symbols(scene.surface("sphere").jet(theta, 2.0))[3:5]
+    assert g122 == pytest.approx(1 / math.tan(theta), rel=1e-12)
+    assert g221 == pytest.approx(-math.sin(theta) * math.cos(theta),
+                                 rel=1e-12)
 
 
 def test_christoffel_routes_agree(scene):
     for name in ("cone", "sphere", "catenoid", "helicoid", "offset_sphere"):
         patch = scene.surface(name)
         for u, v in random_points(patch, 20):
-            form = first_form(patch.jet(u, v))
-            chris = christoffel(form)
+            jet = patch.jet(u, v)
+            form = first_form(jet)
             oracle = christoffel_from_metric(
                 form.E, form.F, form.G, form.E_u, form.E_v,
                 form.F_u, form.F_v, form.G_u, form.G_v)
-            explicit = (chris.g111, chris.g112, chris.g121,
-                        chris.g122, chris.g221, chris.g222)
+            explicit = symbols(jet)
             assert max(abs(a - b) for a, b in zip(explicit, oracle)) < 1e-10
 
 
 def test_christoffel_oracle_disagreement_raises(scene, monkeypatch):
-    form = first_form(scene.surface("sphere").jet(0.7, 0.4))
+    geom = PointGeometry(scene.surface("sphere").jet(0.7, 0.4))
+    E, F, G = geom.E, geom.F, geom.G
     wrong = tuple(g + 1e-6 for g in christoffel_from_metric(
-        form.E, form.F, form.G, form.E_u, form.E_v,
-        form.F_u, form.F_v, form.G_u, form.G_v))
+        E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv))
     monkeypatch.setattr(forms, "christoffel_from_metric",
                         lambda *args: wrong)
     with pytest.raises(OracleMismatch, match="Christoffel routes disagree"):
-        christoffel(form)
+        christoffel(geom)
 
 
 def test_christoffel_derivatives_match_finite_differences(scene):
@@ -138,14 +143,11 @@ def test_christoffel_derivatives_match_finite_differences(scene):
     u, v = 1.1, 0.8
 
     def symbols_at(uu, vv):
-        c = christoffel(first_form(patch.jet(uu, vv)))
-        return np.array([c.g111, c.g112, c.g121, c.g122, c.g221, c.g222])
+        return np.array(symbols(patch.jet(uu, vv)))
 
-    c = christoffel(first_form(patch.jet(u, v)))
-    ad_u = np.array([c.g111_u, c.g112_u, c.g121_u,
-                     c.g122_u, c.g221_u, c.g222_u])
-    ad_v = np.array([c.g111_v, c.g112_v, c.g121_v,
-                     c.g122_v, c.g221_v, c.g222_v])
+    c = christoffel(PointGeometry(patch.jet(u, v)))
+    ad_u = np.array([x.fu for x in c])
+    ad_v = np.array([x.fv for x in c])
     fd_u = (symbols_at(u + h, v) - symbols_at(u - h, v)) / (2 * h)
     fd_v = (symbols_at(u, v + h) - symbols_at(u, v - h)) / (2 * h)
     assert np.max(np.abs(ad_u - fd_u)) < 1e-7
@@ -160,9 +162,7 @@ def test_christoffel_derivatives_match_finite_differences(scene):
 def test_gauss_residual(scene, name, tol, count):
     patch = scene.surface(name)
     for u, v in random_points(patch, count):
-        jet = patch.jet(u, v)
-        residuals = gauss_equation_residual(
-            jet, second_form(jet), christoffel(first_form(jet)))
+        residuals = gauss_equation_residual(PointGeometry(patch.jet(u, v)))
         assert max(float(np.max(np.abs(r))) for r in residuals) < tol
 
 
@@ -183,13 +183,15 @@ def test_orientation_covariance_on_swap(scene):
         assert f_sw.E == pytest.approx(f.G, rel=1e-13)
         assert f_sw.G == pytest.approx(f.E, rel=1e-13)
         assert f_sw.F == pytest.approx(f.F, abs=1e-13)
-        c, c_sw = christoffel(f), christoffel(f_sw)
-        assert c_sw.g111 == pytest.approx(c.g222, abs=1e-12)
-        assert c_sw.g112 == pytest.approx(c.g221, abs=1e-12)
-        assert c_sw.g121 == pytest.approx(c.g122, abs=1e-12)
-        assert c_sw.g122 == pytest.approx(c.g121, abs=1e-12)
-        assert c_sw.g221 == pytest.approx(c.g112, abs=1e-12)
-        assert c_sw.g222 == pytest.approx(c.g111, abs=1e-12)
+        g111, g112, g121, g122, g221, g222 = symbols(jet)
+        g111_sw, g112_sw, g121_sw, g122_sw, g221_sw, g222_sw = \
+            symbols(jet_sw)
+        assert g111_sw == pytest.approx(g222, abs=1e-12)
+        assert g112_sw == pytest.approx(g221, abs=1e-12)
+        assert g121_sw == pytest.approx(g122, abs=1e-12)
+        assert g122_sw == pytest.approx(g121, abs=1e-12)
+        assert g221_sw == pytest.approx(g112, abs=1e-12)
+        assert g222_sw == pytest.approx(g111, abs=1e-12)
 
     plane = scene.surface("plane")
     plane_sw = parse_surface("(v, u, 0)", plane.u_range, plane.v_range)
@@ -210,10 +212,9 @@ def test_translation_invariance(scene):
         for key in ("L", "M", "N"):
             assert getattr(s0, key) == pytest.approx(getattr(s1, key),
                                                      abs=1e-10)
-        c0, c1 = christoffel(f0), christoffel(f1)
-        for key in ("g111", "g112", "g121", "g122", "g221", "g222"):
-            assert getattr(c0, key) == pytest.approx(getattr(c1, key),
-                                                     abs=1e-10)
+        c0, c1 = symbols(cone.jet(u, v)), symbols(moved.jet(u, v))
+        for a, b in zip(c0, c1):
+            assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_degenerate_point_raises():

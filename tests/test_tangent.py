@@ -11,8 +11,6 @@ from sample_list import split_samples
 
 from tpcurves import (
     binormal_formula_check,
-    decompose_position,
-    first_form,
     frame_coefficients,
     frenet,
     geodesic_curvature_formula,
@@ -61,26 +59,34 @@ def test_offset_sphere_tangency_formula(scene):
 
 # --- decomposition -------------------------------------------------------
 
+def reconstruction_residual(geom):
+    """| phi - lam phi_u - mu phi_v - g N | at the record's point."""
+    jet = geom.jet
+    diff = jet.value - (geom.lam.f * jet.du + geom.mu.f * jet.dv
+                        + geom.g.f * geom.second.unit_normal)
+    return math.sqrt(dot3(diff, diff))
+
+
 def test_plane_decomposition_is_coordinates(scene):
-    dec = decompose_position(scene.surface("plane"), 3.0, -2.0)
-    assert dec.lam == pytest.approx(3.0, abs=1e-14)
-    assert dec.mu == pytest.approx(-2.0, abs=1e-14)
-    assert dec.normal_component == pytest.approx(0.0, abs=1e-14)
+    geom = point_geometry(scene.surface("plane"), 3.0, -2.0)
+    assert geom.lam.f == pytest.approx(3.0, abs=1e-14)
+    assert geom.mu.f == pytest.approx(-2.0, abs=1e-14)
+    assert geom.g.f == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cone_decomposition_radial(scene):
     cone = scene.surface("cone")
     for u, v in [(0.3, 0.5), (2.0, 1.0), (4.0, 2.5)]:
-        dec = decompose_position(cone, u, v)
-        assert dec.lam == pytest.approx(0.0, abs=1e-13)
-        assert dec.mu == pytest.approx(v, rel=1e-13)
+        geom = point_geometry(cone, u, v)
+        assert geom.lam.f == pytest.approx(0.0, abs=1e-13)
+        assert geom.mu.f == pytest.approx(v, rel=1e-13)
 
 
 def test_offset_sphere_circle_decomposition(scene):
     patch = scene.surface("offset_sphere")
-    dec = decompose_position(patch, 2 * math.pi / 3, 2.4)
-    assert dec.lam == pytest.approx(-SQRT3, rel=1e-12)
-    assert dec.mu == pytest.approx(0.0, abs=1e-12)
+    geom = point_geometry(patch, 2 * math.pi / 3, 2.4)
+    assert geom.lam.f == pytest.approx(-SQRT3, rel=1e-12)
+    assert geom.mu.f == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decomposition_exactness_everywhere(scene):
@@ -92,7 +98,8 @@ def test_decomposition_exactness_everywhere(scene):
         for _ in range(200):
             u = rng.uniform(u0 + 0.02 * (u1 - u0), u1 - 0.02 * (u1 - u0))
             v = rng.uniform(v0 + 0.02 * (v1 - v0), v1 - 0.02 * (v1 - v0))
-            assert decompose_position(patch, u, v).residual < 1e-10
+            assert reconstruction_residual(point_geometry(patch, u, v)) \
+                < 1e-10
 
 
 # --- coefficient systems -------------------------------------------------
@@ -246,7 +253,7 @@ def test_plane_circle_kappa_g_value(scene):
     s = split_samples(sample_arclength(patch, curve, 9))[4]
     geom = point_geometry(patch, s.u, s.v)
     kg = geodesic_curvature_formula(frame_coefficients(geom, s), geom)
-    assert kg.normalized == pytest.approx(0.5, abs=1e-9)
+    assert kg == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", TP_CURVES + ("catenoid_line",
@@ -257,11 +264,8 @@ def test_kappa_g_formula_matches_ambient_definition(scene, name):
     for s in split_samples(sample_arclength(patch, curve, 15)):
         geom = point_geometry(patch, s.u, s.v)
         direct = surface_curvatures(geom, s).kappa_g
-        form = first_form(patch.jet(s.u, s.v))
         kg = geodesic_curvature_formula(velocity_coefficients(geom, s), geom)
-        assert abs(kg.normalized - direct) < 1e-8
-        # Documented scaling between the raw and normalized values.
-        assert abs(kg.raw - kg.normalized * form.area_element) < 1e-10
+        assert abs(kg - direct) < 1e-8
 
 
 # --- one stacked sample with framed and unframed nodes -------------------
