@@ -27,13 +27,18 @@ Coefficients are floats, or numpy arrays over the nodes of a batch that
 broadcast together (constant coefficients may stay floats).  The same
 arithmetic then evaluates every node at once, and gives at each node the
 bits that the float path gives, or raises the error the float path raises
-there.
+there.  A coefficient zero by construction (a variable's other partials,
+a constant's, all that only they feed) is absent, :data:`ZERO`: sums,
+products and compositions skip it (``0.0 * inf`` is never formed, ``-0.0``
+plus it stays ``-0.0``), views and programs pass it on, and read by name
+it is 0.0.
 :func:`straight_line` records one evaluation, ring arithmetic included,
 on a twin of a ring, as straight-line Python code that runs with no ring
-objects: a value used once is written into its use, to a depth cap, and
-the rest are named.  It renders a float program (the tracer's kernel) or
-an array program over arrays of nodes (the batched jets), whose singular
-tests hold at any node and whose ``math`` runs once per array entry.
+objects: a value used once is written into its use, to a depth cap, the
+rest are named, and pure arithmetic that nothing reads is left out.  It
+renders a float program (the tracer's kernel) or an array program over
+nodes (the batched jets), whose singular tests hold at any node and whose
+``math`` runs once per array entry.
 """
 
 import functools
@@ -47,8 +52,22 @@ import numpy as np
 
 from .errors import EvalError, GeometryError
 
-__all__ = ["Jet2", "Jet1", "Field2", "Field1", "dot3", "cross3",
+__all__ = ["Jet2", "Jet1", "Field2", "Field1", "ZERO", "dot3", "cross3",
            "failing_node", "straight_line"]
+
+
+class _Absent:
+    """The type of :data:`ZERO`: a sum's identity, a product's zero."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy defers to the reflected methods
+    __mul__ = __rmul__ = __neg__ = lambda self, *other: self
+    __add__ = __radd__ = __rsub__ = lambda self, other: other
+    __sub__ = lambda self, other: -other
+    __repr__ = __str__ = lambda self: "ZERO"
+
+
+ZERO = _Absent()  # a jet coefficient that is zero by construction
 
 
 def _per_node(fn):
@@ -207,11 +226,7 @@ class _Taylor:
         # ring is cheaper to call there than one classmethod.
         def lift(x):
             return x if isinstance(x, cls) else cls(float(x))
-        cls._lift = staticmethod(lift)
-
-    @classmethod
-    def const(cls, c):
-        return cls(float(c))
+        cls._lift = cls.const = staticmethod(lift)
 
     def __repr__(self):
         coeffs = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
@@ -332,7 +347,7 @@ def _ring(name, nvars, order, names, doc):
 
     def product_coeff(alpha):
         return " + ".join(
-            _scaled(c, [f"a.{at[b]}", f"b.{at[tuple(map(sub, alpha, b))]}"])
+            _scaled(c, [f"a._{at[b]}", f"b._{at[tuple(map(sub, alpha, b))]}"])
             for b, c in _leibniz(alpha, nvars))
 
     def composed_coeff(alpha):
@@ -355,15 +370,17 @@ def _ring(name, nvars, order, names, doc):
     source = "\n".join([
         f"class {name}(_Taylor):",
         f"    __doc__ = {doc!r}",
-        f"    __slots__ = {tuple(names)!r}",
+        f"    __slots__ = {tuple('_' + n for n in names)!r}",  # absent too
+        *(f"    {n} = property(lambda self: "
+          f"0.0 if self._{n} is ZERO else self._{n})" for n in names),
         f"    def __init__(self, {names[0]}, "
-        + ", ".join(f"{n}=0.0" for n in names[1:]) + "):",
-        *(f"        self.{n} = {n}" for n in names),
+        + ", ".join(f"{n}=ZERO" for n in names[1:]) + "):",
+        *(f"        self._{n} = {n}" for n in names),
         "    def __neg__(self):",
-        new(f"-self.{n}" for n in names),
+        new(f"-self._{n}" for n in names),
         "    def __add__(self, other):",
         "        o = self._lift(other)",
-        new(f"self.{n} + o.{n}" for n in names),
+        new(f"self._{n} + o._{n}" for n in names),
         "    __radd__ = __add__",
         "    def __mul__(self, other):",
         "        a, b = self, self._lift(other)",
@@ -371,21 +388,21 @@ def _ring(name, nvars, order, names, doc):
         "    __rmul__ = __mul__",
         "    def _compose_coeffs(self, f0, f1, f2, f3):",
         "        " + ", ".join(f"g_{n}" for n in names[1:]) + ", = "
-        + ", ".join(f"self.{n}" for n in names[1:]) + ",",
+        + ", ".join(f"self._{n}" for n in names[1:]) + ",",
         new(map(composed_coeff, at)),
     ])
-    scope = {"_Taylor": _Taylor, "__name__": __name__}
+    scope = {"_Taylor": _Taylor, "ZERO": ZERO, "__name__": __name__}
     exec(source, scope)
     ring = scope[name]
-    ring._at, ring._spec = at, spec
+    ring._at, ring._names, ring._spec = at, tuple(names), spec
     return ring
 
 
-def _view(ring, source, shift):
-    """The ``ring`` value with the coefficients of a ``source`` jet at each
+def _view(ring, src, shift):
+    """The ``ring`` value with the coefficients of a ``src`` jet at each
     multi-index plus ``shift``: the jet's value (shift 0) or one partial
     derivative (a unit shift), with fewer orders, as compiled code."""
-    coeffs = (f"jet.{source._at[tuple(map(add, a, shift))]}" for a in ring._at)
+    coeffs = (f"jet._{src._at[tuple(map(add, a, shift))]}" for a in ring._at)
     scope = {ring.__name__: ring}
     exec(f"def view(jet):\n    return {ring.__name__}({', '.join(coeffs)})",
          scope)
@@ -438,9 +455,16 @@ def cross3(a, b):
 # per operands (value numbering, Aho et al., *Compilers*, 2nd ed., 6.1).
 
 def _binary(symbol):
+    """_Traced's operator ``symbol`` and its reflection.  An absent operand
+    is left to ZERO; a product with 1.0 is the other factor, bit for bit."""
     template = "{} " + symbol + " {}"
-    return (lambda a, b: a.record(template, a.name, str(b)),
-            lambda a, b: a.record(template, str(b), a.name))
+    def op(a, b, order=1):  # order -1: b is the left operand
+        if b is ZERO:
+            return NotImplemented
+        if symbol == "*" and type(b) is float and b == 1.0:
+            return a
+        return a.record(template, *(a.name, str(b))[::order])
+    return op, lambda a, b: op(a, b, -1)
 
 
 class _Traced:
@@ -502,14 +526,20 @@ def _twin(ring):
 # Nesting at which a value is named even when used once: CPython's
 # tokenizer allows 200 nested parentheses.
 _MAX_DEPTH = 32
+_PURE = {"{} + {}", "{} - {}", "{} * {}", "-{}"}  # never raise or give None
 
 
 def _render(lines, leaves):
-    """The statements of ``lines``.  A value used exactly once, and not a
+    """The statements of ``lines`` but those ``_PURE`` ones that no leaf,
+    guard, call or division reads.  A value used exactly once, and not a
     leaf, is written into its use in parentheses, until its text is
     _MAX_DEPTH parentheses deep; every other value is named, and a guard
     returns None.  Each operation keeps its operands and their order, so
     its bits, and each one is evaluated before the program returns."""
+    # A guard's name is None: None among the roots keeps every guard.
+    live = _live(lines, leaves + [name for name, template, _ in lines
+                                  if template not in _PURE])
+    lines = [line for line in lines if line[0] in live]
     uses = Counter(chain.from_iterable([x for _, _, x in lines]))
     once = {x for x, n in uses.items() if n == 1}.difference(leaves)
     # A value still to be written into its use: its parenthesized text
@@ -546,8 +576,8 @@ def _live(lines, leaves):
 
 def straight_line(build, params, ring, *, arrays):
     """``build(twin, *params)``, floats and the arithmetic of ``twin``, the
-    recording twin of ``ring``, returning floats in nested tuples, as
-    straight-line code in ``params``.
+    recording twin of ``ring``, returning floats (or ZERO) in nested
+    tuples, as straight-line code in ``params``.
 
     ``build`` runs once, over traced inputs; :func:`_render` then writes
     each value used once into its use (to a depth cap) and names the rest.
@@ -594,7 +624,7 @@ def straight_line(build, params, ring, *, arrays):
         if arrays:
             return None
         body = ["return None"]
-    scope = {**vars(math), "__name__": __name__}  # math, inf and nan
+    scope = {**vars(math), "ZERO": ZERO, "__name__": __name__}  # inf, nan
     if arrays:
         scope.update(vars(_NODE_MATH), _any=_any, _errstate=np.errstate)
         body = ['with _errstate(over="ignore", invalid="ignore", '

@@ -217,14 +217,14 @@ def _tree_walk(components, env, ring):
 
 def _stack(comps, attr, shape):
     """Coefficient ``attr`` of three component jets at nodes of ``shape``
-    as a (3, *shape) array: (3,) at a point."""
+    as a (3, *shape) array: (3,) at a point, 0.0 where it is absent."""
     out = np.empty((3, *shape))
     for i, c in enumerate(comps):
         out[i] = getattr(c, attr)  # broadcasts a float coefficient
     return out
 
 
-def _coeffs(jet):
+def _coeffs(jet):  # as kept: absent ones stay ZERO
     return tuple(getattr(jet, name) for name in jet.__slots__)
 
 
@@ -251,7 +251,7 @@ def _compile_ambient_program(components):
         env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
         return tuple(_coeffs(expr.evaluate(c, env, jet1.const))
                      for c in components)
-    params = [x + name for x in "uv" for name in Jet1.__slots__]
+    params = [x + name for x in "uv" for name in Jet1._names]
     return straight_line(build, params, Jet1, arrays=True)
 
 
@@ -259,7 +259,7 @@ def _surface_jet(u, v, comps):
     """SurfaceJet of component jets at a point or at 1-D arrays of nodes;
     its fields from ``value`` to ``dvvv`` are in Jet2's coefficient order."""
     return SurfaceJet(
-        u, v, *(_stack(comps, attr, np.shape(u)) for attr in Jet2.__slots__),
+        u, v, *(_stack(comps, attr, np.shape(u)) for attr in Jet2._names),
         components=comps)
 
 
@@ -375,4 +375,4 @@ def ambient_jet(patch, curve, t):
                      patch.components, env, Jet1)
     else:
         comps = _tree_walk(patch.components, env, Jet1)
-    return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1.__slots__)
+    return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1._names)

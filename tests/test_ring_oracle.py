@@ -8,6 +8,8 @@ give their bits, on float and on 1-D array coefficients.  The one
 exception is Field1's division: the hand-written Field1 keeps a quotient
 rule of its own, while every generated ring divides by the composed
 reciprocal, so a Field1 quotient must equal the Field2 quotient truncated.
+Both sides default every coefficient but the value to ``ZERO``, absent,
+and the drawn operands have absent coefficients too.
 """
 
 import operator
@@ -19,14 +21,15 @@ from hypothesis import strategies as st
 
 from tpcurves import jets
 from tpcurves.errors import EvalError
+from tpcurves.jets import ZERO
 
 
 class Jet2(jets._Taylor):
     __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv",
                  "fuuu", "fuuv", "fuvv", "fvvv")
 
-    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0,
-                 fuuu=0.0, fuuv=0.0, fuvv=0.0, fvvv=0.0):
+    def __init__(self, f, fu=ZERO, fv=ZERO, fuu=ZERO, fuv=ZERO, fvv=ZERO,
+                 fuuu=ZERO, fuuv=ZERO, fuvv=ZERO, fvvv=ZERO):
         self.f, self.fu, self.fv = f, fu, fv
         self.fuu, self.fuv, self.fvv = fuu, fuv, fvv
         self.fuuu, self.fuuv, self.fuvv, self.fvvv = fuuu, fuuv, fuvv, fvvv
@@ -85,7 +88,7 @@ class Jet2(jets._Taylor):
 class Jet1(jets._Taylor):
     __slots__ = ("f", "d1", "d2", "d3")
 
-    def __init__(self, f, d1=0.0, d2=0.0, d3=0.0):
+    def __init__(self, f, d1=ZERO, d2=ZERO, d3=ZERO):
         self.f, self.d1, self.d2, self.d3 = f, d1, d2, d3
 
     def __neg__(self):
@@ -121,7 +124,7 @@ class Jet1(jets._Taylor):
 class Field2(jets._Taylor):
     __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
-    def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0):
+    def __init__(self, f, fu=ZERO, fv=ZERO, fuu=ZERO, fuv=ZERO, fvv=ZERO):
         self.f, self.fu, self.fv = f, fu, fv
         self.fuu, self.fuv, self.fvv = fuu, fuv, fvv
 
@@ -184,7 +187,7 @@ class Field2(jets._Taylor):
 class Field1(jets._Taylor):
     __slots__ = ("f", "fu", "fv")
 
-    def __init__(self, f, fu=0.0, fv=0.0):
+    def __init__(self, f, fu=ZERO, fv=ZERO):
         self.f, self.fu, self.fv = f, fu, fv
 
     def __neg__(self):
@@ -234,14 +237,20 @@ ARRAY = st.lists(COEFF, min_size=3, max_size=3).map(np.array)
 
 def coefficients(n):
     """n coefficients: all floats, or arrays of three nodes with some
-    coefficients left constant, as batched jets keep them."""
-    return st.one_of(st.lists(COEFF, min_size=n, max_size=n),
-                     st.lists(ARRAY | COEFF, min_size=n, max_size=n))
+    coefficients left constant, as batched jets keep them; any but the
+    value may be absent."""
+    partial = COEFF | st.just(ZERO)
+    return st.one_of(
+        st.tuples(COEFF, st.lists(partial, min_size=n - 1, max_size=n - 1)),
+        st.tuples(ARRAY | COEFF,
+                  st.lists(ARRAY | partial, min_size=n - 1, max_size=n - 1)),
+    ).map(lambda c: [c[0], *c[1]])
 
 
 def bits(x):
-    return b"".join(type(c).__name__.encode() + np.asarray(c, float).tobytes()
-                    for c in map(x.__getattribute__, x.__slots__))
+    return b"".join(type(c).__name__.encode() + (
+        b"" if c is ZERO else np.asarray(c, float).tobytes())
+        for c in map(x.__getattribute__, x.__slots__))
 
 
 def outcome(fn, *args):

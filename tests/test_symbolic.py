@@ -98,7 +98,7 @@ def magnitude(node, env, ring):
 
     if isinstance(node, (Const, Var)):
         jet = value(node)
-        return max([1.0] + [abs(getattr(jet, k)) for k in jet.__slots__])
+        return max([1.0] + [abs(getattr(jet, k)) for k in jet._names])
     if isinstance(node, Unary):
         inner = magnitude(node.arg, env, ring)
         if node.op == "neg":
