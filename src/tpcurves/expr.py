@@ -5,14 +5,15 @@ Grammar (usual infix precedence, left-associative except ``^``):
     expr    := term (("+" | "-") term)*
     term    := unary (("*" | "/") unary)*
     unary   := "-" unary | power
-    power   := atom ("^" exponent)?
-    exponent:= "-" exponent | power
+    power   := atom ("^" unary)?
     atom    := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
 ``^`` binds tighter than unary minus, so ``-u^2`` is ``-(u^2)``.  The
 exponent of ``^`` must fold to a constant at parse time; general ``f^g``
 is rejected.  ``pi`` is a built-in constant.  Known functions: sin, cos,
-sinh, cosh, tanh, exp, log, sqrt.  Angles are radians.
+sinh, cosh, tanh, exp, log, sqrt.  Angles are radians.  Nesting deeper
+than :data:`MAX_NESTING` levels, or a tree more than :data:`MAX_HEIGHT`
+operations high, is a syntax error.
 
 Parsed trees are immutable; evaluation is a pure function of the tree and
 an environment mapping variable names to numbers or jets, so trees can be
@@ -33,7 +34,8 @@ from .errors import (
 __all__ = [
     "Const", "Var", "Unary", "Binary", "Node",
     "parse_expression", "parse_components", "parse_constant",
-    "evaluate", "is_affine", "to_text", "FUNCTIONS",
+    "evaluate", "is_affine", "to_text", "FUNCTIONS", "MAX_NESTING",
+    "MAX_HEIGHT",
 ]
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
@@ -69,7 +71,8 @@ Node = Union[Const, Var, Unary, Binary]
 
 # --- tokenizer ---------------------------------------------------------
 
-_OPS = "+-*/^"
+_PUNCTUATION = {"(": "lparen", ")": "rparen", ",": "comma",
+                **dict.fromkeys("+-*/^", "op")}
 
 
 def _tokenize(text):
@@ -106,20 +109,8 @@ def _tokenize(text):
                 i += 1
             tokens.append(("ident", text[start:i], start))
             continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(("comma", c, i))
+        if c in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[c], c, i))
             i += 1
             continue
         raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
@@ -127,11 +118,33 @@ def _tokenize(text):
     return tokens
 
 
+# Every tree the parser accepts stays within Python's default recursion
+# limit (1000 frames): parentheses, calls, unary minus and ``^`` nest at
+# most MAX_NESTING deep (the parser recurses 6 frames into each), and a
+# tree, chains of + - * / included, is at most MAX_HEIGHT operations high
+# (evaluating it over any ring, and to_text, take a frame for each).
+MAX_NESTING = 64
+MAX_HEIGHT = 320
+
+
+def _above(height, pos):
+    """The height of an operation at ``pos`` over operands at most
+    ``height`` high; ExpressionSyntaxError there past MAX_HEIGHT."""
+    if height >= MAX_HEIGHT:
+        raise ExpressionSyntaxError(
+            f"expression more than {MAX_HEIGHT} operations high", pos)
+    return height + 1
+
+
 class _Parser:
+    """Recursive descent; each parse method returns a tree and its height,
+    the most operations on a path down from its root."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = frozenset(variables)
+        self.depth = 0  # levels open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -147,33 +160,48 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {what}", tok[2])
         return self.advance()
 
+    def nested(self, pos, parse):
+        """``parse()`` one level deeper, opened by the token at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", pos)
+        out = parse()
+        self.depth -= 1
+        return out
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, height = self.parse_term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = Binary(op, node, self.parse_term())
-        return node
+            _, op, pos = self.advance()
+            rhs, rhs_height = self.parse_term()
+            node, height = Binary(op, node, rhs), _above(
+                max(height, rhs_height), pos)
+        return node, height
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, height = self.parse_unary()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = Binary(op, node, self.parse_unary())
-        return node
+            _, op, pos = self.advance()
+            rhs, rhs_height = self.parse_unary()
+            node, height = Binary(op, node, rhs), _above(
+                max(height, rhs_height), pos)
+        return node, height
 
     def parse_unary(self):
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
+            arg, height = self.nested(tok[2], self.parse_unary)
+            return Unary("neg", arg), _above(height, tok[2])
         return self.parse_power()
 
     def parse_power(self):
-        node = self.parse_atom()
+        node, height = self.parse_atom()
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "^":
             caret_pos = self.advance()[2]
-            rhs = self.parse_exponent()
+            rhs = self.nested(caret_pos, self.parse_unary)[0]  # the exponent
             try:
                 value = evaluate(rhs, {}, float)
             except (EvalError, KeyError):  # KeyError: a variable
@@ -182,41 +210,35 @@ class _Parser:
                 raise ExpressionSyntaxError(
                     "exponent must be a finite constant expression", caret_pos)
             node = Binary("^", node, Const(value))
-        return node
-
-    def parse_exponent(self):
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "-":
-            self.advance()
-            return Unary("neg", self.parse_exponent())
-        return self.parse_power()
+            height = _above(height, caret_pos)
+        return node, height
 
     def parse_atom(self):
         tok = self.advance()
         kind, value, pos = tok
         if kind == "num":
-            return Const(value)
+            return Const(value), 0
         if kind == "ident":
             if self.peek()[0] == "lparen":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifierError(value, pos)
                 self.advance()
-                arg = self.parse_expr()
+                arg, height = self.nested(pos, self.parse_expr)
                 if self.peek()[0] == "comma":
                     raise ArityError(
                         f"function '{value}' takes exactly one argument",
                         self.peek()[2])
                 self.expect("rparen", "')'")
-                return Unary(value, arg)
+                return Unary(value, arg), _above(height, pos)
             if value in self.variables:
-                return Var(value)
+                return Var(value), 0
             if value in _CONSTANTS:
-                return Const(_CONSTANTS[value])
+                return Const(_CONSTANTS[value]), 0
             raise UnknownIdentifierError(value, pos)
         if kind == "lparen":
-            node = self.parse_expr()
+            inner = self.nested(pos, self.parse_expr)  # a tree, its height
             self.expect("rparen", "')'")
-            return node
+            return inner
         if kind == "end":
             raise ExpressionSyntaxError("unexpected end of input", pos)
         raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
@@ -225,7 +247,7 @@ class _Parser:
 def parse_expression(text, variables):
     """Parse one expression over the given variable names."""
     parser = _Parser(_tokenize(text), variables)
-    node = parser.parse_expr()
+    node = parser.parse_expr()[0]
     tok = parser.peek()
     if tok[0] != "end":
         raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
@@ -251,10 +273,10 @@ def parse_components(text, variables, count):
         if encloses:
             tokens = tokens[1:-2] + [tokens[-1]]
     parser = _Parser(tokens, variables)
-    nodes = [parser.parse_expr()]
+    nodes = [parser.parse_expr()[0]]
     while parser.peek()[0] == "comma":
         parser.advance()
-        nodes.append(parser.parse_expr())
+        nodes.append(parser.parse_expr()[0])
     tok = parser.peek()
     if tok[0] != "end":
         raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])

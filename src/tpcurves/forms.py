@@ -181,11 +181,11 @@ def point_geometry(patch, u, v):
 
 def tangency_gradient(patch, u, v):
     """(g, g_u, g_v, (x, y, z)): the tangency residual g = phi . N, its
-    gradient and the point phi at (u, v), with the bits of the record's,
-    from the patch's kernel (:func:`compile_tangency_kernel`).  Where that
-    returns None, :func:`point_geometry`, the tree walk and the kernel's
-    oracle, raises its error (DomainError, EvalError, DegeneratePoint) or
-    gives the NaN results."""
+    gradient and the point phi at (u, v), with the bits of the record's
+    (NaN where the record's is NaN), from the patch's kernel
+    (:func:`compile_tangency_kernel`).  Where that returns None,
+    :func:`point_geometry`, the tree walk and the kernel's oracle, raises
+    its error (DomainError, EvalError, DegeneratePoint)."""
     out = (patch.tangency_kernel(float(u), float(v))
            if patch.contains(u, v) else None)
     if out is None:
@@ -217,9 +217,9 @@ def metric_coefficients(field2, components, u, v):
 
 
 def compile_metric_program(components):
-    """Straight-line array code ``(u, v) -> metric_coefficients`` or None,
+    """Straight-line array code ``(u, v) -> metric_coefficients``,
     recorded by :func:`~tpcurves.jets.straight_line` over Field2 at arrays
-    of nodes that broadcast together.  Where there is none or it returns None,
+    of nodes that broadcast together.  Where it returns None,
     :func:`metric_coefficients` over Field2 arrays, its oracle, raises its
     error."""
     def build(field2, u, v):
@@ -228,7 +228,7 @@ def compile_metric_program(components):
 
 
 def compile_tangency_kernel(components):
-    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)`` or None: the
+    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)``: the
     component trees over Field2, then the record's formula for g over
     Field1, recorded by :func:`~tpcurves.jets.straight_line`."""
     def build(field2, u, v):

@@ -17,7 +17,9 @@ of multi-indices and a table of set partitions (Griewank & Walther,
 as ``dataclasses`` does.  Subtraction, the one division rule (multiply by
 the composed reciprocal), the elementary functions and powers are the same
 sequence of ring operations in every ring, so each ring gives the
-low-order coefficients of the next bit for bit.  Elementary functions
+low-order coefficients of the next bit for bit (here and below: NaN, of
+any bits, at the same places, since which NaN is unspecified; every other
+value with its bits, signed zeros included).  Elementary functions
 raise :class:`~tpcurves.errors.EvalError` at singular arguments, and where
 a value overflows, instead of producing NaNs.
 
@@ -33,15 +35,14 @@ products and compositions skip it (``0.0 * inf`` is never formed, ``-0.0``
 plus it stays ``-0.0``), views and programs pass it on, and read by name
 it is 0.0.
 :func:`straight_line` records one evaluation, ring arithmetic included,
-on a twin of a ring, as straight-line Python code that runs with no ring
-objects: a value used once is written into its use, to a depth cap, the
-rest are named, and pure arithmetic that nothing reads is left out.  It
-renders a float program (the tracer's kernel) or an array program over
-nodes (the batched jets), whose singular tests hold at any node and whose
-``math`` runs once per array entry.
+as straight-line Python code that runs with no ring objects: a value used
+once is written into its use, to a depth cap, the rest are named, and pure
+arithmetic that nothing reads is left out.  It renders a float program
+(the tracer's kernel) or an array program over nodes (the batched jets),
+whose singular tests hold at any node and whose ``math`` runs once per
+array entry.
 """
 
-import functools
 import math
 from collections import Counter
 from itertools import chain, combinations, product, repeat
@@ -340,7 +341,6 @@ def _ring(name, nvars, order, names, doc):
     """The jet ring ``name``: scalar functions of ``nvars`` variables
     through ``order``, with coefficients ``names`` in :func:`_indices`
     order, its arithmetic unrolled into straight-line code."""
-    spec = (name, nvars, order, names, doc)
     names = names.split()
     at = dict(zip(_indices(nvars, order), names))
     rank = {alpha: i for i, alpha in enumerate(at)}
@@ -394,7 +394,7 @@ def _ring(name, nvars, order, names, doc):
     scope = {"_Taylor": _Taylor, "ZERO": ZERO, "__name__": __name__}
     exec(source, scope)
     ring = scope[name]
-    ring._at, ring._names, ring._spec = at, tuple(names), spec
+    ring._at, ring._names = at, tuple(names)
     return ring
 
 
@@ -416,20 +416,14 @@ Jet1 = _ring("Jet1", 1, 3, "f d1 d2 d3",
              "parameter.")
 
 
-def _fields():
-    """Field2 and Field1, with Field2's order-1 views of its value and
-    partials."""
-    field2 = _ring("Field2", 2, 2, "f fu fv fuu fuv fvv",
-                   "Scalar field on the parameter plane: value, gradient "
-                   "and Hessian.")
-    field1 = _ring("Field1", 2, 1, "f fu fv", "Scalar field on the "
-                   "parameter plane: value and gradient.")
-    field2.lower, field2.du, field2.dv = (
-        _view(field1, field2, shift) for shift in ((0, 0), (1, 0), (0, 1)))
-    return field2, field1
-
-
-Field2, Field1 = _fields()
+Field2 = _ring("Field2", 2, 2, "f fu fv fuu fuv fvv",
+               "Scalar field on the parameter plane: value, gradient and "
+               "Hessian.")
+Field1 = _ring("Field1", 2, 1, "f fu fv", "Scalar field on the parameter "
+               "plane: value and gradient.")
+# Order-1 views of an order-2 field's value and partials.
+Field2.lower, Field2.du, Field2.dv = (
+    _view(Field1, Field2, shift) for shift in ((0, 0), (1, 0), (0, 1)))
 # Order-2 views of an order-3 jet's value and partials.
 Field2.of_jet = staticmethod(_view(Field2, Jet2, (0, 0)))
 Field2.of_jet_du = staticmethod(_view(Field2, Jet2, (1, 0)))
@@ -513,16 +507,6 @@ class _Traced:
         return self.record("{} == {}", self.name, str(other), guard=True)
 
 
-@functools.cache
-def _twin(ring):
-    """The twin of ``ring`` that :func:`straight_line` records on: the same
-    source with its own code objects, built on first use.  CPython runs a
-    float operation in a faster form once it has seen only floats there,
-    which may keep the other NaN of two, so recording on the tree walk's
-    own ring would change its NaN bits."""
-    return _fields()[0] if ring is Field2 else _ring(*ring._spec)
-
-
 # Nesting at which a value is named even when used once: CPython's
 # tokenizer allows 200 nested parentheses.
 _MAX_DEPTH = 32
@@ -575,30 +559,27 @@ def _live(lines, leaves):
 
 
 def straight_line(build, params, ring, *, arrays):
-    """``build(twin, *params)``, floats and the arithmetic of ``twin``, the
-    recording twin of ``ring``, returning floats (or ZERO) in nested
-    tuples, as straight-line code in ``params``.
+    """``build(ring, *params)``, floats and the arithmetic of ``ring``,
+    returning floats (or ZERO) in nested tuples, as straight-line code in
+    ``params``.
 
     ``build`` runs once, over traced inputs; :func:`_render` then writes
     each value used once into its use (to a depth cap) and names the rest.
-    The program gives its bits, and returns None where it raises (at its
-    singular tests, and where ``math`` or a division raises).
+    The program gives ``build``'s bits at every value that is not NaN,
+    signed zeros included, and NaN exactly where ``build`` gives NaN: which
+    NaN an operation gives is left open by IEEE 754 (sec. 6.2.3), and
+    CPython does not keep it from one call to the next.  It returns None
+    where ``build`` raises: at its singular tests, where ``math`` or a
+    division raises, and at every input if the recording raises (a
+    constant subtree that fails).
 
-    With ``arrays`` false the params are floats, and the program also
-    returns None where a result is NaN, whose bits only ``build`` gives (so
-    'nan' may stand for any NaN constant), and everywhere if a constant
-    subtree raises.  With ``arrays`` true they are arrays of nodes that
-    broadcast together (1-D, or a grid's (m, 1) and (1, n) axes), or floats
-    where a value is the same at every node, as in a batched tree walk: a
-    singular test holds if it holds at any node, ``math`` runs once per
-    array entry (``_NODE_MATH``), and the program runs under the batched
-    tree walk's error states (overflow and invalid pass, a division by zero
-    raises).  It has no NaN test, since numpy gives both the same NaN at a
-    node; a recording whose result depends on a NaN constant, or with a
-    constant subtree that raises, gives no program but None: the batched
-    tree walk alone gives those NaN bits and that error.  A NaN constant
-    whose value no result uses (as in ``(u / 5e-324) ^ 0``) keeps the
-    program."""
+    With ``arrays`` false the params are floats.  With ``arrays`` true they
+    are arrays of nodes that broadcast together (1-D, or a grid's (m, 1)
+    and (1, n) axes), or floats where a value is the same at every node, as
+    in a batched tree walk: a singular test holds if it holds at any node,
+    ``math`` runs once per array entry (``_NODE_MATH``), and the program
+    runs under the batched tree walk's error states (overflow and invalid
+    pass, a division by zero raises)."""
     lines, names, leaves = [], {}, []
 
     def render(out):
@@ -608,21 +589,12 @@ def straight_line(build, params, ring, *, arrays):
         return leaves[-1]
 
     try:
-        out = render(build(_twin(ring),
-                           *(_Traced(lines, names, p) for p in params)))
-        if not arrays:
-            body = _render(lines, leaves) + [
-                "if " + " or ".join(f"{x} != {x}" for x in leaves)
-                + ": return None", "return " + out]
-        elif "nan" in _live(lines, leaves):
-            return None
-        else:
+        out = render(build(ring, *(_Traced(lines, names, p) for p in params)))
+        if arrays:  # a singular test holds if it holds at any node
             lines = [(name, template if name else "_any(" + template + ")",
                       operands) for name, template, operands in lines]
-            body = _render(lines, leaves) + ["return " + out]
+        body = _render(lines, leaves) + ["return " + out]
     except GeometryError:
-        if arrays:
-            return None
         body = ["return None"]
     scope = {**vars(math), "ZERO": ZERO, "__name__": __name__}  # inf, nan
     if arrays:

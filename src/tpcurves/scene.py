@@ -26,7 +26,8 @@ The format is flat key-value with named sections:
 
 Numeric values go through the same expression grammar as the surfaces
 (constants only; ``pi`` is available).  All cross-references are resolved
-at load time; unresolved names are load errors.
+at load time; unresolved names, and keys that a section does not read, are
+load errors.
 """
 
 import configparser
@@ -159,6 +160,16 @@ def parse_grid(raw, name="grid"):
     return tuple(parse_count(part.strip(), name, 1) for part in parts)
 
 
+# How each option is read, by key.
+_OPTIONS = {"grid": parse_grid, "h": parse_positive,
+            "samples": lambda raw, key: parse_count(raw, key, 2),
+            "max_steps": lambda raw, key: parse_count(raw, key, 1)}
+# The keys that each kind of section reads; any other is a load error.
+_KEYS = {"surface": ("components", "u_range", "v_range"),
+         "curve": ("surface", "u", "v", "t_range"),
+         "pair": ("source", "target", "kind"), "options": tuple(_OPTIONS)}
+
+
 def load_scene_text(text, path="<string>"):
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -170,6 +181,9 @@ def load_scene_text(text, path="<string>"):
     for section in parser.sections():
         body = parser[section]
         try:
+            for key in body:  # a section of no known kind fails below
+                if key not in _KEYS.get(section.partition(" ")[0], body):
+                    raise ConfigError(f"unknown key {key!r}")
             if section.startswith("surface "):
                 name = _named(section)
                 surfaces[name] = parse_surface(
@@ -194,16 +208,8 @@ def load_scene_text(text, path="<string>"):
                     source=body["source"].strip(),
                     target=body["target"].strip(), kind=kind)
             elif section == "options":
-                if "grid" in body:
-                    options["grid"] = parse_grid(body["grid"])
-                if "samples" in body:
-                    options["samples"] = parse_count(body["samples"],
-                                                     "samples", 2)
-                if "h" in body:
-                    options["h"] = parse_positive(body["h"], "h")
-                if "max_steps" in body:
-                    options["max_steps"] = parse_count(body["max_steps"],
-                                                       "max_steps", 1)
+                for key in body:
+                    options[key] = _OPTIONS[key](body[key], key)
             else:
                 raise ConfigError(f"unknown section kind: {section!r}")
         except KeyError as exc:

@@ -21,10 +21,12 @@ programs per patch, each recorded on first use by
   together: a grid sweep passes its axes, a (m, 1) column of u and a
   (1, n) row of v, so a value of u alone is computed at m entries.
 
-The tree walk over Jet2, Jet1 and Field2 arrays stays as their oracle and
-their error path.  At a point, ``jet``, ``ambient_jet`` and the curve's own
-u(t), v(t) run the same tree walk over floats, and ``value`` walks the
-trees over plain floats.
+Each gives the tree walk's bits at every value that is not NaN, and NaN
+where it gives NaN.  The tree walk over Jet2, Jet1 and Field2 arrays stays
+as their oracle and their error path: where a program returns None.  At a
+point, ``jet``, ``ambient_jet`` and the curve's own u(t), v(t) run the
+same tree walk over floats, and ``value`` walks the trees over plain
+floats.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
@@ -153,8 +155,8 @@ class SurfacePatch:
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
         pass: the patch's generated array program
-        (:func:`_compile_jet_program`), or the tree walk where there is
-        none or it returns None.
+        (:func:`_compile_jet_program`), or the tree walk where that
+        returns None.
 
         The result's ``u`` and ``v`` are the node arrays and its derivative
         arrays have shape (3, nodes); each node's column carries the bits
@@ -173,7 +175,7 @@ class SurfacePatch:
         generated array program
         (:func:`~tpcurves.forms.compile_metric_program`), or
         :func:`~tpcurves.forms.metric_coefficients` over Field2 arrays
-        where there is none or it returns None.
+        where that returns None.
 
         Each is an array that broadcasts to the nodes' shape, or a float
         where it is the same at every node, with the bits of the
@@ -184,13 +186,10 @@ class SurfacePatch:
         would raise EvalError, in row-major order, raises that error.
         """
         u, v = self._nodes_inside(u, v)
-        program = self._metric_program
-        out = None if program is None else program(u, v)
-        if out is None:
-            # As in the tree walk, overflow and invalid operations pass.
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = metric_coefficients(Field2, self.components, u, v)
-        return out
+        # As in the tree walk, overflow and invalid operations pass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._metric_program(u, v) or metric_coefficients(
+                Field2, self.components, u, v)
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
@@ -198,9 +197,9 @@ class SurfacePatch:
 
 def _run(program, args, components, env, ring):
     """The component jets over ``ring`` at arrays of nodes: ``program(*args)``,
-    or the tree walk in ``env`` where there is no program or it returns
-    None, which then raises its first failing node's error."""
-    out = None if program is None else program(*args)
+    or the tree walk in ``env`` where that returns None, which then raises
+    its first failing node's error."""
+    out = program(*args)
     if out is None:
         return _tree_walk(components, env, ring)
     return tuple(ring(*c) for c in out)
@@ -229,11 +228,10 @@ def _coeffs(jet):  # as kept: absent ones stay ZERO
 
 
 def _compile_jet_program(components):
-    """Straight-line array code ``(u, v) -> coefficients`` or None: the
+    """Straight-line array code ``(u, v) -> coefficients``: the
     coefficients of the component trees over Jet2 at 1-D arrays of nodes,
-    recorded by :func:`~tpcurves.jets.straight_line`, or None where it
-    gives no program.  Where there is none or it returns None, the tree
-    walk over Jet2 arrays, its oracle, raises its error."""
+    recorded by :func:`~tpcurves.jets.straight_line`.  Where it returns
+    None, the tree walk over Jet2 arrays, its oracle, raises its error."""
     def build(jet2, u, v):
         env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
         return tuple(_coeffs(expr.evaluate(c, env, jet2.const))
@@ -242,7 +240,7 @@ def _compile_jet_program(components):
 
 
 def _compile_ambient_program(components):
-    """Straight-line array code or None, as :func:`_compile_jet_program`
+    """Straight-line array code, as :func:`_compile_jet_program`
     records it: the coefficients of the component trees over Jet1 at the
     coefficients of a curve's jets u(t), v(t) (each a 1-D array of nodes,
     or a float where it is the same at every node), so one program serves

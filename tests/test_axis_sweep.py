@@ -55,7 +55,7 @@ def on_nodes(coeffs, shape):
                  else np.broadcast_to(x, shape).ravel() for x in coeffs)
 
 
-def assert_sweeps_agree(source, target, grid, nan_bits=True):
+def assert_sweeps_agree(source, target, grid):
     """The same error, or the same residual bits and skipped count, and
     each patch's coefficients with the same type and bits at every node."""
     u_range, v_range = isometry._shared_domain(source, target)
@@ -75,7 +75,7 @@ def assert_sweeps_agree(source, target, grid, nan_bits=True):
     for patch in (source, target):
         axes = patch.metric_batch(us[:, None], vs[None, :])
         flat = patch.metric_batch(np.repeat(us, n), np.tile(vs, m))
-        assert_same(on_nodes(axes, (m, n)), flat, nan_bits)
+        assert_same(on_nodes(axes, (m, n)), flat)
 
 
 GRIDS = [(30, 40), (1, 9), (9, 1), (1, 1), (2, 200)]
@@ -118,9 +118,7 @@ def test_math_of_mixed_values_keeps_each_nodes_bits(grid):
 @settings(max_examples=100, deadline=None)
 def test_random_pairs_sweep_their_axes_as_their_nodes(components, m, n):
     source, target = patch_of(components[:3]), patch_of(components[3:])
-    # Which NaN a float operation on two NaNs gives depends on CPython's
-    # specialization state, so NaN bits are not compared.
-    assert_sweeps_agree(source, target, (m, n), nan_bits=False)
+    assert_sweeps_agree(source, target, (m, n))
 
 
 @pytest.mark.parametrize("z,err", [

@@ -3,10 +3,10 @@ itself.
 
 ``SurfacePatch.jet_batch``, ``SurfacePatch.metric_batch`` and the batched
 ``ambient_jet`` each compile one array program per patch on first use (the
-last serves every curve on the patch), recorded on twin rings that are
-built on the first compile, not at import; the shared built-in scene then
-reuses them in every later op of the process, and a curve used once
-compiles nothing.  A metric grid sweep runs the metric program alone.
+last serves every curve on the patch), not at import or scene load; the
+shared built-in scene then reuses them in every later op of the process,
+and a curve used once compiles nothing.  A metric grid sweep runs the
+metric program alone.
 """
 
 import functools
@@ -77,17 +77,16 @@ def counting(monkeypatch, calls, *methods):
 def test_loading_the_scene_compiles_nothing():
     code = (
         "import tpcurves\n"
-        "from tpcurves import jets\n"
         "scene = tpcurves.builtin_scene()\n"
         "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
         "          if name in ('_jet_program', '_ambient_program',\n"
         "                      '_metric_program', 'tangency_kernel')]\n"
-        "print(jets._twin.cache_info().currsize, cached)\n")
+        "print(cached)\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(tpcurves.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout == "0 []\n"
+    assert out.stdout == "[]\n"
 
 
 def test_repeated_isometry_ops_compile_one_program_per_patch(

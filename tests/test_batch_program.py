@@ -3,10 +3,10 @@
 ``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` run straight-line
 array code recorded per patch (the latter over the coefficients of a
 curve's jets u(t), v(t)); the tree walk over Jet2 and Jet1 arrays is their
-oracle and their error path.  Each coefficient must
-have the tree walk's bits at every node and stay a float where the tree
-walk keeps a float; a batch with a failing node raises the tree walk's
-error, type and text.
+oracle and their error path.  Each coefficient must have the tree walk's
+bits at every node (NaN, of any bits, at the same nodes) and stay a float
+where the tree walk keeps a float; a batch with a failing node raises the
+tree walk's error, type and text.
 """
 
 import numpy as np
@@ -59,38 +59,33 @@ def raised(outcome):
     return isinstance(outcome, tuple) and isinstance(outcome[0], type)
 
 
-def program_output(program, args, want):
+def program_output(program, args):
     """``program(*args)``, which must give jets where the tree walk gave
-    ``want``.  Only a recording whose result depends on a NaN constant
-    gives no program, and then some coefficient of ``want`` is NaN at every
-    node."""
-    if program is None:
-        assert any(np.isnan(getattr(c, name)).all()
-                   for c in want for name in type(c)._names)
-        return None
+    jets: no guard gives way at nodes the tree walk took."""
     out = program(*args)
-    assert out is not None  # no guard gave way at nodes the tree walk took
+    assert out is not None
     return out
 
 
-def assert_same_coeffs(got, want, nan_bits=True):
+def same_bits(x, y):
+    """Arrays or floats ``x`` and ``y`` with NaN at the same nodes and the
+    same bits at every other node, so -0.0 is not 0.0; any NaN equals any
+    NaN, since which NaN an operation gives is unspecified."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return np.array_equal(np.isnan(x), np.isnan(y)) and \
+        np.where(np.isnan(x), 0.0, x).view(np.int64).tolist() == \
+        np.where(np.isnan(y), 0.0, y).view(np.int64).tolist()
+
+
+def assert_same_coeffs(got, want):
     """Equal coefficient types, absent (``ZERO``) at the same places, and
-    equal bits at every node (NaN only at the same nodes, when ``nan_bits``
-    is false)."""
+    equal bits at every node (:func:`same_bits`)."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         for name in type(b).__slots__:
             x, y = getattr(a, name), getattr(b, name)
             assert type(x) is type(y), name
-            if y is ZERO:
-                continue
-            x, y = np.asarray(x), np.asarray(y)
-            if not nan_bits:
-                assert np.array_equal(np.isnan(x), np.isnan(y)), name
-                x, y = np.where(np.isnan(x), 0.0, x), np.where(
-                    np.isnan(y), 0.0, y)
-            assert x.view(np.int64).tolist() == y.view(np.int64).tolist(), \
-                name
+            assert y is ZERO or same_bits(x, y), name
 
 
 def test_jet_batch_has_the_tree_walks_bits_on_builtin_surfaces(scene):
@@ -98,7 +93,6 @@ def test_jet_batch_has_the_tree_walks_bits_on_builtin_surfaces(scene):
     for name, patch in scene.surfaces.items():
         u = rng.uniform(*patch.u_range, 300)
         v = rng.uniform(*patch.v_range, 300)
-        assert patch._jet_program is not None, name
         assert patch._jet_program(u, v) is not None, name  # no fallback
         assert_same_coeffs(patch.jet_batch(u, v).components,
                            tree_walk(patch, u, v))
@@ -108,17 +102,14 @@ def test_ambient_jet_has_the_tree_walks_bits_on_builtin_curves(scene):
     for name, curve in scene.curves.items():
         patch = scene.surface(curve.surface)
         t = np.linspace(*curve.t_range, 240)
-        program = patch._ambient_program
-        assert program is not None, name
-        out = program(*curve_coeffs(curve, t))
+        out = patch._ambient_program(*curve_coeffs(curve, t))
         assert out is not None, name  # no fallback
         cj, gamma, d1, d2, d3 = ambient_jet(patch, curve, t)
         want = ambient_tree_walk(patch, curve, t)
         assert_same_coeffs((cj.u, cj.v), want[:2])
         rows = np.stack([np.broadcast_to(getattr(c, k), t.shape)
                          for k in ("f", "d1", "d2", "d3") for c in want[2:]])
-        assert rows.view(np.int64).tolist() == \
-            np.concatenate([gamma, d1, d2, d3]).view(np.int64).tolist(), name
+        assert same_bits(rows, np.concatenate([gamma, d1, d2, d3])), name
         assert_same_coeffs([Jet1(*c) for c in out], want[2:])
 
 
@@ -144,22 +135,22 @@ def test_jet_batch_matches_the_tree_walk_on_random_trees(components):
         want = outcome(lambda: tree_walk(patch, u, v))
         if raised(want):
             assert got == want  # the same error
-            assert program is None or program(u, v) is None
+            assert program(u, v) is None
         else:
-            # jet_batch ran the program wherever there is one.
-            program_output(program, (u, v), want)
-            assert_same_coeffs(got, want, nan_bits=False)
+            program_output(program, (u, v))  # jet_batch ran the program
+            assert_same_coeffs(got, want)
 
 
-def test_a_nan_constant_leaves_the_batch_to_the_tree_walk():
-    # inf - inf, a NaN constant that the results use: a NaN whose bits only
-    # the tree walk gives, so the patch gets no program.
+def test_a_nan_constant_the_results_use_keeps_the_program():
+    # inf - inf, a NaN constant that the results use: the program gives
+    # NaN where the tree walk does.
     patch = parse_surface("(u, v, u * (1e200 * 1e200 - 1e200 * 1e200))",
                           (-3, 3), (-3, 3))
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
     assert np.isnan(want[2].fu).all()
-    assert patch._jet_program is None
+    out = program_output(patch._jet_program, (u, v))
+    assert_same_coeffs([Jet2(*c) for c in out], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)
 
 
@@ -172,13 +163,11 @@ def test_ambient_jet_matches_the_tree_walk_on_random_trees(components):
     want = outcome(lambda: ambient_tree_walk(patch, curve, t))
     program = patch._ambient_program
     if raised(want):
-        assert program is None or program(*curve_coeffs(curve, t)) is None
+        assert program(*curve_coeffs(curve, t)) is None
         assert outcome(lambda: ambient_jet(patch, curve, t)) == want
     else:
-        out = program_output(program, curve_coeffs(curve, t), want[2:])
-        if out is not None:
-            assert_same_coeffs([Jet1(*c) for c in out], want[2:],
-                               nan_bits=False)
+        out = program_output(program, curve_coeffs(curve, t))
+        assert_same_coeffs([Jet1(*c) for c in out], want[2:])
 
 
 # Each batch has one failing node, the third; the texts are those the
@@ -198,6 +187,10 @@ FAILING = {
     "non-integer power of a negative number": (
         "u^1.5", -0.5, EvalError,
         "-0.5 ** 1.5 undefined for non-integer exponent", None),
+    # A constant subtree that raises: the recording raises, and the
+    # program gives way to the tree walk at every node.
+    "a constant that raises": (
+        "log(0 - 1)", 0.75, EvalError, "log of non-positive value -1.0", None),
 }
 
 
@@ -214,6 +207,9 @@ def test_a_failing_node_raises_the_tree_walks_error(case):
     with pytest.raises(error) as caught:
         ambient_jet(patch, curve, u)
     assert str(caught.value) == (curve_text or text)
+    if error is not DomainError:  # the programs gave way to the tree walk
+        assert patch._jet_program(u, np.full(4, 0.5)) is None
+        assert patch._ambient_program(*curve_coeffs(curve, u)) is None
 
 
 def test_a_failing_curve_node_raises_the_tree_walks_error():
@@ -233,6 +229,5 @@ def test_a_nan_constant_no_result_uses_keeps_the_program():
     patch = parse_surface("(u, v, (u / 5e-324) ^ 0)", (-3, 3), (-3, 3))
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
-    assert patch._jet_program is not None
     assert patch._jet_program(u, v) is not None  # no fallback
     assert_same_coeffs(patch.jet_batch(u, v).components, want)

@@ -108,6 +108,20 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
     ("v_range = -2, 2", "v_range = -2, 1e308*10", 1,
      "v_range must be finite with low < high, got '-2, 1e308*10'"),
     ("u_range = -2, 2", "u_range = 1/0, 2", 1, "division by zero"),
+    # A key that a section of its kind does not read: a misspelling or an
+    # extra key would change nothing.
+    ("v_range = -2, 2", "v_range = -2, 2\ncolour = red", 1,
+     "unknown key 'colour'"),
+    ("t_range = 0, 2*pi", "t_range = 0, 2*pi\ncomponents = (u, v, 0)", 6,
+     "unknown key 'components'"),
+    ("kind = intrinsic", "kind = intrinsic\ngrid = 8x8", 12,
+     "unknown key 'grid'"),
+    ("h = 0.02", "h = 0.02\nsample = 7", 17, "unknown key 'sample'"),
+    ("max_steps = 500", "max_step = 3", 17, "unknown key 'max_step'"),
+    # 1,200 nested parentheses: rejected at the 65th, no RecursionError.
+    pytest.param("(u, v, 0)", "(u, v, " + "(" * 1200 + "0" + ")" * 1200 + ")",
+                 1, "expression nested deeper than 64 levels (at position 71)",
+                 id="1200 nested parentheses"),
 ])
 def test_malformed_section_reports_line(tmp_path, capsys, old, new, line,
                                         message):

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcurves import expr
+from tpcurves import expr, parse_curve, parse_surface, tangency_gradient
 from tpcurves.errors import (
     ArityError,
     EvalError,
@@ -15,6 +16,8 @@ from tpcurves.errors import (
     UnknownIdentifierError,
 )
 from tpcurves.expr import Binary, Const, Unary, Var
+from tpcurves.jets import Field1, Field2, Jet2
+from tpcurves.surface import ambient_jet
 
 
 def ev(text, **env):
@@ -104,6 +107,9 @@ def test_parse_constant():
 
 EXPONENT_ERROR = ("exponent must be a finite constant expression"
                   " (at position 1)")
+LIMIT, HEIGHT = expr.MAX_NESTING, expr.MAX_HEIGHT
+TOO_DEEP = f"expression nested deeper than {LIMIT} levels (at position {{}})"
+TOO_HIGH = f"expression more than {HEIGHT} operations high (at position {{}})"
 
 
 @pytest.mark.parametrize("text,variables,error,message", [
@@ -111,6 +117,18 @@ EXPONENT_ERROR = ("exponent must be a finite constant expression"
     ("2^log(-1)", (), ExpressionSyntaxError, EXPONENT_ERROR),
     ("2^(1/0)", (), ExpressionSyntaxError, EXPONENT_ERROR),
     ("u^v", ("u", "v"), ExpressionSyntaxError, EXPONENT_ERROR),
+    # At the nesting limit the parser reads on to the identifier; one more
+    # level is rejected at the parenthesis that opens it, and a chain one
+    # operation too high at its last operator.
+    pytest.param("(" * LIMIT + "w" + ")" * LIMIT, ("u",),
+                 UnknownIdentifierError,
+                 f"unknown identifier 'w' (at position {LIMIT})",
+                 id="parentheses at the limit"),
+    pytest.param("(" * (LIMIT + 1) + "u" + ")" * (LIMIT + 1), ("u",),
+                 ExpressionSyntaxError, TOO_DEEP.format(LIMIT),
+                 id="parentheses past the limit"),
+    pytest.param("u" + "+u" * (HEIGHT + 1), ("u",), ExpressionSyntaxError,
+                 TOO_HIGH.format(2 * HEIGHT + 1), id="a sum past the limit"),
 ])
 def test_exponent_error_texts(text, variables, error, message):
     with pytest.raises(error) as info:
@@ -130,6 +148,56 @@ def test_parse_constant_error_texts(text, error, message):
         expr.parse_constant(text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Each kind of nesting: the text at n levels, the limit on n, and the
+# error at one level past it, at the token that opens that level.
+NESTING = {
+    "parentheses": (lambda n: "(" * n + "u" + ")" * n,
+                    LIMIT, TOO_DEEP.format(LIMIT)),
+    "calls": (lambda n: "sin(" * n + "u" + ")" * n,
+              LIMIT, TOO_DEEP.format(4 * LIMIT)),
+    "unary minus": (lambda n: "-" * n + "u", LIMIT, TOO_DEEP.format(LIMIT)),
+    "powers": (lambda n: "u" + "^1" * n,
+               LIMIT, TOO_DEEP.format(2 * LIMIT + 1)),
+    "a minus in an exponent": (lambda n: "u^" + "-" * (n - 1) + "1",
+                               LIMIT, TOO_DEEP.format(LIMIT + 1)),
+    "a chain": (lambda n: "u" + "*v" * n, HEIGHT,
+                TOO_HIGH.format(2 * HEIGHT + 1)),
+    # Each call is one operation more: the outermost is one too many.
+    "a chain in calls": (
+        lambda n: "sin(" * LIMIT + "u" + "-v" * (n - LIMIT) + ")" * LIMIT,
+        HEIGHT, TOO_HIGH.format(0)),
+    # The parser's deepest stack: an exponent, evaluated while parsing, as
+    # high as a tree may be, as deep as the parser goes.
+    "a chain in an exponent": (
+        lambda n: "(" * (LIMIT - 2) + "u^(1" + "*1" * n + ")" * (LIMIT - 1),
+        HEIGHT, TOO_HIGH.format(LIMIT + 2 + 2 * HEIGHT)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTING))
+def test_a_tree_at_the_nesting_limit_runs_everywhere(kind):
+    """A tree the parser accepts evaluates over every ring, records every
+    program and goes back to text within the default recursion limit."""
+    text, limit, error = NESTING[kind]
+    with pytest.raises(ExpressionSyntaxError) as info:
+        expr.parse_expression(text(limit + 1), ("u", "v"))
+    assert str(info.value) == error
+    patch = parse_surface(f"(u, v, {text(limit)})", (0.0, 1.0), (0.0, 1.0))
+    tree = patch.components[2]
+    # Compared as text: a tree's == recurses three frames a level.
+    again = expr.parse_expression(expr.to_text(tree), ("u", "v"))
+    assert expr.to_text(again) == expr.to_text(tree)
+    u, v = np.array([0.5, 0.25]), np.array([0.75, 0.5])
+    for ring in (Jet2, Field2, Field1):
+        expr.evaluate(tree, {"u": ring(0.5, fu=1.0), "v": ring(0.75, fv=1.0)},
+                      ring.const)
+    expr.evaluate(tree, {"u": 0.5, "v": 0.75}, float)
+    patch.jet_batch(u, v)  # the jet program, over Jet2
+    patch.metric_batch(u, v)  # the metric program, over Field2
+    tangency_gradient(patch, 0.5, 0.75)  # the tangency kernel
+    ambient_jet(patch, parse_curve("t", "0.5", (0.0, 1.0)), u)  # over Jet1
 
 
 # --- serialization round trips ------------------------------------------

@@ -4,7 +4,8 @@ the one-operation-per-line program it replaced.
 ``jets._render`` writes each value used exactly once into its use.  The
 oracle is the earlier renderer, kept verbatim: one named statement per
 recorded operation.  Both render the same recorded lines, so the two
-programs must give the same bits, and return None at the same points.
+programs must give the same bits (NaN, of any bits, at the same places),
+and return None at the same points.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_tangency_kernel import _trees
+from test_tangency_kernel import bits as value_bits
 
 from tpcurves import jets, parse_surface, point_geometry
 from tpcurves.expr import Binary, Const, Unary, Var
@@ -37,11 +39,12 @@ def kernels(components):
 
 
 def bits(out):
-    """The kernel's result as bytes, or None."""
+    """The kernel's result as bytes, any NaN as one (``value_bits``), or
+    None."""
     if out is None:
         return None
     g, g_u, g_v, point = out
-    return struct.pack("<6d", g, g_u, g_v, *point)
+    return value_bits(g, g_u, g_v, *point)
 
 
 def test_builtin_surfaces_match_the_oracle(scene):

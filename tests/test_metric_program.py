@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_batch_program import MIXED, POSITIVE, outcome, patch_of, raised
+from test_batch_program import (MIXED, POSITIVE, outcome, patch_of, raised,
+                                same_bits)
 from test_tangency_kernel import _trees
 
 from tpcurves import cli, expr, jets, parse_surface
@@ -42,17 +43,13 @@ def order3(patch, u, v):
                  for x in (E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv))
 
 
-def assert_same(got, want, nan_bits=True):
-    """Equal types, and equal bits at every node (NaN only at the same
-    nodes, when ``nan_bits`` is false)."""
+def assert_same(got, want):
+    """Equal types, and equal bits at every node
+    (:func:`~test_batch_program.same_bits`)."""
     assert len(got) == len(want) == 9
     for i, (a, b) in enumerate(zip(got, want)):
         assert type(a) is type(b), i
-        a, b = np.asarray(a), np.asarray(b)
-        if not nan_bits:
-            assert np.array_equal(np.isnan(a), np.isnan(b)), i
-            a, b = np.where(np.isnan(a), 0.0, a), np.where(np.isnan(b), 0.0, b)
-        assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), i
+        assert same_bits(a, b), i
 
 
 def grid(patch, m=30, n=40):
@@ -72,7 +69,6 @@ def test_builtin_surfaces_match_the_order3_path(scene, monkeypatch):
 
     for name, patch in scene.surfaces.items():
         us, vs = grid(patch)
-        assert patch._metric_program is not None, name
         assert patch._metric_program(us, vs) is not None, name  # no fallback
         with monkeypatch.context() as m:
             m.setattr(expr, "evaluate", counted)
@@ -91,18 +87,17 @@ def test_a_constant_metric_comes_back_as_floats(text):
     assert_same(got, order3(patch, us, vs))
 
 
-def test_a_nan_constant_leaves_the_sweep_to_the_field2_walk():
-    # inf - inf, a NaN constant that the results use: the patch gets no
-    # program.
+def test_a_nan_constant_the_results_use_keeps_the_sweeps_program():
+    # inf - inf, a NaN constant that the results use: the program gives
+    # NaN where the order-3 path does.
     patch = parse_surface("(u, v, u * (1e200 * 1e200 - 1e200 * 1e200))",
                           (-3, 3), (-3, 3))
-    assert patch._metric_program is None
     u, v = POSITIVE
-    got, want = patch.metric_batch(u, v), order3(patch, u, v)
+    out, want = patch._metric_program(u, v), order3(patch, u, v)
     assert any(np.isnan(x).all() for x in want)
-    # Which NaN a float operation on two NaNs gives depends on CPython's
-    # specialization state, so NaN bits are not compared.
-    assert_same(got, want, nan_bits=False)
+    assert out is not None
+    assert_same(out, want)
+    assert_same(patch.metric_batch(u, v), want)
 
 
 @given(st.lists(_trees(), min_size=3, max_size=3))
@@ -115,11 +110,11 @@ def test_metric_batch_matches_the_order3_path_on_random_trees(components):
         want = outcome(lambda: order3(patch, u, v))
         if raised(want):
             assert got == want  # the same error
-            assert program is None or program(u, v) is None
+            assert program(u, v) is None
         else:
             # The program gives way at no node where the walk gives values.
-            assert program is None or program(u, v) is not None
-            assert_same(got, want, nan_bits=False)
+            assert program(u, v) is not None
+            assert_same(got, want)
 
 
 # Each batch has one failing node, the third.
@@ -132,6 +127,10 @@ FAILING = {
         "log of non-positive value -0.5"),
     "a pole at u = 0.5": (
         "1/(u - 0.5)", (-2.0, 2.0), 0.5, EvalError, "division by zero"),
+    # The recording raises: the program gives way at every node.
+    "a constant that raises": (
+        "log(0 - 1)", (-2.0, 2.0), 0.5, EvalError,
+        "log of non-positive value -1.0"),
 }
 
 
@@ -143,6 +142,8 @@ def test_a_failing_node_raises_the_order3_error(case):
     v = np.full(4, 0.5)
     assert outcome(lambda: order3(patch, u, v)) == (error, text)
     assert outcome(lambda: patch.metric_batch(u, v)) == (error, text)
+    if error is not DomainError:  # the program gave way to the tree walk
+        assert patch._metric_program(u, v) is None
 
 
 SINGULAR_SCENE = """
@@ -207,27 +208,27 @@ def test_degenerate_nodes_are_skipped_as_the_order3_path_skips_them(
 
 
 # sha256 of the rendered tangency kernel of each built-in patch, taken
-# again when structural zeros left the programs (absent coefficients and
-# unread pure arithmetic are not written).
+# again when the kernel lost its NaN test (a NaN result is returned as it
+# is, not left to the tree walk); each source lost that one line only.
 KERNEL_SOURCE = {
     "plane":
-        "bec40f08d9f57b0456afbadc5d97f97a571b696b51b70d0a4571668c61d26a17",
+        "f8439e610b77aae5c9cf3fd623d56df6e73590570ae0d760840e071c3daed6f7",
     "cone":
-        "cc6c39c6f741536be496cfe8d192165faf080f5d4f26b37683412a6d451ed777",
+        "3111a7cae5b96d0cc4fbd4391269f21573523fe09e7e318cec43881ec5f8fb99",
     "sphere":
-        "27215d16932bf02b36c4be122233904ef09a8cf64f21998a2d5d38236ffae83a",
+        "4be399b70a6e95186090fd060df51d18ce9cc2949cb05ff8259c8aa3f3a8fcfd",
     "offset_sphere":
-        "0d512b73a6648bb340f665964aad4e60efe609a18f09d8d491520ee52ed879af",
+        "c3d6cb541c8e1c08e36459700a524ee4c97ac782fe54dbd393a1e18fc22b4006",
     "offset_sphere_rot":
-        "46f2385804b62eceb18ddba16a1cb7ddb6c1155966d941c299982336e628bde1",
+        "c6674294b55649d94f580d22476e6bec9f85cf44e4009ffc7aef7224c2980ee4",
     "catenoid":
-        "035fcec5c85c84eb021550002d9197cbc7101dc5fc3ba7408999f360e3dafa96",
+        "4dff35da30adccb4b51b85e714d565f273f2531f5b6d48cc5ec95c23be681ed8",
     "helicoid":
-        "1325c39723573fc4f3912886aba051fc2f3edbb35173eeb808f1c262b96dd2ff",
+        "4021c8e30a11c17837c7abcccf34a0e6b91fe33ba99652de4362584ad694d3dc",
     "cylinder":
-        "3fb4900cb2a9eed5b1ce2553f4ded6a70d202a0abbb78c49089ffae5c673b450",
+        "0967455c66fa58b3a3db4a60299f17fae3bc30a6532ecfcb8cb80cb7250ea5f7",
     "paraboloid":
-        "254864c1c68b0c1deb6af1dd9776e528ecb484aae48b3ef7001d45a9953be443",
+        "46e0fdc482bdd72379890c556195fd70346a9c9b350f216232fb4d7786a5b95a",
 }
 
 

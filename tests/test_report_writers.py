@@ -9,6 +9,7 @@ call.  The new writers must give the same bytes.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -144,3 +145,21 @@ def test_parameter_plot_svg_matches_oracle(polyline, seed):
                              ((-5, 5), (0.25, 3.0))):
         assert parameter_plot_svg(u_range, v_range, polyline, seed=seed) == \
             oracle_svg(u_range, v_range, polyline, seed=seed)
+
+
+def test_every_writer_prints_any_nan_alike(tmp_path):
+    """Which NaN a value holds never reaches an output, so the generated
+    programs keep NaN where the tree walk gives NaN, not its bits."""
+    payload = struct.unpack("<d", bytes.fromhex("230100000000f87f"))[0]
+    nans = [math.nan, -math.nan, payload]
+    assert len({struct.pack("<d", x) for x in nans}) == 3  # three NaNs
+    outputs = []
+    for i, x in enumerate(nans):
+        write_csv(tmp_path / f"{i}.csv", ("a", "b"), [(x, 1.0), (0.5, x)])
+        outputs.append((
+            fmt(x), (tmp_path / f"{i}.csv").read_bytes(),
+            to_json({"x": x, "row": [x, 0.5], "nested": {"y": [x]}}),
+            parameter_plot_svg((0.0, 1.0), (0.0, 1.0), [(x, 0.5), (0.5, x)],
+                               seed=(x, x))))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0] == "nan" and '"x": NaN' in outputs[0][2]

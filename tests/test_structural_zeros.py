@@ -16,6 +16,7 @@ import ast
 
 import numpy as np
 import pytest
+from test_batch_program import same_bits
 
 from tpcurves import jets, parse_curve, parse_surface
 from tpcurves.errors import EvalError
@@ -88,6 +89,11 @@ def bits(x):
     return np.asarray(x, float).view(np.int64).tolist()
 
 
+def flat(out):
+    """A kernel's (g, g_u, g_v, point) as one tuple of floats."""
+    return (*out[:3], *out[3])
+
+
 def test_an_absent_partial_times_inf_is_zero():
     # The v-partial of z = u * inf sums u_v * inf and u * (inf)_v, both
     # absent: 0.0, where 0.0 * inf + u * 0.0 was NaN.  E_v and F are sums
@@ -102,11 +108,13 @@ def test_an_absent_partial_times_inf_is_zero():
     E, F, G, E_u, E_v, F_u, F_v, G_u, G_v = patch.metric_batch(U, V)
     assert np.isinf(E) and G == 1.0
     assert bits([F, E_v, F_u, F_v, G_u, G_v]) == [0] * 6
-    # g = p . (p_u x p_v) / area is inf - inf, so the kernel leaves it to
-    # the tree walk; the record's g_v is the absent partial's 0.0.
-    assert patch.tangency_kernel(0.5, 0.75) is None
-    g, g_u, g_v, _ = tangency_gradient(patch, 0.5, 0.75)
-    assert np.isnan(g) and np.isnan(g_u) and bits(g_v) == 0
+    # g = p . (p_u x p_v) / area is inf - inf: the kernel gives NaN where
+    # the record does, and g_v is the absent partial's 0.0.
+    got = patch.tangency_kernel(0.5, 0.75)
+    geom = point_geometry(patch, 0.5, 0.75)
+    want = geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist())
+    assert same_bits(flat(got), flat(want))
+    assert np.isnan(got[0]) and np.isnan(got[1]) and bits(got[2]) == 0
 
 
 NEGATIVE_ZERO = bits(-0.0)

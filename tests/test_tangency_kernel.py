@@ -1,13 +1,14 @@
 """The order-2 tangency kernel against the full per-point record.
 
 ``tangency_gradient`` must give ``PointGeometry.g``'s value and gradient
-bit for bit, and equal the record's formula evaluated over Field1; the
-tree walk over Field2 (:func:`order2`) must give the low-order
+bit for bit (:func:`bits`), and equal the record's formula evaluated over
+Field1; the tree walk over Field2 (:func:`order2`) must give the low-order
 coefficients of ``SurfacePatch.jet``, and each jet ring those of the next;
 where one side raises EvalError or DegeneratePoint, the other raises the
 same error.
 """
 
+import math
 import random
 import struct
 
@@ -27,7 +28,12 @@ ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
 
 def bits(*xs):
-    return struct.pack(f"<{len(xs)}d", *xs)
+    """The bits of ``xs``, every NaN as ``math.nan``: values that are not
+    NaN compare strictly (-0.0 is not 0.0), NaN sits at the same places,
+    and any NaN equals any NaN, since which NaN an operation gives is
+    unspecified."""
+    return struct.pack(f"<{len(xs)}d",
+                       *(math.nan if x != x else x for x in xs))
 
 
 def outcome(fn):
@@ -175,3 +181,9 @@ def test_kernel_errors_match_record():
     assert outcome(lambda: kernel_g(line, 0.5, 0.5))[0] is DegeneratePoint
     with pytest.raises(DomainError):
         tangency_gradient(line, 1.5, 0.5)
+    # The recording raises: the kernel gives way to the record everywhere.
+    broken = parse_surface("(u, v, log(0 - 1))", (0, 1), (0, 1))
+    assert broken.tangency_kernel(0.5, 0.5) is None
+    assert outcome(lambda: kernel_g(broken, 0.5, 0.5)) == \
+        outcome(lambda: record_g(broken, 0.5, 0.5)) == \
+        (EvalError, "log of non-positive value -1.0")
