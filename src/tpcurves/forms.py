@@ -22,21 +22,25 @@ at every node of a batched record.
 :class:`PointGeometry` is the per-point record every per-sample identity
 reads, and the one place where the metric, its regularity test and the
 connection symbols are put together: one jet evaluation, the metric and
-the position-vector decomposition as order-2 fields, and the second form
-and connection symbols built on first use.  :func:`christoffel` checks
+the position-vector decomposition as order-2 fields, written once in the
+ring-generic :func:`_record_fields`, and the second form and connection
+symbols built on first use.  :func:`christoffel` checks
 the record's symbols against the metric-formula oracle on its E, F, G
 fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
 or grid, every field an array over the nodes.
 
-Two straight-line programs per patch are recorded here from one builder,
-the component trees over Field2 lowered to order-1 position and partials
-with E, F, G over them: the tracer's float kernel
+Three straight-line programs per patch are recorded here.  Two come from
+one builder, the component trees over Field2 lowered to order-1 position
+and partials with E, F, G over them: the tracer's float kernel
 (:func:`compile_tangency_kernel`: g and its gradient, order 2) and the
 metric program of a grid sweep (:func:`compile_metric_program`: E, F, G
-and their first derivatives, order 2).  The third per-patch program, the
-order-3 jet program behind batched records, is in
-:mod:`~tpcurves.surface`.
+and their first derivatives, order 2).  The third, the record program
+(:func:`compile_record_program`), records the component trees over Jet2
+and :func:`_record_fields` over them: a batched record's jets and fields
+in one array program, with the regularity test as a guard.  A patch
+compiles it at its fourth batched record (:mod:`~tpcurves.surface`); the
+ambient program is in :mod:`~tpcurves.surface` too.
 """
 
 from dataclasses import dataclass
@@ -46,13 +50,14 @@ import numpy as np
 
 from . import expr
 from .errors import DegeneratePoint, GeometryError, OracleMismatch
-from .jets import Field2, cross3, dot3, failing_node, straight_line
+from .jets import Field2, Jet2, cross3, dot3, failing_node, straight_line
 
 __all__ = [
     "FirstForm", "SecondForm", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
     "compile_tangency_kernel", "compile_metric_program",
+    "compile_record_program",
     "metric_coefficients", "REGULARITY_THRESHOLD",
 ]
 
@@ -109,9 +114,10 @@ class SecondForm:
 class PointGeometry:
     """Geometry of a patch at one parameter point, from one jet, or at
     every node of a batched jet
-    (:meth:`~tpcurves.surface.SurfacePatch.jet_batch`): each coefficient
-    is then an array over the nodes (a float where it is the same at every
-    node) with the bits of the one-point record at each node.
+    (:meth:`~tpcurves.surface.SurfacePatch.jet_batch`, or the record
+    program's): each coefficient is then an array over the nodes (a float
+    where it is the same at every node) with the bits of the one-point
+    record at each node.
 
     Built at once, as order-2 fields (value, gradient, Hessian): the metric
     coefficients ``E``, ``F``, ``G``, ``det`` = EG - F^2, ``area`` =
@@ -128,15 +134,21 @@ class PointGeometry:
     """
 
     def __init__(self, jet):
-        E, F, G, pu, pv = metric_fields(jet)
-        p = [Field2.of_jet(c) for c in jet.components]
-        det, area, self.g = _tangency(p, pu, pv, E, F, G, jet.u, jet.v)
-        p_dot_u = dot3(p, pu)
-        p_dot_v = dot3(p, pv)
+        self._fill(jet, _record_fields(jet.components, jet.u, jet.v))
+
+    @classmethod
+    def _of(cls, jet, fields):
+        """The record of ``jet`` whose fields, in :func:`_record_fields`
+        order, were computed elsewhere: by the patch's record program
+        (:func:`compile_record_program`)."""
+        geom = cls.__new__(cls)
+        geom._fill(jet, fields)
+        return geom
+
+    def _fill(self, jet, fields):
         self.jet = jet
-        self.E, self.F, self.G, self.det, self.area = E, F, G, det, area
-        self.lam = (G * p_dot_u - F * p_dot_v) / det
-        self.mu = (E * p_dot_v - F * p_dot_u) / det
+        (self.E, self.F, self.G, self.det, self.area, self.g, self.lam,
+         self.mu) = fields
 
     @cached_property
     def second(self):
@@ -145,6 +157,23 @@ class PointGeometry:
     @cached_property
     def chris(self):
         return christoffel_fields(self.E, self.F, self.G)
+
+
+def _record_fields(comps, u, v):
+    """E, F, G, det, area, g, lam and mu of :class:`PointGeometry` as
+    order-2 fields, from the component jets ``comps`` over Jet2 at (u, v).
+    Ring-generic: a record builds them over floats or arrays of nodes, and
+    the record program is recorded from it.  Raises DegeneratePoint as
+    :func:`_tangency` does."""
+    p, pu, pv = ([view(c) for c in comps] for view in (
+        Field2.of_jet, Field2.of_jet_du, Field2.of_jet_dv))
+    E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+    det, area, g = _tangency(p, pu, pv, E, F, G, u, v)
+    p_dot_u = dot3(p, pu)
+    p_dot_v = dot3(p, pv)
+    lam = (G * p_dot_u - F * p_dot_v) / det
+    mu = (E * p_dot_v - F * p_dot_u) / det
+    return E, F, G, det, area, g, lam, mu
 
 
 def _tangency(p, pu, pv, E, F, G, u, v):
@@ -164,11 +193,11 @@ def _tangency(p, pu, pv, E, F, G, u, v):
 
 def point_geometry(patch, u, v):
     """The :class:`PointGeometry` of ``patch`` at (u, v): floats, or 1-D
-    arrays of nodes, evaluated in one
-    :meth:`~tpcurves.surface.SurfacePatch.jet_batch` pass."""
+    arrays of nodes, evaluated in one pass
+    (:meth:`~tpcurves.surface.SurfacePatch._record_batch`)."""
     if isinstance(u, np.ndarray):
         try:
-            return PointGeometry(patch.jet_batch(u, v))
+            return patch._record_batch(u, v)
         except GeometryError:
             # The batch raises its first error by kind (evaluation before
             # regularity); replay node by node to raise the error the
@@ -225,6 +254,22 @@ def compile_metric_program(components):
     def build(field2, u, v):
         return metric_coefficients(field2, components, u, v)
     return straight_line(build, ("u", "v"), Field2, arrays=True)
+
+
+def compile_record_program(components):
+    """Straight-line array code ``(u, v) -> (jets, fields)``: the
+    coefficients of the component trees over Jet2 at 1-D arrays of nodes,
+    and of the record's fields over them (:func:`_record_fields`), as
+    kept (absent ones are ZERO), recorded by
+    :func:`~tpcurves.jets.straight_line`; the regularity test is a guard.
+    Where it returns None, :class:`PointGeometry` over the Jet2 tree walk,
+    its oracle, raises its error."""
+    def build(jet2, u, v):
+        env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
+        comps = [expr.evaluate(c, env, jet2.const) for c in components]
+        return tuple(tuple(getattr(x, name) for name in x.__slots__)
+                     for x in (*comps, *_record_fields(comps, u, v)))
+    return straight_line(build, ("u", "v"), Jet2, arrays=True)
 
 
 def compile_tangency_kernel(components):

@@ -8,22 +8,30 @@ straight-line code over order-2 fields, generated per patch on first use.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Batched evaluation runs generated code as well, three straight-line array
-programs per patch, each recorded on first use by
-:func:`~tpcurves.jets.straight_line` and cached on the patch:
+programs per patch, each recorded by :func:`~tpcurves.jets.straight_line`
+and cached on the patch:
 
-* the jet program of :meth:`SurfacePatch.jet_batch`, over Jet2 (order 3:
-  the connection symbols and their derivatives need third partials);
+* the record program of a batched
+  :func:`~tpcurves.forms.point_geometry`, over Jet2: the component jets
+  (order 3: the second form and the connection symbols' derivatives need
+  third partials) and the record's fields (order 2).  It compiles in
+  tiers: a patch builds its first ``_RECORD_TIER`` batched records on the
+  rings, over :meth:`SurfacePatch.jet_batch`, and compiles it at the
+  next, so a one-shot CLI op compiles none;
 * the ambient program of the batched :func:`ambient_jet`, over Jet1 at the
-  coefficients of any curve's jets u(t), v(t) (order 3 along the curve);
+  coefficients of any curve's jets u(t), v(t) (order 3 along the curve),
+  compiled on first use;
 * the metric program of :meth:`SurfacePatch.metric_batch`, over Field2
   (order 2: E, F, G and their first derivatives, all a metric grid sweep
   compares, need second partials only), at node arrays that broadcast
   together: a grid sweep passes its axes, a (m, 1) column of u and a
-  (1, n) row of v, so a value of u alone is computed at m entries.
+  (1, n) row of v, so a value of u alone is computed at m entries;
+  compiled on first use.
 
-Each gives the tree walk's bits at every value that is not NaN, and NaN
-where it gives NaN.  The tree walk over Jet2, Jet1 and Field2 arrays stays
-as their oracle and their error path: where a program returns None.  At a
+Each gives the ring path's bits at every value that is not NaN, and NaN
+where it gives NaN.  The ring path (the tree walk over Jet2, Jet1 and
+Field2 arrays, and a record over :meth:`SurfacePatch.jet_batch`) stays as
+their oracle and their error path: where a program returns None.  At a
 point, ``jet``, ``ambient_jet`` and the curve's own u(t), v(t) run the
 same tree walk over floats, and ``value`` walks the trees over plain
 floats.
@@ -32,19 +40,23 @@ Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
 ``cached_property`` takes no lock, so two threads may both compile a patch's
 kernel or program on first use; both get the same code, so this is
-harmless.
+harmless.  The count of a patch's batched records is an
+``itertools.count``, whose ``next`` is atomic under CPython's global
+interpreter lock.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from typing import Optional
 
 import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .forms import (compile_metric_program, compile_tangency_kernel,
+from .forms import (PointGeometry, compile_metric_program,
+                    compile_record_program, compile_tangency_kernel,
                     metric_coefficients)
 from .jets import Field2, Jet1, Jet2, failing_node, straight_line
 
@@ -53,6 +65,13 @@ __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
 
 _DOMAIN_SLACK = 1e-9
 _CHECK_SAMPLES = 129  # parameters at which check_on tests a curved path
+# Batched records a patch builds on the rings before it compiles its record
+# program.  A record program takes 2-10 ms to compile and saves 0.3-0.5 ms
+# a record, and no CLI op builds more than 3 batched records on one patch
+# (verify builds 3 on each of plane, cone, sphere and offset_sphere;
+# report-thm31, trace and isometry --curve build 1), so a one-shot op
+# compiles none.
+_RECORD_TIER = 3
 
 
 @dataclass(frozen=True)
@@ -103,10 +122,15 @@ class SurfacePatch:
         return compile_tangency_kernel(self.components)
 
     @cached_property
-    def _jet_program(self):
-        """:func:`_compile_jet_program` of this patch, compiled on first
-        use."""
-        return _compile_jet_program(self.components)
+    def _record_program(self):
+        """:func:`~tpcurves.forms.compile_record_program` of this patch,
+        compiled on first use, at its batched record _RECORD_TIER + 1."""
+        return compile_record_program(self.components)
+
+    @cached_property
+    def _records(self):
+        """Counts the patch's batched records: 0, 1, 2, ..."""
+        return count()
 
     @cached_property
     def _ambient_program(self):
@@ -154,9 +178,8 @@ class SurfacePatch:
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
-        pass: the patch's generated array program
-        (:func:`_compile_jet_program`), or the tree walk where that
-        returns None.
+        pass of the tree walk over Jet2 arrays: the oracle and the error
+        path of the record program.
 
         The result's ``u`` and ``v`` are the node arrays and its derivative
         arrays have shape (3, nodes); each node's column carries the bits
@@ -165,9 +188,25 @@ class SurfacePatch:
         or one where :meth:`jet` would raise EvalError, raises that error.
         """
         u, v = self._nodes_inside(u, v)
-        return _surface_jet(u, v, _run(
-            self._jet_program, (u, v), self.components,
-            {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}, Jet2))
+        return _surface_jet(u, v, _tree_walk(
+            self.components, {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
+            Jet2))
+
+    def _record_batch(self, u, v):
+        """The :class:`~tpcurves.forms.PointGeometry` at every node of two
+        equal-length 1-D arrays, with the bits of :meth:`jet_batch`'s
+        record: from the patch's record program once it has built
+        _RECORD_TIER batched records, else, and where the program returns
+        None, over :meth:`jet_batch`, which then raises the batch's error.
+        """
+        u, v = self._nodes_inside(u, v)
+        out = (self._record_program(u, v)
+               if next(self._records) >= _RECORD_TIER else None)
+        if out is None:
+            return PointGeometry(self.jet_batch(u, v))
+        comps = tuple(Jet2(*c) for c in out[:3])
+        return PointGeometry._of(_surface_jet(u, v, comps),
+                                 [Field2(*c) for c in out[3:]])
 
     def metric_batch(self, u, v):
         """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
@@ -195,16 +234,6 @@ class SurfacePatch:
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
 
 
-def _run(program, args, components, env, ring):
-    """The component jets over ``ring`` at arrays of nodes: ``program(*args)``,
-    or the tree walk in ``env`` where that returns None, which then raises
-    its first failing node's error."""
-    out = program(*args)
-    if out is None:
-        return _tree_walk(components, env, ring)
-    return tuple(ring(*c) for c in out)
-
-
 def _tree_walk(components, env, ring):
     """The trees over ``ring`` in ``env``, at a point or at arrays of nodes:
     the per-point evaluation, and the oracle and the error path of the
@@ -227,24 +256,13 @@ def _coeffs(jet):  # as kept: absent ones stay ZERO
     return tuple(getattr(jet, name) for name in jet.__slots__)
 
 
-def _compile_jet_program(components):
-    """Straight-line array code ``(u, v) -> coefficients``: the
-    coefficients of the component trees over Jet2 at 1-D arrays of nodes,
-    recorded by :func:`~tpcurves.jets.straight_line`.  Where it returns
-    None, the tree walk over Jet2 arrays, its oracle, raises its error."""
-    def build(jet2, u, v):
-        env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
-        return tuple(_coeffs(expr.evaluate(c, env, jet2.const))
-                     for c in components)
-    return straight_line(build, ("u", "v"), Jet2, arrays=True)
-
-
 def _compile_ambient_program(components):
-    """Straight-line array code, as :func:`_compile_jet_program`
-    records it: the coefficients of the component trees over Jet1 at the
-    coefficients of a curve's jets u(t), v(t) (each a 1-D array of nodes,
-    or a float where it is the same at every node), so one program serves
-    every curve on the patch."""
+    """Straight-line array code, recorded by
+    :func:`~tpcurves.jets.straight_line`: the coefficients of the component
+    trees over Jet1 at the coefficients of a curve's jets u(t), v(t) (each
+    a 1-D array of nodes, or a float where it is the same at every node),
+    so one program serves every curve on the patch.  Where it returns None,
+    the tree walk over Jet1 arrays, its oracle, raises its error."""
     def build(jet1, *coeffs):
         env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
         return tuple(_coeffs(expr.evaluate(c, env, jet1.const))
@@ -368,9 +386,9 @@ def ambient_jet(patch, curve, t):
         raise DomainError("curve point ({}, {}) at t={} outside domain of "
                           "'{}'".format(*bad, patch.name))
     env = {"u": cj.u, "v": cj.v}
-    if isinstance(t, np.ndarray):
-        comps = _run(patch._ambient_program, _coeffs(cj.u) + _coeffs(cj.v),
-                     patch.components, env, Jet1)
-    else:
-        comps = _tree_walk(patch.components, env, Jet1)
+    out = (patch._ambient_program(*_coeffs(cj.u), *_coeffs(cj.v))
+           if isinstance(t, np.ndarray) else None)
+    # The tree walk raises its first failing node's error.
+    comps = (_tree_walk(patch.components, env, Jet1) if out is None
+             else tuple(Jet1(*c) for c in out))
     return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1._names)

@@ -1,12 +1,15 @@
 """When batched programs are compiled, and sweeps of a patch paired with
 itself.
 
-``SurfacePatch.jet_batch``, ``SurfacePatch.metric_batch`` and the batched
-``ambient_jet`` each compile one array program per patch on first use (the
-last serves every curve on the patch), not at import or scene load; the
-shared built-in scene then reuses them in every later op of the process,
-and a curve used once compiles nothing.  A metric grid sweep runs the
-metric program alone.
+``SurfacePatch.metric_batch`` and the batched ``ambient_jet`` each compile
+one array program per patch on first use (the latter serves every curve on
+the patch), not at import or scene load; the shared built-in scene then
+reuses them in every later op of the process, and a curve used once
+compiles nothing.  A metric grid sweep runs the metric program alone.  A
+patch's batched records (``SurfacePatch._record_batch``) compile its
+record program in tiers: the first three are built on the rings and the
+fourth compiles it, so no one-shot CLI op compiles one, and an op gives
+the same bytes before and after its patch has compiled.
 """
 
 import functools
@@ -39,7 +42,7 @@ def fresh_builtin(monkeypatch):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """(kind, components) of every jet_batch ("jet") and metric_batch
+    """(kind, components) of every record ("record") and metric_batch
     ("metric") program compiled, in order."""
     seen = []
 
@@ -52,7 +55,7 @@ def compiled(monkeypatch):
 
         monkeypatch.setattr(tpcurves.surface, name, counted)
 
-    count("jet", "_compile_jet_program")
+    count("record", "compile_record_program")
     count("metric", "compile_metric_program")
     return seen
 
@@ -79,7 +82,7 @@ def test_loading_the_scene_compiles_nothing():
         "import tpcurves\n"
         "scene = tpcurves.builtin_scene()\n"
         "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
-        "          if name in ('_jet_program', '_ambient_program',\n"
+        "          if name in ('_record_program', '_ambient_program',\n"
         "                      '_metric_program', 'tangency_kernel')]\n"
         "print(cached)\n")
     env = {**os.environ,
@@ -102,12 +105,15 @@ def test_repeated_isometry_ops_compile_one_program_per_patch(
     assert outputs == outputs[:len(outputs) // 5] * 5
 
 
-def test_config_patch_compiles_its_own_program(tmp_path, compiled, capsys):
+def test_config_patch_compiles_its_own_program(tmp_path, compiled, capsys,
+                                               monkeypatch):
     argv = ["isometry", "catenoid_helicoid", "--curve", "catenoid_line",
             "--format", "json"]
     assert cli.main(argv) == 0
     builtin = capsys.readouterr().out
     compiled.clear()
+    records = []
+    counting(monkeypatch, records, "_record_batch")
     path = tmp_path / "scene.ini"
     path.write_text(BUILTIN_SCENE_TEXT)
     assert cli.main(argv + ["--config", str(path)]) == 0
@@ -115,9 +121,11 @@ def test_config_patch_compiles_its_own_program(tmp_path, compiled, capsys):
     scene = builtin_scene()
     catenoid = scene.surface("catenoid").components
     helicoid = scene.surface("helicoid").components
-    # The registration sweep, then the invariance report's records.
-    assert compiled == [("metric", catenoid), ("metric", helicoid),
-                        ("jet", catenoid), ("jet", helicoid)]
+    # The registration sweep compiles; the invariance report's records,
+    # the first of each patch, are built on the rings.
+    assert compiled == [("metric", catenoid), ("metric", helicoid)]
+    assert records == [("_record_batch", "catenoid", 50),
+                       ("_record_batch", "helicoid", 50)]
 
 
 def test_a_discarded_curve_leaves_nothing_on_a_builtin_patch():
@@ -137,7 +145,7 @@ def test_a_discarded_curve_leaves_nothing_on_a_builtin_patch():
 
 def test_identity_pair_evaluates_its_patch_once(scene, monkeypatch):
     calls = []
-    counting(monkeypatch, calls, "jet_batch", "metric_batch")
+    counting(monkeypatch, calls, "_record_batch", "metric_batch")
     pair = scene.pair("identity_catenoid")  # registers the pair again
     assert calls == [("metric_batch", "catenoid", 400)]
     patch = pair.source
@@ -145,10 +153,65 @@ def test_identity_pair_evaluates_its_patch_once(scene, monkeypatch):
     samples = sample_arclength(patch, scene.curve("catenoid_line"), 30)
     calls.clear()
     report = invariance_report(pair, samples)
-    assert calls == [("jet_batch", "catenoid", 30)]
+    assert calls == [("_record_batch", "catenoid", 30)]
     src, tgt = report.geometry
     assert src is tgt
     assert np.array_equal(report.kappa_g_residuals, np.zeros(30))
     # One record for both sides has the bits of two.
     other = point_geometry(patch, src.jet.u, src.jet.v)
     assert other.g.f.tobytes() == src.g.f.tobytes()
+
+
+ONE_SHOT_OPS = {
+    "verify": ["verify", "--target", "all"],
+    "report": ["report-thm31", "catenoid_line"],
+    "trace": ["trace", "offset_sphere", "--seed", "2,0"],
+    "isometry": ["isometry", "catenoid_helicoid", "--curve", "catenoid_line"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(ONE_SHOT_OPS))
+def test_a_one_shot_op_compiles_no_record_program(
+        op, fresh_builtin, compiled, tmp_path, capsys):
+    assert cli.main(ONE_SHOT_OPS[op] + ["--out", str(tmp_path)]) == 0
+    assert [kind for kind, _ in compiled if kind == "record"] == []
+
+
+def test_a_patchs_fourth_batched_record_compiles_one_program(compiled):
+    catenoid = builtin_scene().surface("catenoid")
+    patch = SurfacePatch("fresh", catenoid.components, catenoid.u_range,
+                         catenoid.v_range)
+    u = np.linspace(0.1, 6.0, 40)
+    v = np.linspace(-1.0, 1.0, 40)
+    records = []
+    for _ in range(3):
+        records.append(point_geometry(patch, u, v))
+    assert compiled == []
+    records.append(point_geometry(patch, u, v))
+    assert compiled == [("record", patch.components)]
+    records.append(point_geometry(patch, u, v))
+    assert compiled == [("record", patch.components)]
+    # The program's records have the ring path's bits (no NaN here).
+    def bits(geom):
+        fields = (getattr(geom, key) for key in
+                  ("E", "F", "G", "det", "area", "g", "lam", "mu"))
+        return [np.asarray(getattr(x, name), float).tobytes()
+                for x in fields for name in x._names] + \
+            [geom.jet.value.tobytes(), geom.jet.dvvv.tobytes()]
+    assert bits(records[3]) == bits(records[4]) == bits(records[0])
+
+
+def _op_bytes(argv, out, capsys):
+    """stdout and every written file of one CLI op into ``out``."""
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return capsys.readouterr(), {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())}
+
+
+def test_an_op_gives_the_same_bytes_before_and_after_its_patch_compiled(
+        fresh_builtin, compiled, tmp_path, capsys):
+    argv = ["report-thm31", "catenoid_line"]
+    runs = [_op_bytes(argv, tmp_path / str(i), capsys) for i in range(5)]
+    # The 4th op builds the patch's 4th batched record and compiles.
+    assert [kind for kind, _ in compiled] == ["record"]
+    assert runs[0][1] and all(run == runs[0] for run in runs)

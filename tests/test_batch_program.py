@@ -1,12 +1,14 @@
 """Batched jets as generated array programs, against the tree walk.
 
-``SurfacePatch.jet_batch`` and the batched ``ambient_jet`` run straight-line
-array code recorded per patch (the latter over the coefficients of a
-curve's jets u(t), v(t)); the tree walk over Jet2 and Jet1 arrays is their
-oracle and their error path.  Each coefficient must have the tree walk's
-bits at every node (NaN, of any bits, at the same nodes) and stay a float
-where the tree walk keeps a float; a batch with a failing node raises the
-tree walk's error, type and text.
+A patch's record program gives the component jets of a batched record, and
+the batched ``ambient_jet`` runs straight-line array code recorded per
+patch over the coefficients of a curve's jets u(t), v(t); the tree walk
+over Jet2 and Jet1 arrays (``SurfacePatch.jet_batch`` is the former) is
+their oracle and their error path.  Each coefficient must have the tree
+walk's bits at every node (NaN, of any bits, at the same nodes) and stay a
+float where the tree walk keeps a float; a batch with a failing node
+raises the tree walk's error, type and text.  ``test_record_program.py``
+checks the record program's fields.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ from tpcurves.surface import SurfacePatch, ambient_jet
 
 
 def tree_walk(patch, u, v):
-    """The component jets of ``jet_batch``, walking the trees over Jet2."""
+    """The component jets of a batched record, walking the trees over
+    Jet2."""
     env = {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)}
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(expr.evaluate(c, env, Jet2.const)
@@ -88,16 +91,6 @@ def assert_same_coeffs(got, want):
             assert y is ZERO or same_bits(x, y), name
 
 
-def test_jet_batch_has_the_tree_walks_bits_on_builtin_surfaces(scene):
-    rng = np.random.default_rng(20261018)
-    for name, patch in scene.surfaces.items():
-        u = rng.uniform(*patch.u_range, 300)
-        v = rng.uniform(*patch.v_range, 300)
-        assert patch._jet_program(u, v) is not None, name  # no fallback
-        assert_same_coeffs(patch.jet_batch(u, v).components,
-                           tree_walk(patch, u, v))
-
-
 def test_ambient_jet_has_the_tree_walks_bits_on_builtin_curves(scene):
     for name, curve in scene.curves.items():
         patch = scene.surface(curve.surface)
@@ -125,22 +118,6 @@ def patch_of(components):
                         u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
 
 
-@given(st.lists(_trees(), min_size=3, max_size=3))
-@settings(max_examples=150, deadline=None)
-def test_jet_batch_matches_the_tree_walk_on_random_trees(components):
-    patch = patch_of(components)
-    program = patch._jet_program
-    for u, v in (POSITIVE, MIXED):
-        got = outcome(lambda: patch.jet_batch(u, v).components)
-        want = outcome(lambda: tree_walk(patch, u, v))
-        if raised(want):
-            assert got == want  # the same error
-            assert program(u, v) is None
-        else:
-            program_output(program, (u, v))  # jet_batch ran the program
-            assert_same_coeffs(got, want)
-
-
 def test_a_nan_constant_the_results_use_keeps_the_program():
     # inf - inf, a NaN constant that the results use: the program gives
     # NaN where the tree walk does.
@@ -149,8 +126,8 @@ def test_a_nan_constant_the_results_use_keeps_the_program():
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
     assert np.isnan(want[2].fu).all()
-    out = program_output(patch._jet_program, (u, v))
-    assert_same_coeffs([Jet2(*c) for c in out], want)
+    out = program_output(patch._record_program, (u, v))
+    assert_same_coeffs([Jet2(*c) for c in out[:3]], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)
 
 
@@ -208,7 +185,7 @@ def test_a_failing_node_raises_the_tree_walks_error(case):
         ambient_jet(patch, curve, u)
     assert str(caught.value) == (curve_text or text)
     if error is not DomainError:  # the programs gave way to the tree walk
-        assert patch._jet_program(u, np.full(4, 0.5)) is None
+        assert patch._record_program(u, np.full(4, 0.5)) is None
         assert patch._ambient_program(*curve_coeffs(curve, u)) is None
 
 
@@ -229,5 +206,6 @@ def test_a_nan_constant_no_result_uses_keeps_the_program():
     patch = parse_surface("(u, v, (u / 5e-324) ^ 0)", (-3, 3), (-3, 3))
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
-    assert patch._jet_program(u, v) is not None  # no fallback
+    out = program_output(patch._record_program, (u, v))  # no fallback
+    assert_same_coeffs([Jet2(*c) for c in out[:3]], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)

@@ -494,13 +494,14 @@ def count_curve_samples(monkeypatch):
 
 def test_report_builds_no_per_sample_object(scene, monkeypatch, tmp_path):
     calls = []
-    counting(monkeypatch, calls, "jet_batch")
+    counting(monkeypatch, calls, "_record_batch")
     single = count_curve_samples(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report-thm31", "catenoid_line", "--samples", "40",
                          "--out", str(tmp_path)]) == 0
     assert single and not any(single)
-    assert calls == [("jet_batch", "catenoid", 40)]  # one record, all samples
+    # One record, all samples.
+    assert calls == [("_record_batch", "catenoid", 40)]
 
 
 def test_verify_stacks_no_sample_list(scene, monkeypatch):
@@ -529,11 +530,12 @@ def test_verify_builds_each_record_once(scene, monkeypatch):
     its target).  The 19 are 6 gauss point sets, 8 curves on their hosts,
     the 9-sample plane circle, the traced locus and 3 pair targets."""
     calls = []
-    counting(monkeypatch, calls, "jet_batch")
+    counting(monkeypatch, calls, "_record_batch")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--target", "all"]) == 0
     assert len(calls) == 19, calls
-    assert calls.count(("jet_batch", "catenoid", scene.options.samples)) == 1
+    assert calls.count(
+        ("_record_batch", "catenoid", scene.options.samples)) == 1
 
 
 # --- the registration sweep is kept ---------------------------------------

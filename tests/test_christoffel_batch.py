@@ -231,7 +231,7 @@ def test_first_form_is_the_record_form():
 
 
 def test_gauss_checks_equal_the_per_point_chain(scene, monkeypatch):
-    calls = {"jet": 0, "jet_batch": 0}
+    calls = {"jet": 0, "_record_batch": 0}
     for method in calls:
         original = getattr(SurfacePatch, method)
 
@@ -241,7 +241,7 @@ def test_gauss_checks_equal_the_per_point_chain(scene, monkeypatch):
 
         monkeypatch.setattr(SurfacePatch, method, counting)
     got = checks.run_checks(scene, "gauss")
-    assert calls == {"jet": 0, "jet_batch": 6}
+    assert calls == {"jet": 0, "_record_batch": 6}
     monkeypatch.undo()
 
     rng = np.random.default_rng(checks._RNG_SEED)

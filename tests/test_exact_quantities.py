@@ -2,8 +2,9 @@
 
 At the arc-length samples of each of the 9 built-in curves
 (``sample_arclength``), the batched record ``point_geometry`` must give E,
-F, G, the tangency residual g and the coordinates lam, mu of the position
-vector within a forward-error bound of their exact values.  The exact
+F, G, the tangency residual g, the coordinates lam, mu of the position
+vector, the six connection symbols (its ``chris``) and L, M, N (its
+``second``) within a forward-error bound of their exact values.  The exact
 values come from the sympy form of the patch (``test_symbolic.to_sympy``),
 differentiated symbolically and evaluated with mpmath at 40 digits at the
 sample's own (u, v); the curve's sympy form checks that (u, v) against the
@@ -22,12 +23,20 @@ composed reciprocal, a negative power the reciprocal of a positive one.
 With P the largest value bound and D the largest partial bound of the
 three components at the point, E, F and G sum terms of size D^2, EG - F^2
 terms of size D^4, the triple product p . (p_u x p_v) terms of size P D^2
-and the numerators of lam and mu terms of size P D^3.  Rounding each term
+and the numerators of lam and mu terms of size P D^3.  D bounds the second
+partials' terms too, so E_u = 2 p_u . p_uu and the other first
+derivatives of E, F, G sum terms of size D^2, the numerators of the
+connection symbols (G E_u - 2 F F_u + F E_v and its five analogues) terms
+of size D^4, and p_uu . (p_u x p_v) terms of size D^3.  Rounding each term
 once, and carrying a quotient's error through its divisor:
 
 * E, F, G: D^2;
 * g = p . (p_u x p_v) / sqrt(EG - F^2): P D^2 / area + |g| D^4 / det;
-* lam, mu: (P D^3 + |lam| D^4) / det, (P D^3 + |mu| D^4) / det.
+* lam, mu: (P D^3 + |lam| D^4) / det, (P D^3 + |mu| D^4) / det;
+* each symbol Gamma^k_ij, a numerator over 2 det: (1 + |Gamma^k_ij|) D^4
+  / det;
+* L = p_uu . (p_u x p_v) / |p_u x p_v|, and M, N alike: D^3 / area +
+  |L| D^4 / det.
 
 Each error divided by the unit roundoff 2^-53 times its bound is the scaled
 error; it must stay below ``SCALED_LIMIT``.  Run with ``-s`` to print the
@@ -51,7 +60,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # The worst scaled error seen on the built-in curves was 4.1 (E on
 # cone_ruling); the limit leaves a factor of 15.
 SCALED_LIMIT = 64.0
-QUANTITIES = ("u", "v", "E", "F", "G", "g", "lam", "mu")
+SYMBOLS = ("G^1_11", "G^2_11", "G^1_12", "G^2_12", "G^1_22", "G^2_22")
+QUANTITIES = ("u", "v", "E", "F", "G", "g", "lam", "mu", *SYMBOLS,
+              "L", "M", "N")
 X = sympy.Symbol("x")
 
 
@@ -119,20 +130,21 @@ def exact_curve(curve):
 
 @functools.cache
 def exact_partials(patch):
-    """(u, v) -> the components of the patch with their u and v partials,
-    as mpmath numbers."""
+    """(u, v) -> the components of the patch with their partials of orders
+    1 and 2 (u, v, uu, uv, vv), as mpmath numbers."""
     u, v = sympy.symbols("u v")
     comps = [to_sympy(c, {"u": u, "v": v}) for c in patch.components]
-    return sympy.lambdify(
-        (u, v), [[c, sympy.diff(c, u), sympy.diff(c, v)] for c in comps],
-        "mpmath")
+    return sympy.lambdify((u, v), [
+        [c, *(sympy.diff(c, *x) for x in ((u,), (v,), (u, u), (u, v),
+                                           (v, v)))]
+        for c in comps], "mpmath")
 
 
 def exact_and_bounds(patch, u, v):
-    """The exact E, F, G, g, lam, mu at the floats (u, v), and their error
-    bounds (module docstring)."""
+    """The exact E, F, G, g, lam, mu, connection symbols and L, M, N at the
+    floats (u, v), and their error bounds (module docstring)."""
     x, y = mpmath.mpf(u), mpmath.mpf(v)
-    (p, pu, pv) = zip(*exact_partials(patch)(x, y))
+    p, pu, pv, puu, puv, pvv = zip(*exact_partials(patch)(x, y))
     _, P, D = map(max, zip(*(term_bound(c, {"u": x, "v": y})
                              for c in patch.components)))
     dot = lambda a, b: sum(i * j for i, j in zip(a, b))
@@ -144,11 +156,24 @@ def exact_and_bounds(patch, u, v):
     g = dot(p, cross) / area
     lam = (G * dot(p, pu) - F * dot(p, pv)) / det
     mu = (E * dot(p, pv) - F * dot(p, pu)) / det
-    exact = {"E": E, "F": F, "G": G, "g": g, "lam": lam, "mu": mu}
+    E_u, E_v = 2 * dot(pu, puu), 2 * dot(pu, puv)
+    F_u, F_v = dot(puu, pv) + dot(pu, puv), dot(puv, pv) + dot(pu, pvv)
+    G_u, G_v = 2 * dot(pv, puv), 2 * dot(pv, pvv)
+    symbols = [x / (2 * det) for x in (
+        G * E_u - 2 * F * F_u + F * E_v, 2 * E * F_u - E * E_v - F * E_u,
+        G * E_v - F * G_u, E * G_u - F * E_v,
+        2 * G * F_v - G * G_u - F * G_v, E * G_v - 2 * F * F_v + F * G_u)]
+    exact = {"E": E, "F": F, "G": G, "g": g, "lam": lam, "mu": mu,
+             **dict(zip(SYMBOLS, symbols)),
+             **{k: dot(x, cross) / area
+                for k, x in zip("LMN", (puu, puv, pvv))}}
     bounds = {"E": D ** 2, "F": D ** 2, "G": D ** 2,
               "g": P * D ** 2 / area + abs(g) * D ** 4 / det,
               "lam": (P * D ** 3 + abs(lam) * D ** 4) / det,
-              "mu": (P * D ** 3 + abs(mu) * D ** 4) / det}
+              "mu": (P * D ** 3 + abs(mu) * D ** 4) / det,
+              **{k: (1 + abs(exact[k])) * D ** 4 / det for k in SYMBOLS},
+              **{k: D ** 3 / area + abs(exact[k]) * D ** 4 / det
+                 for k in "LMN"}}
     return exact, bounds
 
 
@@ -165,8 +190,13 @@ def test_record_matches_exact_values_on_builtin_curves(scene):
             patch = scene.surface(curve.surface)
             sample = sample_arclength(patch, curve)
             geom = point_geometry(patch, sample.u, sample.v)
-            record = {k: np.broadcast_to(getattr(geom, k).f, sample.u.shape)
+            values = {k: getattr(geom, k).f
                       for k in ("E", "F", "G", "g", "lam", "mu")}
+            values.update(zip(SYMBOLS, (x.f for x in geom.chris)))
+            values.update(L=geom.second.L, M=geom.second.M,
+                          N=geom.second.N)
+            record = {k: np.broadcast_to(x, sample.u.shape)
+                      for k, x in values.items()}
             for i, t in enumerate(sample.t.tolist()):
                 at_t = {"t": mpmath.mpf(t)}
                 errors = {

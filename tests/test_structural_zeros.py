@@ -5,11 +5,13 @@ A variable's other partials, a constant's partials and all that only they
 feed are absent, so no tree walk and no generated program computes with
 them.  Before, the 36 built-in programs (9 surfaces x metric, kernel, jet
 and ambient) had 223, 312, 444 and 23 operations with a literal 0.0
-operand or a factor 1.0.  The tree walk and every program kind skip the
-same terms, so they change together: an absent partial times inf is 0.0
-where ``0.0 * inf`` was NaN, and ``-0.0`` plus an absent term stays
-``-0.0`` where ``-0.0 + 0.0`` was ``0.0``.  Absence never leaves the
-rings: every coefficient read from outside is a float or an array.
+operand or a factor 1.0; the record program, which gives a batched
+record's jets and fields, has taken the jet program's place.  The tree
+walk and every program kind skip the same terms, so they change together:
+an absent partial times inf is 0.0 where ``0.0 * inf`` was NaN, and
+``-0.0`` plus an absent term stays ``-0.0`` where ``-0.0 + 0.0`` was
+``0.0``.  Absence never leaves the rings: every coefficient read from
+outside is a float or an array.
 """
 
 import ast
@@ -20,16 +22,16 @@ from test_batch_program import same_bits
 
 from tpcurves import jets, parse_curve, parse_surface
 from tpcurves.errors import EvalError
-from tpcurves.forms import (compile_metric_program, compile_tangency_kernel,
-                            metric_coefficients, point_geometry,
-                            tangency_gradient)
+import tpcurves.surface
+from tpcurves.forms import (compile_metric_program, compile_record_program,
+                            compile_tangency_kernel, metric_coefficients,
+                            point_geometry, tangency_gradient)
 from tpcurves.jets import ZERO, Field2
-from tpcurves.surface import (_compile_ambient_program, _compile_jet_program,
-                              ambient_jet)
+from tpcurves.surface import _compile_ambient_program, ambient_jet
 
 PROGRAMS = {"metric": compile_metric_program,
             "kernel": compile_tangency_kernel,
-            "jet": _compile_jet_program,
+            "record": compile_record_program,
             "ambient": _compile_ambient_program}
 U = np.array([0.5, 1.25, 2.0])
 V = np.array([0.75, -0.5, 1.5])
@@ -94,14 +96,16 @@ def flat(out):
     return (*out[:3], *out[3])
 
 
-def test_an_absent_partial_times_inf_is_zero():
+def test_an_absent_partial_times_inf_is_zero(monkeypatch):
     # The v-partial of z = u * inf sums u_v * inf and u * (inf)_v, both
     # absent: 0.0, where 0.0 * inf + u * 0.0 was NaN.  E_v and F are sums
     # of it.
     patch = parse_surface("(u, v, u * (1e200 * 1e200))", (-3, 3), (-3, 3))
     assert bits(patch.jet(0.5, 0.75).dv[2]) == 0
-    assert patch._jet_program is not None
     assert bits(patch.jet_batch(U, V).dv[2]) == [0, 0, 0]
+    monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", 0)
+    assert patch._record_program(U, V) is not None
+    assert bits(point_geometry(patch, U, V).jet.dv[2]) == [0, 0, 0]
     assert patch._ambient_program is not None
     assert bits(ambient_jet(patch, ALONG_V, T)[2][2]) == [0, 0, 0]
     assert patch._metric_program is not None
@@ -120,13 +124,15 @@ def test_an_absent_partial_times_inf_is_zero():
 NEGATIVE_ZERO = bits(-0.0)
 
 
-def test_minus_zero_plus_an_absent_term_stays_minus_zero():
+def test_minus_zero_plus_an_absent_term_stays_minus_zero(monkeypatch):
     # z = u - 0*v: its v-partial is absent + -(0.0 * 1.0), -0.0, where
     # 0.0 + -0.0 was 0.0.  F = phi_u . phi_v ends in 1.0 * -0.0.
     patch = parse_surface("(u, v, u - 0*v)", (-3, 3), (-3, 3))
     assert bits(patch.jet(0.5, 0.75).dv[2]) == NEGATIVE_ZERO
-    assert patch._jet_program is not None
     assert bits(patch.jet_batch(U, V).dv[2]) == [NEGATIVE_ZERO] * 3
+    monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", 0)
+    assert patch._record_program(U, V) is not None
+    assert bits(point_geometry(patch, U, V).jet.dv[2]) == [NEGATIVE_ZERO] * 3
     assert patch._ambient_program is not None
     assert bits(ambient_jet(patch, ALONG_V, T)[2][2]) == [NEGATIVE_ZERO] * 3
     assert patch._metric_program is not None
@@ -185,17 +191,19 @@ def assert_no_sentinel(*values):
         assert isinstance(x, (float, np.ndarray)), type(x)
 
 
-def test_the_sentinel_never_escapes(scene):
+def test_the_sentinel_never_escapes(scene, monkeypatch):
     for name, patch in scene.surfaces.items():
         u0, u1 = patch.u_range
         v0, v1 = patch.v_range
         u = np.linspace(u0, u1, 5)[1:-1]
         v = np.linspace(v0, v1, 5)[1:-1]
-        for jet in (patch.jet(u[0], v[0]), patch.jet_batch(u, v)):
-            geom = point_geometry(patch, jet.u, jet.v)
-            assert_no_sentinel(jet, geom.E, geom.F, geom.G, geom.det,
-                               geom.area, geom.g, geom.lam, geom.mu,
-                               geom.chris, geom.second)
+        for tier in (1000, 0):  # the ring path, then the record program
+            monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", tier)
+            for jet in (patch.jet(u[0], v[0]), patch.jet_batch(u, v)):
+                geom = point_geometry(patch, jet.u, jet.v)
+                assert_no_sentinel(geom.jet, geom.E, geom.F, geom.G,
+                                   geom.det, geom.area, geom.g, geom.lam,
+                                   geom.mu, geom.chris, geom.second)
         assert_no_sentinel(patch.metric_batch(u, v))
         assert_no_sentinel(patch.tangency_kernel(u[0], v[0]))
     for name, curve in scene.curves.items():

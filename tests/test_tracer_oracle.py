@@ -164,9 +164,10 @@ def test_trace_outputs_pinned(tmp_path, surface, seed, h, stdout_sha,
 
 @pytest.fixture
 def patch_calls(monkeypatch):
-    """Counts of SurfacePatch.jet, jet_batch and value calls."""
+    """Counts of SurfacePatch.jet and value calls, and of the patch's
+    batched records (``_record_batch``)."""
     calls = Counter()
-    for method in ("jet", "jet_batch", "value"):
+    for method in ("jet", "_record_batch", "value"):
         original = getattr(SurfacePatch, method)
 
         def counted(self, u, v, _original=original, _method=method):
@@ -185,7 +186,7 @@ def test_accepted_vertices_cost_no_jet(scene, patch_calls, max_steps):
     # One record at the corrected seed and one batched record over the
     # resampled samples, however many vertices were accepted.
     assert patch_calls["jet"] == 1
-    assert patch_calls["jet_batch"] == 1
+    assert patch_calls["_record_batch"] == 1
     assert patch_calls["value"] == 0
     assert len(traced.samples.s) == 20
     assert traced.geometry.jet.u.tobytes() == traced.samples.u.tobytes()
@@ -199,7 +200,7 @@ def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
     assert len(rows) == 50
     assert all(abs(float(r["g"])) < 1e-8 for r in rows)
     assert patch_calls["jet"] == 1
-    assert patch_calls["jet_batch"] == 1
+    assert patch_calls["_record_batch"] == 1
     assert patch_calls["value"] == 0
 
 
