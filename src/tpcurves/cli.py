@@ -113,7 +113,7 @@ def cmd_trace(args):
         write_csv(_out_path(args.out, "trace.csv"),
                   ("index", "s", "u", "v", "g", "lambda", "mu", "rho"), rows)
         svg = parameter_plot_svg(patch.u_range, patch.v_range,
-                                 traced.vertices.tolist(), seed=seed)
+                                 traced.vertices, seed=seed)
         write_text(_out_path(args.out, "trace.svg"), svg)
     return 0
 

@@ -32,8 +32,9 @@ or grid, every field an array over the nodes.
 
 Three straight-line programs per patch are recorded here.  Two come from
 one builder, the component trees over Field2 lowered to order-1 position
-and partials with E, F, G over them: the tracer's float kernel
-(:func:`compile_tangency_kernel`: g and its gradient, order 2) and the
+and partials with E, F, G over them: the float tangency kernel
+(:func:`compile_tangency_kernel`: g and its gradient, order 2, whose
+recording is also the body of the tracer's walk) and the
 metric program of a grid sweep (:func:`compile_metric_program`: E, F, G
 and their first derivatives, order 2).  The third, the record program
 (:func:`compile_record_program`), records the component trees over Jet2
@@ -44,7 +45,7 @@ ambient program is in :mod:`~tpcurves.surface` too.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -134,7 +135,11 @@ class PointGeometry:
     """
 
     def __init__(self, jet):
-        self._fill(jet, _record_fields(jet.components, jet.u, jet.v))
+        # The record program's error states (the tree walk's, and a
+        # division by zero raises), so both paths stay silent alike.
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            fields = _record_fields(jet.components, jet.u, jet.v)
+        self._fill(jet, fields)
 
     @classmethod
     def _of(cls, jet, fields):
@@ -217,10 +222,13 @@ def tangency_gradient(patch, u, v):
     its error (DomainError, EvalError, DegeneratePoint)."""
     out = (patch.tangency_kernel(float(u), float(v))
            if patch.contains(u, v) else None)
-    if out is None:
-        geom = point_geometry(patch, u, v)
-        out = (geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist()))
-    return out
+    return _record_gradient(patch, u, v) if out is None else out
+
+
+def _record_gradient(patch, u, v):
+    """:func:`tangency_gradient` from :func:`point_geometry` alone."""
+    geom = point_geometry(patch, u, v)
+    return geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist())
 
 
 def _order1_metric(field2, components, u, v):
@@ -272,15 +280,21 @@ def compile_record_program(components):
     return straight_line(build, ("u", "v"), Jet2, arrays=True)
 
 
+def _tangency_fields(components, field2, u, v):
+    """g, g_u, g_v and the point of the component trees over ``field2`` at
+    (u, v), by the record's formula for g over Field1: what the tangency
+    kernel and the tracer's walk record."""
+    p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
+    g = _tangency(p, pu, pv, E, F, G, u, v)[2]
+    return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
+
+
 def compile_tangency_kernel(components):
-    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)``: the
-    component trees over Field2, then the record's formula for g over
-    Field1, recorded by :func:`~tpcurves.jets.straight_line`."""
-    def build(field2, u, v):
-        p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
-        g = _tangency(p, pu, pv, E, F, G, u, v)[2]
-        return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
-    return straight_line(build, ("u", "v"), Field2, arrays=False)
+    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)``:
+    :func:`_tangency_fields` recorded by
+    :func:`~tpcurves.jets.straight_line`."""
+    return straight_line(partial(_tangency_fields, components), ("u", "v"),
+                         Field2, arrays=False)
 
 
 def metric_fields(jet):

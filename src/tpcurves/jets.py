@@ -513,13 +513,14 @@ _MAX_DEPTH = 32
 _PURE = {"{} + {}", "{} - {}", "{} * {}", "-{}"}  # never raise or give None
 
 
-def _render(lines, leaves):
+def _render(lines, leaves, guard="return None"):
     """The statements of ``lines`` but those ``_PURE`` ones that no leaf,
     guard, call or division reads.  A value used exactly once, and not a
     leaf, is written into its use in parentheses, until its text is
     _MAX_DEPTH parentheses deep; every other value is named, and a guard
-    returns None.  Each operation keeps its operands and their order, so
-    its bits, and each one is evaluated before the program returns."""
+    runs the statement ``guard``.  Each operation keeps its operands and
+    their order, so its bits, and each one is evaluated before the program
+    returns."""
     # A guard's name is None: None among the roots keeps every guard.
     live = _live(lines, leaves + [name for name, template, _ in lines
                                   if template not in _PURE])
@@ -543,7 +544,7 @@ def _render(lines, leaves):
             # A call adds its own parentheses.
             inline[name] = "(" + text + ")", deep + 1 + ("(" in template)
         elif name is None:
-            body.append("if " + text + ": return None")
+            body.append("if " + text + ": " + guard)
         else:
             body.append(name + " = " + text)
     return body
@@ -556,6 +557,21 @@ def _live(lines, leaves):
         if name in live:
             live.update(operands)
     return live
+
+
+def _record(build, params, ring):
+    """``build(ring, *params)`` run once over traced inputs: its lines, the
+    texts of the floats it returns (its leaves) and of their tuple."""
+    lines, names, leaves = [], {}, []
+
+    def render(out):
+        if isinstance(out, tuple):
+            return "(" + "".join(render(x) + ", " for x in out) + ")"
+        leaves.append(str(out))
+        return leaves[-1]
+
+    out = render(build(ring, *(_Traced(lines, names, p) for p in params)))
+    return lines, leaves, out
 
 
 def straight_line(build, params, ring, *, arrays):
@@ -580,16 +596,8 @@ def straight_line(build, params, ring, *, arrays):
     ``math`` runs once per array entry (``_NODE_MATH``), and the program
     runs under the batched tree walk's error states (overflow and invalid
     pass, a division by zero raises)."""
-    lines, names, leaves = [], {}, []
-
-    def render(out):
-        if isinstance(out, tuple):
-            return "(" + "".join(render(x) + ", " for x in out) + ")"
-        leaves.append(str(out))
-        return leaves[-1]
-
     try:
-        out = render(build(ring, *(_Traced(lines, names, p) for p in params)))
+        lines, leaves, out = _record(build, params, ring)
         if arrays:  # a singular test holds if it holds at any node
             lines = [(name, template if name else "_any(" + template + ")",
                       operands) for name, template, operands in lines]

@@ -10,6 +10,8 @@ line endings; SVG has fixed-precision coordinates and no timestamps or ids.
 import json
 from functools import cache
 
+import numpy as np
+
 __all__ = ["fmt", "write_csv", "to_json", "write_text", "parameter_plot_svg"]
 
 
@@ -57,14 +59,15 @@ def write_text(path, text):
 
 def parameter_plot_svg(u_range, v_range, polyline, seed=None):
     """Static 640 x 480 plot of the parameter domain with a traced
-    polyline."""
+    polyline: (u, v) pairs, or an (n, 2) array, mapped to the plot over
+    the whole array at once."""
     width, height, margin = 640, 480, 40.0
     u0, u1 = u_range
     v0, v1 = v_range
     su = (width - 2 * margin) / (u1 - u0)
     sv = (height - 2 * margin) / (v1 - v0)
 
-    def px(u, v):
+    def px(u, v):  # floats, or arrays of them
         return (margin + (u - u0) * su,
                 height - margin - (v - v0) * sv)
 
@@ -77,8 +80,11 @@ def parameter_plot_svg(u_range, v_range, polyline, seed=None):
         'fill="none" stroke="#888" stroke-width="1"/>',
     ]
     if len(polyline):
-        points = " ".join(["{:.4f},{:.4f}"] * len(polyline)).format(
-            *(c for u, v in polyline for c in px(u, v)))
+        uv = np.asarray(polyline, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            xy = np.column_stack(px(uv[:, 0], uv[:, 1]))
+        points = " ".join(["{:.4f},{:.4f}"] * len(xy)).format(
+            *xy.ravel().tolist())
         parts.append(f'<polyline points="{points}" fill="none" '
                      'stroke="#1f77b4" stroke-width="1.5"/>')
     if seed is not None:

@@ -34,13 +34,14 @@ import configparser
 import functools
 import io
 import math
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import ConfigError, DomainError, EvalError, ExpressionError
-from .expr import parse_constant
+from .expr import parse_components, parse_constant, parse_expression
 from .isometry import INTRINSIC, RIGID_ORIGIN_FIXING, register_pair
-from .surface import parse_curve, parse_surface
+from .surface import CurvePath, SurfacePatch
 
 __all__ = ["SceneConfig", "RunOptions", "load_scene", "builtin_scene",
            "parse_count", "parse_grid", "parse_positive",
@@ -97,16 +98,23 @@ def _lookup(table, kind, name):
         raise ConfigError(f"{kind} not found: {name}") from None
 
 
-def _section_line(text, section):
-    header = f"[{section}]"
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip() == header:
-            return lineno
-    return 0
+def _line(text, section, key=None):
+    """The line of ``key`` (the text before a line's first = or :) under
+    the header ``[section]`` in ``text``, else the header's, else 0:
+    configparser keeps no line numbers."""
+    lines = text.splitlines()
+    top = next((n for n, x in enumerate(lines, 1)
+                if x.strip() == f"[{section}]"), 0)
+    for n, x in enumerate(lines[top:], top + 1):
+        if not top or x.startswith("["):  # the next section
+            break
+        if re.split("[=:]", x, 1)[0].strip().lower() == key:
+            return n
+    return top
 
 
-def _fail(path, text, section, message):
-    raise ConfigError(f"{path}:{_section_line(text, section)}: {message}")
+def _fail(path, text, section, message, key=None):
+    raise ConfigError(f"{path}:{_line(text, section, key)}: {message}")
 
 
 def _range(raw, key):
@@ -178,58 +186,67 @@ def load_scene_text(text, path="<string>"):
         raise ConfigError(str(exc)) from exc
 
     surfaces, curves, pairs, options = {}, {}, {}, {}
+    read = []  # a section's keys as read: an error is on the last one's line
+
+    def value(key):  # each value is parsed before the next key is read
+        read.append(key)
+        return body[key]
+
     for section in parser.sections():
         body = parser[section]
+        read[:] = [None]
         try:
             for key in body:  # a section of no known kind fails below
                 if key not in _KEYS.get(section.partition(" ")[0], body):
+                    read.append(key)
                     raise ConfigError(f"unknown key {key!r}")
             if section.startswith("surface "):
                 name = _named(section)
-                surfaces[name] = parse_surface(
-                    body["components"],
-                    _range(body["u_range"], "u_range"),
-                    _range(body["v_range"], "v_range"),
-                    name=name)
+                surfaces[name] = SurfacePatch(
+                    name, parse_components(value("components"), ("u", "v"),
+                                           3),
+                    _range(value("u_range"), "u_range"),
+                    _range(value("v_range"), "v_range"))
             elif section.startswith("curve "):
                 name = _named(section)
-                curves[name] = parse_curve(
-                    body["u"], body["v"],
-                    _range(body["t_range"], "t_range"),
-                    name=name, surface=body["surface"])
+                curves[name] = CurvePath(
+                    name, parse_expression(value("u"), ("t",)),
+                    parse_expression(value("v"), ("t",)),
+                    _range(value("t_range"), "t_range"), value("surface"))
             elif section.startswith("pair "):
                 name = _named(section)
-                kind = body["kind"].strip()
+                kind = value("kind").strip()
                 if kind not in (INTRINSIC, RIGID_ORIGIN_FIXING):
                     raise ConfigError(
                         f"kind must be {INTRINSIC} or {RIGID_ORIGIN_FIXING}, "
                         f"got {kind!r}")
-                pairs[name] = PairDef(
-                    source=body["source"].strip(),
-                    target=body["target"].strip(), kind=kind)
+                pairs[name] = PairDef(value("source").strip(),
+                                      value("target").strip(), kind)
             elif section == "options":
                 for key in body:
-                    options[key] = _OPTIONS[key](body[key], key)
+                    options[key] = _OPTIONS[key](value(key), key)
             else:
                 raise ConfigError(f"unknown section kind: {section!r}")
-        except KeyError as exc:
+        except KeyError as exc:  # the key is not there: the header's line
             _fail(path, text, section, f"missing key {exc.args[0]!r}")
         except (ConfigError, ExpressionError, EvalError) as exc:
-            _fail(path, text, section, str(exc))
+            _fail(path, text, section, str(exc), read[-1])
 
     # Resolve cross-references and check curve domains now, not at use time.
     for name, curve in curves.items():
         if curve.surface not in surfaces:
             _fail(path, text, f"curve {name}",
-                  f"surface not found: {curve.surface}")
+                  f"surface not found: {curve.surface}", "surface")
         try:
             curve.check_on(surfaces[curve.surface])
         except (DomainError, EvalError) as exc:
             _fail(path, text, f"curve {name}", str(exc))
     for name, pdef in pairs.items():
-        for ref in (pdef.source, pdef.target):
+        for key in ("source", "target"):
+            ref = getattr(pdef, key)
             if ref not in surfaces:
-                _fail(path, text, f"pair {name}", f"surface not found: {ref}")
+                _fail(path, text, f"pair {name}", f"surface not found: {ref}",
+                      key)
     return SceneConfig(MappingProxyType(surfaces), MappingProxyType(curves),
                        MappingProxyType(pairs), RunOptions(**options), path)
 

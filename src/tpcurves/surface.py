@@ -3,8 +3,9 @@
 A :class:`SurfacePatch` is an analytic map (u, v) -> R^3 parsed from
 expression text; :meth:`SurfacePatch.jet` returns all partial derivatives
 through order 3 computed by forward-mode jets, with no finite differencing
-anywhere.  The tracer's kernel, :attr:`SurfacePatch.tangency_kernel`, is
-straight-line code over order-2 fields, generated per patch on first use.
+anywhere.  The tangency kernel, :attr:`SurfacePatch.tangency_kernel`, is
+straight-line code over order-2 fields, generated per patch on first use;
+the tracer's walk, :attr:`SurfacePatch.tangency_walk`, holds its body.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Batched evaluation runs generated code as well, three straight-line array
@@ -120,6 +121,13 @@ class SurfacePatch:
         """:func:`~tpcurves.forms.compile_tangency_kernel` of this patch,
         compiled on first use."""
         return compile_tangency_kernel(self.components)
+
+    @cached_property
+    def tangency_walk(self):
+        """:func:`~tpcurves.tangent.compile_tangency_walk` of this patch,
+        compiled on first use."""
+        from .tangent import compile_tangency_walk  # tangent imports this
+        return compile_tangency_walk(self)
 
     @cached_property
     def _record_program(self):

@@ -17,12 +17,13 @@ built once by :func:`~tpcurves.forms.point_geometry` and shared by every
 identity; none of them evaluates the patch again.  One call evaluates
 every sample, each with the bits the same call gives at that one point
 (a one-point record and a sample of floats and (3,) vectors).  The
-tracer's Newton corrector builds no record: its iterates read g and its
-gradient from :func:`~tpcurves.forms.tangency_gradient`, straight-line
-code generated once per patch (g alone is its first entry).  A traced
-locus is one batched record like any other curve: its accepted samples
-are stacked in :attr:`TracedCurve.samples` and one record over them is
-kept in :attr:`TracedCurve.geometry`.
+tracer builds no record per vertex: its walk, the seed correction, the
+vertex loop and the resample corrections, is one float program
+generated per patch on first use (:func:`compile_tangency_walk`) with
+the tangency kernel's body inline.  A traced locus is one batched record
+like any other curve: its accepted samples are stacked in
+:attr:`TracedCurve.samples` and one record over them is kept in
+:attr:`TracedCurve.geometry`.
 
 Conventions, fixed once:
 
@@ -45,25 +46,29 @@ Conventions, fixed once:
 """
 
 import math
+import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curves import (CurveSample, _frame, ambient_dot, frenet,
                      transfer_sample)
-from .errors import (ConfigError, DomainError, IdenticallyTangent, NoSeed,
-                     SingularLocus)
+from .errors import (ConfigError, DomainError, GeometryError,
+                     IdenticallyTangent, NoSeed, SingularLocus)
 # second_form is no longer called here; bench/test_bench.py still checks
 # that the benchmark tracer wraps and restores this binding.
-from .forms import (PointGeometry, point_geometry, second_form,  # noqa: F401
+from .forms import (PointGeometry, _record_gradient,  # noqa: F401
+                    _tangency_fields, point_geometry, second_form,
                     tangency_gradient)
-from .jets import cross3, dot3
+from .jets import Field2, _record, _render, cross3, dot3
 
 __all__ = [
     "FrameCoefficients", "PositionComponentReport", "TracedCurve",
     "frame_coefficients", "velocity_coefficients", "ratio_identity_check",
     "position_component_report", "binormal_formula_check",
     "geodesic_curvature_formula", "trace_tangent_curve",
+    "compile_tangency_walk",
 ]
 
 # Tracer defaults: corrector keeps |g| two orders below the 1e-8 vertex
@@ -318,8 +323,7 @@ class TracedCurve:
 
 def _gradient_or_none(patch, u, v):
     """:func:`~tpcurves.forms.tangency_gradient` at (u, v), or None off the
-    domain.  Its own domain test is the only one made at (u, v), so the
-    tracer tests no point before evaluating it there."""
+    domain."""
     try:
         return tangency_gradient(patch, u, v)
     except DomainError:
@@ -327,24 +331,11 @@ def _gradient_or_none(patch, u, v):
 
 
 def _newton_correct(patch, u, v, max_iter, tol):
-    """Newton along grad g toward the zero set.  Returns (u, v, t) with t
-    the :func:`~tpcurves.forms.tangency_gradient` tuple (g, g_u, g_v,
-    point) at the returned (u, v), or None where a step left the domain.
-    A start off the domain raises DomainError."""
-    t = tangency_gradient(patch, u, v)
-    for _ in range(max_iter):
-        g, gu, gv, _ = t
-        if abs(g) <= tol:
-            return u, v, t
-        norm2 = gu * gu + gv * gv
-        if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
-            return u, v, t
-        u -= g * gu / norm2
-        v -= g * gv / norm2
-        t = _gradient_or_none(patch, u, v)
-        if t is None:
-            return u, v, None
-    return u, v, t
+    """Newton along grad g toward the zero set, in the patch's walk.
+    Returns (u, v, t) with t the :func:`~tpcurves.forms.tangency_gradient`
+    tuple (g, g_u, g_v, point) at the returned (u, v), or None where a step
+    left the domain.  A start off the domain raises DomainError."""
+    return patch.tangency_walk(patch, u, v, max_iter, tol)
 
 
 def _probe_identically_tangent(patch, u, v, radius):
@@ -421,6 +412,99 @@ def _tangent_dir(t):
     return tu / norm, tv / norm
 
 
+_WALK = """\
+def walk(patch, u, v, max_iter, tol, h=0.0, max_steps=0, verts=None,
+         resid=None, ambient=None):
+    for step in range(max(max_steps, 0) + 1):
+        if step:  # the predictor
+            lx, ly, lz = x, y, z
+            u, v = u + h * tu, v + h * tv
+        k = 0
+        while True:  # the corrector
+            if not (U_LO <= u <= U_HI and V_LO <= v <= V_HI):
+                if verts is not None:
+                    return "domain_exit"
+                if not k:
+                    patch._require_inside(u, v)  # raises DomainError
+                return u, v, None
+            try:
+                BODY
+            except (ArithmeticError, ValueError):
+                g, gu, gv, (x, y, z) = _record_gradient(patch, u, v)
+            if k >= max_iter or abs(g) <= tol:
+                break
+            norm2 = gu * gu + gv * gv
+            if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
+                break
+            u, v, k = u - g * gu / norm2, v - g * gv / norm2, k + 1
+        if verts is None:
+            return u, v, (g, gu, gv, (x, y, z))
+        if step:
+            if abs(g) > LOCUS_TOL:
+                if hypot(gu, gv) <= GRAD_FLOOR:
+                    raise SingularLocus("gradient vanished during trace")
+                return "corrector_stalled"
+            dx, dy, dz = x - lx, y - ly, z - lz
+            chord_sum += sqrt(dx * dx + dy * dy + dz * dz)
+            verts += u, v
+            resid.append(g)
+            ambient += x, y, z
+        else:
+            u0, v0, x0, y0, z0, chord_sum = u, v, x, y, z, 0.0
+            max_iter = _CORRECTOR_MAX
+        ntu, ntv = -gv, gu
+        norm = hypot(ntu, ntv)
+        if norm <= GRAD_FLOOR:
+            raise SingularLocus("gradient vanished during trace")
+        ntu, ntv = ntu / norm, ntv / norm
+        if step:  # along the previous tangent
+            flip = ntu * tu + ntv * tv < 0.0
+        else:  # canonical: the dominant component positive
+            flip = (abs(ntu) >= abs(ntv) and ntu < 0.0) or \\
+                (abs(ntu) < abs(ntv) and ntv < 0.0)
+        tu, tv = (-ntu, -ntv) if flip else (ntu, ntv)
+        if step >= 10:
+            mean_chord = chord_sum / step
+            param_dist = hypot(u - u0, v - v0)
+            dx, dy, dz = x - x0, y - y0, z - z0
+            amb_dist = sqrt(dx * dx + dy * dy + dz * dz)
+            if param_dist < 0.5 * h or amb_dist < 0.5 * mean_chord:
+                return "closed"
+    return "max_steps"
+"""
+
+
+def compile_tangency_walk(patch):
+    """The tracer's walk on ``patch`` (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, SIAM 2003, ch. 2): :data:`_WALK` with
+    the body of the patch's tangency kernel, as
+    :func:`~tpcurves.jets.straight_line` records it, written in at BODY and
+    the domain test on its bounds.  ``walk(patch, u, v, max_iter, tol)`` is the
+    corrector :func:`_newton_correct`; given the vertex lists, (u, v) is the
+    corrected seed (max_iter 0) and it runs the vertex loop of
+    :func:`trace_tangent_curve` and returns the status.  Where the body's
+    guard fires or ``math`` raises (where the kernel returns None), the
+    record gives that iterate, or raises the tree walk's error there.  Each
+    float operation keeps its operands and their order."""
+    try:
+        lines, leaves, _ = _record(partial(_tangency_fields, patch.components),
+                                   ("u", "v"), Field2)
+        body = _render(lines, leaves, "raise ArithmeticError") + [
+            f"{name} = {leaf}"
+            for name, leaf in zip(("g", "gu", "gv", "x", "y", "z"), leaves)]
+    except GeometryError:  # the kernel returns None everywhere
+        body = ["raise ArithmeticError"]
+    scope = {**vars(math), "__name__": __name__, "GRAD_FLOOR": GRAD_FLOOR,
+             "LOCUS_TOL": LOCUS_TOL, "_CORRECTOR_MAX": _CORRECTOR_MAX,
+             "SingularLocus": SingularLocus,
+             "_record_gradient": _record_gradient,
+             **dict(zip(("U_LO", "U_HI", "V_LO", "V_HI"), patch._bounds))}
+    exec(re.sub(r"(?m)^( *)BODY$",
+                lambda m: "\n".join(m[1] + line for line in body), _WALK),
+         scope)
+    return scope.pop("walk")  # no cycle: it goes with the patch
+
+
 def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     """Predictor-corrector continuation of the tangency locus from a seed.
 
@@ -429,76 +513,31 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     closure (return within half a step of the start after at least 10
     steps, in parameter or ambient distance; a closed polyline's length
     ends at its closest approach to the start), on domain exit, or at
-    ``max_steps``.  The vertex loop runs in floats: ambient points stay the
-    kernel's 3-tuples, and the closure test measures chords as
+    ``max_steps``.  The seed correction, the vertex loop and the resample
+    corrections run in the patch's walk (:func:`compile_tangency_walk`,
+    compiled on first use): floats, chords measured as
     sqrt(dx*dx + dy*dy + dz*dz), not through numpy's BLAS dot, which may
-    round the last bit differently; arc length and resampling read the
-    stacked arrays.  The result carries the vertex polyline, the unit-speed
-    samples resampled at equal arc length as one stacked CurveSample, and
-    one PointGeometry over them.  Newton iterates (seed, steps,
-    resampling) and the identically-tangent probe read g, g_u, g_v and the
-    point from the patch's generated kernel
-    (:func:`~tpcurves.forms.tangency_gradient`); a full PointGeometry is
-    built only at the corrected seed (g's Hessian for the isolated-zero
-    test) and once, batched, over the accepted resample points.
-    Raises ConfigError unless h is positive and finite.
+    round the last bit differently, and the kernel's body inline; where the
+    kernel would return None, the record gives that iterate.
+    Arc length and resampling read the stacked arrays.  The result carries
+    the vertex polyline, the unit-speed samples resampled at equal arc
+    length as one stacked CurveSample, and one PointGeometry over them.  A
+    full PointGeometry is built only at the corrected seed (g's Hessian
+    for the isolated-zero test) and once, batched, over the accepted
+    resample points.  Raises ConfigError unless h is positive and finite.
     """
     if not 0.0 < h < math.inf:  # false for NaN too
         raise ConfigError(f"step size h must be positive and finite, got {h!r}")
     u, v, t = _correct_seed(patch, seed, h)
-    seed_t = t  # the kernel tuple at the first vertex; resampling reads it
-    verts = [(u, v)]
-    resid = [t[0]]
-    ambient = [t[3]]
-    u0, v0 = u, v
-    x0, y0, z0 = t[3]
-    tu, tv = _tangent_dir(t)
-    # Canonical initial orientation: dominant component positive.
-    if (abs(tu) >= abs(tv) and tu < 0.0) or (abs(tu) < abs(tv) and tv < 0.0):
-        tu, tv = -tu, -tv
-
-    closed = False
-    status = "max_steps"
-    chord_sum = 0.0
-    for step in range(1, max_steps + 1):
-        try:
-            cu, cv, ct = _newton_correct(patch, u + h * tu, v + h * tv,
-                                         _CORRECTOR_MAX, TRACE_TOL)
-        except DomainError:  # the predictor left the domain
-            ct = None
-        if ct is None:
-            status = "domain_exit"
-            break
-        if abs(ct[0]) > LOCUS_TOL:
-            if math.hypot(ct[1], ct[2]) <= GRAD_FLOOR:
-                raise SingularLocus("gradient vanished during trace")
-            status = "corrector_stalled"
-            break
-        u, v, t = cu, cv, ct
-        (x, y, z), (lx, ly, lz) = t[3], ambient[-1]
-        dx, dy, dz = x - lx, y - ly, z - lz
-        chord_sum += math.sqrt(dx * dx + dy * dy + dz * dz)
-        verts.append((u, v))
-        resid.append(t[0])
-        ambient.append(t[3])
-        ntu, ntv = _tangent_dir(t)
-        if ntu * tu + ntv * tv < 0.0:
-            ntu, ntv = -ntu, -ntv
-        tu, tv = ntu, ntv
-        if step >= 10:
-            mean_chord = chord_sum / step
-            param_dist = math.hypot(u - u0, v - v0)
-            dx, dy, dz = x - x0, y - y0, z - z0
-            amb_dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if param_dist < 0.5 * h or amb_dist < 0.5 * mean_chord:
-                closed = True
-                status = "closed"
-                break
-
-    vertices = np.array(verts)
-    ambient = np.array(ambient)
+    # Flat lists: numpy reads floats faster than tuples of them.
+    verts, resid, ambient = [u, v], [t[0]], [*t[3]]
+    status = patch.tangency_walk(patch, u, v, 0, TRACE_TOL, h, max_steps,
+                                 verts, resid, ambient)
+    closed = status == "closed"
+    vertices = np.array(verts).reshape(-1, 2)
+    ambient = np.array(ambient).reshape(-1, 3)
     samples, geometry, length = _resample_locus(patch, vertices, ambient,
-                                                closed, resample, seed_t)
+                                                closed, resample, t)
     return TracedCurve(
         vertices=vertices, residuals=np.array(resid), closed=closed,
         status=status, seed=(float(seed[0]), float(seed[1])), h=h,
@@ -531,6 +570,9 @@ def _locus_sample(geom, s, sign):
     return transfer_sample(geom, skeleton)
 
 
+# Python floats overflow, and give NaN, without a word: so does the numpy
+# here (the rings, the record and their divisions keep their own states).
+@np.errstate(all="ignore")
 def _resample_locus(patch, vertices, ambient, closed, count, start):
     """Equal-arc-length samples along the traced polyline, corrected back
     onto the locus before the per-point data is evaluated.  ``start`` is

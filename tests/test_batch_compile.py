@@ -83,7 +83,8 @@ def test_loading_the_scene_compiles_nothing():
         "scene = tpcurves.builtin_scene()\n"
         "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
         "          if name in ('_record_program', '_ambient_program',\n"
-        "                      '_metric_program', 'tangency_kernel')]\n"
+        "                      '_metric_program', 'tangency_kernel',\n"
+        "                      'tangency_walk')]\n"
         "print(cached)\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(tpcurves.__file__).parents[1])}

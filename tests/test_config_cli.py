@@ -83,17 +83,42 @@ def test_missing_key_reports_section_line():
 
 
 def test_overflowing_range_reports_section_line(tmp_path, capsys):
+    # The error is on the key's line, 3, under the section's header on 1.
     bad = GOOD_SCENE.replace("u_range = -2, 2", "u_range = 0, exp(1000)")
-    with pytest.raises(ConfigError, match=r"mem3\.ini:1: exp at 1000"):
+    with pytest.raises(ConfigError, match=r"mem3\.ini:3: exp at 1000"):
         load_scene_text(bad, "mem3.ini")
     path = tmp_path / "scene.ini"
     path.write_text(bad)
     rc = cli.main(["forms", "disc", "0.5", "0.5", "--config", str(path)])
     assert rc == 1
-    assert re.search(r"scene\.ini:1: exp at 1000", capsys.readouterr().err)
+    assert re.search(r"scene\.ini:3: exp at 1000", capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("old,new,line,message", [
+def line_of(text, part):
+    """The line of ``text`` on which ``part``, a piece of it, ends."""
+    return text[:text.index(part) + len(part)].count("\n") + 1
+
+
+def test_an_error_names_its_key_under_its_own_section():
+    """A key that several sections have: the line is the one under the
+    section that fails, and a missing key's is the header's."""
+    second = "\n[surface disk]\ncomponents = (u, v, 1)\nu_range = -1, 1\n" \
+        "v_range = 1, 1\n"
+    with pytest.raises(ConfigError, match=r"^mem\.ini:26: v_range must"):
+        load_scene_text(GOOD_SCENE + second, "mem.ini")
+    with pytest.raises(ConfigError, match=r"^mem\.ini:23: missing key "
+                       r"'v_range'"):
+        load_scene_text(GOOD_SCENE + second.replace("v_range = 1, 1\n", ""),
+                        "mem.ini")
+    with pytest.raises(ConfigError, match=r"^mem\.ini:13: surface not "
+                       r"found: nope"):
+        load_scene_text(GOOD_SCENE.replace("source = disc", "source = nope"),
+                        "mem.ini")
+
+
+# ``header`` is the line of the section's header.  The error is on the line
+# of the key that ``new`` ends with, or on the header's own line.
+@pytest.mark.parametrize("old,new,header,message", [
     ("[surface disc]", "[surface ]", 1, "section [surface ] has no name"),
     ("[curve loop]", "[curve ]", 6, "section [curve ] has no name"),
     ("[pair same]", "[pair ]", 12, "section [pair ] has no name"),
@@ -123,9 +148,13 @@ def test_overflowing_range_reports_section_line(tmp_path, capsys):
                  1, "expression nested deeper than 64 levels (at position 71)",
                  id="1200 nested parentheses"),
 ])
-def test_malformed_section_reports_line(tmp_path, capsys, old, new, line,
+def test_malformed_section_reports_line(tmp_path, capsys, old, new, header,
                                         message):
     bad = GOOD_SCENE.replace(old, new)
+    line = line_of(bad, new)
+    assert bad.splitlines()[header - 1].startswith("[")
+    assert not any(x.startswith("[")
+                   for x in bad.splitlines()[header:line])
     expected = re.escape(f"mem.ini:{line}: {message}")
     with pytest.raises(ConfigError, match=expected):
         load_scene_text(bad, "mem.ini")
@@ -192,15 +221,18 @@ def test_malformed_option_reports_section_line(tmp_path, capsys, line,
                                                message):
     key = line.split()[0]
     bad = re.sub(rf"^{key} = .*$", line, GOOD_SCENE, flags=re.M)
-    # [options] is line 17 of the scene text.
-    with pytest.raises(ConfigError, match=re.escape(f"mem.ini:17: {message}")):
+    # The error is on the key's line, under [options] on line 17.
+    at = line_of(bad, line)
+    assert at > 17
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"mem.ini:{at}: {message}")):
         load_scene_text(bad, "mem.ini")
     path = tmp_path / "scene.ini"
     path.write_text(bad)
     argv = ["verify", "--target", "gauss", "--config", str(path)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}:17: {message}\n"
+    assert err == f"error: {path}:{at}: {message}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -147,6 +147,25 @@ def test_parameter_plot_svg_matches_oracle(polyline, seed):
             oracle_svg(u_range, v_range, polyline, seed=seed)
 
 
+def test_parameter_plot_svg_of_vertex_arrays_matches_oracle():
+    """A traced polyline comes as an (n, 2) array: 200 random ones, the
+    empty and the one-vertex among them, against the per-vertex oracle."""
+    rng = np.random.default_rng(20261019)
+    sizes = [0, 1, *rng.integers(2, 700, 198)]
+    for n in sizes:
+        lo = rng.uniform(-10.0, 10.0, 2)
+        u_range, v_range = [(float(a), float(a + rng.uniform(0.1, 20.0)))
+                            for a in lo]
+        # Inside the domain and past it by half its width.
+        uv = np.column_stack([rng.uniform(a - (b - a) / 2, b + (b - a) / 2, n)
+                              for a, b in (u_range, v_range)])
+        seed = tuple(uv[0].tolist()) if n else None
+        want = oracle_svg(u_range, v_range, uv.tolist(), seed=seed)
+        assert parameter_plot_svg(u_range, v_range, uv, seed=seed) == want
+        assert parameter_plot_svg(u_range, v_range, uv.tolist(),
+                                  seed=seed) == want
+
+
 def test_every_writer_prints_any_nan_alike(tmp_path):
     """Which NaN a value holds never reaches an output, so the generated
     programs keep NaN where the tree walk gives NaN, not its bits."""

@@ -13,6 +13,7 @@ import functools
 import pytest
 
 import tpcurves.surface
+import tpcurves.tangent
 from tpcurves import builtin_scene, cli, load_scene, scene as scene_module
 
 
@@ -44,17 +45,27 @@ def test_builtin_scene_is_read_only(scene):
 
 
 def test_repeated_trace_ops_compile_one_kernel(fresh_builtin, monkeypatch):
+    """The tracer's kernel is its walk program: compiled once, and the
+    plain tangency kernel never."""
     compiled = []
     compile_kernel = tpcurves.surface.compile_tangency_kernel
+    compile_walk = tpcurves.tangent.compile_tangency_walk
 
     def counted(components):
-        compiled.append(components)
+        compiled.append(("kernel", components))
         return compile_kernel(components)
 
+    def counted_walk(patch):
+        compiled.append(("walk", patch.components))
+        return compile_walk(patch)
+
     monkeypatch.setattr(tpcurves.surface, "compile_tangency_kernel", counted)
+    monkeypatch.setattr(tpcurves.tangent, "compile_tangency_walk",
+                        counted_walk)
     for _ in range(5):
         assert cli.main(["trace", "offset_sphere", "--seed", "2,0"]) == 0
-    assert compiled == [builtin_scene().surface("offset_sphere").components]
+    assert compiled == [
+        ("walk", builtin_scene().surface("offset_sphere").components)]
 
 
 OPS = {

@@ -1,5 +1,6 @@
-"""The tracer's order-2 corrector against the record-based one it replaced,
-pinned outputs of ``tpcurves trace``, and the tracer's evaluation counts."""
+"""The tracer's generated walk against the record-based Python loop it
+replaced, pinned outputs of ``tpcurves trace``, and the tracer's evaluation
+counts."""
 
 import contextlib
 import csv
@@ -12,39 +13,133 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import tpcurves.surface
 from tpcurves import (CurveSample, builtin_scene, cli, parse_surface,
                       point_geometry, tangent)
 from tpcurves.forms import tangency_gradient
 from tpcurves.surface import SurfacePatch
-from tpcurves.tangent import GRAD_FLOOR, trace_tangent_curve
+from tpcurves.tangent import (_CORRECTOR_MAX, GRAD_FLOOR, LOCUS_TOL,
+                              TRACE_TOL, TracedCurve, trace_tangent_curve)
 
 # Off-axis ellipsoid: its locus is no coordinate line, so the corrector
 # iterates at every vertex.
 ELLIPSOID = "(2*sin(u)*cos(v) + 0.6, sin(u)*sin(v) + 0.4, 1.5*cos(u) + 2.2)"
 
 
-def record_newton(patch, u, v, max_iter, tol):
+def newton_over(point, geometry=point_geometry):
     """The corrector before the order-2 kernel, kept as the oracle: every
-    iterate builds a full PointGeometry, and the point comes from
-    SurfacePatch.value."""
-    def result(u, v, b):
-        return u, v, (b.g.f, b.g.fu, b.g.fv, tuple(patch.value(u, v)))
+    iterate builds a full record, ``geometry(patch, u, v)``, and the point
+    is ``point(patch, record)``."""
+    def newton(patch, u, v, max_iter, tol):
+        def result(u, v, b):
+            return u, v, (b.g.f, b.g.fu, b.g.fv, point(patch, b))
 
+        b = geometry(patch, u, v)
+        for _ in range(max_iter):
+            g = b.g.f
+            if abs(g) <= tol:
+                return result(u, v, b)
+            gu, gv = b.g.fu, b.g.fv
+            norm2 = gu * gu + gv * gv
+            if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
+                return result(u, v, b)
+            u -= g * gu / norm2
+            v -= g * gv / norm2
+            if not patch.contains(u, v):
+                return u, v, None
+            b = geometry(patch, u, v)
+        return result(u, v, b)
+    return newton
+
+
+def value_point(patch, b):
+    """The point from SurfacePatch.value: on the built-in surfaces (no / and
+    no ^ but u^2), the kernel's bits."""
+    return tuple(patch.value(b.jet.u, b.jet.v))
+
+
+def jet_point(patch, b):
+    """The point from the record's jet: the kernel's bits on any tree."""
+    return tuple(b.jet.value.tolist())
+
+
+def record_gradient(patch, u, v):
+    """``tangency_gradient`` from the record alone, its fallback path."""
     b = point_geometry(patch, u, v)
-    for _ in range(max_iter):
-        g = b.g.f
-        if abs(g) <= tol:
-            return result(u, v, b)
-        gu, gv = b.g.fu, b.g.fv
-        norm2 = gu * gu + gv * gv
-        if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
-            return result(u, v, b)
-        u -= g * gu / norm2
-        v -= g * gv / norm2
-        if not patch.contains(u, v):
-            return u, v, None
-        b = point_geometry(patch, u, v)
-    return result(u, v, b)
+    return b.g.f, b.g.fu, b.g.fv, jet_point(patch, b)
+
+
+@contextlib.contextmanager
+def program_free(patch, newton):
+    """The tracer's Python parts with no generated program: ``newton``
+    corrects the seed and the resample targets, g and its gradient come
+    from the record, and records run on the rings."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(vars(patch), "tangency_walk", newton)
+        m.setattr(tangent, "tangency_gradient", record_gradient)
+        m.setattr(tpcurves.surface, "_RECORD_TIER", math.inf)
+        yield
+
+
+def oracle_trace(patch, seed, h, newton, max_steps=4000, resample=100):
+    """``trace_tangent_curve`` as the plain Python loop it was before the
+    walk was generated, over the corrector ``newton`` and with no generated
+    program (:func:`program_free`)."""
+    with program_free(patch, newton):
+        u, v, t = tangent._correct_seed(patch, seed, h)
+        seed_t = t
+        verts, resid, ambient = [(u, v)], [t[0]], [t[3]]
+        u0, v0 = u, v
+        x0, y0, z0 = t[3]
+        tu, tv = tangent._tangent_dir(t)
+        if (abs(tu) >= abs(tv) and tu < 0.0) or \
+                (abs(tu) < abs(tv) and tv < 0.0):
+            tu, tv = -tu, -tv
+        closed = False
+        status = "max_steps"
+        chord_sum = 0.0
+        for step in range(1, max_steps + 1):
+            pu, pv = u + h * tu, v + h * tv
+            if not patch.contains(pu, pv):
+                status = "domain_exit"
+                break
+            cu, cv, ct = newton(patch, pu, pv, _CORRECTOR_MAX, TRACE_TOL)
+            if ct is None:
+                status = "domain_exit"
+                break
+            if abs(ct[0]) > LOCUS_TOL:
+                if math.hypot(ct[1], ct[2]) <= GRAD_FLOOR:
+                    raise tangent.SingularLocus(
+                        "gradient vanished during trace")
+                status = "corrector_stalled"
+                break
+            u, v, t = cu, cv, ct
+            (x, y, z), (lx, ly, lz) = t[3], ambient[-1]
+            dx, dy, dz = x - lx, y - ly, z - lz
+            chord_sum += math.sqrt(dx * dx + dy * dy + dz * dz)
+            verts.append((u, v))
+            resid.append(t[0])
+            ambient.append(t[3])
+            ntu, ntv = tangent._tangent_dir(t)
+            if ntu * tu + ntv * tv < 0.0:
+                ntu, ntv = -ntu, -ntv
+            tu, tv = ntu, ntv
+            if step >= 10:
+                mean_chord = chord_sum / step
+                param_dist = math.hypot(u - u0, v - v0)
+                dx, dy, dz = x - x0, y - y0, z - z0
+                amb_dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if param_dist < 0.5 * h or amb_dist < 0.5 * mean_chord:
+                    closed = True
+                    status = "closed"
+                    break
+        vertices = np.array(verts)
+        samples, geometry, length = tangent._resample_locus(
+            patch, vertices, np.array(ambient), closed, resample, seed_t)
+    return TracedCurve(
+        vertices=vertices, residuals=np.array(resid), closed=closed,
+        status=status, seed=(float(seed[0]), float(seed[1])), h=h,
+        arc_length=length, samples=samples, geometry=geometry)
 
 
 def one_point_locus(patch, traced):
@@ -76,20 +171,16 @@ def _patch(scene, name):
     ("helicoid", (1.0, 0.05)),
     ("ellipsoid", (2.0, -1.0)),
 ])
-def test_kernel_corrector_matches_record_corrector(scene, monkeypatch, name,
-                                                   seed):
+def test_kernel_corrector_matches_record_corrector(scene, name, seed):
     patch = _patch(scene, name)
-    calls = Counter()
-    kernel = tangent.tangency_gradient
+    records = Counter()
 
-    def counted(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
+    def counted(patch, u, v):
+        records["corrector"] += 1
+        return point_geometry(patch, u, v)
 
-    monkeypatch.setattr(tangent, "tangency_gradient", counted)
     fast = trace_tangent_curve(patch, seed, h=0.01)
-    monkeypatch.setattr(tangent, "_newton_correct", record_newton)
-    slow = trace_tangent_curve(patch, seed, h=0.01)
+    slow = oracle_trace(patch, seed, 0.01, newton_over(value_point, counted))
 
     assert fast.status == slow.status
     assert fast.vertices.tobytes() == slow.vertices.tobytes()
@@ -102,7 +193,7 @@ def test_kernel_corrector_matches_record_corrector(scene, monkeypatch, name,
         # Newton iterates here: the comparison covers its steps, not only
         # predictor points that already lie on the locus.
         assert fast.status == "closed"
-        assert calls["kernel"] > 2 * len(fast.vertices)
+        assert records["corrector"] > 2 * len(fast.vertices)
 
 
 # sha256 of stdout, trace.csv and trace.svg of ``tpcurves trace``, taken
@@ -205,38 +296,39 @@ def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
 
 
 def test_one_domain_test_precedes_each_kernel_call(tmp_path, monkeypatch):
-    """``tpcurves trace offset_sphere``: each point the kernel runs at
-    (seed, predictor points, Newton iterates, resample targets) is tested
-    against the domain once, by ``tangency_gradient``, and the outputs keep
-    their pinned bytes."""
+    """``tpcurves trace offset_sphere``: each point the walk evaluates the
+    kernel's body at (seed, predictor points, Newton iterates, resample
+    targets) is tested against the domain once, and the outputs keep their
+    pinned bytes.  The walk's globals are its hooks: a test reads each
+    lower bound once, and the body calls ``sin`` at u and at v once."""
     patch = builtin_scene().surface("offset_sphere")
+    scope = patch.tangency_walk.__globals__
     events = []
-    contains = SurfacePatch.contains
-    kernel = patch.tangency_kernel
 
-    def tested(self, u, v):
-        if self is patch and not isinstance(u, np.ndarray):
-            events.append(("test", u, v))
-        return contains(self, u, v)
+    class Low(float):
+        def __le__(self, x):
+            events.append((self.axis, x))
+            return float(self) <= x
 
-    def run(u, v):
-        events.append(("kernel", u, v))
-        return kernel(u, v)
-
-    monkeypatch.setattr(SurfacePatch, "contains", tested)
-    monkeypatch.setitem(vars(patch), "tangency_kernel", run)
+    for name, axis in (("U_LO", "u"), ("V_LO", "v")):
+        bound = Low(scope[name])
+        bound.axis = axis
+        monkeypatch.setitem(scope, name, bound)
+    monkeypatch.setitem(scope, "sin",
+                        lambda w: events.append(("sin", w)) or math.sin(w))
     surface, seed, h, *shas = PINNED[0]
     stdout = _run_trace(tmp_path, surface, seed, h)
-    since = Counter()  # scalar domain tests since the last kernel call
-    kernel_calls = 0
-    for kind, u, v in events:
-        if kind == "test":
-            since[u, v] += 1
+    tests, args, evaluations = [], [], 0
+    for kind, x in events:
+        if kind == "sin":
+            args.append(x)
+            if len(args) == 2:  # one evaluation at (u, v): since the last
+                assert sorted(tests) == [("u", args[0]), ("v", args[1])]
+                tests, args = [], []
+                evaluations += 1
         else:
-            assert since[u, v] == 1, (u, v)
-            since.clear()
-            kernel_calls += 1
-    assert kernel_calls > 600
+            tests.append((kind, x))
+    assert args == [] and evaluations > 600
     outputs = (stdout.encode(), (tmp_path / "trace.csv").read_bytes(),
                (tmp_path / "trace.svg").read_bytes())
     assert [hashlib.sha256(x).hexdigest() for x in outputs] == shas
@@ -248,19 +340,21 @@ def _bits(x):
 
 def test_resampled_records_are_the_samples_records(scene, monkeypatch):
     """On the catenoid and on the off-axis ellipsoid, where Newton moves
-    the resample points: (u_i, v_i) are the scalar corrector's, and
+    the resample points: (u_i, v_i) are the walk's corrections, and
     column i of the stacked sample and of the batched record carries the
     bits of the one-point record and sample at (u_i, v_i, s_i)."""
-    corrected = []
-    newton = tangent._newton_correct
-
-    def recorded(*args):
-        corrected.append(newton(*args))
-        return corrected[-1]
-
-    monkeypatch.setattr(tangent, "_newton_correct", recorded)
     for name, seed in (("catenoid", (1.0, -1.2)), ("ellipsoid", (2.0, -1.0))):
         patch = _patch(scene, name)
+        corrected = []
+        walk = patch.tangency_walk
+
+        def recorded(*args, walk=walk):
+            out = walk(*args)
+            if len(args) == 5:  # a correction, not the walk
+                corrected.append(out)
+            return out
+
+        monkeypatch.setitem(vars(patch), "tangency_walk", recorded)
         traced = trace_tangent_curve(patch, seed, h=0.02, resample=10)
         batch, record = traced.samples, traced.geometry
         n = len(batch.s)
