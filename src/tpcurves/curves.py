@@ -110,6 +110,8 @@ class CurvatureReport:
     kappa_n: float
 
 
+# Overflow and invalid pass silently, as in the tree walk: an inf speed raises.
+@np.errstate(over="ignore", invalid="ignore")
 def _speed(curve, t, d1):
     """|dgamma/dt| from the first derivatives ``d1`` (shape (3, nodes)) at
     the parameters ``t``.
@@ -241,6 +243,7 @@ def sample_arclength(patch, curve, samples=50):
     return _samples_at(patch, curve, t, s)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _samples_at(patch, curve, t, s):
     """The stacked CurveSample at parameters ``t`` and arc lengths ``s``
     from one ambient-jet pass, via the exact inverse-function chain rule.

@@ -30,22 +30,22 @@ fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
 or grid, every field an array over the nodes.
 
-Three straight-line programs per patch are recorded here.  Two come from
-one builder, the component trees over Field2 lowered to order-1 position
-and partials with E, F, G over them: the float tangency kernel
-(:func:`compile_tangency_kernel`: g and its gradient, order 2, whose
-recording is also the body of the tracer's walk) and the
-metric program of a grid sweep (:func:`compile_metric_program`: E, F, G
-and their first derivatives, order 2).  The third, the record program
-(:func:`compile_record_program`), records the component trees over Jet2
-and :func:`_record_fields` over them: a batched record's jets and fields
-in one array program, with the regularity test as a guard.  A patch
-compiles it at its fourth batched record (:mod:`~tpcurves.surface`); the
-ambient program is in :mod:`~tpcurves.surface` too.
+Two straight-line array programs per patch are recorded here, and what
+the tracer's walk records.  The metric program of a grid sweep
+(:func:`compile_metric_program`: E, F, G and their first derivatives,
+order 2) and the walk's body (:func:`_tangency_fields`: g, its gradient
+and the point, order 2) come from one builder, the component trees over
+Field2 lowered to order-1 position and partials with E, F, G over them.
+The record program (:func:`compile_record_program`) records the
+component trees over Jet2 and :func:`_record_fields` over them: a batched
+record's jets and fields in one array program, with the regularity test
+as a guard.  A patch compiles it at its fourth batched record
+(:mod:`~tpcurves.surface`); the ambient program is in
+:mod:`~tpcurves.surface` too, and the walk in :mod:`~tpcurves.tangent`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,8 +57,7 @@ __all__ = [
     "FirstForm", "SecondForm", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
-    "compile_tangency_kernel", "compile_metric_program",
-    "compile_record_program",
+    "compile_metric_program", "compile_record_program",
     "metric_coefficients", "REGULARITY_THRESHOLD",
 ]
 
@@ -185,7 +184,7 @@ def _tangency(p, pu, pv, E, F, G, u, v):
     """det = EG - F^2, area = sqrt(det) and the tangency residual
     g = p . (pu x pv) / area over any ring, at (u, v).  Raises
     DegeneratePoint where det <= REGULARITY_THRESHOLD, naming the first
-    such node; recorded, that test is the kernel's guard."""
+    such node; recorded, that test is a program's guard."""
     det = E * G - F * F
     bad = failing_node(det.f <= REGULARITY_THRESHOLD, det.f, u, v)
     if bad:
@@ -216,13 +215,14 @@ def point_geometry(patch, u, v):
 def tangency_gradient(patch, u, v):
     """(g, g_u, g_v, (x, y, z)): the tangency residual g = phi . N, its
     gradient and the point phi at (u, v), with the bits of the record's
-    (NaN where the record's is NaN), from the patch's kernel
-    (:func:`compile_tangency_kernel`).  Where that returns None,
-    :func:`point_geometry`, the tree walk and the kernel's oracle, raises
-    its error (DomainError, EvalError, DegeneratePoint)."""
-    out = (patch.tangency_kernel(float(u), float(v))
-           if patch.contains(u, v) else None)
-    return _record_gradient(patch, u, v) if out is None else out
+    (NaN where the record's is NaN), from the corrector of the patch's
+    walk (:func:`~tpcurves.tangent.compile_tangency_walk`) with no Newton
+    step.  Where the walk's body gives way, and off the domain,
+    :func:`point_geometry`, the tree walk and the body's oracle, raises its
+    error (DomainError, EvalError, DegeneratePoint)."""
+    if patch.contains(u, v):
+        return patch.tangency_walk(patch, float(u), float(v), 0, 0.0)[2]
+    return _record_gradient(patch, u, v)
 
 
 def _record_gradient(patch, u, v):
@@ -234,7 +234,7 @@ def _record_gradient(patch, u, v):
 def _order1_metric(field2, components, u, v):
     """The component trees over ``field2`` at (u, v), lowered to order-1
     fields: the position p and the partials phi_u, phi_v, with E, F, G
-    over them.  Ring-generic: the tangency kernel and the metric program
+    over them.  Ring-generic: the tracer's walk and the metric program
     are recorded from it, and over Field2 at arrays of nodes it is the
     metric program's oracle and error path."""
     env = {"u": field2(u, fu=1.0), "v": field2(v, fv=1.0)}
@@ -261,7 +261,7 @@ def compile_metric_program(components):
     error."""
     def build(field2, u, v):
         return metric_coefficients(field2, components, u, v)
-    return straight_line(build, ("u", "v"), Field2, arrays=True)
+    return straight_line(build, ("u", "v"), Field2)
 
 
 def compile_record_program(components):
@@ -277,32 +277,16 @@ def compile_record_program(components):
         comps = [expr.evaluate(c, env, jet2.const) for c in components]
         return tuple(tuple(getattr(x, name) for name in x.__slots__)
                      for x in (*comps, *_record_fields(comps, u, v)))
-    return straight_line(build, ("u", "v"), Jet2, arrays=True)
+    return straight_line(build, ("u", "v"), Jet2)
 
 
 def _tangency_fields(components, field2, u, v):
     """g, g_u, g_v and the point of the component trees over ``field2`` at
-    (u, v), by the record's formula for g over Field1: what the tangency
-    kernel and the tracer's walk record."""
+    (u, v), by the record's formula for g over Field1: what the tracer's
+    walk records."""
     p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
     g = _tangency(p, pu, pv, E, F, G, u, v)[2]
     return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
-
-
-def compile_tangency_kernel(components):
-    """Straight-line code ``(u, v) -> (g, g_u, g_v, point)``:
-    :func:`_tangency_fields` recorded by
-    :func:`~tpcurves.jets.straight_line`."""
-    return straight_line(partial(_tangency_fields, components), ("u", "v"),
-                         Field2, arrays=False)
-
-
-def metric_fields(jet):
-    """E, F, G and the partials phi_u, phi_v they come from, as order-2
-    fields (value, gradient, Hessian)."""
-    pu = [Field2.of_jet_du(c) for c in jet.components]
-    pv = [Field2.of_jet_dv(c) for c in jet.components]
-    return dot3(pu, pu), dot3(pu, pv), dot3(pv, pv), pu, pv
 
 
 def first_form(jet):
@@ -315,6 +299,8 @@ def first_form(jet):
                      G.fuu, G.fuv, G.fvv)
 
 
+# As in the tree walk, overflow and invalid operations pass without a word.
+@np.errstate(over="ignore", invalid="ignore")
 def second_form(jet):
     """Second fundamental form, oriented by phi_u x phi_v, at a point or at
     every node of a batched jet (``unit_normal`` is (3,) or (3, nodes))."""

@@ -37,10 +37,10 @@ it is 0.0.
 :func:`straight_line` records one evaluation, ring arithmetic included,
 as straight-line Python code that runs with no ring objects: a value used
 once is written into its use, to a depth cap, the rest are named, and pure
-arithmetic that nothing reads is left out.  It renders a float program
-(the tracer's kernel) or an array program over nodes (the batched jets),
-whose singular tests hold at any node and whose ``math`` runs once per
-array entry.
+arithmetic that nothing reads is left out.  It renders an array program
+over nodes (the batched jets), whose singular tests hold at any node,
+each one statement that raises ArithmeticError, and whose ``math`` runs
+once per array entry; the tracer's walk renders its float body alike.
 """
 
 import math
@@ -467,8 +467,8 @@ class _Traced:
     -0.0 apart from 0.0) and name None for a guard; ``names`` numbers each
     value and guard by its text.  Arithmetic, and ``x.sin(x)`` for
     ``math.sin(x)``, records the operation.  A comparison is a singular
-    test, past which the float path raises: it records a guard returning
-    None, and answers False."""
+    test, past which the float path raises: it records a guard, and
+    answers False."""
 
     __slots__ = ("lines", "names", "name")
 
@@ -513,13 +513,13 @@ _MAX_DEPTH = 32
 _PURE = {"{} + {}", "{} - {}", "{} * {}", "-{}"}  # never raise or give None
 
 
-def _render(lines, leaves, guard="return None"):
+def _render(lines, leaves):
     """The statements of ``lines`` but those ``_PURE`` ones that no leaf,
     guard, call or division reads.  A value used exactly once, and not a
     leaf, is written into its use in parentheses, until its text is
     _MAX_DEPTH parentheses deep; every other value is named, and a guard
-    runs the statement ``guard``.  Each operation keeps its operands and
-    their order, so its bits, and each one is evaluated before the program
+    raises ArithmeticError.  Each operation keeps its operands and their
+    order, so its bits, and each one is evaluated before the program
     returns."""
     # A guard's name is None: None among the roots keeps every guard.
     live = _live(lines, leaves + [name for name, template, _ in lines
@@ -544,7 +544,7 @@ def _render(lines, leaves, guard="return None"):
             # A call adds its own parentheses.
             inline[name] = "(" + text + ")", deep + 1 + ("(" in template)
         elif name is None:
-            body.append("if " + text + ": " + guard)
+            body.append("if " + text + ": raise ArithmeticError")
         else:
             body.append(name + " = " + text)
     return body
@@ -574,10 +574,10 @@ def _record(build, params, ring):
     return lines, leaves, out
 
 
-def straight_line(build, params, ring, *, arrays):
+def straight_line(build, params, ring):
     """``build(ring, *params)``, floats and the arithmetic of ``ring``,
-    returning floats (or ZERO) in nested tuples, as straight-line code in
-    ``params``.
+    returning floats (or ZERO) in nested tuples, as straight-line array
+    code in ``params``.
 
     ``build`` runs once, over traced inputs; :func:`_render` then writes
     each value used once into its use (to a depth cap) and names the rest.
@@ -589,28 +589,25 @@ def straight_line(build, params, ring, *, arrays):
     division raises, and at every input if the recording raises (a
     constant subtree that fails).
 
-    With ``arrays`` false the params are floats.  With ``arrays`` true they
-    are arrays of nodes that broadcast together (1-D, or a grid's (m, 1)
-    and (1, n) axes), or floats where a value is the same at every node, as
-    in a batched tree walk: a singular test holds if it holds at any node,
-    ``math`` runs once per array entry (``_NODE_MATH``), and the program
-    runs under the batched tree walk's error states (overflow and invalid
-    pass, a division by zero raises)."""
+    The params are arrays of nodes that broadcast together (1-D, or a
+    grid's (m, 1) and (1, n) axes), or floats where a value is the same at
+    every node, as in a batched tree walk: a singular test holds if it
+    holds at any node, ``math`` runs once per array entry (``_NODE_MATH``),
+    and the program runs under the batched tree walk's error states
+    (overflow and invalid pass, a division by zero raises)."""
     try:
         lines, leaves, out = _record(build, params, ring)
-        if arrays:  # a singular test holds if it holds at any node
-            lines = [(name, template if name else "_any(" + template + ")",
-                      operands) for name, template, operands in lines]
+        lines = [(name, template if name else "_any(" + template + ")",
+                  operands) for name, template, operands in lines]
         body = _render(lines, leaves) + ["return " + out]
     except GeometryError:
         body = ["return None"]
-    scope = {**vars(math), "ZERO": ZERO, "__name__": __name__}  # inf, nan
-    if arrays:
-        scope.update(vars(_NODE_MATH), _any=_any, _errstate=np.errstate)
-        body = ['with _errstate(over="ignore", invalid="ignore", '
-                'divide="raise"):', *("    " + line for line in body)]
+    scope = {**vars(math), **vars(_NODE_MATH), "ZERO": ZERO, "_any": _any,
+             "_errstate": np.errstate, "__name__": __name__}  # inf, nan
     exec("\n".join([f"def program({', '.join(params)}):", "    try:",
-                     *("        " + line for line in body),
+                     '        with _errstate(over="ignore", invalid="ignore",'
+                     ' divide="raise"):',
+                     *("            " + line for line in body),
                      "    except (ArithmeticError, ValueError):",
                      "        return None"]), scope)
     return scope.pop("program")  # no cycle: it goes with its owner

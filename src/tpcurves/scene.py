@@ -259,7 +259,7 @@ def _builtin():
 def load_scene(path=None):
     """Load a scene file, read and parsed on every call, or return the
     built-in scene when no path is given: one read-only instance per
-    process, built on first use, so its patches' compiled kernels are
+    process, built on first use, so its patches' compiled programs are
     shared by every caller."""
     if path is None:
         return _builtin()

@@ -3,9 +3,9 @@
 A :class:`SurfacePatch` is an analytic map (u, v) -> R^3 parsed from
 expression text; :meth:`SurfacePatch.jet` returns all partial derivatives
 through order 3 computed by forward-mode jets, with no finite differencing
-anywhere.  The tangency kernel, :attr:`SurfacePatch.tangency_kernel`, is
-straight-line code over order-2 fields, generated per patch on first use;
-the tracer's walk, :attr:`SurfacePatch.tangency_walk`, holds its body.
+anywhere.  The tracer's walk, :attr:`SurfacePatch.tangency_walk`, is
+straight-line float code over order-2 fields, generated per patch on first
+use; :func:`~tpcurves.forms.tangency_gradient` runs its corrector too.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
 Batched evaluation runs generated code as well, three straight-line array
@@ -40,7 +40,7 @@ floats.
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  On Python 3.12 and later,
 ``cached_property`` takes no lock, so two threads may both compile a patch's
-kernel or program on first use; both get the same code, so this is
+walk or program on first use; both get the same code, so this is
 harmless.  The count of a patch's batched records is an
 ``itertools.count``, whose ``next`` is atomic under CPython's global
 interpreter lock.
@@ -57,8 +57,7 @@ import numpy as np
 from . import expr
 from .errors import DomainError
 from .forms import (PointGeometry, compile_metric_program,
-                    compile_record_program, compile_tangency_kernel,
-                    metric_coefficients)
+                    compile_record_program, metric_coefficients)
 from .jets import Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -115,12 +114,6 @@ class SurfacePatch:
         u0, u1, v0, v1 = self._bounds
         # ``&`` rather than ``and``: u and v may be arrays of nodes.
         return (u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1)
-
-    @cached_property
-    def tangency_kernel(self):
-        """:func:`~tpcurves.forms.compile_tangency_kernel` of this patch,
-        compiled on first use."""
-        return compile_tangency_kernel(self.components)
 
     @cached_property
     def tangency_walk(self):
@@ -226,10 +219,10 @@ class SurfacePatch:
 
         Each is an array that broadcasts to the nodes' shape, or a float
         where it is the same at every node, with the bits of the
-        coefficients of :func:`~tpcurves.forms.metric_fields` over
-        :meth:`jet_batch` at each node; it needs second partials only.  On
-        a grid's (m, 1) and (1, n) axes, a coefficient of u alone has shape
-        (m, 1).  The first node outside the domain, or where :meth:`jet`
+        coefficients of the E, F, G fields of a record over
+        :meth:`jet_batch` (:class:`~tpcurves.forms.PointGeometry`) at each
+        node; it needs second partials only.  On a grid's (m, 1) and
+        (1, n) axes, a coefficient of u alone has shape (m, 1).  The first node outside the domain, or where :meth:`jet`
         would raise EvalError, in row-major order, raises that error.
         """
         u, v = self._nodes_inside(u, v)
@@ -276,7 +269,7 @@ def _compile_ambient_program(components):
         return tuple(_coeffs(expr.evaluate(c, env, jet1.const))
                      for c in components)
     params = [x + name for x in "uv" for name in Jet1._names]
-    return straight_line(build, params, Jet1, arrays=True)
+    return straight_line(build, params, Jet1)
 
 
 def _surface_jet(u, v, comps):

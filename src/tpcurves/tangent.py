@@ -19,9 +19,10 @@ every sample, each with the bits the same call gives at that one point
 (a one-point record and a sample of floats and (3,) vectors).  The
 tracer builds no record per vertex: its walk, the seed correction, the
 vertex loop and the resample corrections, is one float program
-generated per patch on first use (:func:`compile_tangency_walk`) with
-the tangency kernel's body inline.  A traced locus is one batched record
-like any other curve: its accepted samples are stacked in
+generated per patch on first use (:func:`compile_tangency_walk`), with
+g's recorded body inline, that serves
+:func:`~tpcurves.forms.tangency_gradient` too.  A traced locus is one
+batched record like any other curve: its accepted samples are stacked in
 :attr:`TracedCurve.samples` and one record over them is kept in
 :attr:`TracedCurve.geometry`.
 
@@ -330,14 +331,6 @@ def _gradient_or_none(patch, u, v):
         return None
 
 
-def _newton_correct(patch, u, v, max_iter, tol):
-    """Newton along grad g toward the zero set, in the patch's walk.
-    Returns (u, v, t) with t the :func:`~tpcurves.forms.tangency_gradient`
-    tuple (g, g_u, g_v, point) at the returned (u, v), or None where a step
-    left the domain.  A start off the domain raises DomainError."""
-    return patch.tangency_walk(patch, u, v, max_iter, tol)
-
-
 def _probe_identically_tangent(patch, u, v, radius):
     """True when g vanishes on a ring around (u, v) (locus is a region)."""
     hits = 0
@@ -377,8 +370,8 @@ def _isolated_zero(patch, u, v, h):
 
 def _correct_seed(patch, seed, h):
     try:
-        u, v, t = _newton_correct(patch, float(seed[0]), float(seed[1]),
-                                  _NEWTON_MAX, TRACE_TOL)
+        u, v, t = patch.tangency_walk(patch, float(seed[0]), float(seed[1]),
+                                      _NEWTON_MAX, TRACE_TOL)
     except DomainError:
         raise NoSeed(f"seed {seed} outside the parameter domain") from None
     if t is None:
@@ -477,22 +470,24 @@ def walk(patch, u, v, max_iter, tol, h=0.0, max_steps=0, verts=None,
 def compile_tangency_walk(patch):
     """The tracer's walk on ``patch`` (Allgower & Georg, *Introduction to
     Numerical Continuation Methods*, SIAM 2003, ch. 2): :data:`_WALK` with
-    the body of the patch's tangency kernel, as
-    :func:`~tpcurves.jets.straight_line` records it, written in at BODY and
-    the domain test on its bounds.  ``walk(patch, u, v, max_iter, tol)`` is the
-    corrector :func:`_newton_correct`; given the vertex lists, (u, v) is the
-    corrected seed (max_iter 0) and it runs the vertex loop of
-    :func:`trace_tangent_curve` and returns the status.  Where the body's
-    guard fires or ``math`` raises (where the kernel returns None), the
-    record gives that iterate, or raises the tree walk's error there.  Each
-    float operation keeps its operands and their order."""
+    the patch's :func:`~tpcurves.forms._tangency_fields` recorded and
+    rendered as :func:`~tpcurves.jets.straight_line` does, written in at
+    BODY, and the domain test on its bounds.  ``walk(patch, u, v, max_iter,
+    tol)`` is the corrector, Newton along grad g: (u, v, t) with t the
+    :func:`~tpcurves.forms.tangency_gradient` tuple at the returned (u, v),
+    or None where a step left the domain; a start off the domain raises
+    DomainError.  Given the vertex lists, (u, v) is the corrected seed
+    (max_iter 0) and it runs the vertex loop of :func:`trace_tangent_curve`
+    and returns the status.  Where the body's guard fires or ``math``
+    raises, the record gives that iterate, or raises the tree walk's error
+    there.  Each float operation keeps its operands and their order."""
     try:
         lines, leaves, _ = _record(partial(_tangency_fields, patch.components),
                                    ("u", "v"), Field2)
-        body = _render(lines, leaves, "raise ArithmeticError") + [
+        body = _render(lines, leaves) + [
             f"{name} = {leaf}"
             for name, leaf in zip(("g", "gu", "gv", "x", "y", "z"), leaves)]
-    except GeometryError:  # the kernel returns None everywhere
+    except GeometryError:  # the body gives way everywhere
         body = ["raise ArithmeticError"]
     scope = {**vars(math), "__name__": __name__, "GRAD_FLOOR": GRAD_FLOOR,
              "LOCUS_TOL": LOCUS_TOL, "_CORRECTOR_MAX": _CORRECTOR_MAX,
@@ -517,8 +512,8 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     corrections run in the patch's walk (:func:`compile_tangency_walk`,
     compiled on first use): floats, chords measured as
     sqrt(dx*dx + dy*dy + dz*dz), not through numpy's BLAS dot, which may
-    round the last bit differently, and the kernel's body inline; where the
-    kernel would return None, the record gives that iterate.
+    round the last bit differently, and g's recorded body inline; where the
+    body gives way, the record gives that iterate.
     Arc length and resampling read the stacked arrays.  The result carries
     the vertex polyline, the unit-speed samples resampled at equal arc
     length as one stacked CurveSample, and one PointGeometry over them.  A
@@ -631,7 +626,7 @@ def _resample_locus(patch, vertices, ambient, closed, count, start):
             base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
         u = base[0] + frac * (nxt[0] - base[0])
         v = base[1] + frac * (nxt[1] - base[1])
-        u, v, t = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
+        u, v, t = patch.tangency_walk(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
         if t is None or abs(t[0]) > LOCUS_TOL:
             continue
         accepted.append((u, v, s))

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +380,46 @@ def test_cli_forms_overflow_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: exp at ")
     assert "range error" in err
+
+
+OVERFLOW_SCENE = """\
+[surface boom]
+components = (exp({k}*u), v, u*v)
+u_range = 0, 2
+v_range = 0, 1
+
+[curve line]
+surface = boom
+u = t
+v = 0.5
+t_range = 0, {t1}
+"""
+
+
+@pytest.mark.parametrize("k,t1,argv,code", [
+    # ds/dt ** 5 overflows in the arc-length chain rule; the report runs.
+    (200, 1, ["report-thm31", "line"], 0),
+    # |gamma'|^2 overflows: the speed is inf.
+    (340, 2, ["report-thm31", "line"], 2),
+    # The point's second form overflows with E; the symbols then disagree.
+    (200, 1, ["forms", "boom", "1.9", "0.2"], 2),
+], ids=["samples", "speed", "second_form"])
+def test_overflowing_config_scene_prints_no_warning(tmp_path, capsys, k, t1,
+                                                    argv, code):
+    path = tmp_path / "scene.ini"
+    path.write_text(OVERFLOW_SCENE.format(k=k, t1=t1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv + ["--config", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert rc == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
+    else:
+        assert out.startswith("position-component report for line: ")
+        assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -197,7 +197,7 @@ def test_a_tree_at_the_nesting_limit_runs_everywhere(kind):
     patch.jet_batch(u, v)  # the tree walk over Jet2 arrays
     patch._record_program(u, v)  # the record program, over Jet2
     patch.metric_batch(u, v)  # the metric program, over Field2
-    tangency_gradient(patch, 0.5, 0.75)  # the tangency kernel
+    tangency_gradient(patch, 0.5, 0.75)  # the tracer's walk
     ambient_jet(patch, parse_curve("t", "0.5", (0.0, 1.0)), u)  # over Jet1
 
 

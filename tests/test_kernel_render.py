@@ -1,45 +1,54 @@
-"""The tangency kernel with single-use values written in place, against
+"""The tracer's walk with single-use values written in place, against
 the one-operation-per-line program it replaced.
 
 ``jets._render`` writes each value used exactly once into its use.  The
-oracle is the earlier renderer, kept verbatim: one named statement per
-recorded operation.  Both render the same recorded lines, so the two
-programs must give the same bits (NaN, of any bits, at the same places),
-and return None at the same points.
+oracle is the earlier renderer: one named statement per recorded
+operation.  Both render the same recorded lines of g and its gradient, the
+walk's body, so the two walks must give the same bits (NaN, of any bits, at
+the same places), and give way to the record at the same points.
 """
 
+import dataclasses
 import random
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_tangency_kernel import _trees
+from test_tangency_kernel import _trees, walk_kernel
 from test_tangency_kernel import bits as value_bits
 
-from tpcurves import jets, parse_surface, point_geometry
+import tpcurves.tangent
+from tpcurves import jets, parse_surface, point_geometry, tangency_gradient
 from tpcurves.expr import Binary, Const, Unary, Var
-from tpcurves.forms import compile_tangency_kernel
+from tpcurves.surface import SurfacePatch
+from tpcurves.tangent import compile_tangency_walk
 
 
 def one_op_per_line(lines, leaves):
     """The earlier renderer: every value and every guard a statement."""
-    return [f"if {template.format(*operands)}: return None" if name is None
-            else f"{name} = {template.format(*operands)}"
+    return [f"if {template.format(*operands)}: raise ArithmeticError"
+            if name is None else f"{name} = {template.format(*operands)}"
             for name, template, operands in lines]
 
 
-def kernels(components):
-    """The kernel as compiled, and the oracle program of the same record."""
-    inlined = compile_tangency_kernel(components)
+def kernels(patch):
+    """The walk's body as compiled (:func:`walk_kernel`), and as the oracle
+    renders the same record."""
+    inlined = walk_kernel(patch)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(jets, "_render", one_op_per_line)
-        oracle = compile_tangency_kernel(components)
+        m.setattr(tpcurves.tangent, "_render", one_op_per_line)
+        oracle = walk_kernel(patch)
     return inlined, oracle
 
 
+def patch_of(*components):
+    return SurfacePatch(name="patch", components=components,
+                        u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+
+
 def bits(out):
-    """The kernel's result as bytes, any NaN as one (``value_bits``), or
+    """The walk's result as bytes, any NaN as one (``value_bits``), or
     None."""
     if out is None:
         return None
@@ -50,10 +59,12 @@ def bits(out):
 def test_builtin_surfaces_match_the_oracle(scene):
     rng = random.Random(20261019)
     for name, patch in scene.surfaces.items():
-        inlined, oracle = kernels(patch.components)
         (u0, u1), (v0, v1) = patch.u_range, patch.v_range
+        # Past the domain too, where the body may give way: the walks'
+        # domain test is the widened patch's.
+        inlined, oracle = kernels(dataclasses.replace(
+            patch, u_range=(u0 - 1.0, u1 + 1.0), v_range=(v0 - 1.0, v1 + 1.0)))
         for _ in range(400):
-            # Past the domain too: there the programs may raise.
             u = rng.uniform(u0 - 0.5, u1 + 0.5)
             v = rng.uniform(v0 - 0.5, v1 + 0.5)
             assert bits(inlined(u, v)) == bits(oracle(u, v)), (name, u, v)
@@ -80,7 +91,7 @@ POINTS = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
        POINTS, POINTS)
 @settings(max_examples=200, deadline=None)
 def test_random_trees_match_the_oracle(components, u, v):
-    inlined, oracle = kernels(components)
+    inlined, oracle = kernels(patch_of(*components))
     assert bits(inlined(u, v)) == bits(oracle(u, v))
 
 
@@ -89,7 +100,7 @@ def test_random_trees_match_the_oracle(components, u, v):
 def test_random_graphs_match_the_oracle(height, u, v):
     # A graph (u, v, h) is regular everywhere: the programs reach g
     # wherever h evaluates.
-    inlined, oracle = kernels((Var("u"), Var("v"), height))
+    inlined, oracle = kernels(patch_of(Var("u"), Var("v"), height))
     assert bits(inlined(u, v)) == bits(oracle(u, v))
 
 
@@ -100,16 +111,17 @@ LONG_SUM = "(u, v, " + " + ".join(
 
 def test_long_sum_stays_within_the_nesting_limit(monkeypatch):
     patch = parse_surface(LONG_SUM, (-1.0, 1.0), (-1.0, 1.0), name="long")
-    inlined, oracle = kernels(patch.components)
+    inlined, oracle = kernels(patch)
     for u, v in ((0.3, -0.7), (-0.25, 0.5), (0.0, 0.0)):
-        out = patch.tangency_kernel(u, v)
+        out = inlined(u, v)
         assert out is not None  # the program, not its fallback
+        assert tangency_gradient(patch, u, v) == out
         geom = point_geometry(patch, u, v)
         want = struct.pack("<6d", geom.g.f, geom.g.fu, geom.g.fv,
                            *geom.jet.value.tolist())
         assert bits(out) == want
-        assert bits(inlined(u, v)) == bits(oracle(u, v)) == want
+        assert bits(oracle(u, v)) == want
     # Without the depth cap the chain nests past the tokenizer's limit.
     monkeypatch.setattr(jets, "_MAX_DEPTH", 10**6)
     with pytest.raises(SyntaxError, match="too many nested parentheses"):
-        compile_tangency_kernel(patch.components)
+        compile_tangency_walk(patch)

@@ -1,8 +1,8 @@
 """The built-in scene is one shared, read-only instance per process.
 
 ``builtin_scene()`` and ``load_scene(None)`` build it on first use; later
-calls, and every CLI op without ``--config``, reuse it and the tangency
-kernels its patches compiled.  A ``--config`` file is read and parsed on
+calls, and every CLI op without ``--config``, reuse it and the programs
+its patches compiled.  A ``--config`` file is read and parsed on
 every call.  Sharing must not leak: an op repeated in one process, with
 another op run in between, writes the same bytes as its first run.
 """
@@ -12,7 +12,6 @@ import functools
 
 import pytest
 
-import tpcurves.surface
 import tpcurves.tangent
 from tpcurves import builtin_scene, cli, load_scene, scene as scene_module
 
@@ -20,7 +19,7 @@ from tpcurves import builtin_scene, cli, load_scene, scene as scene_module
 @pytest.fixture
 def fresh_builtin(monkeypatch):
     """A built-in scene cache of this test's own: its first op builds the
-    scene and compiles kernels as a fresh process would."""
+    scene and compiles programs as a fresh process would."""
     monkeypatch.setattr(scene_module, "_builtin",
                         functools.cache(scene_module._builtin.__wrapped__))
 
@@ -45,21 +44,14 @@ def test_builtin_scene_is_read_only(scene):
 
 
 def test_repeated_trace_ops_compile_one_kernel(fresh_builtin, monkeypatch):
-    """The tracer's kernel is its walk program: compiled once, and the
-    plain tangency kernel never."""
+    """The tracer's kernel is its walk program: compiled once."""
     compiled = []
-    compile_kernel = tpcurves.surface.compile_tangency_kernel
     compile_walk = tpcurves.tangent.compile_tangency_walk
-
-    def counted(components):
-        compiled.append(("kernel", components))
-        return compile_kernel(components)
 
     def counted_walk(patch):
         compiled.append(("walk", patch.components))
         return compile_walk(patch)
 
-    monkeypatch.setattr(tpcurves.surface, "compile_tangency_kernel", counted)
     monkeypatch.setattr(tpcurves.tangent, "compile_tangency_walk",
                         counted_walk)
     for _ in range(5):

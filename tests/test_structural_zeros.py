@@ -6,7 +6,8 @@ feed are absent, so no tree walk and no generated program computes with
 them.  Before, the 36 built-in programs (9 surfaces x metric, kernel, jet
 and ambient) had 223, 312, 444 and 23 operations with a literal 0.0
 operand or a factor 1.0; the record program, which gives a batched
-record's jets and fields, has taken the jet program's place.  The tree
+record's jets and fields, has taken the jet program's place, and the
+tracer's walk, which holds the kernel's body, the kernel's.  The tree
 walk and every program kind skip the same terms, so they change together:
 an absent partial times inf is 0.0 where ``0.0 * inf`` was NaN, and
 ``-0.0`` plus an absent term stays ``-0.0`` where ``-0.0 + 0.0`` was
@@ -19,18 +20,29 @@ import ast
 import numpy as np
 import pytest
 from test_batch_program import same_bits
+from test_tangency_kernel import walk_kernel
 
 from tpcurves import jets, parse_curve, parse_surface
 from tpcurves.errors import EvalError
 import tpcurves.surface
+import tpcurves.tangent
 from tpcurves.forms import (compile_metric_program, compile_record_program,
-                            compile_tangency_kernel, metric_coefficients,
-                            point_geometry, tangency_gradient)
+                            metric_coefficients, point_geometry,
+                            tangency_gradient)
 from tpcurves.jets import ZERO, Field2
-from tpcurves.surface import _compile_ambient_program, ambient_jet
+from tpcurves.surface import (SurfacePatch, _compile_ambient_program,
+                              ambient_jet)
+from tpcurves.tangent import compile_tangency_walk
+
+
+def _compile_walk(components):
+    return compile_tangency_walk(SurfacePatch(
+        name="walk", components=components, u_range=(-3.0, 3.0),
+        v_range=(-3.0, 3.0)))
+
 
 PROGRAMS = {"metric": compile_metric_program,
-            "kernel": compile_tangency_kernel,
+            "walk": _compile_walk,
             "record": compile_record_program,
             "ambient": _compile_ambient_program}
 U = np.array([0.5, 1.25, 2.0])
@@ -50,6 +62,7 @@ def recordings(components, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(jets, "_render", spy)
+        m.setattr(tpcurves.tangent, "_render", spy)
         for kind, compile_program in PROGRAMS.items():
             assert compile_program(components) is not None, kind
     return [(kind, *recording) for kind, recording in zip(PROGRAMS, seen)]
@@ -92,7 +105,7 @@ def bits(x):
 
 
 def flat(out):
-    """A kernel's (g, g_u, g_v, point) as one tuple of floats."""
+    """A (g, g_u, g_v, point) of the walk as one tuple of floats."""
     return (*out[:3], *out[3])
 
 
@@ -112,9 +125,9 @@ def test_an_absent_partial_times_inf_is_zero(monkeypatch):
     E, F, G, E_u, E_v, F_u, F_v, G_u, G_v = patch.metric_batch(U, V)
     assert np.isinf(E) and G == 1.0
     assert bits([F, E_v, F_u, F_v, G_u, G_v]) == [0] * 6
-    # g = p . (p_u x p_v) / area is inf - inf: the kernel gives NaN where
-    # the record does, and g_v is the absent partial's 0.0.
-    got = patch.tangency_kernel(0.5, 0.75)
+    # g = p . (p_u x p_v) / area is inf - inf: the walk's body gives NaN
+    # where the record does, and g_v is the absent partial's 0.0.
+    got = walk_kernel(patch)(0.5, 0.75)
     geom = point_geometry(patch, 0.5, 0.75)
     want = geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist())
     assert same_bits(flat(got), flat(want))
@@ -139,23 +152,23 @@ def test_minus_zero_plus_an_absent_term_stays_minus_zero(monkeypatch):
     assert bits(patch.metric_batch(U, V)[1]) == NEGATIVE_ZERO
     assert bits(point_geometry(patch, 0.5, 0.75).F.f) == NEGATIVE_ZERO
     # The plane (-u, v, 0): p . (p_u x p_v) = -u * absent + v * absent
-    # + 0.0 * -1.0, so g is -0.0 in the kernel and in the record.
+    # + 0.0 * -1.0, so g is -0.0 in the walk and in the record.
     plane = parse_surface("(-u, v, 0)", (-3, 3), (-3, 3))
-    out = plane.tangency_kernel(0.5, 0.75)
+    out = walk_kernel(plane)(0.5, 0.75)
     assert out is not None
     assert bits(out[0]) == NEGATIVE_ZERO
     assert bits(point_geometry(plane, 0.5, 0.75).g.f) == NEGATIVE_ZERO
 
 
 def test_a_dead_overflowing_math_call_still_raises(monkeypatch):
-    # Over Field2 (the metric program and the kernel) nothing reads the
+    # Over Field2 (the metric program and the walk) nothing reads the
     # third derivative of u^1.5, p (p-1) (p-2) pow(u, -1.5); at u = 1e-300
     # that pow overflows, and the tree walk raises there.  The product is
     # pruned, the call is kept, and the program gives way to the tree walk.
     patch = parse_surface("(u, v, u^1.5)", (0.0, 1.0), (0.0, 1.0))
     for kind, lines, leaves, body in recordings(patch.components,
                                                 monkeypatch):
-        if kind in ("metric", "kernel"):
+        if kind in ("metric", "walk"):
             dead_pow, = [x for x, t, ops in lines
                          if t == "pow({}, {})" and ops[1] == "-1.5"]
             assert dead_pow not in jets._live(lines, leaves), kind
@@ -168,7 +181,7 @@ def test_a_dead_overflowing_math_call_still_raises(monkeypatch):
     assert patch._metric_program(u, v) is None
     with pytest.raises(EvalError, match=r"^x \*\* 1\.5 at 1e-300: math "):
         patch.metric_batch(u, v)
-    assert patch.tangency_kernel(1e-300, 0.5) is None
+    assert walk_kernel(patch)(1e-300, 0.5) is None
     with pytest.raises(EvalError, match=r"^x \*\* 1\.5 at 1e-300: math "):
         tangency_gradient(patch, 1e-300, 0.5)
 
@@ -205,7 +218,7 @@ def test_the_sentinel_never_escapes(scene, monkeypatch):
                                    geom.det, geom.area, geom.g, geom.lam,
                                    geom.mu, geom.chris, geom.second)
         assert_no_sentinel(patch.metric_batch(u, v))
-        assert_no_sentinel(patch.tangency_kernel(u[0], v[0]))
+        assert_no_sentinel(tangency_gradient(patch, u[0], v[0]))
     for name, curve in scene.curves.items():
         patch = scene.surface(curve.surface)
         t0, t1 = curve.t_range

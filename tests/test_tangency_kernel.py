@@ -1,11 +1,12 @@
-"""The order-2 tangency kernel against the full per-point record.
+"""The order-2 tangency residual of the tracer's walk against the full
+per-point record.
 
-``tangency_gradient`` must give ``PointGeometry.g``'s value and gradient
-bit for bit (:func:`bits`), and equal the record's formula evaluated over
-Field1; the tree walk over Field2 (:func:`order2`) must give the low-order
-coefficients of ``SurfacePatch.jet``, and each jet ring those of the next;
-where one side raises EvalError or DegeneratePoint, the other raises the
-same error.
+``tangency_gradient``, the walk's corrector with no Newton step, must give
+``PointGeometry.g``'s value and gradient bit for bit (:func:`bits`), and
+equal the record's formula evaluated over Field1; the tree walk over
+Field2 (:func:`order2`) must give the low-order coefficients of
+``SurfacePatch.jet``, and each jet ring those of the next; where one side
+raises EvalError or DegeneratePoint, the other raises the same error.
 """
 
 import math
@@ -23,6 +24,7 @@ from tpcurves.expr import Binary, Const, Var
 from tpcurves.forms import REGULARITY_THRESHOLD
 from tpcurves.jets import Field1, Field2, Jet2, cross3, dot3
 from tpcurves.surface import SurfacePatch
+from tpcurves.tangent import compile_tangency_walk
 
 ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
@@ -46,10 +48,35 @@ def outcome(fn):
 
 def order2(patch, u, v):
     """The three components at (u, v) over Field2: the order-2 tree walk
-    that the tangency kernel records."""
+    that the tracer's walk records."""
     env = {"u": Field2(float(u), fu=1.0), "v": Field2(float(v), fv=1.0)}
     return tuple(expr.evaluate(c, env, Field2.const)
                  for c in patch.components)
+
+
+class _GaveWay(Exception):
+    pass
+
+
+def _give_way(*args):
+    raise _GaveWay
+
+
+def walk_kernel(patch):
+    """A fresh walk of ``patch`` as a kernel: ``(u, v) -> (g, g_u, g_v,
+    point)`` from its recorded body alone (the corrector with no Newton
+    step), or None where the body gives way to the record: its guard
+    fires, ``math`` raises, or the recording raised.  Off the domain the
+    walk raises DomainError."""
+    walk = compile_tangency_walk(patch)
+    walk.__globals__["_record_gradient"] = _give_way  # its own scope
+
+    def kernel(u, v):
+        try:
+            return walk(patch, u, v, 0, 0.0)[2]
+        except _GaveWay:
+            return None
+    return kernel
 
 
 def record_g(patch, u, v):
@@ -104,7 +131,7 @@ def test_kernel_matches_record_on_builtin_surfaces(scene):
             assert outcome(lambda: kernel_g(patch, u, v)) == \
                 outcome(lambda: record_g(patch, u, v)), (name, u, v)
             # No built-in surface uses / or ^ other than u^2, so the
-            # kernel's point is SurfacePatch.value's, bit for bit.
+            # walk's point is SurfacePatch.value's, bit for bit.
             point = tangency_gradient(patch, u, v)[3]
             assert bits(*point) == bits(*patch.value(u, v)), (name, u, v)
 
@@ -176,14 +203,16 @@ def test_jet_order2_matches_jet(scene):
 
 def test_kernel_errors_match_record():
     line = parse_surface("(u, 0, 0)", (0, 1), (0, 1), name="line")
+    assert walk_kernel(line)(0.5, 0.5) is None  # the guard gives way
     assert outcome(lambda: kernel_g(line, 0.5, 0.5)) == \
         outcome(lambda: record_g(line, 0.5, 0.5))
     assert outcome(lambda: kernel_g(line, 0.5, 0.5))[0] is DegeneratePoint
     with pytest.raises(DomainError):
         tangency_gradient(line, 1.5, 0.5)
-    # The recording raises: the kernel gives way to the record everywhere.
+    # The recording raises: the walk's body gives way to the record
+    # everywhere.
     broken = parse_surface("(u, v, log(0 - 1))", (0, 1), (0, 1))
-    assert broken.tangency_kernel(0.5, 0.5) is None
+    assert walk_kernel(broken)(0.5, 0.5) is None
     assert outcome(lambda: kernel_g(broken, 0.5, 0.5)) == \
         outcome(lambda: record_g(broken, 0.5, 0.5)) == \
         (EvalError, "log of non-positive value -1.0")

@@ -1,6 +1,6 @@
 """The tracer's float vertex loop and resampling against their numpy forms.
 
-``trace_tangent_curve`` keeps each vertex's ambient point as the kernel's
+``trace_tangent_curve`` keeps each vertex's ambient point as the walk's
 3-tuple and sums chords in floats; ``_resample_locus`` finds every
 target's segment with one ``searchsorted`` and interpolates in floats.
 The oracle is the earlier code, kept verbatim: one numpy array per vertex,
@@ -21,8 +21,7 @@ from tpcurves.errors import SingularLocus
 from tpcurves.forms import point_geometry
 from tpcurves.tangent import (_CORRECTOR_MAX, GRAD_FLOOR, LOCUS_TOL,
                               TRACE_TOL, TracedCurve, _correct_seed,
-                              _locus_sample, _newton_correct, _tangent_dir,
-                              trace_tangent_curve)
+                              _locus_sample, _tangent_dir, trace_tangent_curve)
 
 
 def numpy_trace(patch, seed, h, max_steps=4000, resample=100):
@@ -43,7 +42,8 @@ def numpy_trace(patch, seed, h, max_steps=4000, resample=100):
         if not patch.contains(pu, pv):
             status = "domain_exit"
             break
-        cu, cv, ct = _newton_correct(patch, pu, pv, _CORRECTOR_MAX, TRACE_TOL)
+        cu, cv, ct = patch.tangency_walk(patch, pu, pv, _CORRECTOR_MAX,
+                                         TRACE_TOL)
         if ct is None:
             status = "domain_exit"
             break
@@ -131,7 +131,7 @@ def numpy_resample(patch, vertices, ambient, closed, count, start):
             base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
         u = float(base[0] + frac * (nxt[0] - base[0]))
         v = float(base[1] + frac * (nxt[1] - base[1]))
-        u, v, t = _newton_correct(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
+        u, v, t = patch.tangency_walk(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
         if t is None or abs(t[0]) > LOCUS_TOL:
             continue
         accepted.append((u, v, s))

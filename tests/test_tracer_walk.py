@@ -2,7 +2,7 @@
 Python loop it replaced.
 
 ``SurfacePatch.tangency_walk`` holds the seed correction, the vertex loop
-and the resample corrections, with the kernel's body inline.  Its oracle
+and the resample corrections, with the recorded body of g inline.  Its oracle
 is ``test_tracer_oracle.oracle_trace``: the loop as it was, driven by a
 corrector that builds a record at every iterate, with no generated
 program.  Both must give the same status, vertices and residuals bit for
@@ -18,13 +18,11 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_metric_program import kernel_source
 from test_tangency_kernel import _trees
 from test_tracer_oracle import (ELLIPSOID, jet_point, newton_over,
                                 oracle_trace)
 
-import tpcurves.forms
-import tpcurves.jets
-import tpcurves.surface
 import tpcurves.tangent
 from tpcurves import parse_surface, trace_tangent_curve
 from tpcurves.errors import (DegeneratePoint, EvalError, GeometryError,
@@ -137,11 +135,7 @@ def test_walk_matches_the_oracle_where_it_ends(case):
 
 def test_a_trace_compiles_the_walk_once_and_no_kernel(monkeypatch):
     compiled = []
-    compile_kernel = tpcurves.surface.compile_tangency_kernel
     compile_walk = tpcurves.tangent.compile_tangency_walk
-    monkeypatch.setattr(tpcurves.surface, "compile_tangency_kernel",
-                        lambda c: compiled.append("kernel")
-                        or compile_kernel(c))
     monkeypatch.setattr(tpcurves.tangent, "compile_tangency_walk",
                         lambda p: compiled.append("walk") or compile_walk(p))
     # A fresh scene, as a fresh process loads it.
@@ -172,16 +166,13 @@ def _source(patch):
     return sources[0]
 
 
-def test_the_walk_holds_the_kernels_body(scene, monkeypatch):
-    """Each statement of the plain kernel's program is in the walk's, the
-    guards handing the iterate on instead of returning None."""
-    sources = []
-    monkeypatch.setattr(tpcurves.jets, "exec", raising=False,
-                        value=lambda source, scope: sources.append(source)
-                        or builtins.exec(source, scope))
+def test_the_walk_holds_the_kernels_body(scene):
+    """Each statement of the pinned kernel's program
+    (``test_metric_program.kernel_source``) is in the walk's, the guards
+    handing the iterate on instead of returning None."""
     for name, patch in scene.surfaces.items():
-        tpcurves.forms.compile_tangency_kernel(patch.components)
-        body = [line.strip() for line in sources[-1].splitlines()[2:-3]]
+        source = kernel_source(patch.components)
+        body = [line.strip() for line in source.splitlines()[2:-3]]
         walk = {line.strip() for line in _source(patch).splitlines()}
         for line in body:
             guard = line.replace(": return None", ": raise ArithmeticError")
