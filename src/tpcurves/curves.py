@@ -308,15 +308,17 @@ def frenet(sample):
     return FrenetData(t=sample.dgamma, n=n, b=b, kappa=kappa, tau=tau)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ambient_dot(a, b):
     """np.dot of two ambient vectors, or of each column pair of two (3, n)
-    arrays.  np.dot rounds differently from :func:`~tpcurves.jets.dot3`
-    (it may fuse a multiply into an add), so the ambient side of an
-    identity keeps it, one contiguous row at a time."""
+    arrays, overflowing to inf as float arithmetic does.  np.dot rounds
+    differently from :func:`~tpcurves.jets.dot3` (it may fuse a multiply
+    into an add), so the ambient side of an identity keeps its loop: one
+    np.vecdot over the contiguous rows runs it once per row, and each row
+    gets the bits np.dot gives it."""
     if a.ndim == 1:
         return np.dot(a, b)
-    rows_a, rows_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    return np.fromiter(map(np.dot, rows_a, rows_b), float, len(rows_a))
+    return np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
 def surface_curvatures(geom, sample):

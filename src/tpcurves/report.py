@@ -3,8 +3,10 @@
 Identical inputs must produce byte-identical outputs.  CSV writes numbers
 with 17 significant digits.  JSON sorts keys and writes a float as its
 shortest round-trip ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` for the
-rest), which rounding to 17 digits never changes.  Text is UTF-8 with LF
-line endings; SVG has fixed-precision coordinates and no timestamps or ids.
+rest), which rounding to 17 digits never changes; it is written one C-encoder
+call per container of scalars, and per column of a table of rows that share
+one key order.  Text is UTF-8 with LF line endings; SVG has fixed-precision
+coordinates and no timestamps or ids.
 """
 
 import json
@@ -30,9 +32,34 @@ def write_csv(path, header, rows):
 
 def to_json(obj):
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``; a container of
-    scalars is one C-encoder call whose item separator holds the indent."""
+    scalars is one C-encoder call whose item separator holds the indent, and
+    a table (a list of dicts of scalars with one key order) is one call per
+    column."""
     encoder = cache(lambda inner: json.JSONEncoder(
         sort_keys=True, separators=(",\n" + inner, ": ")))
+    # A newline inside a JSON scalar is escaped, so a raw one parts items.
+    lines = json.JSONEncoder(separators=("\n", ": ")).encode
+
+    def table(rows, inner):
+        """The rows of a table as its items, or None for any other list."""
+        if set(map(type, rows)) != {dict}:
+            return None
+        order = set(map(tuple, rows))
+        keys = order.pop() if len(order) == 1 else ()
+        if set(map(type, keys)) != {str}:
+            return None
+        columns = list(zip(*map(dict.values, rows)))
+        types = {t for column in columns for t in set(map(type, column))}
+        if any(issubclass(t, (dict, list, tuple)) for t in types):
+            return None
+        names = lines(sorted(keys))[1:-1].split("\n")
+        cell = ",\n" + inner + "  "
+        template = "{" + cell[1:] + cell.join(
+            [name.replace("%", "%%") + ": %s" for name in names]) \
+            + "\n" + inner + "}"
+        cells = [lines(columns[i])[1:-1].split("\n")
+                 for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        return (",\n" + inner).join(map(template.__mod__, zip(*cells)))
 
     def emit(value, pad):
         if not isinstance(value, (dict, list, tuple)) or not value:
@@ -45,6 +72,8 @@ def to_json(obj):
             body = (",\n" + inner).join([
                 json.dumps({k: 0})[1:-2] + emit(v, inner)
                 for k, v in sorted(value.items())])
+        elif isinstance(value, list) and (rows := table(value, inner)):
+            body = rows
         else:
             body = (",\n" + inner).join([emit(v, inner) for v in value])
         return ends[0] + "\n" + inner + body + "\n" + pad + ends[1]

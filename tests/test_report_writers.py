@@ -70,6 +70,44 @@ def test_to_json_matches_oracle(obj):
     assert to_json(obj) == oracle_json(obj)
 
 
+KEYS = TEXT | st.sampled_from(["%", "%s", "%%(a)d", '"', "\n", "é", "π", ""])
+TABLES = st.lists(KEYS, min_size=1, max_size=13, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.tuples(*[SCALARS] * len(keys)).map(
+            lambda values: dict(zip(keys, values))),
+        min_size=1, max_size=40))
+# A table with one row changed so that it is no longer a table.
+NEAR_MISSES = {
+    "table": lambda row: row,
+    "other keys": lambda row: {**row, "\x00other": 0},
+    "list": lambda row: {**row, next(iter(row)): [1.5, None]},
+    "dict": lambda row: {**row, next(iter(row)): {"a": -0.0}},
+    "empty": lambda row: {},
+    "other order": lambda row: dict(reversed(row.items())),
+}
+
+
+@given(TABLES, st.sampled_from(sorted(NEAR_MISSES)), st.integers(0, 39),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example([{"a": math.nan, "b": -0.0, "c": 2**70, "d": np.float64(0.1),
+           "e": True, "f": None, "g": "x\ny", "": math.inf}],
+         "table", 0, False, False)
+@example([{}], "table", 0, False, True)
+@example([{}, {}], "table", 0, False, False)
+@example([{1: 0.5, 2: None}, {1: 2, 2: "x"}], "table", 0, False, False)
+@example([["a", "b"], ["a", "b"]], "table", 0, False, True)
+def test_to_json_table_matches_oracle(rows, kind, index, as_tuple, wrapped):
+    """A list of same-key dicts of scalars (``report-thm31``'s samples)
+    is written one column at a time; a tuple of them, or a list with one
+    row that is not like the others, is written as before."""
+    rows[index % len(rows)] = NEAR_MISSES[kind](rows[index % len(rows)])
+    obj = tuple(rows) if as_tuple else rows
+    if wrapped:
+        obj = {"curve": "x", "samples": obj}
+    assert to_json(obj) == oracle_json(obj)
+
+
 CELLS = (FLOATS | FLOATS.map(np.float64) | st.integers(-10**20, 10**20)
          | st.booleans())
 
