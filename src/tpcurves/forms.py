@@ -30,18 +30,17 @@ fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
 or grid, every field an array over the nodes.
 
-Two straight-line array programs per patch are recorded here, and what
-the tracer's walk records.  The metric program of a grid sweep
-(:func:`compile_metric_program`: E, F, G and their first derivatives,
-order 2) and the walk's body (:func:`_tangency_fields`: g, its gradient
-and the point, order 2) come from one builder, the component trees over
-Field2 lowered to order-1 position and partials with E, F, G over them.
-The record program (:func:`compile_record_program`) records the
-component trees over Jet2 and :func:`_record_fields` over them: a batched
-record's jets and fields in one array program, with the regularity test
-as a guard.  A patch compiles it at its fourth batched record
-(:mod:`~tpcurves.surface`); the ambient program is in
-:mod:`~tpcurves.surface` too, and the walk in :mod:`~tpcurves.tangent`.
+Three of a patch's generated programs are recorded from code here.  The
+metric program of a grid sweep (:func:`metric_coefficients`: E, F, G and
+their first derivatives, order 2) and the tracer's walk
+(:func:`_tangency_fields`: g, its gradient and the point, order 2) come
+from one builder, the component trees over Field2 lowered to order-1
+position and partials with E, F, G over them.  The record program records
+the component trees over Jet2 and :func:`_record_fields` over them: a
+batched record's jets and fields in one array program, with the
+regularity test as a guard.  The array programs are compiled and run from
+one table, :data:`~tpcurves.surface._PROGRAMS`; the walk is compiled in
+:mod:`~tpcurves.tangent`.
 """
 
 from dataclasses import dataclass
@@ -51,13 +50,12 @@ import numpy as np
 
 from . import expr
 from .errors import DegeneratePoint, GeometryError, OracleMismatch
-from .jets import Field2, Jet2, cross3, dot3, failing_node, straight_line
+from .jets import Field2, cross3, dot3, failing_node
 
 __all__ = [
     "FirstForm", "SecondForm", "PointGeometry",
     "first_form", "second_form", "christoffel", "christoffel_from_metric",
     "gauss_equation_residual", "point_geometry", "tangency_gradient",
-    "compile_metric_program", "compile_record_program",
     "metric_coefficients", "REGULARITY_THRESHOLD",
 ]
 
@@ -144,7 +142,7 @@ class PointGeometry:
     def _of(cls, jet, fields):
         """The record of ``jet`` whose fields, in :func:`_record_fields`
         order, were computed elsewhere: by the patch's record program
-        (:func:`compile_record_program`)."""
+        (:meth:`~tpcurves.surface.SurfacePatch._program`)."""
         geom = cls.__new__(cls)
         geom._fill(jet, fields)
         return geom
@@ -231,7 +229,7 @@ def _record_gradient(patch, u, v):
     return geom.g.f, geom.g.fu, geom.g.fv, tuple(geom.jet.value.tolist())
 
 
-def _order1_metric(field2, components, u, v):
+def _order1_metric(components, field2, u, v):
     """The component trees over ``field2`` at (u, v), lowered to order-1
     fields: the position p and the partials phi_u, phi_v, with E, F, G
     over them.  Ring-generic: the tracer's walk and the metric program
@@ -245,46 +243,19 @@ def _order1_metric(field2, components, u, v):
     return p, pu, pv, dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
 
 
-def metric_coefficients(field2, components, u, v):
+def metric_coefficients(components, field2, u, v):
     """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v of the component trees over
     ``field2`` at (u, v), floats or arrays of nodes that broadcast
     together: second partials of phi at most."""
-    E, F, G = _order1_metric(field2, components, u, v)[3:]
+    E, F, G = _order1_metric(components, field2, u, v)[3:]
     return E.f, F.f, G.f, E.fu, E.fv, F.fu, F.fv, G.fu, G.fv
-
-
-def compile_metric_program(components):
-    """Straight-line array code ``(u, v) -> metric_coefficients``,
-    recorded by :func:`~tpcurves.jets.straight_line` over Field2 at arrays
-    of nodes that broadcast together.  Where it returns None,
-    :func:`metric_coefficients` over Field2 arrays, its oracle, raises its
-    error."""
-    def build(field2, u, v):
-        return metric_coefficients(field2, components, u, v)
-    return straight_line(build, ("u", "v"), Field2)
-
-
-def compile_record_program(components):
-    """Straight-line array code ``(u, v) -> (jets, fields)``: the
-    coefficients of the component trees over Jet2 at 1-D arrays of nodes,
-    and of the record's fields over them (:func:`_record_fields`), as
-    kept (absent ones are ZERO), recorded by
-    :func:`~tpcurves.jets.straight_line`; the regularity test is a guard.
-    Where it returns None, :class:`PointGeometry` over the Jet2 tree walk,
-    its oracle, raises its error."""
-    def build(jet2, u, v):
-        env = {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)}
-        comps = [expr.evaluate(c, env, jet2.const) for c in components]
-        return tuple(tuple(getattr(x, name) for name in x.__slots__)
-                     for x in (*comps, *_record_fields(comps, u, v)))
-    return straight_line(build, ("u", "v"), Jet2)
 
 
 def _tangency_fields(components, field2, u, v):
     """g, g_u, g_v and the point of the component trees over ``field2`` at
     (u, v), by the record's formula for g over Field1: what the tracer's
     walk records."""
-    p, pu, pv, E, F, G = _order1_metric(field2, components, u, v)
+    p, pu, pv, E, F, G = _order1_metric(components, field2, u, v)
     g = _tangency(p, pu, pv, E, F, G, u, v)[2]
     return g.f, g.fu, g.fv, (p[0].f, p[1].f, p[2].f)
 

@@ -8,47 +8,43 @@ straight-line float code over order-2 fields, generated per patch on first
 use; :func:`~tpcurves.forms.tangency_gradient` runs its corrector too.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
-Batched evaluation runs generated code as well, three straight-line array
-programs per patch, each recorded by :func:`~tpcurves.jets.straight_line`
-and cached on the patch:
+Batched evaluation runs generated code as well: three straight-line array
+programs per patch, from one table of kinds, :data:`_PROGRAMS`.
+:meth:`SurfacePatch._program` records a kind by
+:func:`~tpcurves.jets.straight_line` on first use, and
+:meth:`SurfacePatch._run` runs it from the patch's batched call of that
+kind past its tier on:
 
-* the record program of a batched
-  :func:`~tpcurves.forms.point_geometry`, over Jet2: the component jets
-  (order 3: the second form and the connection symbols' derivatives need
-  third partials) and the record's fields (order 2).  It compiles in
-  tiers: a patch builds its first ``_RECORD_TIER`` batched records on the
-  rings, over :meth:`SurfacePatch.jet_batch`, and compiles it at the
-  next, so a one-shot CLI op compiles none;
-* the ambient program of the batched :func:`ambient_jet`, over Jet1 at the
-  coefficients of any curve's jets u(t), v(t) (order 3 along the curve),
-  compiled on first use;
-* the metric program of :meth:`SurfacePatch.metric_batch`, over Field2
-  (order 2: E, F, G and their first derivatives, all a metric grid sweep
-  compares, need second partials only), at node arrays that broadcast
-  together: a grid sweep passes its axes, a (m, 1) column of u and a
-  (1, n) row of v, so a value of u alone is computed at m entries;
-  compiled on first use.
+* ``record`` (tier 3), the batched :func:`~tpcurves.forms.point_geometry`
+  over Jet2: the component jets (order 3: the second form and the
+  connection symbols' derivatives need third partials) and the record's
+  fields (order 2), so a one-shot CLI op compiles none;
+* ``ambient`` (tier 0), the batched :func:`ambient_jet` over Jet1 at the
+  coefficients of any curve's jets u(t), v(t);
+* ``metric`` (tier 0), :meth:`SurfacePatch.metric_batch` over Field2
+  (order 2), at node arrays that broadcast together: a grid sweep passes
+  its (m, 1) and (1, n) axes, so a value of u alone is computed at m
+  entries.
 
 Each gives the ring path's bits at every value that is not NaN, and NaN
-where it gives NaN.  The ring path (the tree walk over Jet2, Jet1 and
-Field2 arrays, and a record over :meth:`SurfacePatch.jet_batch`) stays as
-their oracle and their error path: where a program returns None.  At a
-point, ``jet``, ``ambient_jet`` and the curve's own u(t), v(t) run the
-same tree walk over floats, and ``value`` walks the trees over plain
-floats.
+where it gives NaN.  The caller's ring path (a record over
+:meth:`SurfacePatch.jet_batch`, or the tree walk over Jet1 or Field2
+arrays) runs below the tier and where a program returns None: it is the
+program's oracle and error path.  At a point, ``jet``, ``ambient_jet`` and
+the curve's own u(t), v(t) run the same tree walk over floats, and
+``value`` walks the trees over plain floats.
 
 Patches and paths are immutable after construction and all evaluation is
-pure, so they are safe to use concurrently.  On Python 3.12 and later,
-``cached_property`` takes no lock, so two threads may both compile a patch's
-walk or program on first use; both get the same code, so this is
-harmless.  The count of a patch's batched records is an
-``itertools.count``, whose ``next`` is atomic under CPython's global
-interpreter lock.
+pure, so they are safe to use concurrently.  A patch's caches take no lock
+(``cached_property`` on Python 3.12 and later, and the table's dict), so
+two threads may both compile one program, which is harmless; each kind's
+count of batched calls is an ``itertools.count`` of its own, whose
+``next`` is atomic under CPython's global interpreter lock.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
 from typing import Optional
 
@@ -56,8 +52,7 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .forms import (PointGeometry, compile_metric_program,
-                    compile_record_program, metric_coefficients)
+from .forms import PointGeometry, _record_fields, metric_coefficients
 from .jets import Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -65,13 +60,45 @@ __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
 
 _DOMAIN_SLACK = 1e-9
 _CHECK_SAMPLES = 129  # parameters at which check_on tests a curved path
-# Batched records a patch builds on the rings before it compiles its record
-# program.  A record program takes 2-10 ms to compile and saves 0.3-0.5 ms
-# a record, and no CLI op builds more than 3 batched records on one patch
+
+
+def _record_coefficients(components, jet2, u, v):
+    """The component jets over ``jet2`` at (u, v) and the record's fields
+    over them, as kept (absent ones are ZERO): the record program."""
+    comps = _jets(components, jet2, u, v)
+    return tuple(map(_coeffs, (*comps, *_record_fields(comps, u, v))))
+
+
+def _ambient_coefficients(components, jet1, *coeffs):
+    """The component trees over ``jet1`` at the coefficients of a curve's
+    jets u(t), v(t), as kept: the ambient program, one for every curve on
+    the patch."""
+    env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
+    return tuple(map(_coeffs, _tree_walk(components, env, jet1)))
+
+
+# A patch's array programs by kind: (the ring-generic build over the
+# component trees, ``build(components, ring, *params)``, its params, its
+# ring, its tier), the tier being the batched calls of that kind a patch
+# makes on the rings before it compiles.  Adaptive compilers compile once
+# the calls to come repay the compile (Hoelzle & Ungar, OOPSLA 1994): a
+# tier near compile time / time saved a call.  On the 9 built-in patches
+# at 50-200 nodes (2-core host, CPython 3.11.7, best of 30 calls, two runs)
+# record compiles in 0.4-11 ms (median 5) and saves 0.03-0.57 ms a call
+# (median 0.30), about 15 calls; ambient 0.13-1.7 ms (median 0.8), saves
+# 0-0.14 ms (median 0.05), about 16; metric 0.11-1.3 ms (median 0.7),
+# saves 0.02-0.18 ms (median 0.08), about 7.  The tiers predate these
+# figures: no CLI op builds more than 3 batched records on one patch
 # (verify builds 3 on each of plane, cone, sphere and offset_sphere;
 # report-thm31, trace and isometry --curve build 1), so a one-shot op
-# compiles none.
-_RECORD_TIER = 3
+# compiles no record program.
+_PROGRAMS = {
+    "record": (_record_coefficients, ("u", "v"), Jet2, 3),
+    "ambient": (_ambient_coefficients,
+                tuple(x + name for x in "uv" for name in Jet1._names),
+                Jet1, 0),
+    "metric": (metric_coefficients, ("u", "v"), Field2, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -123,27 +150,32 @@ class SurfacePatch:
         return compile_tangency_walk(self)
 
     @cached_property
-    def _record_program(self):
-        """:func:`~tpcurves.forms.compile_record_program` of this patch,
-        compiled on first use, at its batched record _RECORD_TIER + 1."""
-        return compile_record_program(self.components)
+    def _programs(self):
+        """Kind -> this patch's program of that kind, once compiled."""
+        return {}
 
     @cached_property
-    def _records(self):
-        """Counts the patch's batched records: 0, 1, 2, ..."""
-        return count()
+    def _calls(self):
+        """Kind -> a count of this patch's batched calls of that kind."""
+        return {kind: count() for kind in _PROGRAMS}
 
-    @cached_property
-    def _ambient_program(self):
-        """:func:`_compile_ambient_program` of this patch, compiled on first
-        use."""
-        return _compile_ambient_program(self.components)
+    def _program(self, kind):
+        """This patch's ``kind`` program (:data:`_PROGRAMS`), recorded by
+        :func:`~tpcurves.jets.straight_line` on first use."""
+        program = self._programs.get(kind)
+        if program is None:
+            build, params, ring, _ = _PROGRAMS[kind]
+            program = self._programs[kind] = straight_line(
+                partial(build, self.components), params, ring)
+        return program
 
-    @cached_property
-    def _metric_program(self):
-        """:func:`~tpcurves.forms.compile_metric_program` of this patch,
-        compiled on first use."""
-        return compile_metric_program(self.components)
+    def _run(self, kind, *args):
+        """The ``kind`` program at ``args`` from this patch's batched call
+        of that kind past its tier on, else None, as where the program
+        returns None: the caller then takes its ring path."""
+        if next(self._calls[kind]) < _PROGRAMS[kind][3]:
+            return None
+        return self._program(kind)(*args)
 
     def _require_inside(self, u, v):
         if not self.contains(u, v):
@@ -173,9 +205,7 @@ class SurfacePatch:
         """All partials through order 3 at (u, v)."""
         self._require_inside(u, v)
         u, v = float(u), float(v)
-        return _surface_jet(u, v, _tree_walk(
-            self.components, {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
-            Jet2))
+        return _surface_jet(u, v, _jets(self.components, Jet2, u, v))
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
@@ -189,20 +219,17 @@ class SurfacePatch:
         or one where :meth:`jet` would raise EvalError, raises that error.
         """
         u, v = self._nodes_inside(u, v)
-        return _surface_jet(u, v, _tree_walk(
-            self.components, {"u": Jet2(u, fu=1.0), "v": Jet2(v, fv=1.0)},
-            Jet2))
+        return _surface_jet(u, v, _jets(self.components, Jet2, u, v))
 
     def _record_batch(self, u, v):
         """The :class:`~tpcurves.forms.PointGeometry` at every node of two
         equal-length 1-D arrays, with the bits of :meth:`jet_batch`'s
-        record: from the patch's record program once it has built
-        _RECORD_TIER batched records, else, and where the program returns
-        None, over :meth:`jet_batch`, which then raises the batch's error.
+        record: from the patch's record program past its tier, else, and
+        where the program returns None, over :meth:`jet_batch`, which then
+        raises the batch's error.
         """
         u, v = self._nodes_inside(u, v)
-        out = (self._record_program(u, v)
-               if next(self._records) >= _RECORD_TIER else None)
+        out = self._run("record", u, v)
         if out is None:
             return PointGeometry(self.jet_batch(u, v))
         comps = tuple(Jet2(*c) for c in out[:3])
@@ -212,10 +239,8 @@ class SurfacePatch:
     def metric_batch(self, u, v):
         """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
         arrays of nodes that broadcast together, in one pass: the patch's
-        generated array program
-        (:func:`~tpcurves.forms.compile_metric_program`), or
-        :func:`~tpcurves.forms.metric_coefficients` over Field2 arrays
-        where that returns None.
+        metric program, or :func:`~tpcurves.forms.metric_coefficients`
+        over Field2 arrays where that returns None.
 
         Each is an array that broadcasts to the nodes' shape, or a float
         where it is the same at every node, with the bits of the
@@ -228,11 +253,17 @@ class SurfacePatch:
         u, v = self._nodes_inside(u, v)
         # As in the tree walk, overflow and invalid operations pass.
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._metric_program(u, v) or metric_coefficients(
-                Field2, self.components, u, v)
+            return self._run("metric", u, v) or metric_coefficients(
+                self.components, Field2, u, v)
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
+
+
+def _jets(components, jet2, u, v):
+    """The component trees over ``jet2`` at (u, v)."""
+    return _tree_walk(components, {"u": jet2(u, fu=1.0), "v": jet2(v, fv=1.0)},
+                      jet2)
 
 
 def _tree_walk(components, env, ring):
@@ -255,21 +286,6 @@ def _stack(comps, attr, shape):
 
 def _coeffs(jet):  # as kept: absent ones stay ZERO
     return tuple(getattr(jet, name) for name in jet.__slots__)
-
-
-def _compile_ambient_program(components):
-    """Straight-line array code, recorded by
-    :func:`~tpcurves.jets.straight_line`: the coefficients of the component
-    trees over Jet1 at the coefficients of a curve's jets u(t), v(t) (each
-    a 1-D array of nodes, or a float where it is the same at every node),
-    so one program serves every curve on the patch.  Where it returns None,
-    the tree walk over Jet1 arrays, its oracle, raises its error."""
-    def build(jet1, *coeffs):
-        env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
-        return tuple(_coeffs(expr.evaluate(c, env, jet1.const))
-                     for c in components)
-    params = [x + name for x in "uv" for name in Jet1._names]
-    return straight_line(build, params, Jet1)
 
 
 def _surface_jet(u, v, comps):
@@ -387,7 +403,7 @@ def ambient_jet(patch, curve, t):
         raise DomainError("curve point ({}, {}) at t={} outside domain of "
                           "'{}'".format(*bad, patch.name))
     env = {"u": cj.u, "v": cj.v}
-    out = (patch._ambient_program(*_coeffs(cj.u), *_coeffs(cj.v))
+    out = (patch._run("ambient", *_coeffs(cj.u), *_coeffs(cj.v))
            if isinstance(t, np.ndarray) else None)
     # The tree walk raises its first failing node's error.
     comps = (_tree_walk(patch.components, env, Jet1) if out is None

@@ -229,6 +229,7 @@ def geodesic_curvature_formula(coeffs, geom):
     return (coeffs.a1 * coeffs.b2 - coeffs.a2 * coeffs.b1) * geom.area.f
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as the tree walk does
 def position_component_report(geom, sample):
     """Closed-form distance/tangential/normal/binormal components of the
     position vector against their ambient dot products.
@@ -251,7 +252,7 @@ def position_component_report(geom, sample):
 
     kappa, framed, n_vec, b_vec = _frame(sample)
     # Below the frame threshold these are NaN: no warnings for them.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         n_comp = (lam * coeffs.b1 * E + (lam * coeffs.b2 + mu * coeffs.b1) * F
                   + mu * coeffs.b2 * G) / kappa
         b_comp = (coeffs.a1 * coeffs.b3 * mu * (-det)

@@ -9,11 +9,13 @@ compiles nothing.  A metric grid sweep runs the metric program alone.  A
 patch's batched records (``SurfacePatch._record_batch``) compile its
 record program in tiers: the first three are built on the rings and the
 fourth compiles it, so no one-shot CLI op compiles one, and an op gives
-the same bytes before and after its patch has compiled.
+the same bytes before and after its patch has compiled.  Each kind of
+``surface._PROGRAMS`` compiles once, at its batched call past its tier.
 """
 
 import functools
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -25,12 +27,13 @@ import pytest
 
 import tpcurves
 import tpcurves.surface
+import tpcurves.tangent
 from tpcurves import builtin_scene, cli, parse_curve, point_geometry
 from tpcurves import scene as scene_module
 from tpcurves.curves import sample_arclength
 from tpcurves.isometry import invariance_report
 from tpcurves.scene import BUILTIN_SCENE_TEXT
-from tpcurves.surface import SurfacePatch, ambient_jet
+from tpcurves.surface import _PROGRAMS, SurfacePatch, ambient_jet
 
 
 @pytest.fixture
@@ -40,24 +43,36 @@ def fresh_builtin(monkeypatch):
                         functools.cache(scene_module._builtin.__wrapped__))
 
 
+def count_compiles(monkeypatch, *kinds):
+    """A list that gets (kind, components) of each program of ``kinds``
+    compiled from now on, in order: the kinds of ``surface._PROGRAMS``,
+    at their one compile site, and the tracer's walk ("walk")."""
+    seen = []
+    kind_of = {build: kind for kind, (build, *_) in _PROGRAMS.items()}
+    compile_program = tpcurves.surface.straight_line
+    compile_walk = tpcurves.tangent.compile_tangency_walk
+
+    def counted(build, params, ring):
+        if kind_of[build.func] in kinds:
+            seen.append((kind_of[build.func], build.args[0]))
+        return compile_program(build, params, ring)
+
+    def counted_walk(patch):
+        if "walk" in kinds:
+            seen.append(("walk", patch.components))
+        return compile_walk(patch)
+
+    monkeypatch.setattr(tpcurves.surface, "straight_line", counted)
+    monkeypatch.setattr(tpcurves.tangent, "compile_tangency_walk",
+                        counted_walk)
+    return seen
+
+
 @pytest.fixture
 def compiled(monkeypatch):
     """(kind, components) of every record ("record") and metric_batch
     ("metric") program compiled, in order."""
-    seen = []
-
-    def count(kind, name):
-        compile_program = getattr(tpcurves.surface, name)
-
-        def counted(components):
-            seen.append((kind, components))
-            return compile_program(components)
-
-        monkeypatch.setattr(tpcurves.surface, name, counted)
-
-    count("record", "compile_record_program")
-    count("metric", "compile_metric_program")
-    return seen
+    return count_compiles(monkeypatch, "record", "metric")
 
 
 def counting(monkeypatch, calls, *methods):
@@ -80,16 +95,24 @@ def counting(monkeypatch, calls, *methods):
 def test_loading_the_scene_compiles_nothing():
     code = (
         "import tpcurves\n"
+        "from tpcurves.surface import _PROGRAMS\n"
         "scene = tpcurves.builtin_scene()\n"
-        "cached = [name for p in scene.surfaces.values() for name in vars(p)\n"
-        "          if name in ('_record_program', '_ambient_program',\n"
-        "                      '_metric_program', 'tangency_walk')]\n"
-        "print(cached)\n")
+        "def cached():\n"
+        "    return [(p.name, kind) for p in scene.surfaces.values()\n"
+        "            for kind in (*_PROGRAMS, 'walk')\n"
+        "            if kind in vars(p).get('_programs', {})\n"
+        "            or kind == 'walk' and 'tangency_walk' in vars(p)]\n"
+        "print(cached())\n"
+        "plane = scene.surface('plane')\n"
+        "plane.metric_batch([plane.u_range[0]], [plane.v_range[0]])\n"
+        "plane.tangency_walk\n"
+        "print(cached())\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(tpcurves.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout == "[]\n"
+    # A batched call and a trace's first use show in what it reads.
+    assert out.stdout == "[]\n[('plane', 'metric'), ('plane', 'walk')]\n"
 
 
 def test_repeated_isometry_ops_compile_one_program_per_patch(
@@ -177,28 +200,46 @@ def test_a_one_shot_op_compiles_no_record_program(
     assert [kind for kind, _ in compiled if kind == "record"] == []
 
 
-def test_a_patchs_fourth_batched_record_compiles_one_program(compiled):
+def record_bits(geom):
+    fields = (getattr(geom, key) for key in
+              ("E", "F", "G", "det", "area", "g", "lam", "mu"))
+    return [np.asarray(getattr(x, name), float).tobytes()
+            for x in fields for name in x._names] + \
+        [geom.jet.value.tobytes(), geom.jet.dvvv.tobytes()]
+
+
+U = np.linspace(0.1, 6.0, 40)
+V = np.linspace(-1.0, 1.0, 40)
+T = np.linspace(0.0, 1.0, 40)
+# The bits of one batched call of each kind on a catenoid patch.
+BATCHED_CALLS = {
+    "record": lambda patch: record_bits(point_geometry(patch, U, V)),
+    "ambient": lambda patch: [x.tobytes() for x in ambient_jet(
+        patch, builtin_scene().curve("catenoid_line"), T)[1:]],
+    "metric": lambda patch: [np.asarray(x, float).tobytes()
+                             for x in patch.metric_batch(U, V)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROGRAMS))
+def test_a_patchs_batched_call_past_the_tier_compiles_one_program(
+        kind, monkeypatch):
     catenoid = builtin_scene().surface("catenoid")
     patch = SurfacePatch("fresh", catenoid.components, catenoid.u_range,
                          catenoid.v_range)
-    u = np.linspace(0.1, 6.0, 40)
-    v = np.linspace(-1.0, 1.0, 40)
-    records = []
-    for _ in range(3):
-        records.append(point_geometry(patch, u, v))
+    compiled = count_compiles(monkeypatch, kind)
+    call = BATCHED_CALLS[kind]
+    runs = [call(patch) for _ in range(_PROGRAMS[kind][3])]
     assert compiled == []
-    records.append(point_geometry(patch, u, v))
-    assert compiled == [("record", patch.components)]
-    records.append(point_geometry(patch, u, v))
-    assert compiled == [("record", patch.components)]
-    # The program's records have the ring path's bits (no NaN here).
-    def bits(geom):
-        fields = (getattr(geom, key) for key in
-                  ("E", "F", "G", "det", "area", "g", "lam", "mu"))
-        return [np.asarray(getattr(x, name), float).tobytes()
-                for x in fields for name in x._names] + \
-            [geom.jet.value.tobytes(), geom.jet.dvvv.tobytes()]
-    assert bits(records[3]) == bits(records[4]) == bits(records[0])
+    runs.append(call(patch))
+    assert compiled == [(kind, patch.components)]
+    runs.append(call(patch))
+    # Then the ring path, as below the tier.
+    monkeypatch.setitem(_PROGRAMS, kind, (*_PROGRAMS[kind][:3], math.inf))
+    runs.append(call(patch))
+    assert compiled == [(kind, patch.components)]
+    # The program's calls have the ring path's bits (no NaN here).
+    assert all(run == runs[-1] for run in runs)
 
 
 def _op_bytes(argv, out, capsys):

@@ -95,7 +95,7 @@ def test_ambient_jet_has_the_tree_walks_bits_on_builtin_curves(scene):
     for name, curve in scene.curves.items():
         patch = scene.surface(curve.surface)
         t = np.linspace(*curve.t_range, 240)
-        out = patch._ambient_program(*curve_coeffs(curve, t))
+        out = patch._program("ambient")(*curve_coeffs(curve, t))
         assert out is not None, name  # no fallback
         cj, gamma, d1, d2, d3 = ambient_jet(patch, curve, t)
         want = ambient_tree_walk(patch, curve, t)
@@ -126,7 +126,7 @@ def test_a_nan_constant_the_results_use_keeps_the_program():
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
     assert np.isnan(want[2].fu).all()
-    out = program_output(patch._record_program, (u, v))
+    out = program_output(patch._program("record"), (u, v))
     assert_same_coeffs([Jet2(*c) for c in out[:3]], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)
 
@@ -138,7 +138,7 @@ def test_ambient_jet_matches_the_tree_walk_on_random_trees(components):
     curve = parse_curve("0.5 + t", "1.5 - t*t/2", (-1.0, 1.5))
     t = np.linspace(-1.0, 1.5, 11)
     want = outcome(lambda: ambient_tree_walk(patch, curve, t))
-    program = patch._ambient_program
+    program = patch._program("ambient")
     if raised(want):
         assert program(*curve_coeffs(curve, t)) is None
         assert outcome(lambda: ambient_jet(patch, curve, t)) == want
@@ -185,8 +185,8 @@ def test_a_failing_node_raises_the_tree_walks_error(case):
         ambient_jet(patch, curve, u)
     assert str(caught.value) == (curve_text or text)
     if error is not DomainError:  # the programs gave way to the tree walk
-        assert patch._record_program(u, np.full(4, 0.5)) is None
-        assert patch._ambient_program(*curve_coeffs(curve, u)) is None
+        assert patch._program("record")(u, np.full(4, 0.5)) is None
+        assert patch._program("ambient")(*curve_coeffs(curve, u)) is None
 
 
 def test_a_failing_curve_node_raises_the_tree_walks_error():
@@ -206,6 +206,6 @@ def test_a_nan_constant_no_result_uses_keeps_the_program():
     patch = parse_surface("(u, v, (u / 5e-324) ^ 0)", (-3, 3), (-3, 3))
     u, v = POSITIVE
     want = tree_walk(patch, u, v)
-    out = program_output(patch._record_program, (u, v))  # no fallback
+    out = program_output(patch._program("record"), (u, v))  # no fallback
     assert_same_coeffs([Jet2(*c) for c in out[:3]], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)

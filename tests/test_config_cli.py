@@ -384,7 +384,7 @@ def test_cli_forms_overflow_exit_1(tmp_path, capsys):
 
 OVERFLOW_SCENE = """\
 [surface boom]
-components = (exp({k}*u), v, u*v)
+components = {components}
 u_range = 0, 2
 v_range = 0, 1
 
@@ -396,18 +396,22 @@ t_range = 0, {t1}
 """
 
 
-@pytest.mark.parametrize("k,t1,argv,code", [
+@pytest.mark.parametrize("components,t1,argv,code", [
     # ds/dt ** 5 overflows in the arc-length chain rule; the report runs.
-    (200, 1, ["report-thm31", "line"], 0),
+    ("(exp(200*u), v, u*v)", 1, ["report-thm31", "line"], 0),
     # |gamma'|^2 overflows: the speed is inf.
-    (340, 2, ["report-thm31", "line"], 2),
+    ("(exp(340*u), v, u*v)", 2, ["report-thm31", "line"], 2),
     # The point's second form overflows with E; the symbols then disagree.
-    (200, 1, ["forms", "boom", "1.9", "0.2"], 2),
-], ids=["samples", "speed", "second_form"])
-def test_overflowing_config_scene_prints_no_warning(tmp_path, capsys, k, t1,
-                                                    argv, code):
+    ("(exp(200*u), v, u*v)", 1, ["forms", "boom", "1.9", "0.2"], 2),
+    # |gamma|^2 and the closed-form components overflow; the report runs.
+    ("(1e200 + u, v, u*v)", 2, ["report-thm31", "line", "--samples", "5"],
+     0),
+], ids=["samples", "speed", "second_form", "position"])
+def test_overflowing_config_scene_prints_no_warning(tmp_path, capsys,
+                                                    components, t1, argv,
+                                                    code):
     path = tmp_path / "scene.ini"
-    path.write_text(OVERFLOW_SCENE.format(k=k, t1=t1))
+    path.write_text(OVERFLOW_SCENE.format(components=components, t1=t1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(argv + ["--config", str(path)])

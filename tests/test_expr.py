@@ -195,7 +195,7 @@ def test_a_tree_at_the_nesting_limit_runs_everywhere(kind):
                       ring.const)
     expr.evaluate(tree, {"u": 0.5, "v": 0.75}, float)
     patch.jet_batch(u, v)  # the tree walk over Jet2 arrays
-    patch._record_program(u, v)  # the record program, over Jet2
+    patch._program("record")(u, v)  # the record program, over Jet2
     patch.metric_batch(u, v)  # the metric program, over Field2
     tangency_gradient(patch, 0.5, 0.75)  # the tracer's walk
     ambient_jet(patch, parse_curve("t", "0.5", (0.0, 1.0)), u)  # over Jet1

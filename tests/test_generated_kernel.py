@@ -11,15 +11,14 @@ import math
 import struct
 
 import pytest
+from test_batch_compile import count_compiles
 from test_tangency_kernel import order2, walk_kernel
 
-import tpcurves.surface
-import tpcurves.tangent
 from tpcurves import point_geometry, tangency_gradient, trace_tangent_curve
 from tpcurves.errors import DegeneratePoint, EvalError
 from tpcurves.expr import Binary, Const, Unary, Var
 from tpcurves.scene import BUILTIN_SCENE_TEXT, load_scene_text
-from tpcurves.surface import SurfacePatch
+from tpcurves.surface import _PROGRAMS, SurfacePatch
 
 
 def bits(*xs):
@@ -85,22 +84,7 @@ def test_shared_singular_subtree_raises_the_tree_walks_first_error():
 def compiled(monkeypatch):
     """(kind, components) of every program compiled: the walk ("walk"),
     and the record, metric and ambient array programs."""
-    seen = []
-
-    def count(module, name, kind, of_patch=False):
-        compile_program = getattr(module, name)
-
-        def counted(arg):
-            seen.append((kind, arg.components if of_patch else arg))
-            return compile_program(arg)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(tpcurves.tangent, "compile_tangency_walk", "walk", of_patch=True)
-    count(tpcurves.surface, "compile_record_program", "record")
-    count(tpcurves.surface, "compile_metric_program", "metric")
-    count(tpcurves.surface, "_compile_ambient_program", "ambient")
-    return seen
+    return count_compiles(monkeypatch, "walk", *_PROGRAMS)
 
 
 def test_kernel_is_compiled_on_first_use_and_once(compiled):

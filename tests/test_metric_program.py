@@ -2,7 +2,7 @@
 it replaced.
 
 ``SurfacePatch.metric_batch`` runs one straight-line array program per
-patch, recorded over Field2 by ``forms.compile_metric_program``: the
+patch, recorded over Field2 from ``forms.metric_coefficients``: the
 component trees over Field2, their first partials as Field1 values and E,
 F, G over those, the sequence the tracer's walk is recorded from too.
 Its oracle is the order-3 path: the coefficients of :func:`metric_fields`
@@ -78,7 +78,7 @@ def test_builtin_surfaces_match_the_order3_path(scene, monkeypatch):
 
     for name, patch in scene.surfaces.items():
         us, vs = grid(patch)
-        assert patch._metric_program(us, vs) is not None, name  # no fallback
+        assert patch._program("metric")(us, vs) is not None, name  # no fallback
         with monkeypatch.context() as m:
             m.setattr(expr, "evaluate", counted)
             got = patch.metric_batch(us, vs)
@@ -102,7 +102,7 @@ def test_a_nan_constant_the_results_use_keeps_the_sweeps_program():
     patch = parse_surface("(u, v, u * (1e200 * 1e200 - 1e200 * 1e200))",
                           (-3, 3), (-3, 3))
     u, v = POSITIVE
-    out, want = patch._metric_program(u, v), order3(patch, u, v)
+    out, want = patch._program("metric")(u, v), order3(patch, u, v)
     assert any(np.isnan(x).all() for x in want)
     assert out is not None
     assert_same(out, want)
@@ -113,7 +113,7 @@ def test_a_nan_constant_the_results_use_keeps_the_sweeps_program():
 @settings(max_examples=150, deadline=None)
 def test_metric_batch_matches_the_order3_path_on_random_trees(components):
     patch = patch_of(components)
-    program = patch._metric_program
+    program = patch._program("metric")
     for u, v in (POSITIVE, MIXED):
         got = outcome(lambda: patch.metric_batch(u, v))
         want = outcome(lambda: order3(patch, u, v))
@@ -152,7 +152,7 @@ def test_a_failing_node_raises_the_order3_error(case):
     assert outcome(lambda: order3(patch, u, v)) == (error, text)
     assert outcome(lambda: patch.metric_batch(u, v)) == (error, text)
     if error is not DomainError:  # the program gave way to the tree walk
-        assert patch._metric_program(u, v) is None
+        assert patch._program("metric")(u, v) is None
 
 
 SINGULAR_SCENE = """

@@ -1,7 +1,7 @@
 """The batched geometry record as one generated program per patch, against
 the ring path.
 
-A patch's record program (``SurfacePatch._record_program``) maps 1-D
+A patch's record program (``SurfacePatch._program("record")``) maps 1-D
 arrays of nodes (u, v) to the coefficients of the component jets over Jet2
 and of the record's fields E, F, G, det, area, g, lam and mu over Field2.
 Its oracle and error path is the ring path, ``PointGeometry`` over
@@ -20,18 +20,18 @@ from test_batch_program import (MIXED, POSITIVE, assert_same_coeffs,
                                 patch_of, raised)
 from test_tangency_kernel import _trees
 
-import tpcurves.surface
 from tpcurves import point_geometry
 from tpcurves.errors import GeometryError
 from tpcurves.forms import PointGeometry
 from tpcurves.jets import Field2, Jet2
+from tpcurves.surface import _PROGRAMS
 
 FIELDS = ("E", "F", "G", "det", "area", "g", "lam", "mu")
 
 
 def program_record(patch, u, v):
     """(component jets, fields) of the patch's record program, or None."""
-    out = patch._record_program(u, v)
+    out = patch._program("record")(u, v)
     if out is None:
         return None
     return [Jet2(*c) for c in out[:3]], [Field2(*c) for c in out[3:]]
@@ -97,7 +97,7 @@ def test_the_record_program_matches_the_ring_path_on_random_trees(components):
         # point_geometry on a patch past its tier runs the program; where
         # that gives way, it raises the per-point loop's first error.
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(tpcurves.surface, "_RECORD_TIER", 0)
+            m.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], 0))
             batched = outcome(lambda: point_geometry(patch, u, v))
         if raised(want):
             assert batched == first_point_error(patch, u, v)

@@ -24,27 +24,24 @@ from test_tangency_kernel import walk_kernel
 
 from tpcurves import jets, parse_curve, parse_surface
 from tpcurves.errors import EvalError
-import tpcurves.surface
 import tpcurves.tangent
-from tpcurves.forms import (compile_metric_program, compile_record_program,
-                            metric_coefficients, point_geometry,
+from tpcurves.forms import (metric_coefficients, point_geometry,
                             tangency_gradient)
 from tpcurves.jets import ZERO, Field2
-from tpcurves.surface import (SurfacePatch, _compile_ambient_program,
-                              ambient_jet)
+from tpcurves.surface import _PROGRAMS, SurfacePatch, ambient_jet
 from tpcurves.tangent import compile_tangency_walk
 
 
-def _compile_walk(components):
-    return compile_tangency_walk(SurfacePatch(
-        name="walk", components=components, u_range=(-3.0, 3.0),
-        v_range=(-3.0, 3.0)))
+def compile_program(kind, components):
+    """The walk ("walk") or a ``_PROGRAMS`` kind of a fresh patch."""
+    patch = SurfacePatch(name="fresh", components=components,
+                         u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+    if kind == "walk":
+        return compile_tangency_walk(patch)
+    return patch._program(kind)
 
 
-PROGRAMS = {"metric": compile_metric_program,
-            "walk": _compile_walk,
-            "record": compile_record_program,
-            "ambient": _compile_ambient_program}
+KINDS = ("walk", *_PROGRAMS)
 U = np.array([0.5, 1.25, 2.0])
 V = np.array([0.75, -0.5, 1.5])
 T = np.array([0.25, 0.5, 0.75])
@@ -63,9 +60,9 @@ def recordings(components, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(jets, "_render", spy)
         m.setattr(tpcurves.tangent, "_render", spy)
-        for kind, compile_program in PROGRAMS.items():
-            assert compile_program(components) is not None, kind
-    return [(kind, *recording) for kind, recording in zip(PROGRAMS, seen)]
+        for kind in KINDS:
+            assert compile_program(kind, components) is not None, kind
+    return [(kind, *recording) for kind, recording in zip(KINDS, seen)]
 
 
 def test_no_program_computes_with_a_structural_zero(scene, monkeypatch):
@@ -116,12 +113,12 @@ def test_an_absent_partial_times_inf_is_zero(monkeypatch):
     patch = parse_surface("(u, v, u * (1e200 * 1e200))", (-3, 3), (-3, 3))
     assert bits(patch.jet(0.5, 0.75).dv[2]) == 0
     assert bits(patch.jet_batch(U, V).dv[2]) == [0, 0, 0]
-    monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", 0)
-    assert patch._record_program(U, V) is not None
+    monkeypatch.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], 0))
+    assert patch._program("record")(U, V) is not None
     assert bits(point_geometry(patch, U, V).jet.dv[2]) == [0, 0, 0]
-    assert patch._ambient_program is not None
+    assert patch._program("ambient") is not None
     assert bits(ambient_jet(patch, ALONG_V, T)[2][2]) == [0, 0, 0]
-    assert patch._metric_program is not None
+    assert patch._program("metric") is not None
     E, F, G, E_u, E_v, F_u, F_v, G_u, G_v = patch.metric_batch(U, V)
     assert np.isinf(E) and G == 1.0
     assert bits([F, E_v, F_u, F_v, G_u, G_v]) == [0] * 6
@@ -143,12 +140,12 @@ def test_minus_zero_plus_an_absent_term_stays_minus_zero(monkeypatch):
     patch = parse_surface("(u, v, u - 0*v)", (-3, 3), (-3, 3))
     assert bits(patch.jet(0.5, 0.75).dv[2]) == NEGATIVE_ZERO
     assert bits(patch.jet_batch(U, V).dv[2]) == [NEGATIVE_ZERO] * 3
-    monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", 0)
-    assert patch._record_program(U, V) is not None
+    monkeypatch.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], 0))
+    assert patch._program("record")(U, V) is not None
     assert bits(point_geometry(patch, U, V).jet.dv[2]) == [NEGATIVE_ZERO] * 3
-    assert patch._ambient_program is not None
+    assert patch._program("ambient") is not None
     assert bits(ambient_jet(patch, ALONG_V, T)[2][2]) == [NEGATIVE_ZERO] * 3
-    assert patch._metric_program is not None
+    assert patch._program("metric") is not None
     assert bits(patch.metric_batch(U, V)[1]) == NEGATIVE_ZERO
     assert bits(point_geometry(patch, 0.5, 0.75).F.f) == NEGATIVE_ZERO
     # The plane (-u, v, 0): p . (p_u x p_v) = -u * absent + v * absent
@@ -176,9 +173,9 @@ def test_a_dead_overflowing_math_call_still_raises(monkeypatch):
                        for line in body), kind
     u, v = np.array([0.5, 1e-300, 0.25]), np.full(3, 0.5)
     with pytest.raises(EvalError) as want:
-        metric_coefficients(Field2, patch.components, u, v)
+        metric_coefficients(patch.components, Field2, u, v)
     assert str(want.value) == "x ** 1.5 at 1e-300: math range error"
-    assert patch._metric_program(u, v) is None
+    assert patch._program("metric")(u, v) is None
     with pytest.raises(EvalError, match=r"^x \*\* 1\.5 at 1e-300: math "):
         patch.metric_batch(u, v)
     assert walk_kernel(patch)(1e-300, 0.5) is None
@@ -211,7 +208,8 @@ def test_the_sentinel_never_escapes(scene, monkeypatch):
         u = np.linspace(u0, u1, 5)[1:-1]
         v = np.linspace(v0, v1, 5)[1:-1]
         for tier in (1000, 0):  # the ring path, then the record program
-            monkeypatch.setattr(tpcurves.surface, "_RECORD_TIER", tier)
+            monkeypatch.setitem(_PROGRAMS, "record",
+                                (*_PROGRAMS["record"][:3], tier))
             for jet in (patch.jet(u[0], v[0]), patch.jet_batch(u, v)):
                 geom = point_geometry(patch, jet.u, jet.v)
                 assert_no_sentinel(geom.jet, geom.E, geom.F, geom.G,

@@ -13,11 +13,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import tpcurves.surface
 from tpcurves import (CurveSample, builtin_scene, cli, parse_surface,
                       point_geometry, tangent)
 from tpcurves.forms import tangency_gradient
-from tpcurves.surface import SurfacePatch
+from tpcurves.surface import _PROGRAMS, SurfacePatch
 from tpcurves.tangent import (_CORRECTOR_MAX, GRAD_FLOOR, LOCUS_TOL,
                               TRACE_TOL, TracedCurve, trace_tangent_curve)
 
@@ -77,7 +76,7 @@ def program_free(patch, newton):
     with pytest.MonkeyPatch.context() as m:
         m.setitem(vars(patch), "tangency_walk", newton)
         m.setattr(tangent, "tangency_gradient", record_gradient)
-        m.setattr(tpcurves.surface, "_RECORD_TIER", math.inf)
+        m.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], math.inf))
         yield
 
 
