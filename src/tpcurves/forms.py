@@ -30,7 +30,7 @@ fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
 or grid, every field an array over the nodes.
 
-Three of a patch's generated programs are recorded from code here.  The
+Four of a patch's generated programs are recorded from code here.  The
 metric program of a grid sweep (:func:`metric_coefficients`: E, F, G and
 their first derivatives, order 2) and the tracer's walk
 (:func:`_tangency_fields`: g, its gradient and the point, order 2) come
@@ -38,8 +38,10 @@ from one builder, the component trees over Field2 lowered to order-1
 position and partials with E, F, G over them.  The record program records
 the component trees over Jet2 and :func:`_record_fields` over them: a
 batched record's jets and fields in one array program, with the
-regularity test as a guard.  The array programs are compiled and run from
-one table, :data:`~tpcurves.surface._PROGRAMS`; the walk is compiled in
+regularity test as a guard.  The hessian program records the record's g
+alone (:func:`_order2_metric` and :func:`_tangency`), for the tracer's
+seed.  All but the walk are compiled and run from one table,
+:data:`~tpcurves.surface._PROGRAMS`; the walk is compiled in
 :mod:`~tpcurves.tangent`.
 """
 
@@ -167,15 +169,21 @@ def _record_fields(comps, u, v):
     Ring-generic: a record builds them over floats or arrays of nodes, and
     the record program is recorded from it.  Raises DegeneratePoint as
     :func:`_tangency` does."""
-    p, pu, pv = ([view(c) for c in comps] for view in (
-        Field2.of_jet, Field2.of_jet_du, Field2.of_jet_dv))
-    E, F, G = dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
+    p, pu, pv, E, F, G = _order2_metric(comps)
     det, area, g = _tangency(p, pu, pv, E, F, G, u, v)
     p_dot_u = dot3(p, pu)
     p_dot_v = dot3(p, pv)
     lam = (G * p_dot_u - F * p_dot_v) / det
     mu = (E * p_dot_v - F * p_dot_u) / det
     return E, F, G, det, area, g, lam, mu
+
+
+def _order2_metric(comps):
+    """The position p and partials phi_u, phi_v of the component jets
+    ``comps`` over Jet2 as order-2 fields, with E, F, G over them."""
+    p, pu, pv = ([view(c) for c in comps] for view in (
+        Field2.of_jet, Field2.of_jet_du, Field2.of_jet_dv))
+    return p, pu, pv, dot3(pu, pu), dot3(pu, pv), dot3(pv, pv)
 
 
 def _tangency(p, pu, pv, E, F, G, u, v):

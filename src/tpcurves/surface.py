@@ -8,12 +8,13 @@ straight-line float code over order-2 fields, generated per patch on first
 use; :func:`~tpcurves.forms.tangency_gradient` runs its corrector too.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
-Batched evaluation runs generated code as well: three straight-line array
-programs per patch, from one table of kinds, :data:`_PROGRAMS`.
+Batched evaluation, and g's Hessian at a trace's seed, run generated code
+as well: straight-line programs per patch, from one table of kinds,
+:data:`_PROGRAMS`.
 :meth:`SurfacePatch._program` records a kind by
 :func:`~tpcurves.jets.straight_line` on first use, and
-:meth:`SurfacePatch._run` runs it from the patch's batched call of that
-kind past its tier on:
+:meth:`SurfacePatch._run` runs it from the patch's call of that kind past
+its tier on:
 
 * ``record`` (tier 3), the batched :func:`~tpcurves.forms.point_geometry`
   over Jet2: the component jets (order 3: the second form and the
@@ -24,21 +25,25 @@ kind past its tier on:
 * ``metric`` (tier 0), :meth:`SurfacePatch.metric_batch` over Field2
   (order 2), at node arrays that broadcast together: a grid sweep passes
   its (m, 1) and (1, n) axes, so a value of u alone is computed at m
-  entries.
+  entries;
+* ``hessian`` (tier 25), g = phi . N with its gradient and Hessian over
+  Jet2 at one point, the record's g alone: the tracer's isolated-zero test
+  at a corrected seed reads it.
 
 Each gives the ring path's bits at every value that is not NaN, and NaN
 where it gives NaN.  The caller's ring path (a record over
-:meth:`SurfacePatch.jet_batch`, or the tree walk over Jet1 or Field2
-arrays) runs below the tier and where a program returns None: it is the
-program's oracle and error path.  At a point, ``jet``, ``ambient_jet`` and
-the curve's own u(t), v(t) run the same tree walk over floats, and
-``value`` walks the trees over plain floats.
+:meth:`SurfacePatch.jet_batch` or, for ``hessian``, over :meth:`jet`, or
+the tree walk over Jet1 or Field2 arrays) runs below the tier and where a
+program returns None: it is the program's oracle and error path.  At a
+point, ``jet``, ``ambient_jet`` and the curve's own u(t), v(t) run the
+same tree walk over floats, and ``value`` walks the trees over plain
+floats.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  A patch's caches take no lock
 (``cached_property`` on Python 3.12 and later, and the table's dict), so
 two threads may both compile one program, which is harmless; each kind's
-count of batched calls is an ``itertools.count`` of its own, whose
+count of calls is an ``itertools.count`` of its own, whose
 ``next`` is atomic under CPython's global interpreter lock.
 """
 
@@ -52,7 +57,8 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .forms import PointGeometry, _record_fields, metric_coefficients
+from .forms import (PointGeometry, _order2_metric, _record_fields,
+                    _tangency, metric_coefficients)
 from .jets import Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -69,6 +75,14 @@ def _record_coefficients(components, jet2, u, v):
     return tuple(map(_coeffs, (*comps, *_record_fields(comps, u, v))))
 
 
+def _hessian_coefficients(components, jet2, u, v):
+    """g = phi . N, its gradient and its Hessian over the component jets
+    over ``jet2`` at (u, v), by the record's formula: the hessian
+    program."""
+    g = _tangency(*_order2_metric(_jets(components, jet2, u, v)), u, v)[2]
+    return g.f, g.fu, g.fv, g.fuu, g.fuv, g.fvv
+
+
 def _ambient_coefficients(components, jet1, *coeffs):
     """The component trees over ``jet1`` at the coefficients of a curve's
     jets u(t), v(t), as kept: the ambient program, one for every curve on
@@ -77,10 +91,10 @@ def _ambient_coefficients(components, jet1, *coeffs):
     return tuple(map(_coeffs, _tree_walk(components, env, jet1)))
 
 
-# A patch's array programs by kind: (the ring-generic build over the
+# A patch's programs by kind: (the ring-generic build over the
 # component trees, ``build(components, ring, *params)``, its params, its
-# ring, its tier), the tier being the batched calls of that kind a patch
-# makes on the rings before it compiles.  Adaptive compilers compile once
+# ring, its tier), the tier being the calls of that kind a patch makes on
+# the rings before it compiles.  Adaptive compilers compile once
 # the calls to come repay the compile (Hoelzle & Ungar, OOPSLA 1994): a
 # tier near compile time / time saved a call.  On the 9 built-in patches
 # at 50-200 nodes (2-core host, CPython 3.11.7, best of 30 calls, two runs)
@@ -91,13 +105,18 @@ def _ambient_coefficients(components, jet1, *coeffs):
 # figures: no CLI op builds more than 3 batched records on one patch
 # (verify builds 3 on each of plane, cone, sphere and offset_sphere;
 # report-thm31, trace and isometry --curve build 1), so a one-shot op
-# compiles no record program.
+# compiles no record program.  hessian, at one point a call (the corrected
+# seed of each trace, 2-core host, CPython 3.11.7, best of 5 compiles and
+# of 7 calls at 30 points), compiles in 0.3-6.4 ms (median 4.4) and saves
+# 0.14-0.25 ms a call (median 0.23) against the one-point record, about
+# 24 calls: a tier of 25 traces per patch, so a one-shot op compiles none.
 _PROGRAMS = {
     "record": (_record_coefficients, ("u", "v"), Jet2, 3),
     "ambient": (_ambient_coefficients,
                 tuple(x + name for x in "uv" for name in Jet1._names),
                 Jet1, 0),
     "metric": (metric_coefficients, ("u", "v"), Field2, 0),
+    "hessian": (_hessian_coefficients, ("u", "v"), Jet2, 25),
 }
 
 
@@ -156,7 +175,7 @@ class SurfacePatch:
 
     @cached_property
     def _calls(self):
-        """Kind -> a count of this patch's batched calls of that kind."""
+        """Kind -> a count of this patch's calls of that kind."""
         return {kind: count() for kind in _PROGRAMS}
 
     def _program(self, kind):
@@ -170,9 +189,9 @@ class SurfacePatch:
         return program
 
     def _run(self, kind, *args):
-        """The ``kind`` program at ``args`` from this patch's batched call
-        of that kind past its tier on, else None, as where the program
-        returns None: the caller then takes its ring path."""
+        """The ``kind`` program at ``args`` from this patch's call of that
+        kind past its tier on, else None, as where the program returns
+        None: the caller then takes its ring path."""
         if next(self._calls[kind]) < _PROGRAMS[kind][3]:
             return None
         return self._program(kind)(*args)

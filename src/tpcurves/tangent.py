@@ -18,11 +18,13 @@ identity; none of them evaluates the patch again.  One call evaluates
 every sample, each with the bits the same call gives at that one point
 (a one-point record and a sample of floats and (3,) vectors).  The
 tracer builds no record per vertex: its walk, the seed correction, the
-vertex loop and the resample corrections, is one float program
-generated per patch on first use (:func:`compile_tangency_walk`), with
-g's recorded body inline, that serves
-:func:`~tpcurves.forms.tangency_gradient` too.  A traced locus is one
-batched record like any other curve: its accepted samples are stacked in
+vertex loop and the resampling (interpolation and correction of every
+target), is one float program generated per patch on first use
+(:func:`compile_tangency_walk`), with g's recorded body inline, that
+serves :func:`~tpcurves.forms.tangency_gradient` too; g's Hessian at the
+corrected seed comes from the patch's hessian program
+(:data:`~tpcurves.surface._PROGRAMS`).  A traced locus is one batched
+record like any other curve: its accepted samples are stacked in
 :attr:`TracedCurve.samples` and one record over them is kept in
 :attr:`TracedCurve.geometry`.
 
@@ -48,6 +50,7 @@ Conventions, fixed once:
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -349,13 +352,25 @@ def _probe_identically_tangent(patch, u, v, radius):
     return total >= 3 and hits == total
 
 
+def _g_hessian(patch, u, v):
+    """g, g_u, g_v, g_uu, g_uv, g_vv at (u, v) in the domain: the patch's
+    hessian program past its tier, else, and where that returns None, the
+    one-point record's, its oracle and error path."""
+    out = patch._run("hessian", u, v)
+    if out is None:
+        g = point_geometry(patch, u, v).g
+        out = g.f, g.fu, g.fv, g.fuu, g.fuv, g.fvv
+    return out
+
+
 def _isolated_zero(patch, u, v, h):
     """Hessian test: a nearby critical point of g that is itself a zero
-    means the locus degenerates to a point.  g's Hessian comes from a full
-    record at (u, v), the tracer's only record away from its samples."""
-    g = point_geometry(patch, u, v).g
-    hess = np.array([[g.fuu, g.fuv], [g.fuv, g.fvv]])
-    grad = np.array([g.fu, g.fv])
+    means the locus degenerates to a point.  g's Hessian at (u, v) is
+    :func:`_g_hessian`'s, the tracer's only evaluation of second
+    derivatives away from its samples."""
+    _, gu, gv, guu, guv, gvv = _g_hessian(patch, u, v)
+    hess = np.array([[guu, guv], [guv, gvv]])
+    grad = np.array([gu, gv])
     try:
         step = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
@@ -408,19 +423,39 @@ def _tangent_dir(t):
 
 _WALK = """\
 def walk(patch, u, v, max_iter, tol, h=0.0, max_steps=0, verts=None,
-         resid=None, ambient=None):
+         resid=None, ambient=None, cum=None, segs=None, total=0.0,
+         closed=False, out=None):
     for step in range(max(max_steps, 0) + 1):
-        if step:  # the predictor
+        if out is not None:  # the polyline's point at arc length s
+            s = total * step / max_steps
+            if not closed and total < s:
+                s = total
+            i = bisect_right(cum, s) - 1
+            if i < len(segs):
+                i = max(i, 0)
+                frac = (s - cum[i]) / (segs[i] if segs[i] > 0.0 else 1.0)
+                bu, bv, nu, nv = verts[2 * i:2 * i + 4]
+            elif closed:  # inside the closing chord
+                frac = (s - cum[-1]) / max(total - cum[-1], 1e-300)
+                bu, bv, nu, nv = *verts[-2:], *verts[:2]
+            else:
+                frac = 1.0
+                bu, bv, nu, nv = verts[-4:]
+            u, v = bu + frac * (nu - bu), bv + frac * (nv - bv)
+        elif step:  # the predictor
             lx, ly, lz = x, y, z
             u, v = u + h * tu, v + h * tv
         k = 0
         while True:  # the corrector
             if not (U_LO <= u <= U_HI and V_LO <= v <= V_HI):
-                if verts is not None:
+                if resid is not None:
                     return "domain_exit"
                 if not k:
                     patch._require_inside(u, v)  # raises DomainError
-                return u, v, None
+                if out is None:
+                    return u, v, None
+                g = inf  # the target is dropped
+                break
             try:
                 BODY
             except (ArithmeticError, ValueError):
@@ -431,6 +466,10 @@ def walk(patch, u, v, max_iter, tol, h=0.0, max_steps=0, verts=None,
             if norm2 <= GRAD_FLOOR * GRAD_FLOOR:
                 break
             u, v, k = u - g * gu / norm2, v - g * gv / norm2, k + 1
+        if out is not None:
+            if abs(g) <= LOCUS_TOL:
+                out += u, v, s
+            continue
         if verts is None:
             return u, v, (g, gu, gv, (x, y, z))
         if step:
@@ -479,7 +518,12 @@ def compile_tangency_walk(patch):
     or None where a step left the domain; a start off the domain raises
     DomainError.  Given the vertex lists, (u, v) is the corrected seed
     (max_iter 0) and it runs the vertex loop of :func:`trace_tangent_curve`
-    and returns the status.  Where the body's guard fires or ``math``
+    and returns the status.  Given ``out``, it resamples the polyline of
+    ``verts`` (flat u, v pairs), ``cum`` and ``segs`` (its cumulative and
+    segment chord lengths) and ``total`` (with the closing chord when
+    ``closed``): the target i of 0..max_steps at arc length total * i /
+    max_steps is interpolated, corrected, and appended to ``out`` as u, v,
+    s where it ends on the locus.  Where the body's guard fires or ``math``
     raises, the record gives that iterate, or raises the tree walk's error
     there.  Each float operation keeps its operands and their order."""
     try:
@@ -491,6 +535,7 @@ def compile_tangency_walk(patch):
     except GeometryError:  # the body gives way everywhere
         body = ["raise ArithmeticError"]
     scope = {**vars(math), "__name__": __name__, "GRAD_FLOOR": GRAD_FLOOR,
+             "bisect_right": bisect_right,
              "LOCUS_TOL": LOCUS_TOL, "_CORRECTOR_MAX": _CORRECTOR_MAX,
              "SingularLocus": SingularLocus,
              "_record_gradient": _record_gradient,
@@ -509,18 +554,19 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     closure (return within half a step of the start after at least 10
     steps, in parameter or ambient distance; a closed polyline's length
     ends at its closest approach to the start), on domain exit, or at
-    ``max_steps``.  The seed correction, the vertex loop and the resample
-    corrections run in the patch's walk (:func:`compile_tangency_walk`,
-    compiled on first use): floats, chords measured as
-    sqrt(dx*dx + dy*dy + dz*dz), not through numpy's BLAS dot, which may
-    round the last bit differently, and g's recorded body inline; where the
-    body gives way, the record gives that iterate.
-    Arc length and resampling read the stacked arrays.  The result carries
-    the vertex polyline, the unit-speed samples resampled at equal arc
-    length as one stacked CurveSample, and one PointGeometry over them.  A
-    full PointGeometry is built only at the corrected seed (g's Hessian
-    for the isolated-zero test) and once, batched, over the accepted
-    resample points.  Raises ConfigError unless h is positive and finite.
+    ``max_steps``.  The seed correction, the vertex loop and the
+    resampling run in three calls of the patch's walk
+    (:func:`compile_tangency_walk`, compiled on first use): floats, chords
+    measured as sqrt(dx*dx + dy*dy + dz*dz), not through numpy's BLAS dot,
+    which may round the last bit differently, and g's recorded body
+    inline; where the body gives way, the record gives that iterate.  The
+    polyline's chord lengths are numpy's, over the stacked points.  The
+    result carries the vertex polyline, the unit-speed samples resampled
+    at equal arc length as one stacked CurveSample, and one PointGeometry
+    over them.  A PointGeometry is built once, batched, over the accepted
+    resample points; g's Hessian for the isolated-zero test comes from
+    :func:`_g_hessian` (a one-point record only below the hessian
+    program's tier).  Raises ConfigError unless h is positive and finite.
     """
     if not 0.0 < h < math.inf:  # false for NaN too
         raise ConfigError(f"step size h must be positive and finite, got {h!r}")
@@ -530,14 +576,12 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     status = patch.tangency_walk(patch, u, v, 0, TRACE_TOL, h, max_steps,
                                  verts, resid, ambient)
     closed = status == "closed"
-    vertices = np.array(verts).reshape(-1, 2)
-    ambient = np.array(ambient).reshape(-1, 3)
-    samples, geometry, length = _resample_locus(patch, vertices, ambient,
-                                                closed, resample, t)
+    samples, geometry, length = _resample_locus(
+        patch, verts, np.array(ambient).reshape(-1, 3), closed, resample, t)
     return TracedCurve(
-        vertices=vertices, residuals=np.array(resid), closed=closed,
-        status=status, seed=(float(seed[0]), float(seed[1])), h=h,
-        arc_length=length, samples=samples, geometry=geometry)
+        vertices=np.array(verts).reshape(-1, 2), residuals=np.array(resid),
+        closed=closed, status=status, seed=(float(seed[0]), float(seed[1])),
+        h=h, arc_length=length, samples=samples, geometry=geometry)
 
 
 def _locus_sample(geom, s, sign):
@@ -569,66 +613,43 @@ def _locus_sample(geom, s, sign):
 # Python floats overflow, and give NaN, without a word: so does the numpy
 # here (the rings, the record and their divisions keep their own states).
 @np.errstate(all="ignore")
-def _resample_locus(patch, vertices, ambient, closed, count, start):
-    """Equal-arc-length samples along the traced polyline, corrected back
-    onto the locus before the per-point data is evaluated.  ``start`` is
-    the :func:`~tpcurves.forms.tangency_gradient` tuple at the first
-    vertex.  Returns the stacked sample and one PointGeometry over the
-    accepted points (empty when none is), and the polyline length."""
-    def batch(accepted, sign):
-        us, vs, ss = np.array(accepted, dtype=float).reshape(-1, 3).T
-        geom = point_geometry(patch, us, vs)
-        return _locus_sample(geom, ss, sign), geom
-
-    if len(vertices) < 2 or count < 2:
-        return (*batch((), 1.0), 0.0)
-    if closed:
-        # Closure fires within half a step either side of vertex 0: end a
-        # last segment that passes it at its closest approach to it.
-        d = ambient[-1] - ambient[-2]
-        tau = (ambient[0] - ambient[-2]).dot(d) / d.dot(d)
-        if 0.0 <= tau < 1.0:
-            ambient, vertices = ambient.copy(), vertices.copy()
-            ambient[-1] = ambient[-2] + tau * d
-            vertices[-1] = vertices[-2] + tau * (vertices[-1] - vertices[-2])
-    segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
-    total = float(cum[-1])
-    if closed:
-        total += float(np.linalg.norm(ambient[0] - ambient[-1]))
-    if total <= 0.0:
-        return (*batch((), 1.0), 0.0)
-
-    # Marching direction sign relative to the tangent field at the start.
-    tu, tv = _tangent_dir(start)
-    step_u = vertices[1][0] - vertices[0][0]
-    step_v = vertices[1][1] - vertices[0][1]
-    sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0
-
-    targets = [total * i / (count - 1) for i in range(count)]
-    if not closed:
-        targets = [min(s, total) for s in targets]
-    idxs = (np.searchsorted(cum, targets, side="right") - 1).tolist()
-    cum, segs, vertices = cum.tolist(), segs.tolist(), vertices.tolist()
-    accepted = []
-    for s, idx in zip(targets, idxs):
-        if idx >= len(segs):
-            if closed:
-                # Inside the closing chord.
-                frac = (s - cum[-1]) / max(total - cum[-1], 1e-300)
-                base, nxt = vertices[-1], vertices[0]
-            else:
-                frac = 1.0
-                base, nxt = vertices[-2], vertices[-1]
-        else:
-            idx = max(idx, 0)
-            den = segs[idx] if segs[idx] > 0.0 else 1.0
-            frac = (s - cum[idx]) / den
-            base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
-        u = base[0] + frac * (nxt[0] - base[0])
-        v = base[1] + frac * (nxt[1] - base[1])
-        u, v, t = patch.tangency_walk(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
-        if t is None or abs(t[0]) > LOCUS_TOL:
-            continue
-        accepted.append((u, v, s))
-    return (*batch(accepted, sign), total)
+def _resample_locus(patch, verts, ambient, closed, count, start):
+    """Equal-arc-length samples along the traced polyline, its vertices
+    the flat list ``verts`` (u0, v0, u1, ...) and its points the rows of
+    ``ambient``, each target interpolated and corrected back onto the locus
+    in one call of the patch's walk before the per-point data is
+    evaluated.  ``start`` is the :func:`~tpcurves.forms.tangency_gradient`
+    tuple at the first vertex.  Returns the stacked sample and one
+    PointGeometry over the accepted points (empty when none is), and the
+    polyline length."""
+    out, sign, total = [], 1.0, 0.0
+    if len(verts) >= 4 and count >= 2:
+        if closed:
+            # Closure fires within half a step either side of vertex 0: end
+            # a last segment that passes it at its closest approach to it.
+            d = ambient[-1] - ambient[-2]
+            tau = float((ambient[0] - ambient[-2]).dot(d) / d.dot(d))
+            if 0.0 <= tau < 1.0:
+                ambient = ambient.copy()
+                ambient[-1] = ambient[-2] + tau * d
+                bu, bv, nu, nv = verts[-4:]
+                verts = [*verts[:-2], bu + tau * (nu - bu),
+                         bv + tau * (nv - bv)]
+        segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(segs)])
+        total = float(cum[-1])
+        if closed:
+            total += float(np.linalg.norm(ambient[0] - ambient[-1]))
+        if not total <= 0.0:  # NaN goes on
+            # Marching direction sign relative to the tangent field at the
+            # start.
+            tu, tv = _tangent_dir(start)
+            sign = 1.0 if (tu * (verts[2] - verts[0])
+                           + tv * (verts[3] - verts[1])) >= 0.0 else -1.0
+            patch.tangency_walk(patch, None, None, _CORRECTOR_MAX, TRACE_TOL,
+                                max_steps=count - 1, verts=verts,
+                                cum=cum.tolist(), segs=segs.tolist(),
+                                total=total, closed=closed, out=out)
+    us, vs, ss = np.array(out, dtype=float).reshape(-1, 3).T
+    geom = point_geometry(patch, us, vs)
+    return _locus_sample(geom, ss, sign), geom, total

@@ -10,7 +10,7 @@ patch's batched records (``SurfacePatch._record_batch``) compile its
 record program in tiers: the first three are built on the rings and the
 fourth compiles it, so no one-shot CLI op compiles one, and an op gives
 the same bytes before and after its patch has compiled.  Each kind of
-``surface._PROGRAMS`` compiles once, at its batched call past its tier.
+``surface._PROGRAMS`` compiles once, at its call past its tier.
 """
 
 import functools
@@ -211,13 +211,16 @@ def record_bits(geom):
 U = np.linspace(0.1, 6.0, 40)
 V = np.linspace(-1.0, 1.0, 40)
 T = np.linspace(0.0, 1.0, 40)
-# The bits of one batched call of each kind on a catenoid patch.
+# The bits of one call of each kind on a catenoid patch: batched, or for
+# g's Hessian at a trace's seed, at one point.
 BATCHED_CALLS = {
     "record": lambda patch: record_bits(point_geometry(patch, U, V)),
     "ambient": lambda patch: [x.tobytes() for x in ambient_jet(
         patch, builtin_scene().curve("catenoid_line"), T)[1:]],
     "metric": lambda patch: [np.asarray(x, float).tobytes()
                              for x in patch.metric_batch(U, V)],
+    "hessian": lambda patch: [np.float64(x).tobytes() for x in
+                              tpcurves.tangent._g_hessian(patch, 1.0, 1.2)],
 }
 
 

@@ -426,6 +426,24 @@ def test_overflowing_config_scene_prints_no_warning(tmp_path, capsys,
         assert err == ""
 
 
+def test_report_with_unchecked_identities_reads_nan(tmp_path, capsys):
+    # |gamma|^2 overflows: every rho or t residual is NaN, so no identity
+    # was checked and the worst residual is NaN, not 0.
+    path = tmp_path / "scene.ini"
+    path.write_text(OVERFLOW_SCENE.format(components="(1e200 + u, v, u*v)",
+                                          t1=2))
+    argv = ["report-thm31", "line", "--samples", "5", "--config", str(path),
+            "--out", str(tmp_path), "--format", "json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == \
+        "position-component report for line: 5 samples, max residual nan\n"
+    payload = json.loads((tmp_path / "components.json").read_text())
+    assert math.isnan(payload["max_residual"])
+    assert all(math.isnan(row["rho"] - row["rho_direct"])
+               or math.isnan(row["t_comp"] - row["t_direct"])
+               for row in payload["samples"])
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "offset_sphere", "--seed", "2.0,0.0"],
     ["report-thm31", "plane_circle"],

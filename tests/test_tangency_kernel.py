@@ -6,7 +6,9 @@ per-point record.
 equal the record's formula evaluated over Field1; the tree walk over
 Field2 (:func:`order2`) must give the low-order coefficients of
 ``SurfacePatch.jet``, and each jet ring those of the next; where one side
-raises EvalError or DegeneratePoint, the other raises the same error.
+raises EvalError or DegeneratePoint, the other raises the same error.  A
+patch's hessian program must give ``PointGeometry.g``'s six coefficients
+bit for bit, and return None exactly where the record raises.
 """
 
 import math
@@ -23,8 +25,8 @@ from tpcurves.errors import DegeneratePoint, DomainError, EvalError
 from tpcurves.expr import Binary, Const, Var
 from tpcurves.forms import REGULARITY_THRESHOLD
 from tpcurves.jets import Field1, Field2, Jet2, cross3, dot3
-from tpcurves.surface import SurfacePatch
-from tpcurves.tangent import compile_tangency_walk
+from tpcurves.surface import _PROGRAMS, SurfacePatch
+from tpcurves.tangent import _g_hessian, compile_tangency_walk
 
 ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
@@ -82,6 +84,11 @@ def walk_kernel(patch):
 def record_g(patch, u, v):
     g = point_geometry(patch, u, v).g
     return bits(g.f, g.fu, g.fv)
+
+
+def record_hessian(patch, u, v):
+    g = point_geometry(patch, u, v).g
+    return bits(*(getattr(g, k) for k in ORDER2))
 
 
 def kernel_g(patch, u, v):
@@ -181,6 +188,51 @@ def test_field1_is_field2_truncated(tree, u, v):
         return bits(value.f, value.fu, value.fv)
 
     assert outcome(lambda: over(Field1)) == outcome(lambda: over(Field2))
+
+
+@given(st.one_of(st.tuples(_trees(), _trees(), _trees()),
+                 _trees().map(lambda h: (Var("u"), Var("v"), h))),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_hessian_program_matches_record_on_random_trees(components, u, v):
+    # Graphs (u, v, h) are regular everywhere, so the comparison reaches
+    # g's coefficients wherever h evaluates.
+    patch = SurfacePatch(name="random", components=components,
+                         u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
+    got = patch._program("hessian")(u, v)
+    want = outcome(lambda: record_hessian(patch, u, v))
+    if isinstance(want, bytes):
+        assert got is not None and bits(*got) == want
+    else:
+        assert got is None
+
+
+def _doubled(patch):
+    """``patch`` with phi scaled by 2."""
+    return SurfacePatch(
+        name=patch.name, u_range=patch.u_range, v_range=patch.v_range,
+        components=tuple(Binary("*", Const(2.0), c)
+                         for c in patch.components))
+
+
+@pytest.mark.parametrize("tier", [0, math.inf])
+def test_hessian_doubles_with_phi(scene, monkeypatch, tier):
+    """With phi scaled by 2, E, F, G scale by 4 and the triple product by
+    8, so g and each of its partials double: exactly, barring overflow and
+    underflow, since a power of 2 scales every coefficient without
+    rounding.  From the hessian program (tier 0) and the record (tier
+    inf)."""
+    monkeypatch.setitem(_PROGRAMS, "hessian",
+                        (*_PROGRAMS["hessian"][:3], tier))
+    rng = random.Random(20261020)
+    for name, patch in scene.surfaces.items():
+        double = _doubled(patch)
+        for _ in range(40):
+            u = rng.uniform(*patch.u_range)
+            v = rng.uniform(*patch.v_range)
+            once = _g_hessian(patch, u, v)
+            assert bits(*_g_hessian(double, u, v)) == \
+                bits(*(2.0 * x for x in once)), (name, u, v)
 
 
 def test_kernel_is_field1_evaluation(scene):

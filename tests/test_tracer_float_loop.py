@@ -1,8 +1,8 @@
 """The tracer's float vertex loop and resampling against their numpy forms.
 
 ``trace_tangent_curve`` keeps each vertex's ambient point as the walk's
-3-tuple and sums chords in floats; ``_resample_locus`` finds every
-target's segment with one ``searchsorted`` and interpolates in floats.
+3-tuple and sums chords in floats; the walk's resampling finds every
+target's segment by bisection and interpolates in floats.
 The oracle is the earlier code, kept verbatim: one numpy array per vertex,
 chord and closure distances as ``sqrt(d.dot(d))``, and one ``searchsorted``
 per target.  Only the closure test reads the chord sums, so the traces

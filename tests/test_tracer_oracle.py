@@ -71,12 +71,13 @@ def record_gradient(patch, u, v):
 @contextlib.contextmanager
 def program_free(patch, newton):
     """The tracer's Python parts with no generated program: ``newton``
-    corrects the seed and the resample targets, g and its gradient come
-    from the record, and records run on the rings."""
+    corrects the seed, g and its gradient come from the record, and
+    records and g's Hessian run on the rings."""
     with pytest.MonkeyPatch.context() as m:
         m.setitem(vars(patch), "tangency_walk", newton)
         m.setattr(tangent, "tangency_gradient", record_gradient)
-        m.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], math.inf))
+        for kind in ("record", "hessian"):
+            m.setitem(_PROGRAMS, kind, (*_PROGRAMS[kind][:3], math.inf))
         yield
 
 
@@ -133,12 +134,72 @@ def oracle_trace(patch, seed, h, newton, max_steps=4000, resample=100):
                     status = "closed"
                     break
         vertices = np.array(verts)
-        samples, geometry, length = tangent._resample_locus(
-            patch, vertices, np.array(ambient), closed, resample, seed_t)
+        samples, geometry, length = oracle_resample(
+            patch, vertices, np.array(ambient), closed, resample, seed_t,
+            newton)
     return TracedCurve(
         vertices=vertices, residuals=np.array(resid), closed=closed,
         status=status, seed=(float(seed[0]), float(seed[1])), h=h,
         arc_length=length, samples=samples, geometry=geometry)
+
+
+def oracle_resample(patch, vertices, ambient, closed, count, start, newton):
+    """The tracer's resampling as a per-target Python loop, as it was
+    before the walk took it: each target interpolated in floats and
+    corrected by its own call of ``newton``."""
+    def batch(accepted, sign):
+        us, vs, ss = np.array(accepted, dtype=float).reshape(-1, 3).T
+        geom = point_geometry(patch, us, vs)
+        return tangent._locus_sample(geom, ss, sign), geom
+
+    if len(vertices) < 2 or count < 2:
+        return (*batch((), 1.0), 0.0)
+    if closed:
+        d = ambient[-1] - ambient[-2]
+        tau = (ambient[0] - ambient[-2]).dot(d) / d.dot(d)
+        if 0.0 <= tau < 1.0:
+            ambient, vertices = ambient.copy(), vertices.copy()
+            ambient[-1] = ambient[-2] + tau * d
+            vertices[-1] = vertices[-2] + tau * (vertices[-1] - vertices[-2])
+    segs = np.linalg.norm(np.diff(ambient, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(segs)])
+    total = float(cum[-1])
+    if closed:
+        total += float(np.linalg.norm(ambient[0] - ambient[-1]))
+    if total <= 0.0:
+        return (*batch((), 1.0), 0.0)
+
+    tu, tv = tangent._tangent_dir(start)
+    step_u = vertices[1][0] - vertices[0][0]
+    step_v = vertices[1][1] - vertices[0][1]
+    sign = 1.0 if (tu * step_u + tv * step_v) >= 0.0 else -1.0
+
+    targets = [total * i / (count - 1) for i in range(count)]
+    if not closed:
+        targets = [min(s, total) for s in targets]
+    idxs = (np.searchsorted(cum, targets, side="right") - 1).tolist()
+    cum, segs, vertices = cum.tolist(), segs.tolist(), vertices.tolist()
+    accepted = []
+    for s, idx in zip(targets, idxs):
+        if idx >= len(segs):
+            if closed:
+                frac = (s - cum[-1]) / max(total - cum[-1], 1e-300)
+                base, nxt = vertices[-1], vertices[0]
+            else:
+                frac = 1.0
+                base, nxt = vertices[-2], vertices[-1]
+        else:
+            idx = max(idx, 0)
+            den = segs[idx] if segs[idx] > 0.0 else 1.0
+            frac = (s - cum[idx]) / den
+            base, nxt = vertices[idx], vertices[min(idx + 1, len(vertices) - 1)]
+        u = base[0] + frac * (nxt[0] - base[0])
+        v = base[1] + frac * (nxt[1] - base[1])
+        u, v, t = newton(patch, u, v, _CORRECTOR_MAX, TRACE_TOL)
+        if t is None or abs(t[0]) > LOCUS_TOL:
+            continue
+        accepted.append((u, v, s))
+    return (*batch(accepted, sign), total)
 
 
 def one_point_locus(patch, traced):
@@ -268,30 +329,58 @@ def patch_calls(monkeypatch):
     return calls
 
 
+# The hessian kind's tier pinned on either side, and the one-point records
+# a trace then builds: one at the corrected seed below the tier (g's
+# Hessian), none past it.  The built-in scene is shared by every test, so
+# the count would otherwise depend on how many traces ran before.
+HESSIAN_TIERS = ((math.inf, 1), (0, 0))
+
+
+def _pin_hessian_tier(monkeypatch, tier):
+    monkeypatch.setitem(_PROGRAMS, "hessian", (*_PROGRAMS["hessian"][:3], tier))
+
+
 @pytest.mark.parametrize("max_steps", [50, 400])
-def test_accepted_vertices_cost_no_jet(scene, patch_calls, max_steps):
-    traced = trace_tangent_curve(scene.surface("offset_sphere"), (2.0, 0.0),
-                                 h=0.01, max_steps=max_steps, resample=20)
-    assert len(traced.vertices) == max_steps + 1
-    # One record at the corrected seed and one batched record over the
-    # resampled samples, however many vertices were accepted.
-    assert patch_calls["jet"] == 1
-    assert patch_calls["_record_batch"] == 1
-    assert patch_calls["value"] == 0
-    assert len(traced.samples.s) == 20
-    assert traced.geometry.jet.u.tobytes() == traced.samples.u.tobytes()
-    assert traced.geometry.jet.v.tobytes() == traced.samples.v.tobytes()
+def test_accepted_vertices_cost_no_jet(scene, patch_calls, monkeypatch,
+                                       max_steps):
+    patch = scene.surface("offset_sphere")
+    walk = patch.tangency_walk
+    walks = []
+    monkeypatch.setitem(vars(patch), "tangency_walk",
+                        lambda *a, **k: walks.append(a) or walk(*a, **k))
+    for tier, jets in HESSIAN_TIERS:
+        _pin_hessian_tier(monkeypatch, tier)
+        patch_calls.clear()
+        walks.clear()
+        traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01,
+                                     max_steps=max_steps, resample=20)
+        assert len(traced.vertices) == max_steps + 1
+        # The seed's record (below the tier) and one batched record over
+        # the resampled samples, however many vertices were accepted.
+        assert patch_calls["jet"] == jets, tier
+        assert patch_calls["_record_batch"] == 1
+        assert patch_calls["value"] == 0
+        # The walk runs three times: the seed's correction, the vertex
+        # loop and the resampling.
+        assert len(walks) == 3
+        assert len(traced.samples.s) == 20
+        assert traced.geometry.jet.u.tobytes() == traced.samples.u.tobytes()
+        assert traced.geometry.jet.v.tobytes() == traced.samples.v.tobytes()
 
 
-def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls):
-    _run_trace(tmp_path, "offset_sphere", "2.0,0.0", None)
-    with open(tmp_path / "trace.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 50
-    assert all(abs(float(r["g"])) < 1e-8 for r in rows)
-    assert patch_calls["jet"] == 1
-    assert patch_calls["_record_batch"] == 1
-    assert patch_calls["value"] == 0
+def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls,
+                                             monkeypatch):
+    for tier, jets in HESSIAN_TIERS:
+        _pin_hessian_tier(monkeypatch, tier)
+        patch_calls.clear()
+        _run_trace(tmp_path, "offset_sphere", "2.0,0.0", None)
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 50
+        assert all(abs(float(r["g"])) < 1e-8 for r in rows)
+        assert patch_calls["jet"] == jets, tier
+        assert patch_calls["_record_batch"] == 1
+        assert patch_calls["value"] == 0
 
 
 def test_one_domain_test_precedes_each_kernel_call(tmp_path, monkeypatch):
@@ -347,20 +436,21 @@ def test_resampled_records_are_the_samples_records(scene, monkeypatch):
         corrected = []
         walk = patch.tangency_walk
 
-        def recorded(*args, walk=walk):
-            out = walk(*args)
-            if len(args) == 5:  # a correction, not the walk
-                corrected.append(out)
-            return out
+        def recorded(*args, walk=walk, **kwargs):
+            status = walk(*args, **kwargs)
+            if "out" in kwargs:  # the resampling: its accepted (u, v, s)
+                out = kwargs["out"]
+                corrected.extend(zip(out[0::3], out[1::3]))
+            return status
 
         monkeypatch.setitem(vars(patch), "tangency_walk", recorded)
         traced = trace_tangent_curve(patch, seed, h=0.02, resample=10)
         batch, record = traced.samples, traced.geometry
         n = len(batch.s)
         assert n == 10, name
-        # The last ten corrections are the resampling's, all accepted.
-        assert list(zip(batch.u.tolist(), batch.v.tolist())) == \
-            [(u, v) for u, v, _ in corrected[-10:]], name
+        # The resampling's corrections, all ten accepted.
+        assert list(zip(batch.u.tolist(), batch.v.tolist())) == corrected, \
+            name
         oracle = one_point_locus(patch, traced)
         for f in dataclasses.fields(CurveSample):
             got = getattr(batch, f.name)

@@ -2,7 +2,7 @@
 Python loop it replaced.
 
 ``SurfacePatch.tangency_walk`` holds the seed correction, the vertex loop
-and the resample corrections, with the recorded body of g inline.  Its oracle
+and the resampling, with the recorded body of g inline.  Its oracle
 is ``test_tracer_oracle.oracle_trace``: the loop as it was, driven by a
 corrector that builds a record at every iterate, with no generated
 program.  Both must give the same status, vertices and residuals bit for
