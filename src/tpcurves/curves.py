@@ -3,22 +3,29 @@
 Every downstream identity assumes unit speed, so curves enter the rest of
 the library only through :func:`sample_arclength`, one stacked
 :class:`CurveSample` per curve.  The sampler works in a few batched passes
-over 1-D arrays of parameters (one ``ambient_jet`` call each):
+over 1-D arrays of parameters:
 
 * a table of cumulative arc length over composite Gauss-Legendre panels of
   order 8, each panel halved until its integral and the sum over its halves
-  agree to 1e-13 relative, with the speed also tested at every panel edge;
+  agree to 1e-13 relative, with the speed also tested at every panel edge:
+  one ``ambient_velocity`` call per level, the first one also integrating
+  the two starting panels, so a table that settles at the first level
+  costs one pass;
 * Newton's method with a bisection safeguard (steps below 1e-12 in t) for
   all targets at once, each inside its own panel, integrating the speed
-  with the same rule from the panel start;
-* one final pass at every target, its derivatives of (u, v) and of gamma
-  with respect to s taken from the exact inverse-function chain rule
-  through order 3 (torsion is too noise sensitive for finite differences),
-  kept as the columns of one stacked sample.
+  with the same rule from the panel start: one ``ambient_velocity`` call
+  per iteration;
+* one final ``ambient_jet`` call at every target, its derivatives of
+  (u, v) and of gamma with respect to s taken from the exact
+  inverse-function chain rule through order 3 (torsion is too noise
+  sensitive for finite differences), kept as the columns of one stacked
+  sample.
 
 A speed at or below 1e-10, a table that does not settle, or a Newton loop
-that does not converge raises IrregularCurve.  On the test curves the
-sampled arc length agrees with an mpmath quadrature to within 4e-15.
+that does not converge raises IrregularCurve.  The curve is checked on the
+patch's domain first (``CurvePath.check_on``), once per domain it passes
+on.  On the test curves the sampled arc length agrees with an mpmath
+quadrature to within 4e-15.
 """
 
 import math
@@ -27,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FrameUndefined, IrregularCurve
+from .errors import FrameUndefined, GeometryError, IrregularCurve
 from .jets import cross3, dot3, failing_node
-from .surface import ambient_jet
+from .surface import ambient_jet, ambient_velocity
 
 __all__ = [
     "CurveSample", "FrenetData", "CurvatureReport",
@@ -128,14 +135,31 @@ def _speed(curve, t, d1):
     return speed
 
 
-def _gauss(patch, curve, lo, hi, extra=()):
-    """Gauss-Legendre integrals of the speed over the panels [lo, hi],
-    and the speed at the parameters ``extra``, from one ambient-jet pass."""
-    nodes = (lo[:, None] + (hi - lo)[:, None] * _GL_NODES).ravel()
-    t = np.concatenate((nodes, extra))
-    speed = _speed(curve, t, ambient_jet(patch, curve, t)[2])
-    at_nodes = speed[:nodes.size].reshape(lo.size, _GL_NODES.size)
-    return (hi - lo) * (at_nodes * _GL_WEIGHTS).sum(axis=1), speed[nodes.size:]
+def _gauss(patch, curve, *panel_sets):
+    """For each ``(lo, hi, extra)`` of ``panel_sets``, in order, the
+    Gauss-Legendre integrals of the speed over the panels [lo, hi] and the
+    speed at the parameters ``extra``, from one velocity pass.
+
+    A failing pass raises what a pass per set, in order, raises first: the
+    sets' nodes are tested for the domain, evaluated and tested for their
+    speed together, so on an error each set runs on its own, in order."""
+    sets = [np.concatenate(((lo[:, None] + (hi - lo)[:, None] * _GL_NODES)
+                            .ravel(), extra)) for lo, hi, extra in panel_sets]
+    t = np.concatenate(sets)
+    try:
+        speed = _speed(curve, t, ambient_velocity(patch, curve, t))
+    except GeometryError:
+        for part in sets:
+            _speed(curve, part, ambient_velocity(patch, curve, part))
+        raise
+    out, at = [], 0
+    for (lo, hi, _), part in zip(panel_sets, sets):
+        n = lo.size * _GL_NODES.size
+        at_nodes = speed[at:at + n].reshape(lo.size, _GL_NODES.size)
+        out.append(((hi - lo) * (at_nodes * _GL_WEIGHTS).sum(axis=1),
+                    speed[at + n:at + part.size]))
+        at += part.size
+    return out
 
 
 def _arclength_table(patch, curve):
@@ -143,22 +167,26 @@ def _arclength_table(patch, curve):
 
     Panels start as the two halves of the parameter range.  Each level
     compares every unsettled panel's integral with the sum over its two
-    halves, in one batched pass; a panel settles as its halves when they
-    agree to ``_PANEL_TOL`` relative, and is split otherwise.  The speed is
-    also tested at every edge, so a zero of the speed at t0, t1, the
-    midpoint or any split point raises even where no Gauss node sees it.
+    halves, in one batched pass; the first level's pass also integrates the
+    two starting panels.  A panel settles as its halves when they agree to
+    ``_PANEL_TOL`` relative, and is split otherwise.  The speed is also
+    tested at every edge, so a zero of the speed at t0, t1, the midpoint or
+    any split point raises even where no Gauss node sees it.
     """
     t0, t1 = curve.t_range
     mid = 0.5 * (t0 + t1)
     lo, hi = np.array([t0, mid]), np.array([mid, t1])
-    whole, _ = _gauss(patch, curve, lo, hi, extra=[t0, mid, t1])
+    first = [(lo, hi, [t0, mid, t1])]  # integrated in level one's pass
     settled_lo, settled_len = [], []
     for _ in range(_MAX_LEVELS):
         if lo.size > _MAX_PANELS:
             break
         mid = 0.5 * (lo + hi)
-        halves, _ = _gauss(patch, curve, np.concatenate((lo, mid)),
-                           np.concatenate((mid, hi)), extra=mid)
+        out = _gauss(patch, curve, *first, (np.concatenate((lo, mid)),
+                                             np.concatenate((mid, hi)), mid))
+        if first:
+            whole, first = out[0][0], []
+        halves = out[-1][0]
         left, right = halves[:lo.size], halves[lo.size:]
         both = left + right
         ok = np.abs(both - whole) <= _PANEL_TOL * both
@@ -201,7 +229,7 @@ def _invert(patch, curve, edges, cumulative, targets):
     for _ in range(_NEWTON_ITERS):
         if not todo.size:
             return out
-        partial, speed = _gauss(patch, curve, a[todo], t, extra=t)
+        (partial, speed), = _gauss(patch, curve, (a[todo], t, t))
         F = s_a[todo] + partial - targets[todo]
         above = F > 0.0
         hi[todo] = np.where(above, t, hi[todo])
@@ -228,7 +256,7 @@ def sample_arclength(patch, curve, samples=50):
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    curve.check_on(patch)
+    curve._check_once_on(patch)
     t0, t1 = curve.t_range
     if not t0 < t1:
         raise IrregularCurve(

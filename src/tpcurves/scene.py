@@ -238,7 +238,7 @@ def load_scene_text(text, path="<string>"):
             _fail(path, text, f"curve {name}",
                   f"surface not found: {curve.surface}", "surface")
         try:
-            curve.check_on(surfaces[curve.surface])
+            curve._check_once_on(surfaces[curve.surface])
         except (DomainError, EvalError) as exc:
             _fail(path, text, f"curve {name}", str(exc))
     for name, pdef in pairs.items():

@@ -22,6 +22,9 @@ its tier on:
   fields (order 2), so a one-shot CLI op compiles none;
 * ``ambient`` (tier 0), the batched :func:`ambient_jet` over Jet1 at the
   coefficients of any curve's jets u(t), v(t);
+* ``velocity`` (tier 0), :func:`ambient_velocity`: the same build, returning
+  the first derivatives alone, which is all the arc-length quadrature
+  reads;
 * ``metric`` (tier 0), :meth:`SurfacePatch.metric_batch` over Field2
   (order 2), at node arrays that broadcast together: a grid sweep passes
   its (m, 1) and (1, n) axes, so a value of u alone is computed at m
@@ -42,7 +45,8 @@ floats.
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  A patch's caches take no lock
 (``cached_property`` on Python 3.12 and later, and the table's dict), so
-two threads may both compile one program, which is harmless; each kind's
+two threads may both compile one program, which is harmless, and neither
+does the set of domains a path has passed its check on; each kind's
 count of calls is an ``itertools.count`` of its own, whose
 ``next`` is atomic under CPython's global interpreter lock.
 """
@@ -59,7 +63,7 @@ from . import expr
 from .errors import DomainError
 from .forms import (PointGeometry, _order2_metric, _record_fields,
                     _tangency, metric_coefficients)
-from .jets import Field2, Jet1, Jet2, failing_node, straight_line
+from .jets import ZERO, Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
            "parse_surface", "parse_curve"]
@@ -83,13 +87,27 @@ def _hessian_coefficients(components, jet2, u, v):
     return g.f, g.fu, g.fv, g.fuu, g.fuv, g.fvv
 
 
-def _ambient_coefficients(components, jet1, *coeffs):
+def _curve_walk(components, jet1, *coeffs):
     """The component trees over ``jet1`` at the coefficients of a curve's
-    jets u(t), v(t), as kept: the ambient program, one for every curve on
-    the patch."""
+    jets u(t), v(t)."""
     env = {"u": jet1(*coeffs[:4]), "v": jet1(*coeffs[4:])}
-    return tuple(map(_coeffs, _tree_walk(components, env, jet1)))
+    return _tree_walk(components, env, jet1)
 
+
+def _ambient_coefficients(components, jet1, *coeffs):
+    """:func:`_curve_walk`'s coefficients, as kept: the ambient program, one
+    for every curve on the patch."""
+    return tuple(map(_coeffs, _curve_walk(components, jet1, *coeffs)))
+
+
+def _velocity_coefficients(components, jet1, *coeffs):
+    """:func:`_curve_walk`'s first derivatives, 0.0 where absent: the
+    velocity program, one for every curve on the patch."""
+    return tuple(c.d1 for c in _curve_walk(components, jet1, *coeffs))
+
+
+# The params of the ambient and velocity programs: u's then v's coefficients.
+_CURVE_PARAMS = tuple(x + name for x in "uv" for name in Jet1._names)
 
 # A patch's programs by kind: (the ring-generic build over the
 # component trees, ``build(components, ring, *params)``, its params, its
@@ -101,7 +119,12 @@ def _ambient_coefficients(components, jet1, *coeffs):
 # record compiles in 0.4-11 ms (median 5) and saves 0.03-0.57 ms a call
 # (median 0.30), about 15 calls; ambient 0.13-1.7 ms (median 0.8), saves
 # 0-0.14 ms (median 0.05), about 16; metric 0.11-1.3 ms (median 0.7),
-# saves 0.02-0.18 ms (median 0.08), about 7.  The tiers predate these
+# saves 0.02-0.18 ms (median 0.08), about 7.  velocity (best of 5 compiles
+# and of 30 calls on a line across each domain) compiles in 0.07-0.42 ms
+# (median 0.37; ambient 0.11-0.81, median 0.68, in the same run) and saves
+# 0.003-0.16 ms a call (median 0.07) against its ring path, about 5 calls;
+# against ambient_jet's rows, which the sampler read before, it saves
+# 0.01-0.05 ms a call.  It takes ambient's tier.  The tiers predate these
 # figures: no CLI op builds more than 3 batched records on one patch
 # (verify builds 3 on each of plane, cone, sphere and offset_sphere;
 # report-thm31, trace and isometry --curve build 1), so a one-shot op
@@ -112,9 +135,8 @@ def _ambient_coefficients(components, jet1, *coeffs):
 # 24 calls: a tier of 25 traces per patch, so a one-shot op compiles none.
 _PROGRAMS = {
     "record": (_record_coefficients, ("u", "v"), Jet2, 3),
-    "ambient": (_ambient_coefficients,
-                tuple(x + name for x in "uv" for name in Jet1._names),
-                Jet1, 0),
+    "ambient": (_ambient_coefficients, _CURVE_PARAMS, Jet1, 0),
+    "velocity": (_velocity_coefficients, _CURVE_PARAMS, Jet1, 0),
     "metric": (metric_coefficients, ("u", "v"), Field2, 0),
     "hessian": (_hessian_coefficients, ("u", "v"), Jet2, 25),
 }
@@ -395,6 +417,20 @@ class CurvePath:
                 "curve '{}' leaves domain of '{}' at t={}: (u, v)=({}, {})"
                 .format(self.name, patch.name, *bad))
 
+    @cached_property
+    def _passed(self):
+        """The domains, as ``SurfacePatch._bounds``, this path has passed
+        :meth:`check_on` on."""
+        return set()
+
+    def _check_once_on(self, patch):
+        """:meth:`check_on`, skipped once the path has passed it on a patch
+        with the same domain: the check reads nothing else of a patch.  A
+        check that raises is not kept."""
+        if patch._bounds not in self._passed:
+            self.check_on(patch)
+            self._passed.add(patch._bounds)
+
 
 def parse_curve(u_text, v_text, t_range, name="curve", surface=None):
     return CurvePath(
@@ -406,6 +442,19 @@ def parse_curve(u_text, v_text, t_range, name="curve", surface=None):
     )
 
 
+def _curve_on(patch, curve, t):
+    """``curve.jet(t)`` and its coefficients, u's then v's, as kept, with
+    the first node off the patch domain raising DomainError: the prelude of
+    :func:`ambient_jet` and :func:`ambient_velocity`."""
+    cj = curve.jet(t)
+    bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
+                       cj.u.f, cj.v.f, t)
+    if bad:
+        raise DomainError("curve point ({}, {}) at t={} outside domain of "
+                          "'{}'".format(*bad, patch.name))
+    return cj, (*_coeffs(cj.u), *_coeffs(cj.v))
+
+
 def ambient_jet(patch, curve, t):
     """Ambient position jet gamma(t) with t-derivatives through order 3.
 
@@ -415,16 +464,25 @@ def ambient_jet(patch, curve, t):
     then have shape (3, nodes), each column with the bits of the float call
     at that node, and the first node off the patch domain raises.
     """
-    cj = curve.jet(t)
-    bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
-                       cj.u.f, cj.v.f, t)
-    if bad:
-        raise DomainError("curve point ({}, {}) at t={} outside domain of "
-                          "'{}'".format(*bad, patch.name))
-    env = {"u": cj.u, "v": cj.v}
-    out = (patch._run("ambient", *_coeffs(cj.u), *_coeffs(cj.v))
-           if isinstance(t, np.ndarray) else None)
+    cj, coeffs = _curve_on(patch, curve, t)
+    out = (patch._run("ambient", *coeffs) if isinstance(t, np.ndarray)
+           else None)
     # The tree walk raises its first failing node's error.
-    comps = (_tree_walk(patch.components, env, Jet1) if out is None
+    comps = (_curve_walk(patch.components, Jet1, *coeffs) if out is None
              else tuple(Jet1(*c) for c in out))
     return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1._names)
+
+
+def ambient_velocity(patch, curve, t):
+    """dgamma/dt at a 1-D array of nodes ``t``, as a (3, nodes) array: the
+    rows ``ambient_jet(patch, curve, t)[2]``, with their bits, NaN where
+    they are NaN, and the same error at the same node.  From the patch's
+    velocity program, or where that returns None, from the tree walk over
+    Jet1, which raises the batch's error."""
+    coeffs = _curve_on(patch, curve, t)[1]
+    out = (patch._run("velocity", *coeffs)
+           or _velocity_coefficients(patch.components, Jet1, *coeffs))
+    rows = np.empty((3, t.size))
+    for i, x in enumerate(out):  # ZERO where u's or v's d1 passes through
+        rows[i] = 0.0 if x is ZERO else x  # broadcasts a float
+    return rows

@@ -33,7 +33,8 @@ from tpcurves import scene as scene_module
 from tpcurves.curves import sample_arclength
 from tpcurves.isometry import invariance_report
 from tpcurves.scene import BUILTIN_SCENE_TEXT
-from tpcurves.surface import _PROGRAMS, SurfacePatch, ambient_jet
+from tpcurves.surface import (_PROGRAMS, SurfacePatch, ambient_jet,
+                              ambient_velocity)
 
 
 @pytest.fixture
@@ -217,6 +218,8 @@ BATCHED_CALLS = {
     "record": lambda patch: record_bits(point_geometry(patch, U, V)),
     "ambient": lambda patch: [x.tobytes() for x in ambient_jet(
         patch, builtin_scene().curve("catenoid_line"), T)[1:]],
+    "velocity": lambda patch: [ambient_velocity(
+        patch, builtin_scene().curve("catenoid_line"), T).tobytes()],
     "metric": lambda patch: [np.asarray(x, float).tobytes()
                              for x in patch.metric_batch(U, V)],
     "hessian": lambda patch: [np.float64(x).tobytes() for x in
