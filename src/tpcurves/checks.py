@@ -17,6 +17,7 @@ Targets:
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,11 +55,21 @@ _ALL_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
                "catenoid_line", "cylinder_helix")
 # The curve whose closed-form components and binormal expansion are checked.
 _COMPONENT_CURVE = "offset_latitude"
+# The samples of plane_circle whose geodesic curvature is checked by value.
+_VALUE_SAMPLES = 9
+# The curve each pair's invariance checks sample on the pair's source.
+_PAIR_CURVES = {"catenoid_helicoid": "catenoid_line",
+                "offset_rotation": "offset_latitude",
+                "plane_cylinder": "plane_circle",
+                "identity_catenoid": "catenoid_line"}
 
 _RNG_SEED = 20260810
 # Random points keep this share of each parameter range from its ends.
 _MARGIN = 0.02
 _LATITUDE = 2.0 * math.pi / 3.0
+
+# A surface's gauss points, read by a record as a sample's u and v are.
+_Nodes = namedtuple("_Nodes", "u v")
 
 
 @dataclass(frozen=True)
@@ -95,15 +106,21 @@ def _random_points(patch, count, rng):
     return us, vs
 
 
-def _gauss_checks(scene):
-    """Worst moving-frame residual of each surface, from one PointGeometry
-    over its random points; the Christoffel oracle checks every node."""
+def _gauss_points(scene):
+    """(name, patch, nodes) of each gauss surface in turn, its random
+    points drawn from one generator in order."""
     rng = np.random.default_rng(_RNG_SEED)
-    out = []
     for name in _GAUSS_SURFACES:
         patch = scene.surface(name)
-        geom = point_geometry(patch, *_random_points(patch, 100, rng))
-        residuals = gauss_equation_residual(geom)
+        yield name, patch, _Nodes(*_random_points(patch, 100, rng))
+
+
+def _gauss_checks(points, record):
+    """Worst moving-frame residual of each surface, from one PointGeometry
+    over its random points; the Christoffel oracle checks every node."""
+    out = []
+    for name, patch, nodes in points:
+        residuals = gauss_equation_residual(record(patch, nodes))
         worst = float(np.max(np.abs(residuals)))
         out.append(_asserted(f"gauss-residual/{name}", "gauss", worst, 1e-8))
     return out
@@ -170,7 +187,7 @@ def _thm31_checks(scene, sample, record):
         out.append(_asserted(f"kappa-g-consistency/{name}", "thm31",
                              worst[name]["kappa_g"], 1e-8))
     patch, curve = scene.curve_host("plane_circle")
-    s = sample(patch, curve, 9)
+    s = sample(patch, curve, _VALUE_SAMPLES)
     value = surface_curvatures(record(patch, s), s).kappa_g[3]
     out.append(_asserted("kappa-g-plane-circle-value", "thm31",
                          abs(value - 0.5), 1e-9,
@@ -221,7 +238,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/catenoid_helicoid", "thm32",
                          match.max_residual, 1e-10))
-    _, curve = scene.curve_host("catenoid_line")
+    _, curve = scene.curve_host(_PAIR_CURVES["catenoid_helicoid"])
     rep = report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("kappa-g-invariance/catenoid_helicoid", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
@@ -237,7 +254,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/offset_rotation", "thm32",
                          match.max_residual, 1e-9))
-    _, curve = scene.curve_host("offset_latitude")
+    _, curve = scene.curve_host(_PAIR_CURVES["offset_rotation"])
     rep = report(pair, sample(pair.source, curve, nsamp))
     out.append(_asserted("rigid-rho-invariance/offset_rotation", "thm32",
                          rep.max_rho_residual, 1e-9))
@@ -258,7 +275,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/plane_cylinder", "thm32",
                          match.max_residual, 1e-10))
-    _, curve = scene.curve_host("plane_circle")
+    _, curve = scene.curve_host(_PAIR_CURVES["plane_cylinder"])
     src_samples = sample(pair.source, curve, nsamp)
     rep = report(pair, src_samples)
     out.append(_asserted("kappa-g-invariance/plane_cylinder", "thm32",
@@ -279,7 +296,7 @@ def _pair_checks(scene, sample, record):
 
     # Identity pair: exact zeros everywhere, including the relation above.
     pair = scene.pair("identity_catenoid")
-    _, curve = scene.curve_host("catenoid_line")
+    _, curve = scene.curve_host(_PAIR_CURVES["identity_catenoid"])
     src_samples = sample(pair.source, curve, nsamp)
     rep = report(pair, src_samples)
     out.append(_asserted("identity-all-residuals/identity_catenoid", "thm32",
@@ -293,23 +310,74 @@ def _pair_checks(scene, sample, record):
     return out
 
 
+def _plan(scene, target, sample, records):
+    """Fill ``records`` with one PointGeometry per patch over every node set
+    the checks of ``target`` read on it, split into a record per set
+    (:meth:`~tpcurves.forms.PointGeometry.split`), and return the gauss
+    points.  The node sets are the gauss points, the thm31 curves'
+    samples and each pair's source sample, which serves its target too.
+    Pairs are read from ``scene.pairs``: ``scene.pair`` registers one, a
+    grid sweep."""
+    points = list(_gauss_points(scene)) if target in ("gauss", "all") else []
+    sets = [(patch, nodes) for _, patch, nodes in points]
+    n = scene.options.samples
+    if target in ("thm31", "all"):
+        counts = [(name, n) for name in _ALL_CURVES]
+        for name, count in counts + [("plane_circle", _VALUE_SAMPLES)]:
+            patch, curve = scene.curve_host(name)
+            sets.append((patch, sample(patch, curve, count)))
+    if target in ("thm32", "all"):
+        for name, curve in _PAIR_CURVES.items():
+            pdef = scene.pairs[name]
+            source = scene.surface(pdef.source)
+            s = sample(source, scene.curve(curve), n)
+            sets += [(source, s), (scene.surface(pdef.target), s)]
+    groups = {}
+    for patch, nodes in sets:
+        groups.setdefault(patch, {})[id(nodes)] = nodes
+    for patch, group in groups.items():
+        nodes = list(group.values())
+        u, v = (np.concatenate([getattr(x, k) for x in nodes]) for k in "uv")
+        whole = point_geometry(patch, u, v)
+        for x, part in zip(nodes, whole.split([x.u.size for x in nodes])):
+            records[patch, id(x)] = x, part
+    return points
+
+
 def run_checks(scene, target="all"):
+    """The checks of ``target`` on ``scene``, in order.
+
+    A plan comes first (:func:`_plan`): it draws the gauss points, samples
+    every curve the checks read, and builds one PointGeometry per patch over
+    all of that patch's node sets, a part of it for each set.  The checks
+    then read their records from the plan.  Where planning raises, the plan
+    is dropped and each check builds its own record, as it needs it, so the
+    checks raise the error they meet first, in their own order.  Samples
+    and records are kept for this call only.
+    """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     # One stacked sample per (patch, curve, n), and one PointGeometry per
-    # (patch, sample), kept for this call only.
+    # (patch, node set).
     sample = functools.cache(sample_arclength)
     records = {}
 
-    def record(patch, s):
-        key = patch, id(s)  # a sample holds arrays, so it has no hash
-        if key not in records:  # the entry keeps s, and so its id
-            records[key] = s, point_geometry(patch, s.u, s.v)
+    def record(patch, nodes):
+        key = patch, id(nodes)  # a node set holds arrays, so it has no hash
+        if key not in records:  # the entry keeps the set, and so its id
+            records[key] = nodes, point_geometry(patch, nodes.u, nodes.v)
         return records[key][1]
 
+    try:
+        points = _plan(scene, target, sample, records)
+    except Exception:
+        # The plan only fills the cache: any error it meets, the checks
+        # meet too, or an earlier one, and they are left to raise it.
+        records.clear()
+        points = _gauss_points(scene)
     out = []
     if target in ("gauss", "all"):
-        out.extend(_gauss_checks(scene))
+        out.extend(_gauss_checks(points, record))
     if target in ("thm31", "all"):
         out.extend(_thm31_checks(scene, sample, record))
     if target in ("thm32", "all"):

@@ -28,7 +28,9 @@ symbols built on first use.  :func:`christoffel` checks
 the record's symbols against the metric-formula oracle on its E, F, G
 fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
-or grid, every field an array over the nodes.
+or grid, every field an array over the nodes, and
+:meth:`PointGeometry.split` cuts one into the records of runs of its
+nodes.
 
 Four of a patch's generated programs are recorded from code here.  The
 metric program of a grid sweep (:func:`metric_coefficients`: E, F, G and
@@ -154,13 +156,66 @@ class PointGeometry:
         (self.E, self.F, self.G, self.det, self.area, self.g, self.lam,
          self.mu) = fields
 
+    _whole = None  # a part's (whole record, slice of its nodes)
+
+    def split(self, sizes):
+        """This batched record as the records of consecutive runs of
+        ``sizes`` nodes, in order.  Each field's coefficients and each jet
+        array are views of this record's; the component jets, read only to
+        build a record, are left out.  Every coefficient is an element-wise
+        function of its node, so a part has the bits of a record built over
+        its nodes alone.  A part's ``second`` and ``chris`` are slices of
+        this record's, computed once for all parts; where that raises, the
+        part computes its own, which raises as a record of its own does."""
+        if len(sizes) == 1:
+            return [self]
+        parts, stop = [], 0
+        for size in sizes:
+            sl = slice(stop, stop + size)
+            stop += size
+            part = PointGeometry.__new__(PointGeometry)
+            jet = {k: _cut(x, sl) for k, x in vars(self.jet).items()}
+            part._fill(type(self.jet)(**jet | {"components": ()}),
+                       [_cut_ring(f, sl) for f in (
+                           self.E, self.F, self.G, self.det, self.area,
+                           self.g, self.lam, self.mu)])
+            part._whole = self, sl
+            parts.append(part)
+        return parts
+
     @cached_property
     def second(self):
+        if self._whole is not None:
+            whole, sl = self._whole
+            try:
+                return SecondForm(*(_cut(x, sl)
+                                    for x in vars(whole.second).values()))
+            except GeometryError:
+                pass
         return second_form(self.jet)
 
     @cached_property
     def chris(self):
+        if self._whole is not None:
+            whole, sl = self._whole
+            try:
+                return tuple(_cut_ring(x, sl) for x in whole.chris)
+            except GeometryError:
+                pass
         return christoffel_fields(self.E, self.F, self.G)
+
+
+def _cut(x, sl):
+    """``x`` at the nodes ``sl``: an array is sliced on its last axis; a
+    float or ZERO, the same at every node, stays."""
+    return x[..., sl] if type(x) is np.ndarray else x
+
+
+def _cut_ring(x, sl):
+    """The ring value ``x`` with each coefficient, a float, ZERO or a 1-D
+    array over the nodes, at the nodes ``sl``."""
+    return type(x)(*[c[sl] if type(c) is np.ndarray else c
+                     for c in map(x.__getattribute__, x.__slots__)])
 
 
 def _record_fields(comps, u, v):

@@ -126,7 +126,8 @@ _CURVE_PARAMS = tuple(x + name for x in "uv" for name in Jet1._names)
 # against ambient_jet's rows, which the sampler read before, it saves
 # 0.01-0.05 ms a call.  It takes ambient's tier.  The tiers predate these
 # figures: no CLI op builds more than 3 batched records on one patch
-# (verify builds 3 on each of plane, cone, sphere and offset_sphere;
+# (verify builds 1 on each patch it reads, over all the nodes its checks
+# read there, and a 2nd on offset_sphere for the traced locus;
 # report-thm31, trace and isometry --curve build 1), so a one-shot op
 # compiles no record program.  hessian, at one point a call (the corrected
 # seed of each trace, 2-core host, CPython 3.11.7, best of 5 compiles and

@@ -584,6 +584,9 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
         h=h, arc_length=length, samples=samples, geometry=geometry)
 
 
+# The error states of _resample_locus, which calls it, wherever it is called:
+# an infinite derivative of g gives NaN without a word.
+@np.errstate(all="ignore")
 def _locus_sample(geom, s, sign):
     """Exact second-order unit-speed data of the level curve through the
     point of ``geom`` at arc length ``s``, or a stacked sample through

@@ -532,18 +532,21 @@ def test_verify_stacks_no_sample_list(scene, monkeypatch):
 
 
 def test_verify_builds_each_record_once(scene, monkeypatch):
-    """One ``verify`` builds one PointGeometry per (patch, sample): a
-    curve's record on its host serves the thm31 residuals and every pair
-    with that host as its source (and, for a patch paired with itself,
-    its target).  The 19 are 6 gauss point sets, 8 curves on their hosts,
-    the 9-sample plane circle, the traced locus and 3 pair targets."""
+    """One ``verify`` builds one PointGeometry per patch, over every node set
+    its checks read there (``checks._plan``): the gauss points, the curves'
+    samples on their hosts, the 9-sample plane circle, and each pair's
+    source sample on its source and its target.  The 9 are the 8 planned
+    patches and the traced locus, the one second record on offset_sphere."""
     calls = []
     counting(monkeypatch, calls, "_record_batch")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--target", "all"]) == 0
-    assert len(calls) == 19, calls
-    assert calls.count(
-        ("_record_batch", "catenoid", scene.options.samples)) == 1
+    assert len(calls) == 9, calls
+    patches = [name for _, name, _ in calls]
+    assert patches.count("offset_sphere") == 2, calls
+    assert len(set(patches)) == 8, calls
+    assert calls.count(("_record_batch", "catenoid",
+                        100 + scene.options.samples)) == 1
 
 
 # --- the registration sweep is kept ---------------------------------------
