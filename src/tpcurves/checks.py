@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import _frame, sample_arclength, surface_curvatures
+from .errors import GeometryError
 from .forms import gauss_equation_residual, point_geometry
 from .isometry import (
     invariance_report,
@@ -55,8 +56,6 @@ _ALL_CURVES = ("plane_circle", "cone_circle", "cone_circle_v2",
                "catenoid_line", "cylinder_helix")
 # The curve whose closed-form components and binormal expansion are checked.
 _COMPONENT_CURVE = "offset_latitude"
-# The samples of plane_circle whose geodesic curvature is checked by value.
-_VALUE_SAMPLES = 9
 # The curve each pair's invariance checks sample on the pair's source.
 _PAIR_CURVES = {"catenoid_helicoid": "catenoid_line",
                 "offset_rotation": "offset_latitude",
@@ -70,6 +69,30 @@ _LATITUDE = 2.0 * math.pi / 3.0
 
 # A surface's gauss points, read by a record as a sample's u and v are.
 _Nodes = namedtuple("_Nodes", "u v")
+
+
+class _NodeSets(dict):
+    """(patches, nodes) of each node set the checks read, by key, drawn
+    from ``entries``, an iterator of (key, patches, nodes) in the order the
+    checks read them (:func:`_node_sets`).  A key draws the sets as far as
+    its own, so a check that reads its set first draws it then, as it would
+    sample it itself; :meth:`drain` draws the rest."""
+
+    def __init__(self, entries):
+        super().__init__()
+        self._entries = entries
+
+    def __missing__(self, key):
+        for k, patches, nodes in self._entries:
+            self[k] = patches, nodes
+            if k == key:
+                return self[k]
+        raise KeyError(key)
+
+    def drain(self):
+        for key, patches, nodes in self._entries:
+            self[key] = patches, nodes
+        return self.values()
 
 
 @dataclass(frozen=True)
@@ -106,20 +129,12 @@ def _random_points(patch, count, rng):
     return us, vs
 
 
-def _gauss_points(scene):
-    """(name, patch, nodes) of each gauss surface in turn, its random
-    points drawn from one generator in order."""
-    rng = np.random.default_rng(_RNG_SEED)
-    for name in _GAUSS_SURFACES:
-        patch = scene.surface(name)
-        yield name, patch, _Nodes(*_random_points(patch, 100, rng))
-
-
-def _gauss_checks(points, record):
+def _gauss_checks(sets, record):
     """Worst moving-frame residual of each surface, from one PointGeometry
     over its random points; the Christoffel oracle checks every node."""
     out = []
-    for name, patch, nodes in points:
+    for name in _GAUSS_SURFACES:
+        (patch,), nodes = sets["gauss", name]
         residuals = gauss_equation_residual(record(patch, nodes))
         worst = float(np.max(np.abs(residuals)))
         out.append(_asserted(f"gauss-residual/{name}", "gauss", worst, 1e-8))
@@ -132,11 +147,9 @@ def _worst(values):
     return float(np.max(values, initial=0.0))
 
 
-def _curve_residuals(scene, sample, record, curve_name):
+def _curve_residuals(patch, s, record, curve_name):
     """Worst residual of each per-sample thm31 identity along one curve,
-    from one PointGeometry over all its samples."""
-    patch, curve = scene.curve_host(curve_name)
-    s = sample(patch, curve, scene.options.samples)
+    from one PointGeometry over all its samples ``s`` on ``patch``."""
     geom = record(patch, s)
     curv = surface_curvatures(geom, s)
     kappa, framed = _frame(s)[:2]
@@ -165,9 +178,11 @@ def _curve_residuals(scene, sample, record, curve_name):
     return worst
 
 
-def _thm31_checks(scene, sample, record):
-    worst = {name: _curve_residuals(scene, sample, record, name)
-             for name in _ALL_CURVES}
+def _thm31_checks(scene, sets, record):
+    worst = {}
+    for name in _ALL_CURVES:
+        (patch,), s = sets["curve", name]
+        worst[name] = _curve_residuals(patch, s, record, name)
     out = []
     for name in _TP_CURVES:
         w = worst[name]
@@ -186,8 +201,7 @@ def _thm31_checks(scene, sample, record):
     for name in _ALL_CURVES:
         out.append(_asserted(f"kappa-g-consistency/{name}", "thm31",
                              worst[name]["kappa_g"], 1e-8))
-    patch, curve = scene.curve_host("plane_circle")
-    s = sample(patch, curve, _VALUE_SAMPLES)
+    (patch,), s = sets["value", "plane_circle"]
     value = surface_curvatures(record(patch, s), s).kappa_g[3]
     out.append(_asserted("kappa-g-plane-circle-value", "thm31",
                          abs(value - 0.5), 1e-9,
@@ -223,10 +237,9 @@ def _thm31_checks(scene, sample, record):
     return out
 
 
-def _pair_checks(scene, sample, record):
+def _pair_checks(scene, sets, record):
     out = []
     grid = scene.options.grid
-    nsamp = scene.options.samples
 
     def report(pair, samples):
         return invariance_report(pair, samples,
@@ -238,8 +251,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/catenoid_helicoid", "thm32",
                          match.max_residual, 1e-10))
-    _, curve = scene.curve_host(_PAIR_CURVES["catenoid_helicoid"])
-    rep = report(pair, sample(pair.source, curve, nsamp))
+    rep = report(pair, sets["pair", "catenoid_helicoid"][1])
     out.append(_asserted("kappa-g-invariance/catenoid_helicoid", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
     out.append(_empirical("rho-invariance/catenoid_helicoid", "thm32",
@@ -254,8 +266,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/offset_rotation", "thm32",
                          match.max_residual, 1e-9))
-    _, curve = scene.curve_host(_PAIR_CURVES["offset_rotation"])
-    rep = report(pair, sample(pair.source, curve, nsamp))
+    rep = report(pair, sets["pair", "offset_rotation"][1])
     out.append(_asserted("rigid-rho-invariance/offset_rotation", "thm32",
                          rep.max_rho_residual, 1e-9))
     out.append(_asserted("rigid-t-comp-invariance/offset_rotation", "thm32",
@@ -275,8 +286,7 @@ def _pair_checks(scene, sample, record):
     match = verify_metric_match(pair, grid)
     out.append(_asserted("metric-match/plane_cylinder", "thm32",
                          match.max_residual, 1e-10))
-    _, curve = scene.curve_host(_PAIR_CURVES["plane_cylinder"])
-    src_samples = sample(pair.source, curve, nsamp)
+    src_samples = sets["pair", "plane_cylinder"][1]
     rep = report(pair, src_samples)
     out.append(_asserted("kappa-g-invariance/plane_cylinder", "thm32",
                          rep.max_kappa_g_residual, 1e-7))
@@ -296,8 +306,7 @@ def _pair_checks(scene, sample, record):
 
     # Identity pair: exact zeros everywhere, including the relation above.
     pair = scene.pair("identity_catenoid")
-    _, curve = scene.curve_host(_PAIR_CURVES["identity_catenoid"])
-    src_samples = sample(pair.source, curve, nsamp)
+    src_samples = sets["pair", "identity_catenoid"][1]
     rep = report(pair, src_samples)
     out.append(_asserted("identity-all-residuals/identity_catenoid", "thm32",
                          max(rep.max_rho_residual, rep.max_t_comp_residual,
@@ -310,50 +319,63 @@ def _pair_checks(scene, sample, record):
     return out
 
 
-def _plan(scene, target, sample, records):
-    """Fill ``records`` with one PointGeometry per patch over every node set
-    the checks of ``target`` read on it, split into a record per set
-    (:meth:`~tpcurves.forms.PointGeometry.split`), and return the gauss
-    points.  The node sets are the gauss points, the thm31 curves'
-    samples and each pair's source sample, which serves its target too.
-    Pairs are read from ``scene.pairs``: ``scene.pair`` registers one, a
-    grid sweep."""
-    points = list(_gauss_points(scene)) if target in ("gauss", "all") else []
-    sets = [(patch, nodes) for _, patch, nodes in points]
+def _node_sets(scene, target, sample):
+    """(key, patches, nodes) of each node set the checks of ``target`` read,
+    in the order they read them, and the patches they read it on: each
+    gauss surface's random points, drawn from one generator in order
+    (("gauss", surface)); each thm31 curve's samples on its host
+    (("curve", curve)) and plane_circle's 9 whose geodesic curvature is
+    checked by value (("value", "plane_circle")); and each pair's samples of
+    its curve on its source, read on its source and its target (("pair",
+    pair)).  Pairs are looked up by ``scene.pair_def``: ``scene.pair``
+    registers one, a grid sweep."""
     n = scene.options.samples
+    if target in ("gauss", "all"):
+        rng = np.random.default_rng(_RNG_SEED)
+        for name in _GAUSS_SURFACES:
+            patch = scene.surface(name)
+            nodes = _Nodes(*_random_points(patch, 100, rng))
+            yield ("gauss", name), (patch,), nodes
     if target in ("thm31", "all"):
-        counts = [(name, n) for name in _ALL_CURVES]
-        for name, count in counts + [("plane_circle", _VALUE_SAMPLES)]:
+        counts = [("curve", name, n) for name in _ALL_CURVES]
+        for kind, name, count in counts + [("value", "plane_circle", 9)]:
             patch, curve = scene.curve_host(name)
-            sets.append((patch, sample(patch, curve, count)))
+            yield (kind, name), (patch,), sample(patch, curve, count)
     if target in ("thm32", "all"):
         for name, curve in _PAIR_CURVES.items():
-            pdef = scene.pairs[name]
+            pdef = scene.pair_def(name)
             source = scene.surface(pdef.source)
-            s = sample(source, scene.curve(curve), n)
-            sets += [(source, s), (scene.surface(pdef.target), s)]
+            yield (("pair", name), (source, scene.surface(pdef.target)),
+                   sample(source, scene.curve(curve), n))
+
+
+def _plan(sets, records):
+    """Draw every node set of ``sets`` and fill ``records`` with one
+    PointGeometry per patch over all the sets read on it, split into a
+    record per set (:meth:`~tpcurves.forms.PointGeometry.split`)."""
     groups = {}
-    for patch, nodes in sets:
-        groups.setdefault(patch, {})[id(nodes)] = nodes
+    for patches, nodes in sets.drain():
+        for patch in patches:
+            groups.setdefault(patch, {})[id(nodes)] = nodes
     for patch, group in groups.items():
         nodes = list(group.values())
         u, v = (np.concatenate([getattr(x, k) for x in nodes]) for k in "uv")
         whole = point_geometry(patch, u, v)
         for x, part in zip(nodes, whole.split([x.u.size for x in nodes])):
             records[patch, id(x)] = x, part
-    return points
 
 
 def run_checks(scene, target="all"):
     """The checks of ``target`` on ``scene``, in order.
 
-    A plan comes first (:func:`_plan`): it draws the gauss points, samples
-    every curve the checks read, and builds one PointGeometry per patch over
-    all of that patch's node sets, a part of it for each set.  The checks
-    then read their records from the plan.  Where planning raises, the plan
-    is dropped and each check builds its own record, as it needs it, so the
-    checks raise the error they meet first, in their own order.  Samples
-    and records are kept for this call only.
+    A plan comes first (:func:`_plan`): it draws every node set the checks
+    read (:func:`_node_sets`: the gauss points and the curves' samples) and
+    builds one PointGeometry per patch over all of that patch's sets, a part
+    of it for each set.  The checks then read their sets and records from
+    the plan.  Where planning raises an error of the geometry, the plan is
+    dropped and each check draws its own set and builds its own record, as
+    it needs them, so the checks raise the error they meet first, in their
+    own order.  Sets and records are kept for this call only.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -368,18 +390,19 @@ def run_checks(scene, target="all"):
             records[key] = nodes, point_geometry(patch, nodes.u, nodes.v)
         return records[key][1]
 
+    sets = _NodeSets(_node_sets(scene, target, sample))
     try:
-        points = _plan(scene, target, sample, records)
-    except Exception:
-        # The plan only fills the cache: any error it meets, the checks
+        _plan(sets, records)
+    except (GeometryError, ArithmeticError):  # a record's divide="raise"
+        # The plan only fills the tables: any error it meets, the checks
         # meet too, or an earlier one, and they are left to raise it.
         records.clear()
-        points = _gauss_points(scene)
+        sets = _NodeSets(_node_sets(scene, target, sample))
     out = []
     if target in ("gauss", "all"):
-        out.extend(_gauss_checks(points, record))
+        out.extend(_gauss_checks(sets, record))
     if target in ("thm31", "all"):
-        out.extend(_thm31_checks(scene, sample, record))
+        out.extend(_thm31_checks(scene, sets, record))
     if target in ("thm32", "all"):
-        out.extend(_pair_checks(scene, sample, record))
+        out.extend(_pair_checks(scene, sets, record))
     return out

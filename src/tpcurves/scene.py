@@ -83,8 +83,11 @@ class SceneConfig:
         curve = self.curve(name)
         return self.surface(curve.surface), curve
 
+    def pair_def(self, name):
+        return _lookup(self.pairs, "pair", name)
+
     def pair(self, name, grid=None):
-        pdef = _lookup(self.pairs, "pair", name)
+        pdef = self.pair_def(name)
         return register_pair(self.surface(pdef.source),
                              self.surface(pdef.target),
                              pdef.kind, grid=grid or self.options.grid)

@@ -449,9 +449,16 @@ def build_record(patch, s):
     return point_geometry(patch, s.u, s.v)
 
 
+def curve_residuals(scene, name):
+    """``checks._curve_residuals`` over the curve's samples on its host."""
+    patch, curve = scene.curve_host(name)
+    s = sample_arclength(patch, curve, scene.options.samples)
+    return checks._curve_residuals(patch, s, build_record, name)
+
+
 @pytest.mark.parametrize("name", checks._ALL_CURVES)
 def test_curve_residuals_equal_scalar_loop(scene, name):
-    got = checks._curve_residuals(scene, sample_arclength, build_record, name)
+    got = curve_residuals(scene, name)
     want = scalar_curve_residuals(scene, name)
     for key, value in want.items():
         assert got.get(key, 0.0).hex() == float(value).hex(), key
@@ -478,8 +485,7 @@ def test_pythagoras_squares_as_python_floats(scene, monkeypatch):
         return dataclasses.replace(rep, kappa_g=kappa_g)
 
     monkeypatch.setattr(checks, "surface_curvatures", steep)
-    got = checks._curve_residuals(scene, sample_arclength, build_record,
-                                  "plane_circle")
+    got = curve_residuals(scene, "plane_circle")
     want = scalar_curve_residuals(scene, "plane_circle")
     assert got["pythagoras"].hex() == want["pythagoras"].hex()
 

@@ -30,7 +30,9 @@ JET_ARRAYS = ("u", "v", "value", "du", "dv", "duu", "duv", "dvv", "duuu",
 def planned(scene, target="all"):
     """(patch, node set, record) of each node set the plan builds."""
     records = {}
-    checks._plan(scene, target, functools.cache(sample_arclength), records)
+    sample = functools.cache(sample_arclength)
+    checks._plan(checks._NodeSets(checks._node_sets(scene, target, sample)),
+                 records)
     return [(patch, *entry) for (patch, _), entry in records.items()]
 
 
@@ -151,7 +153,7 @@ def test_a_failing_plan_gives_the_per_check_error(tmp_path, monkeypatch):
     got = verify(path)
 
     def no_plan(*args):
-        raise RuntimeError("no plan")
+        raise DomainError("no plan")
 
     monkeypatch.setattr(checks, "_plan", no_plan)
     want = verify(path)
@@ -159,3 +161,14 @@ def test_a_failing_plan_gives_the_per_check_error(tmp_path, monkeypatch):
     assert want[0] == 2 and want[1].startswith("error: EG - F^2 = 0.0 at")
     assert want[1].count("\n") == 1
     assert got == want
+
+
+def test_a_plan_that_fails_otherwise_is_not_dropped(scene, monkeypatch):
+    """Only an error of the geometry drops the plan: any other is a fault
+    of the plan itself, and surfaces."""
+    def broken_plan(*args):
+        raise TypeError("broken plan")
+
+    monkeypatch.setattr(checks, "_plan", broken_plan)
+    with pytest.raises(TypeError, match="broken plan"):
+        checks.run_checks(scene, "gauss")

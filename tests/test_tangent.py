@@ -328,7 +328,7 @@ def test_frame_rule_at_an_inflection():
         ddgamma[:, mid] = math.nan
         return dataclasses.replace(sample, ddgamma=ddgamma)
 
-    worst = _curve_residuals(scene, sample_arclength, record, "cubic")
+    worst = _curve_residuals(patch, s, record, "cubic")
     assert worst["pythagoras"] < 1e-12
-    assert _curve_residuals(scene, nan_at_mid, record, "cubic")[
-        "pythagoras"] == worst["pythagoras"]
+    assert _curve_residuals(patch, nan_at_mid(patch, curve, 9), record,
+                            "cubic")["pythagoras"] == worst["pythagoras"]
