@@ -14,12 +14,13 @@ product (the Leibniz rule) and its composition with an outer function (Faa
 di Bruno's formula) into straight-line code, once at import, from a table
 of multi-indices and a table of set partitions (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13), and compiles it with ``exec``
-as ``dataclasses`` does.  Subtraction, the one division rule (multiply by
-the composed reciprocal), the elementary functions and powers are the same
-sequence of ring operations in every ring, so each ring gives the
-low-order coefficients of the next bit for bit (here and below: NaN, of
-any bits, at the same places, since which NaN is unspecified; every other
-value with its bits, signed zeros included).  Elementary functions
+as ``dataclasses`` does.  A difference is one subtraction per
+coefficient; the one division rule (multiply by the composed reciprocal),
+the elementary functions and powers are the same sequence of ring
+operations in every ring, so each ring gives the low-order coefficients of
+the next bit for bit (here and below: NaN, of any bits, at the same
+places, since which NaN is unspecified; every other value with its bits,
+signed zeros included).  Elementary functions
 raise :class:`~tpcurves.errors.EvalError` at singular arguments, and where
 a value overflows, instead of producing NaNs.
 
@@ -46,7 +47,7 @@ once per array entry; the tracer's walk renders its float body alike.
 import math
 from collections import Counter
 from itertools import chain, combinations, product, repeat
-from operator import add, sub
+from operator import add, mul, sub, truediv
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,11 +214,12 @@ def _elementary(op):
 class _Taylor:
     """Arithmetic and elementary functions shared by every jet ring.
 
-    :func:`_ring` supplies ``__neg__``, ``__add__``, ``__mul__`` and
-    ``_compose_coeffs(f0, f1, f2, f3)``, the composition with an outer
-    function of value f0 and derivatives f1, f2, f3 (a ring that keeps
-    fewer orders ignores the higher ones).  Everything here, division
-    included, is the same sequence of ring operations in every ring.
+    :func:`_ring` supplies ``__neg__``, ``__add__``, ``__sub__``,
+    ``__mul__`` and ``_compose_coeffs(f0, f1, f2, f3)``, the composition
+    with an outer function of value f0 and derivatives f1, f2, f3 (a ring
+    that keeps fewer orders ignores the higher ones).  Everything here,
+    division included, is the same sequence of ring operations in every
+    ring.
     """
 
     __slots__ = ()
@@ -232,12 +234,6 @@ class _Taylor:
     def __repr__(self):
         coeffs = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
         return f"{type(self).__name__}({coeffs})"
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __truediv__(self, other):
         return self * self._lift(other)._compose("recip")
@@ -382,6 +378,12 @@ def _ring(name, nvars, order, names, doc):
         "        o = self._lift(other)",
         new(f"self._{n} + o._{n}" for n in names),
         "    __radd__ = __add__",
+        "    def __sub__(self, other):",
+        "        o = self._lift(other)",
+        new(f"self._{n} - o._{n}" for n in names),
+        "    def __rsub__(self, other):",
+        "        o = self._lift(other)",
+        new(f"o._{n} - self._{n}" for n in names),
         "    def __mul__(self, other):",
         "        a, b = self, self._lift(other)",
         new(map(product_coeff, at)),
@@ -446,18 +448,42 @@ def cross3(a, b):
 
 # Straight-line programs (Griewank & Walther, ch. 6): a float function run
 # once over _Traced inputs writes down each float operation, in order, once
-# per operands (value numbering, Aho et al., *Compilers*, 2nd ed., 6.1).
+# per operands (value numbering, Aho et al., *Compilers*, 2nd ed., 6.1),
+# after four identities that IEEE 754 makes exact (secs. 5.4.1, 6.3): a
+# sum or product is the same with its operands swapped; x - y is
+# x + (-y); a product's or quotient's sign is the XOR of its operands'
+# signs, its magnitude rounded alike; and -(-x) is x.  So one value has one
+# text wherever the arithmetic reaches it.
 
-def _binary(symbol):
-    """_Traced's operator ``symbol`` and its reflection.  An absent operand
-    is left to ZERO; a product with 1.0 is the other factor, bit for bit."""
+def _binary(symbol, apply):
+    """_Traced's operator ``symbol``, ``apply`` on numbers, and its
+    reflection, each recorded in its one form: a negated operand taken
+    into a sum or difference, or hoisted out of a product or quotient, and
+    a sum's or product's operands in text order.  An absent operand is
+    left to ZERO; a product with 1.0 is the other factor, bit for bit."""
     template = "{} " + symbol + " {}"
+
     def op(a, b, order=1):  # order -1: b is the left operand
         if b is ZERO:
             return NotImplemented
         if symbol == "*" and type(b) is float and b == 1.0:
             return a
-        return a.record(template, *(a.name, str(b))[::order])
+        x, y = (a, b)[::order]
+        nx = x.neg if type(x) is _Traced else None
+        ny = y.neg if type(y) is _Traced else None
+        if ny is not None and symbol == "+":
+            return x - ny  # x + (-y) = x - y
+        if ny is not None and symbol == "-":
+            return x + ny  # x - (-y) = x + y
+        if nx is not None and symbol == "+":
+            return y - nx  # (-x) + y = y - x
+        if (nx is not None or ny is not None) and symbol in "*/":
+            value = apply(nx or x, ny or y)  # (-x) * y = -(x * y)
+            return value if nx and ny else -value
+        x, y = str(x), str(y)
+        if y < x and symbol in "+*":
+            x, y = y, x
+        return a.record(template, x, y)
     return op, lambda a, b: op(a, b, -1)
 
 
@@ -465,17 +491,23 @@ class _Traced:
     """A float of the program in ``lines``, one ``(name, template,
     operands)`` per operation, each operand as its text (``str`` keeps
     -0.0 apart from 0.0) and name None for a guard; ``names`` numbers each
-    value and guard by its text.  Arithmetic, and ``x.sin(x)`` for
-    ``math.sin(x)``, records the operation.  A comparison is a singular
+    value and guard by its text, and ``neg`` is the value this one
+    negates, or None.  Arithmetic, and ``x.sin(x)`` for ``math.sin(x)``,
+    records the operation; a negation is recorded where its text is first
+    read, its name None until then, so one that a sum takes in or a
+    product hoists out is never recorded.  A comparison is a singular
     test, past which the float path raises: it records a guard, and
     answers False."""
 
-    __slots__ = ("lines", "names", "name")
+    __slots__ = ("lines", "names", "name", "neg")
 
     def __init__(self, lines, names, name):
         self.lines, self.names, self.name = lines, names, name
+        self.neg = None
 
     def __str__(self):
+        if self.name is None:  # a negation, recorded where first read
+            self.name = self.record("-{}", self.neg.name).name
         return self.name
 
     def __getattr__(self, function):
@@ -492,19 +524,23 @@ class _Traced:
             self.lines.append((None if guard else name, template, operands))
         return not guard and _Traced(self.lines, self.names, self.names[text])
 
-    __add__, __radd__ = _binary("+")
-    __sub__, __rsub__ = _binary("-")
-    __mul__, __rmul__ = _binary("*")
-    __truediv__, __rtruediv__ = _binary("/")
+    __add__, __radd__ = _binary("+", add)
+    __sub__, __rsub__ = _binary("-", sub)
+    __mul__, __rmul__ = _binary("*", mul)
+    __truediv__, __rtruediv__ = _binary("/", truediv)
 
     def __neg__(self):
-        return self.record("-{}", self.name)
+        if self.neg is not None:  # -(-x) = x
+            return self.neg
+        value = _Traced(self.lines, self.names, None)
+        value.neg = self
+        return value
 
     def __le__(self, other):
-        return self.record("{} <= {}", self.name, str(other), guard=True)
+        return self.record("{} <= {}", str(self), str(other), guard=True)
 
     def __eq__(self, other):
-        return self.record("{} == {}", self.name, str(other), guard=True)
+        return self.record("{} == {}", str(self), str(other), guard=True)
 
 
 # Nesting at which a value is named even when used once: CPython's
@@ -518,9 +554,9 @@ def _render(lines, leaves):
     guard, call or division reads.  A value used exactly once, and not a
     leaf, is written into its use in parentheses, until its text is
     _MAX_DEPTH parentheses deep; every other value is named, and a guard
-    raises ArithmeticError.  Each operation keeps its operands and their
-    order, so its bits, and each one is evaluated before the program
-    returns."""
+    raises ArithmeticError.  Each operation keeps its bits, the four exact
+    identities of the recording (:func:`_binary`) being the only
+    rewrites, and each one is evaluated before the program returns."""
     # A guard's name is None: None among the roots keeps every guard.
     live = _live(lines, leaves + [name for name, template, _ in lines
                                   if template not in _PURE])
@@ -579,8 +615,13 @@ def straight_line(build, params, ring):
     returning floats (or ZERO) in nested tuples, as straight-line array
     code in ``params``.
 
-    ``build`` runs once, over traced inputs; :func:`_render` then writes
-    each value used once into its use (to a depth cap) and names the rest.
+    ``build`` runs once, over traced inputs, and records each operation
+    with its bits: the only rewrites are four identities that IEEE 754
+    makes exact (operands of a sum or product in one order, a negated
+    operand taken into a sum or difference, a negation hoisted out of a
+    product or quotient, and -(-x) as x; see :func:`_binary`).
+    :func:`_render` then writes each value used once into its use (to a
+    depth cap) and names the rest.
     The program gives ``build``'s bits at every value that is not NaN,
     signed zeros included, and NaN exactly where ``build`` gives NaN: which
     NaN an operation gives is left open by IEEE 754 (sec. 6.2.3), and

@@ -115,25 +115,23 @@ _CURVE_PARAMS = tuple(x + name for x in "uv" for name in Jet1._names)
 # the rings before it compiles.  Adaptive compilers compile once
 # the calls to come repay the compile (Hoelzle & Ungar, OOPSLA 1994): a
 # tier near compile time / time saved a call.  On the 9 built-in patches
-# at 50-200 nodes (2-core host, CPython 3.11.7, best of 30 calls, two runs)
-# record compiles in 0.4-11 ms (median 5) and saves 0.03-0.57 ms a call
-# (median 0.30), about 15 calls; ambient 0.13-1.7 ms (median 0.8), saves
-# 0-0.14 ms (median 0.05), about 16; metric 0.11-1.3 ms (median 0.7),
-# saves 0.02-0.18 ms (median 0.08), about 7.  velocity (best of 5 compiles
-# and of 30 calls on a line across each domain) compiles in 0.07-0.42 ms
-# (median 0.37; ambient 0.11-0.81, median 0.68, in the same run) and saves
-# 0.003-0.16 ms a call (median 0.07) against its ring path, about 5 calls;
-# against ambient_jet's rows, which the sampler read before, it saves
-# 0.01-0.05 ms a call.  It takes ambient's tier.  The tiers predate these
-# figures: no CLI op builds more than 3 batched records on one patch
-# (verify builds 1 on each patch it reads, over all the nodes its checks
-# read there, and a 2nd on offset_sphere for the traced locus;
-# report-thm31, trace and isometry --curve build 1), so a one-shot op
-# compiles no record program.  hessian, at one point a call (the corrected
-# seed of each trace, 2-core host, CPython 3.11.7, best of 5 compiles and
-# of 7 calls at 30 points), compiles in 0.3-6.4 ms (median 4.4) and saves
-# 0.14-0.25 ms a call (median 0.23) against the one-point record, about
-# 24 calls: a tier of 25 traces per patch, so a one-shot op compiles none.
+# (2-core host, CPython 3.11.7, best of 5 compiles and of 30 calls at 50,
+# 100 and 200 nodes, random in the domain or, for ambient and velocity,
+# along a line across it; two runs) record compiles in 0.5-10 ms (median
+# 5-5.7) and saves 0.13-0.95 ms a call (median 0.35), about 15 calls;
+# ambient 0.12-1.0 ms (median 0.8), saves 0-0.15 ms (median 0.05), about
+# 16; velocity 0.09-0.76 ms (median 0.5), saves 0.002-0.2 ms (median 0.09)
+# against its ring path, about 5, and takes ambient's tier; metric
+# 0.11-0.77 ms (median 0.6), saves 0.02-0.21 ms (median 0.09), about 7.
+# The tiers predate these figures: no CLI op builds more than 3 batched
+# records on one patch (verify builds 1 on each patch it reads, over all
+# the nodes its checks read there, and a 2nd on offset_sphere for the
+# traced locus; report-thm31, trace and isometry --curve build 1), so a
+# one-shot op compiles no record program.  hessian, at one point a call
+# (the corrected seed of each trace; best of 7 calls at 30 points), compiles
+# in 0.2-3.6 ms (median 2.8) and saves 0.14-0.25 ms a call (median 0.15)
+# against the one-point record, about 19 calls: a tier of 25 traces per
+# patch, so a one-shot op compiles none.
 _PROGRAMS = {
     "record": (_record_coefficients, ("u", "v"), Jet2, 3),
     "ambient": (_ambient_coefficients, _CURVE_PARAMS, Jet1, 0),
@@ -178,6 +176,13 @@ class SurfacePatch:
         su = _DOMAIN_SLACK * max(1.0, abs(u0), abs(u1))
         sv = _DOMAIN_SLACK * max(1.0, abs(v0), abs(v1))
         return u0 - su, u1 + su, v0 - sv, v1 + sv
+
+    @cached_property
+    def _hash(self):  # the dataclass's, its trees walked once
+        return hash((self.name, self.components, self.u_range, self.v_range))
+
+    def __hash__(self):
+        return self._hash
 
     def contains(self, u, v):
         u0, u1, v0, v1 = self._bounds
@@ -364,6 +369,14 @@ class CurvePath:
     v_component: object
     t_range: tuple
     surface: Optional[str] = None  # host patch name, resolved by the scene
+
+    @cached_property
+    def _hash(self):  # the dataclass's, its trees walked once
+        return hash((self.name, self.u_component, self.v_component,
+                     self.t_range, self.surface))
+
+    def __hash__(self):
+        return self._hash
 
     def _require_inside(self, t):
         t0, t1 = self.t_range

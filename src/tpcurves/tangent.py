@@ -525,7 +525,9 @@ def compile_tangency_walk(patch):
     max_steps is interpolated, corrected, and appended to ``out`` as u, v,
     s where it ends on the locus.  Where the body's guard fires or ``math``
     raises, the record gives that iterate, or raises the tree walk's error
-    there.  Each float operation keeps its operands and their order."""
+    there.  Each float operation keeps its bits; the recording's only
+    rewrites are the four identities that IEEE 754 makes exact
+    (:func:`~tpcurves.jets.straight_line`)."""
     try:
         lines, leaves, _ = _record(partial(_tangency_fields, patch.components),
                                    ("u", "v"), Field2)

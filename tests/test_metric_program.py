@@ -12,6 +12,7 @@ must raise that path's error, type and text, and a degenerate node must be
 skipped as that path skipped it.
 """
 
+import ast
 import hashlib
 import math
 from functools import partial
@@ -29,7 +30,7 @@ from tpcurves.errors import DomainError, EvalError
 from tpcurves.forms import _tangency_fields
 from tpcurves.isometry import INTRINSIC, register_pair
 from tpcurves.jets import Field2, dot3
-from tpcurves.surface import SurfacePatch
+from tpcurves.surface import _PROGRAMS, SurfacePatch
 
 
 def metric_fields(jet):
@@ -235,26 +236,33 @@ def kernel_source(components):
 # sha256 of the rendered tangency kernel of each built-in patch, taken
 # again when the kernel lost its NaN test (a NaN result is returned as it
 # is, not left to the tree walk); each source lost that one line only.
+# Taken again when the recording began to number values through IEEE
+# 754's exact identities (a sum's or product's operands in one order, a
+# negated operand taken into a sum or difference or hoisted out of a
+# product or quotient, -(-a) as a, and a negation recorded where it is
+# first read): the sources are shorter and name their values in another
+# order, with the same bits (the plane's, which has none of these, is
+# unchanged).
 # The walk's body is that kernel's, each guard raising ArithmeticError.
 KERNEL_SOURCE = {
     "plane":
         "f8439e610b77aae5c9cf3fd623d56df6e73590570ae0d760840e071c3daed6f7",
     "cone":
-        "3111a7cae5b96d0cc4fbd4391269f21573523fe09e7e318cec43881ec5f8fb99",
+        "fc2ce21e4c04363a69e79f1a460aba693e9c6090b249d04940dec94bf51b7f10",
     "sphere":
-        "4be399b70a6e95186090fd060df51d18ce9cc2949cb05ff8259c8aa3f3a8fcfd",
+        "9a6628659fb2e2073cf394669f6fb292aa2e1131ca19658ecdf66e92a7453666",
     "offset_sphere":
-        "c3d6cb541c8e1c08e36459700a524ee4c97ac782fe54dbd393a1e18fc22b4006",
+        "d7ddb049fe2d395aeb69add09274873779414a67e71466254ee60d0470fba19f",
     "offset_sphere_rot":
-        "c6674294b55649d94f580d22476e6bec9f85cf44e4009ffc7aef7224c2980ee4",
+        "9a3a922ae374e20b2c7b33952a6ba67a3e08994c806b75a21b4849ac8c487a70",
     "catenoid":
-        "4dff35da30adccb4b51b85e714d565f273f2531f5b6d48cc5ec95c23be681ed8",
+        "89fb47acd00450f7544c350f2b5f843b4c268e88036639ddc47e3ff2f0437aa2",
     "helicoid":
-        "4021c8e30a11c17837c7abcccf34a0e6b91fe33ba99652de4362584ad694d3dc",
+        "30d6c4ed16b09963293b141aed37b56057d7e646774f44fb129bf5c49559bb79",
     "cylinder":
-        "0967455c66fa58b3a3db4a60299f17fae3bc30a6532ecfcb8cb80cb7250ea5f7",
+        "37bafbe6a6b39e892f98459dc4cf844b5659a019fdaab6b9d084eccda657e926",
     "paraboloid":
-        "46e0fdc482bdd72379890c556195fd70346a9c9b350f216232fb4d7786a5b95a",
+        "99c57667efb2ce2389d239d02e27bec3ef3fbc5572695231c6721ee9d9f18bc8",
 }
 
 
@@ -262,3 +270,32 @@ def test_the_tangency_kernel_source_is_unchanged(scene):
     for name, digest in KERNEL_SOURCE.items():
         source = kernel_source(scene.surface(name).components)
         assert hashlib.sha256(source.encode()).hexdigest() == digest, name
+
+
+def rendered_operations(body):
+    """The arithmetic of rendered statements: each + - * / and negation (a
+    negative literal is a constant); calls and guards are not counted."""
+    tree = ast.parse("\n".join(body))
+    return sum(isinstance(n, ast.BinOp) or isinstance(n, ast.UnaryOp)
+               and not isinstance(n.operand, ast.Constant)
+               for n in ast.walk(tree))
+
+
+# The operations each kind of program renders over the 9 built-in patches
+# ("walk" is the tracer's walk's body).  With operands kept as recorded
+# they were 941, 4,284, 551, 76, 371 and 2,556; a change that loses one of
+# the recording's exact identities shows here as a larger count.
+OPERATIONS = {"walk": 686, "record": 3377, "ambient": 519, "velocity": 68,
+              "metric": 253, "hessian": 1856}
+
+
+def test_each_kind_renders_its_pinned_operation_count(scene):
+    builds = {"walk": (_tangency_fields, ("u", "v"), Field2),
+              **{kind: entry[:3] for kind, entry in _PROGRAMS.items()}}
+    counts = dict.fromkeys(builds, 0)
+    for patch in scene.surfaces.values():
+        for kind, (build, params, ring) in builds.items():
+            lines, leaves, _ = jets._record(
+                partial(build, patch.components), params, ring)
+            counts[kind] += rendered_operations(jets._render(lines, leaves))
+    assert counts == OPERATIONS

@@ -24,7 +24,20 @@ from tpcurves.errors import EvalError
 from tpcurves.jets import ZERO
 
 
-class Jet2(jets._Taylor):
+class _HandWritten(jets._Taylor):
+    """A difference as the package once took it in every ring: the sum
+    with the negation, which IEEE 754 defines x - y to be."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class Jet2(_HandWritten):
     __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv",
                  "fuuu", "fuuv", "fuvv", "fvvv")
 
@@ -85,7 +98,7 @@ class Jet2(jets._Taylor):
         )
 
 
-class Jet1(jets._Taylor):
+class Jet1(_HandWritten):
     __slots__ = ("f", "d1", "d2", "d3")
 
     def __init__(self, f, d1=ZERO, d2=ZERO, d3=ZERO):
@@ -121,7 +134,7 @@ class Jet1(jets._Taylor):
         )
 
 
-class Field2(jets._Taylor):
+class Field2(_HandWritten):
     __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
     def __init__(self, f, fu=ZERO, fv=ZERO, fuu=ZERO, fuv=ZERO, fvv=ZERO):
@@ -184,7 +197,7 @@ class Field2(jets._Taylor):
         )
 
 
-class Field1(jets._Taylor):
+class Field1(_HandWritten):
     __slots__ = ("f", "fu", "fv")
 
     def __init__(self, f, fu=ZERO, fv=ZERO):

@@ -102,3 +102,18 @@ def test_config_file_is_read_on_every_call(tmp_path, capsys):
     path.write_text(text.replace("[surface disc]", "[surface plate]"))
     assert cli.main(argv) == 1
     assert "surface not found: disc" in capsys.readouterr().err
+
+
+def test_equal_patches_and_paths_compare_and_hash_equal(scene):
+    # A patch or path keeps its hash once taken: a second parse of the
+    # same scene gives equal objects with equal hashes, the dataclass's.
+    again = scene_module.load_scene_text(scene_module.BUILTIN_SCENE_TEXT)
+    for table, twins in ((scene.surfaces, again.surfaces),
+                         (scene.curves, again.curves)):
+        for name, obj in table.items():
+            twin = twins[name]
+            assert twin is not obj and twin == obj
+            fields = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+            assert hash(twin) == hash(obj) == hash(tuple(fields))
+            other = dataclasses.replace(obj, name=name + "'")
+            assert other != obj and {obj: 1}.get(other) is None
