@@ -32,7 +32,7 @@ or grid, every field an array over the nodes, and
 :meth:`PointGeometry.split` cuts one into the records of runs of its
 nodes.
 
-Four of a patch's generated programs are recorded from code here.  The
+Three of a patch's generated programs are recorded from code here.  The
 metric program of a grid sweep (:func:`metric_coefficients`: E, F, G and
 their first derivatives, order 2) and the tracer's walk
 (:func:`_tangency_fields`: g, its gradient and the point, order 2) come
@@ -40,10 +40,9 @@ from one builder, the component trees over Field2 lowered to order-1
 position and partials with E, F, G over them.  The record program records
 the component trees over Jet2 and :func:`_record_fields` over them: a
 batched record's jets and fields in one array program, with the
-regularity test as a guard.  The hessian program records the record's g
-alone (:func:`_order2_metric` and :func:`_tangency`), for the tracer's
-seed.  All but the walk are compiled and run from one table,
-:data:`~tpcurves.surface._PROGRAMS`; the walk is compiled in
+regularity test as a guard; the tracer's seed reads g's Hessian from it
+too.  All but the walk are compiled and run, with their ring paths, from
+one table, :data:`~tpcurves.surface._PROGRAMS`; the walk is compiled in
 :mod:`~tpcurves.tangent`.
 """
 

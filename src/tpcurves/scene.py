@@ -111,7 +111,7 @@ def _line(text, section, key=None):
     for n, x in enumerate(lines[top:], top + 1):
         if not top or x.startswith("["):  # the next section
             break
-        if re.split("[=:]", x, 1)[0].strip().lower() == key:
+        if re.split("[=:]", x, maxsplit=1)[0].strip().lower() == key:
             return n
     return top
 

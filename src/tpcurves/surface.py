@@ -8,18 +8,20 @@ straight-line float code over order-2 fields, generated per patch on first
 use; :func:`~tpcurves.forms.tangency_gradient` runs its corrector too.
 A :class:`CurvePath` is a pair u(t), v(t) over one parameter.
 
-Batched evaluation, and g's Hessian at a trace's seed, run generated code
-as well: straight-line programs per patch, from one table of kinds,
-:data:`_PROGRAMS`.
+Batched evaluation runs generated code as well: straight-line programs
+per patch, from one table of kinds, :data:`_PROGRAMS`.
 :meth:`SurfacePatch._program` records a kind by
 :func:`~tpcurves.jets.straight_line` on first use, and
-:meth:`SurfacePatch._run` runs it from the patch's call of that kind past
-its tier on:
+:meth:`SurfacePatch._run` gives the kind's coefficients: from the program
+once the patch's calls of that kind pass its tier, and below the tier, or
+where the program returns None, from the kind's build on its ring (the
+ring path), which is the program's oracle and its error path:
 
 * ``record`` (tier 3), the batched :func:`~tpcurves.forms.point_geometry`
   over Jet2: the component jets (order 3: the second form and the
   connection symbols' derivatives need third partials) and the record's
-  fields (order 2), so a one-shot CLI op compiles none;
+  fields (order 2), so a one-shot CLI op compiles none; the tracer's
+  isolated-zero test reads g's Hessian from it at a corrected seed;
 * ``ambient`` (tier 0), the batched :func:`ambient_jet` over Jet1 at the
   coefficients of any curve's jets u(t), v(t);
 * ``velocity`` (tier 0), :func:`ambient_velocity`: the same build, returning
@@ -28,19 +30,12 @@ its tier on:
 * ``metric`` (tier 0), :meth:`SurfacePatch.metric_batch` over Field2
   (order 2), at node arrays that broadcast together: a grid sweep passes
   its (m, 1) and (1, n) axes, so a value of u alone is computed at m
-  entries;
-* ``hessian`` (tier 25), g = phi . N with its gradient and Hessian over
-  Jet2 at one point, the record's g alone: the tracer's isolated-zero test
-  at a corrected seed reads it.
+  entries.
 
 Each gives the ring path's bits at every value that is not NaN, and NaN
-where it gives NaN.  The caller's ring path (a record over
-:meth:`SurfacePatch.jet_batch` or, for ``hessian``, over :meth:`jet`, or
-the tree walk over Jet1 or Field2 arrays) runs below the tier and where a
-program returns None: it is the program's oracle and error path.  At a
-point, ``jet``, ``ambient_jet`` and the curve's own u(t), v(t) run the
-same tree walk over floats, and ``value`` walks the trees over plain
-floats.
+where it gives NaN.  At a point, ``jet``, ``ambient_jet`` and the curve's
+own u(t), v(t) run the same tree walk over floats, and ``value`` walks the
+trees over plain floats.
 
 Patches and paths are immutable after construction and all evaluation is
 pure, so they are safe to use concurrently.  A patch's caches take no lock
@@ -61,8 +56,7 @@ import numpy as np
 
 from . import expr
 from .errors import DomainError
-from .forms import (PointGeometry, _order2_metric, _record_fields,
-                    _tangency, metric_coefficients)
+from .forms import PointGeometry, _record_fields, metric_coefficients
 from .jets import ZERO, Field2, Jet1, Jet2, failing_node, straight_line
 
 __all__ = ["SurfaceJet", "SurfacePatch", "CurveJet", "CurvePath",
@@ -77,14 +71,6 @@ def _record_coefficients(components, jet2, u, v):
     over them, as kept (absent ones are ZERO): the record program."""
     comps = _jets(components, jet2, u, v)
     return tuple(map(_coeffs, (*comps, *_record_fields(comps, u, v))))
-
-
-def _hessian_coefficients(components, jet2, u, v):
-    """g = phi . N, its gradient and its Hessian over the component jets
-    over ``jet2`` at (u, v), by the record's formula: the hessian
-    program."""
-    g = _tangency(*_order2_metric(_jets(components, jet2, u, v)), u, v)[2]
-    return g.f, g.fu, g.fv, g.fuu, g.fuv, g.fvv
 
 
 def _curve_walk(components, jet1, *coeffs):
@@ -123,21 +109,17 @@ _CURVE_PARAMS = tuple(x + name for x in "uv" for name in Jet1._names)
 # 16; velocity 0.09-0.76 ms (median 0.5), saves 0.002-0.2 ms (median 0.09)
 # against its ring path, about 5, and takes ambient's tier; metric
 # 0.11-0.77 ms (median 0.6), saves 0.02-0.21 ms (median 0.09), about 7.
-# The tiers predate these figures: no CLI op builds more than 3 batched
-# records on one patch (verify builds 1 on each patch it reads, over all
-# the nodes its checks read there, and a 2nd on offset_sphere for the
-# traced locus; report-thm31, trace and isometry --curve build 1), so a
-# one-shot op compiles no record program.  hessian, at one point a call
-# (the corrected seed of each trace; best of 7 calls at 30 points), compiles
-# in 0.2-3.6 ms (median 2.8) and saves 0.14-0.25 ms a call (median 0.15)
-# against the one-point record, about 19 calls: a tier of 25 traces per
-# patch, so a one-shot op compiles none.
+# The tiers predate these figures: no CLI op makes more than 3 record
+# calls on one patch (verify makes 1 on each patch it reads, over all the
+# nodes its checks read there, and on offset_sphere 2 more for the traced
+# locus, at its corrected seed and over its samples; trace makes those 2,
+# report-thm31 and isometry --curve 1), so a one-shot op compiles no record
+# program.
 _PROGRAMS = {
     "record": (_record_coefficients, ("u", "v"), Jet2, 3),
     "ambient": (_ambient_coefficients, _CURVE_PARAMS, Jet1, 0),
     "velocity": (_velocity_coefficients, _CURVE_PARAMS, Jet1, 0),
     "metric": (metric_coefficients, ("u", "v"), Field2, 0),
-    "hessian": (_hessian_coefficients, ("u", "v"), Jet2, 25),
 }
 
 
@@ -217,12 +199,19 @@ class SurfacePatch:
         return program
 
     def _run(self, kind, *args):
-        """The ``kind`` program at ``args`` from this patch's call of that
-        kind past its tier on, else None, as where the program returns
-        None: the caller then takes its ring path."""
-        if next(self._calls[kind]) < _PROGRAMS[kind][3]:
-            return None
-        return self._program(kind)(*args)
+        """The coefficients of the ``kind`` build (:data:`_PROGRAMS`) at
+        ``args``: from this patch's program of that kind once its calls of
+        that kind pass the tier; below the tier, and where the program
+        returns None, from the build on its ring under the program's error
+        states (overflow and invalid pass, a division by zero raises),
+        which raises the first failing node's error."""
+        build, _, ring, tier = _PROGRAMS[kind]
+        if next(self._calls[kind]) >= tier:
+            out = self._program(kind)(*args)
+            if out is not None:
+                return out
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            return build(self.components, ring, *args)
 
     def _require_inside(self, u, v):
         if not self.contains(u, v):
@@ -256,8 +245,8 @@ class SurfacePatch:
 
     def jet_batch(self, u, v):
         """:meth:`jet` at every node of two equal-length 1-D arrays, in one
-        pass of the tree walk over Jet2 arrays: the oracle and the error
-        path of the record program.
+        pass of the tree walk over Jet2 arrays: the record kind's ring path
+        for the component jets, kept as the record program's oracle.
 
         The result's ``u`` and ``v`` are the node arrays and its derivative
         arrays have shape (3, nodes); each node's column carries the bits
@@ -271,14 +260,11 @@ class SurfacePatch:
     def _record_batch(self, u, v):
         """The :class:`~tpcurves.forms.PointGeometry` at every node of two
         equal-length 1-D arrays, with the bits of :meth:`jet_batch`'s
-        record: from the patch's record program past its tier, else, and
-        where the program returns None, over :meth:`jet_batch`, which then
-        raises the batch's error.
+        record, from the patch's record kind (:meth:`_run`), which raises
+        the batch's error.
         """
         u, v = self._nodes_inside(u, v)
         out = self._run("record", u, v)
-        if out is None:
-            return PointGeometry(self.jet_batch(u, v))
         comps = tuple(Jet2(*c) for c in out[:3])
         return PointGeometry._of(_surface_jet(u, v, comps),
                                  [Field2(*c) for c in out[3:]])
@@ -286,22 +272,19 @@ class SurfacePatch:
     def metric_batch(self, u, v):
         """E, F, G, E_u, E_v, F_u, F_v, G_u, G_v at every node of two
         arrays of nodes that broadcast together, in one pass: the patch's
-        metric program, or :func:`~tpcurves.forms.metric_coefficients`
-        over Field2 arrays where that returns None.
+        metric kind (:meth:`_run`), whose ring path is
+        :func:`~tpcurves.forms.metric_coefficients` over Field2 arrays.
 
         Each is an array that broadcasts to the nodes' shape, or a float
         where it is the same at every node, with the bits of the
         coefficients of the E, F, G fields of a record over
         :meth:`jet_batch` (:class:`~tpcurves.forms.PointGeometry`) at each
         node; it needs second partials only.  On a grid's (m, 1) and
-        (1, n) axes, a coefficient of u alone has shape (m, 1).  The first node outside the domain, or where :meth:`jet`
-        would raise EvalError, in row-major order, raises that error.
+        (1, n) axes, a coefficient of u alone has shape (m, 1).  The first
+        node outside the domain, or where :meth:`jet` would raise
+        EvalError, in row-major order, raises that error.
         """
-        u, v = self._nodes_inside(u, v)
-        # As in the tree walk, overflow and invalid operations pass.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._run("metric", u, v) or metric_coefficients(
-                self.components, Field2, u, v)
+        return self._run("metric", *self._nodes_inside(u, v))
 
     def text(self):
         return "(" + ", ".join(expr.to_text(c) for c in self.components) + ")"
@@ -315,8 +298,8 @@ def _jets(components, jet2, u, v):
 
 def _tree_walk(components, env, ring):
     """The trees over ``ring`` in ``env``, at a point or at arrays of nodes:
-    the per-point evaluation, and the oracle and the error path of the
-    generated array programs."""
+    the per-point evaluation, and the ring path of the record, ambient and
+    velocity programs."""
     # Python floats overflow to inf and NaN without a word; so do these.
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(expr.evaluate(c, env, ring.const) for c in components)
@@ -479,23 +462,18 @@ def ambient_jet(patch, curve, t):
     at that node, and the first node off the patch domain raises.
     """
     cj, coeffs = _curve_on(patch, curve, t)
-    out = (patch._run("ambient", *coeffs) if isinstance(t, np.ndarray)
-           else None)
-    # The tree walk raises its first failing node's error.
-    comps = (_curve_walk(patch.components, Jet1, *coeffs) if out is None
-             else tuple(Jet1(*c) for c in out))
+    comps = (tuple(Jet1(*c) for c in patch._run("ambient", *coeffs))
+             if isinstance(t, np.ndarray)
+             else _curve_walk(patch.components, Jet1, *coeffs))
     return cj, *(_stack(comps, attr, np.shape(t)) for attr in Jet1._names)
 
 
 def ambient_velocity(patch, curve, t):
     """dgamma/dt at a 1-D array of nodes ``t``, as a (3, nodes) array: the
     rows ``ambient_jet(patch, curve, t)[2]``, with their bits, NaN where
-    they are NaN, and the same error at the same node.  From the patch's
-    velocity program, or where that returns None, from the tree walk over
-    Jet1, which raises the batch's error."""
-    coeffs = _curve_on(patch, curve, t)[1]
-    out = (patch._run("velocity", *coeffs)
-           or _velocity_coefficients(patch.components, Jet1, *coeffs))
+    they are NaN, and the same error at the same node: the patch's
+    velocity kind (:meth:`SurfacePatch._run`)."""
+    out = patch._run("velocity", *_curve_on(patch, curve, t)[1])
     rows = np.empty((3, t.size))
     for i, x in enumerate(out):  # ZERO where u's or v's d1 passes through
         rows[i] = 0.0 if x is ZERO else x  # broadcasts a float

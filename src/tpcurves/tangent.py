@@ -22,9 +22,9 @@ vertex loop and the resampling (interpolation and correction of every
 target), is one float program generated per patch on first use
 (:func:`compile_tangency_walk`), with g's recorded body inline, that
 serves :func:`~tpcurves.forms.tangency_gradient` too; g's Hessian at the
-corrected seed comes from the patch's hessian program
-(:data:`~tpcurves.surface._PROGRAMS`).  A traced locus is one batched
-record like any other curve: its accepted samples are stacked in
+corrected seed comes from the patch's record kind
+(:meth:`~tpcurves.surface.SurfacePatch._run`).  A traced locus is one
+batched record like any other curve: its accepted samples are stacked in
 :attr:`TracedCurve.samples` and one record over them is kept in
 :attr:`TracedCurve.geometry`.
 
@@ -352,25 +352,16 @@ def _probe_identically_tangent(patch, u, v, radius):
     return total >= 3 and hits == total
 
 
-def _g_hessian(patch, u, v):
-    """g, g_u, g_v, g_uu, g_uv, g_vv at (u, v) in the domain: the patch's
-    hessian program past its tier, else, and where that returns None, the
-    one-point record's, its oracle and error path."""
-    out = patch._run("hessian", u, v)
-    if out is None:
-        g = point_geometry(patch, u, v).g
-        out = g.f, g.fu, g.fv, g.fuu, g.fuv, g.fvv
-    return out
-
-
 def _isolated_zero(patch, u, v, h):
     """Hessian test: a nearby critical point of g that is itself a zero
-    means the locus degenerates to a point.  g's Hessian at (u, v) is
-    :func:`_g_hessian`'s, the tracer's only evaluation of second
-    derivatives away from its samples."""
-    _, gu, gv, guu, guv, gvv = _g_hessian(patch, u, v)
-    hess = np.array([[guu, guv], [guv, gvv]])
-    grad = np.array([gu, gv])
+    means the locus degenerates to a point.  g's Hessian at (u, v), in the
+    domain, is the patch's record kind's g there (an absent coefficient
+    reads 0.0), the tracer's only evaluation of second derivatives away
+    from its samples."""
+    # The record's coefficients: the 3 component jets, E, F, G, det, area, g.
+    g = Field2(*patch._run("record", u, v)[8])
+    hess = np.array([[g.fuu, g.fuv], [g.fuv, g.fvv]])
+    grad = np.array([g.fu, g.fv])
     try:
         step = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
@@ -567,8 +558,8 @@ def trace_tangent_curve(patch, seed, h=0.01, max_steps=4000, resample=100):
     at equal arc length as one stacked CurveSample, and one PointGeometry
     over them.  A PointGeometry is built once, batched, over the accepted
     resample points; g's Hessian for the isolated-zero test comes from
-    :func:`_g_hessian` (a one-point record only below the hessian
-    program's tier).  Raises ConfigError unless h is positive and finite.
+    the patch's record kind at the corrected seed.  Raises ConfigError
+    unless h is positive and finite.
     """
     if not 0.0 < h < math.inf:  # false for NaN too
         raise ConfigError(f"step size h must be positive and finite, got {h!r}")

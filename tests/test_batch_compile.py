@@ -212,8 +212,7 @@ def record_bits(geom):
 U = np.linspace(0.1, 6.0, 40)
 V = np.linspace(-1.0, 1.0, 40)
 T = np.linspace(0.0, 1.0, 40)
-# The bits of one call of each kind on a catenoid patch: batched, or for
-# g's Hessian at a trace's seed, at one point.
+# The bits of one batched call of each kind on a catenoid patch.
 BATCHED_CALLS = {
     "record": lambda patch: record_bits(point_geometry(patch, U, V)),
     "ambient": lambda patch: [x.tobytes() for x in ambient_jet(
@@ -222,8 +221,6 @@ BATCHED_CALLS = {
         patch, builtin_scene().curve("catenoid_line"), T).tobytes()],
     "metric": lambda patch: [np.asarray(x, float).tobytes()
                              for x in patch.metric_batch(U, V)],
-    "hessian": lambda patch: [np.float64(x).tobytes() for x in
-                              tpcurves.tangent._g_hessian(patch, 1.0, 1.2)],
 }
 
 

@@ -8,8 +8,11 @@ their oracle and their error path.  Each coefficient must have the tree
 walk's bits at every node (NaN, of any bits, at the same nodes) and stay a
 float where the tree walk keeps a float; a batch with a failing node
 raises the tree walk's error, type and text.  ``test_record_program.py``
-checks the record program's fields.
+checks the record program's fields.  ``SurfacePatch._run`` is the one
+place that picks a program or the ring path, for every kind.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from test_tangency_kernel import _trees
 from tpcurves import expr, parse_curve, parse_surface
 from tpcurves.errors import DomainError, EvalError
 from tpcurves.jets import ZERO, Jet1, Jet2
-from tpcurves.surface import SurfacePatch, ambient_jet
+from tpcurves.surface import _PROGRAMS, SurfacePatch, ambient_jet
 
 
 def tree_walk(patch, u, v):
@@ -209,3 +212,42 @@ def test_a_nan_constant_no_result_uses_keeps_the_program():
     out = program_output(patch._program("record"), (u, v))  # no fallback
     assert_same_coeffs([Jet2(*c) for c in out[:3]], want)
     assert_same_coeffs(patch.jet_batch(u, v).components, want)
+
+
+def kind_args(kind, u):
+    """The args of a ``kind`` call at the nodes ``u``, with v = 0.5: the
+    nodes, or the coefficients of the curve t -> (t, 0.5) at them."""
+    if kind in ("ambient", "velocity"):
+        return curve_coeffs(parse_curve("t", "0.5", (-3000.0, 3000.0)), u)
+    return u, np.full(u.shape, 0.5)
+
+
+def leaf_bits(out):
+    """The type and bits of each coefficient of nested tuples, in order."""
+    if isinstance(out, tuple):
+        return [leaf for x in out for leaf in leaf_bits(x)]
+    return [(type(out), None if out is ZERO else np.asarray(out).tobytes())]
+
+
+@pytest.mark.parametrize("kind", sorted(_PROGRAMS))
+def test_run_is_the_ring_path_below_the_tier_and_where_the_program_fails(
+        kind, monkeypatch):
+    build, params, ring, _ = _PROGRAMS[kind]
+    monkeypatch.setitem(_PROGRAMS, kind, (build, params, ring, math.inf))
+    patch = parse_surface("(u*cos(v), u*sin(v), log(u) + u*v)",
+                          (0.1, 3.0), (-1.0, 1.0))
+    args = kind_args(kind, np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5]))
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        want = leaf_bits(build(patch.components, ring, *args))
+    assert leaf_bits(patch._run(kind, *args)) == want
+    assert kind not in vars(patch).get("_programs", {})  # compiled none
+    # Past the tier, the program gives way at the third node (a guard, a
+    # math error), and the ring path raises that node's error.
+    monkeypatch.setitem(_PROGRAMS, kind, (build, params, ring, 0))
+    for z, bad in (("log(u)", -0.5), ("exp(u)", 1000.0)):
+        patch = parse_surface(f"(u, v, {z})", (-2000.0, 2000.0), (-1.0, 1.0))
+        args = kind_args(kind, np.array([0.5, 0.25, bad, 0.3]))
+        assert patch._program(kind)(*args) is None
+        want = outcome(lambda: build(patch.components, ring, *args))
+        assert want[0] is EvalError and str(bad) in want[1]
+        assert outcome(lambda: patch._run(kind, *args)) == want

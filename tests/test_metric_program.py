@@ -283,10 +283,10 @@ def rendered_operations(body):
 
 # The operations each kind of program renders over the 9 built-in patches
 # ("walk" is the tracer's walk's body).  With operands kept as recorded
-# they were 941, 4,284, 551, 76, 371 and 2,556; a change that loses one of
-# the recording's exact identities shows here as a larger count.
+# they were 941, 4,284, 551, 76 and 371; a change that loses one of the
+# recording's exact identities shows here as a larger count.
 OPERATIONS = {"walk": 686, "record": 3377, "ambient": 519, "velocity": 68,
-              "metric": 253, "hessian": 1856}
+              "metric": 253}
 
 
 def test_each_kind_renders_its_pinned_operation_count(scene):

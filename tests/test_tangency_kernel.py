@@ -7,8 +7,9 @@ equal the record's formula evaluated over Field1; the tree walk over
 Field2 (:func:`order2`) must give the low-order coefficients of
 ``SurfacePatch.jet``, and each jet ring those of the next; where one side
 raises EvalError or DegeneratePoint, the other raises the same error.  A
-patch's hessian program must give ``PointGeometry.g``'s six coefficients
-bit for bit, and return None exactly where the record raises.
+patch's record program at a point must give every coefficient of the
+one-point record bit for bit, and return None exactly where the record
+raises.
 """
 
 import math
@@ -26,7 +27,7 @@ from tpcurves.expr import Binary, Const, Var
 from tpcurves.forms import REGULARITY_THRESHOLD
 from tpcurves.jets import Field1, Field2, Jet2, cross3, dot3
 from tpcurves.surface import _PROGRAMS, SurfacePatch
-from tpcurves.tangent import _g_hessian, compile_tangency_walk
+from tpcurves.tangent import compile_tangency_walk
 
 ORDER2 = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
@@ -86,9 +87,25 @@ def record_g(patch, u, v):
     return bits(g.f, g.fu, g.fv)
 
 
-def record_hessian(patch, u, v):
-    g = point_geometry(patch, u, v).g
-    return bits(*(getattr(g, k) for k in ORDER2))
+def coefficient_bits(*values):
+    """The bits of every coefficient of the ring values, read by name."""
+    return bits(*(getattr(x, k) for x in values for k in x._names))
+
+
+def record_bits(patch, u, v):
+    """The one-point record's component jets and fields, in the record
+    program's order."""
+    geom = point_geometry(patch, u, v)
+    fields = (getattr(geom, k) for k in
+              ("E", "F", "G", "det", "area", "g", "lam", "mu"))
+    return coefficient_bits(*geom.jet.components, *fields)
+
+
+def g_hessian(patch, u, v):
+    """g and its partials through order 2 at (u, v), as the tracer's seed
+    reads them: from the patch's record kind."""
+    g = Field2(*patch._run("record", u, v)[8])
+    return [getattr(g, k) for k in ORDER2]
 
 
 def kernel_g(patch, u, v):
@@ -194,15 +211,18 @@ def test_field1_is_field2_truncated(tree, u, v):
                  _trees().map(lambda h: (Var("u"), Var("v"), h))),
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @settings(max_examples=300, deadline=None)
-def test_hessian_program_matches_record_on_random_trees(components, u, v):
+def test_record_program_matches_one_point_record_on_random_trees(
+        components, u, v):
     # Graphs (u, v, h) are regular everywhere, so the comparison reaches
-    # g's coefficients wherever h evaluates.
+    # the record's fields wherever h evaluates.
     patch = SurfacePatch(name="random", components=components,
                          u_range=(-3.0, 3.0), v_range=(-3.0, 3.0))
-    got = patch._program("hessian")(u, v)
-    want = outcome(lambda: record_hessian(patch, u, v))
+    got = patch._program("record")(u, v)
+    want = outcome(lambda: record_bits(patch, u, v))
     if isinstance(want, bytes):
-        assert got is not None and bits(*got) == want
+        assert got is not None
+        assert coefficient_bits(*(Jet2(*c) for c in got[:3]),
+                                *(Field2(*c) for c in got[3:])) == want
     else:
         assert got is None
 
@@ -220,18 +240,18 @@ def test_hessian_doubles_with_phi(scene, monkeypatch, tier):
     """With phi scaled by 2, E, F, G scale by 4 and the triple product by
     8, so g and each of its partials double: exactly, barring overflow and
     underflow, since a power of 2 scales every coefficient without
-    rounding.  From the hessian program (tier 0) and the record (tier
+    rounding.  From the record kind, as the tracer's seed reads it: the
+    record program (tier 0) and the record build on the rings (tier
     inf)."""
-    monkeypatch.setitem(_PROGRAMS, "hessian",
-                        (*_PROGRAMS["hessian"][:3], tier))
+    monkeypatch.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], tier))
     rng = random.Random(20261020)
     for name, patch in scene.surfaces.items():
         double = _doubled(patch)
         for _ in range(40):
             u = rng.uniform(*patch.u_range)
             v = rng.uniform(*patch.v_range)
-            once = _g_hessian(patch, u, v)
-            assert bits(*_g_hessian(double, u, v)) == \
+            once = g_hessian(patch, u, v)
+            assert bits(*g_hessian(double, u, v)) == \
                 bits(*(2.0 * x for x in once)), (name, u, v)
 
 

@@ -72,12 +72,11 @@ def record_gradient(patch, u, v):
 def program_free(patch, newton):
     """The tracer's Python parts with no generated program: ``newton``
     corrects the seed, g and its gradient come from the record, and
-    records and g's Hessian run on the rings."""
+    records, g's Hessian at the seed among them, run on the rings."""
     with pytest.MonkeyPatch.context() as m:
         m.setitem(vars(patch), "tangency_walk", newton)
         m.setattr(tangent, "tangency_gradient", record_gradient)
-        for kind in ("record", "hessian"):
-            m.setitem(_PROGRAMS, kind, (*_PROGRAMS[kind][:3], math.inf))
+        m.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], math.inf))
         yield
 
 
@@ -329,15 +328,16 @@ def patch_calls(monkeypatch):
     return calls
 
 
-# The hessian kind's tier pinned on either side, and the one-point records
-# a trace then builds: one at the corrected seed below the tier (g's
-# Hessian), none past it.  The built-in scene is shared by every test, so
-# the count would otherwise depend on how many traces ran before.
-HESSIAN_TIERS = ((math.inf, 1), (0, 0))
+# The record kind's tier pinned on either side: g's Hessian at the
+# corrected seed comes from the record build on the rings, or from the
+# record program, and neither side calls ``patch.jet``.  The built-in scene
+# is shared by every test, so the side taken would otherwise depend on how
+# many traces ran before.
+RECORD_TIERS = (math.inf, 0)
 
 
-def _pin_hessian_tier(monkeypatch, tier):
-    monkeypatch.setitem(_PROGRAMS, "hessian", (*_PROGRAMS["hessian"][:3], tier))
+def _pin_record_tier(monkeypatch, tier):
+    monkeypatch.setitem(_PROGRAMS, "record", (*_PROGRAMS["record"][:3], tier))
 
 
 @pytest.mark.parametrize("max_steps", [50, 400])
@@ -348,16 +348,16 @@ def test_accepted_vertices_cost_no_jet(scene, patch_calls, monkeypatch,
     walks = []
     monkeypatch.setitem(vars(patch), "tangency_walk",
                         lambda *a, **k: walks.append(a) or walk(*a, **k))
-    for tier, jets in HESSIAN_TIERS:
-        _pin_hessian_tier(monkeypatch, tier)
+    for tier in RECORD_TIERS:
+        _pin_record_tier(monkeypatch, tier)
         patch_calls.clear()
         walks.clear()
         traced = trace_tangent_curve(patch, (2.0, 0.0), h=0.01,
                                      max_steps=max_steps, resample=20)
         assert len(traced.vertices) == max_steps + 1
-        # The seed's record (below the tier) and one batched record over
-        # the resampled samples, however many vertices were accepted.
-        assert patch_calls["jet"] == jets, tier
+        # One batched record over the resampled samples, however many
+        # vertices were accepted.
+        assert patch_calls["jet"] == 0, tier
         assert patch_calls["_record_batch"] == 1
         assert patch_calls["value"] == 0
         # The walk runs three times: the seed's correction, the vertex
@@ -370,15 +370,15 @@ def test_accepted_vertices_cost_no_jet(scene, patch_calls, monkeypatch,
 
 def test_cli_trace_reuses_the_tracer_records(tmp_path, patch_calls,
                                              monkeypatch):
-    for tier, jets in HESSIAN_TIERS:
-        _pin_hessian_tier(monkeypatch, tier)
+    for tier in RECORD_TIERS:
+        _pin_record_tier(monkeypatch, tier)
         patch_calls.clear()
         _run_trace(tmp_path, "offset_sphere", "2.0,0.0", None)
         with open(tmp_path / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
         assert all(abs(float(r["g"])) < 1e-8 for r in rows)
-        assert patch_calls["jet"] == jets, tier
+        assert patch_calls["jet"] == 0, tier
         assert patch_calls["_record_batch"] == 1
         assert patch_calls["value"] == 0
 
