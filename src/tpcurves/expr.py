@@ -34,7 +34,7 @@ from .errors import (
 __all__ = [
     "Const", "Var", "Unary", "Binary", "Node",
     "parse_expression", "parse_components", "parse_constant",
-    "evaluate", "is_affine", "to_text", "FUNCTIONS", "MAX_NESTING",
+    "evaluate", "to_text", "FUNCTIONS", "MAX_NESTING",
     "MAX_HEIGHT",
 ]
 
@@ -364,18 +364,6 @@ def evaluate(node, env, lift):
     if node.op == "*":
         return lhs * rhs
     return lhs / rhs
-
-
-def is_affine(node):
-    """True for Const and Var under neg, +, -, and * or / by a Const."""
-    if isinstance(node, Unary):
-        return node.op == "neg" and is_affine(node.arg)
-    if not isinstance(node, Binary):
-        return True  # a Const or a Var
-    by_const = isinstance(node.rhs, Const) or (
-        node.op == "*" and isinstance(node.lhs, Const))
-    return (node.op in ("+", "-") or node.op in ("*", "/") and by_const) \
-        and is_affine(node.lhs) and is_affine(node.rhs)
 
 
 # --- serialization -----------------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 from .curves import ambient_dot, transfer_sample
 from .errors import MetricMismatch
 from .forms import REGULARITY_THRESHOLD, point_geometry
-from .tangent import geodesic_curvature_formula, velocity_coefficients
+from .tangent import (LOCUS_TOL, geodesic_curvature_formula,
+                      velocity_coefficients)
 
 __all__ = [
     "IsometryPair", "MetricMatchReport", "InvarianceReport",
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 REGISTRATION_TOLERANCE = 1e-9
-_LOCUS_TOL = 1e-8
 
 RIGID_ORIGIN_FIXING = "rigid-origin-fixing"
 INTRINSIC = "intrinsic"
@@ -91,11 +91,11 @@ class InvarianceReport:
 
     @property
     def source_tangent_position(self):
-        return float(np.max(np.abs(self.source_tangency))) < _LOCUS_TOL
+        return float(np.max(np.abs(self.source_tangency))) < LOCUS_TOL
 
     @property
     def tangent_position_preserved(self):
-        return float(np.max(np.abs(self.target_tangency))) < _LOCUS_TOL
+        return float(np.max(np.abs(self.target_tangency))) < LOCUS_TOL
 
     @property
     def max_rho_residual(self):
@@ -229,10 +229,10 @@ def second_form_relation(pair, sample, geometry=None):
     residual = (du * du * (s2.L * t2.M - t2.L * s2.M)
                 + dv * dv * (s2.M * t2.N - t2.M * s2.N)
                 + du * dv * (s2.L * t2.N - t2.L * s2.N))
-    premise = ((abs(src.g.f) < _LOCUS_TOL)
-               & (abs(tgt.g.f) < _LOCUS_TOL)
-               & (abs(src.lam.f - tgt.lam.f) < _LOCUS_TOL)
-               & (abs(src.mu.f - tgt.mu.f) < _LOCUS_TOL))
+    premise = ((abs(src.g.f) < LOCUS_TOL)
+               & (abs(tgt.g.f) < LOCUS_TOL)
+               & (abs(src.lam.f - tgt.lam.f) < LOCUS_TOL)
+               & (abs(src.mu.f - tgt.mu.f) < LOCUS_TOL))
     return residual, premise
 
 

@@ -1,14 +1,17 @@
-"""`CurvePath.check_on` on affine paths: both ends decide, the messages of
-the sampled check stay.
+"""`CurvePath.check_on`: one sampled pass for every path, exact on affine
+paths, with the messages it has always given.
 
 A path built from constants and ``t`` by ``neg``, ``+``, ``-`` and ``*`` or
 ``/`` by a constant maps [t0, t1] onto a segment; the slack-widened domain
-is convex, so a segment whose ends lie inside it lies inside.  The expected
-messages were taken from the 129-point check that every path ran before.
+is convex, so a segment whose ends lie inside it lies inside, and the
+129-point pass, whose first and last samples are the ends, decides it as
+its two ends do.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpcurves import builtin_scene, expr, parse_curve
@@ -16,34 +19,21 @@ from tpcurves.errors import DomainError, EvalError
 from tpcurves.expr import Binary, Const, Unary, Var
 from tpcurves.surface import CurvePath, parse_surface
 
-AFFINE = ("cone_circle", "cone_circle_v2", "cone_ruling", "sphere_latitude",
-          "sphere_meridian", "offset_latitude", "catenoid_line",
-          "cylinder_helix")
-
 SQUARE = parse_surface("u, v, 0", (0, 1), (-1, 2), name="square")
 
 
-def _no_jet(self, t):
-    raise AssertionError("affine path was sampled")
-
-
-def test_builtin_affine_paths_checked_by_endpoints(monkeypatch):
+def test_every_builtin_path_sampled_in_one_pass(monkeypatch):
     scene = builtin_scene()
-    monkeypatch.setattr(CurvePath, "jet", _no_jet)
-    for name in AFFINE:
-        patch, curve = scene.curve_host(name)
-        curve.check_on(patch)
-
-
-def test_non_affine_path_still_sampled(monkeypatch):
-    scene = builtin_scene()
-    patch, curve = scene.curve_host("plane_circle")
     calls = []
     jet = CurvePath.jet
     monkeypatch.setattr(CurvePath, "jet",
                         lambda self, t: calls.append(t) or jet(self, t))
-    curve.check_on(patch)
-    assert len(calls) == 1 and len(calls[0]) == 129
+    assert len(scene.curves) == 9
+    for name in scene.curves:
+        patch, curve = scene.curve_host(name)
+        calls.clear()
+        curve.check_on(patch)
+        assert [len(t) for t in calls] == [129], name
 
 
 @pytest.mark.parametrize("u, v, t_range, message", [
@@ -79,16 +69,6 @@ def test_affine_path_with_inverted_range_keeps_message():
     assert str(info.value) == "t=0.8 outside [0.8, 0.2] of curve 'path'"
 
 
-@pytest.mark.parametrize("text, affine", [
-    ("t", True), ("3", True), ("-t", True), ("2*t - 1", True),
-    ("t*2 + t/4", True), ("-(t - 1)/3", True), ("2*pi/3", True),
-    ("t*t", False), ("1/t", False), ("t^1", False), ("-2*t", False),
-    ("sqrt(2)*t", False), ("cos(t)", False), ("t/(1 + 1)", False),
-])
-def test_is_affine(text, affine):
-    assert expr.is_affine(expr.parse_expression(text, ("t",))) is affine
-
-
 _SMALL = st.integers(-6, 6).map(lambda k: Const(k / 2))
 
 
@@ -112,14 +92,44 @@ def _outcome(path):
     return None
 
 
+def _convex_outcome(path):
+    """The outcome by convexity alone: with t0 <= t1, pass exactly where
+    both ends, evaluated as floats, are finite and inside the square;
+    ``/`` by a zero constant is an EvalError wherever it is met."""
+    t0, t1 = path.t_range
+    if t0 > t1:
+        return DomainError, f"t={t0} outside [{t0}, {t1}] of curve 'path'"
+    try:
+        ends = [expr.evaluate(c, {"t": t}, float)
+                for t in (t0, t1) for c in (path.u_component,
+                                            path.v_component)]
+    except EvalError as exc:
+        return EvalError, str(exc)
+    if all(map(math.isfinite, ends)) and \
+            SQUARE.contains(*ends[:2]) and SQUARE.contains(*ends[2:]):
+        return None
+    return DomainError
+
+
+# Paths that leave the square at one end only, 2**-20 past its edge:
+# the pass decides them by its first or its last sample alone.
+_PAST = Const(1 + 2.0 ** -20)
+
+
 @given(_affine_trees(), _affine_trees(),
        st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
+@example(Binary("*", Var("t"), _PAST), Const(0.5), (0, 4))
+@example(Binary("-", _PAST, Var("t")), Const(0.5), (0, 4))
 @settings(max_examples=300, deadline=None)
 def test_endpoint_check_matches_sampled_check(u, v, ends):
-    """Every outcome of the endpoint check, pass or error text, is the one
-    the sampled pass gives; an inverted range goes to the sampled pass."""
+    """The sampled pass passes an affine path exactly where its two ends
+    are finite and inside, raises DomainError elsewhere, and keeps the
+    inverted-range and division-by-zero texts."""
     path = CurvePath("path", u, v, (ends[0] / 4, ends[1] / 4))
-    fast = _outcome(path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expr, "is_affine", lambda node: False)
-        assert _outcome(path) == fast
+    outcome, expected = _outcome(path), _convex_outcome(path)
+    if expected is DomainError:
+        assert outcome is not None and outcome[0] is DomainError
+        assert outcome[1].startswith("curve 'path' leaves domain of "
+                                     "'square' at t=")
+    else:
+        assert outcome == expected
