@@ -371,11 +371,12 @@ def run_checks(scene, target="all"):
     A plan comes first (:func:`_plan`): it draws every node set the checks
     read (:func:`_node_sets`: the gauss points and the curves' samples) and
     builds one PointGeometry per patch over all of that patch's sets, a part
-    of it for each set.  The checks then read their sets and records from
-    the plan.  Where planning raises an error of the geometry, the plan is
-    dropped and each check draws its own set and builds its own record, as
-    it needs them, so the checks raise the error they meet first, in their
-    own order.  Sets and records are kept for this call only.
+    of it for each set, with slices of its second form and symbols.  The
+    checks then read their sets and records from the plan.  Where planning
+    raises an error of the geometry, the plan is dropped and each check
+    draws its own set and builds its own record, as it needs them, so the
+    checks raise the error they meet first, in their own order.  Sets and
+    records are kept for this call only.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")

@@ -12,7 +12,6 @@ byte-identical CSV/JSON/SVG.
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -127,13 +126,7 @@ def cmd_report_components(args):
     samples = sample_arclength(patch, curve, n)
     rep = position_component_report(point_geometry(patch, samples.u,
                                                    samples.v), samples)
-    # The running max over samples from 0, as Python's max takes it: a NaN
-    # residual never replaces the current worst.  A NaN rho or t residual
-    # means an identity went unchecked, so the worst is NaN; n and b are
-    # NaN below the frame threshold by design.
-    worst = max([0.0, *rep.max_residual().tolist()])
-    if np.isnan([rep.rho_residual, rep.t_residual]).any():
-        worst = math.nan
+    worst = float(np.max(rep.max_residual(), initial=0.0))
     columns = (samples.s, samples.u, samples.v, rep.rho, rep.rho_direct,
                rep.t_comp, rep.t_direct, rep.n_comp, rep.n_direct,
                rep.b_comp, rep.b_direct, rep.normal_component)

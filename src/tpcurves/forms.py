@@ -29,8 +29,9 @@ the record's symbols against the metric-formula oracle on its E, F, G
 fields, and :func:`first_form` copies those fields into a
 :class:`FirstForm`.  Over a batched jet it is the record of a whole curve
 or grid, every field an array over the nodes, and
-:meth:`PointGeometry.split` cuts one into the records of runs of its
-nodes.
+:meth:`PointGeometry.split` cuts one into plain records of runs of its
+nodes: it builds the whole's second form and symbols once and gives each
+part its slices of them.
 
 Three of a patch's generated programs are recorded from code here.  The
 metric program of a grid sweep (:func:`metric_coefficients`: E, F, G and
@@ -96,10 +97,6 @@ class FirstForm:
     def det(self):
         return self.E * self.G - self.F * self.F
 
-    @property
-    def area_element(self):
-        return np.sqrt(self.det)
-
 
 @dataclass(frozen=True)
 class SecondForm:
@@ -124,11 +121,11 @@ class PointGeometry:
     coefficients ``E``, ``F``, ``G``, ``det`` = EG - F^2, ``area`` =
     sqrt(det), the tangency residual ``g`` = phi . N and the coordinates
     ``lam``, ``mu`` of the position vector, phi = lam phi_u + mu phi_v + g N.
-    Built on first use: ``second`` (:class:`SecondForm`) and ``chris``,
-    the six connection symbols Gamma^1_11, Gamma^2_11, Gamma^1_12,
-    Gamma^2_12, Gamma^1_22, Gamma^2_22 as order-1 fields (value plus u, v
-    derivatives), checked against the metric-formula oracle by
-    :func:`christoffel`.
+    Built on first use, or sliced from its whole's by :meth:`split`:
+    ``second`` (:class:`SecondForm`) and ``chris``, the six connection
+    symbols Gamma^1_11, Gamma^2_11, Gamma^1_12, Gamma^2_12, Gamma^1_22,
+    Gamma^2_22 as order-1 fields (value plus u, v derivatives), checked
+    against the metric-formula oracle by :func:`christoffel`.
 
     Raises DegeneratePoint where EG - F^2 <= 1e-14, naming the first such
     node of a batch.
@@ -155,8 +152,6 @@ class PointGeometry:
         (self.E, self.F, self.G, self.det, self.area, self.g, self.lam,
          self.mu) = fields
 
-    _whole = None  # a part's (whole record, slice of its nodes)
-
     def split(self, sizes):
         """This batched record as the records of consecutive runs of
         ``sizes`` nodes, in order.  Each field's coefficients and each jet
@@ -164,10 +159,12 @@ class PointGeometry:
         build a record, are left out.  Every coefficient is an element-wise
         function of its node, so a part has the bits of a record built over
         its nodes alone.  A part's ``second`` and ``chris`` are slices of
-        this record's, computed once for all parts; where that raises, the
-        part computes its own, which raises as a record of its own does."""
+        this record's, computed here once for all parts; both are tested
+        node by node, so where they raise, a part built alone raises too.
+        One run is this record itself, its forms built on first use."""
         if len(sizes) == 1:
             return [self]
+        second, chris = vars(self.second).values(), self.chris
         parts, stop = [], 0
         for size in sizes:
             sl = slice(stop, stop + size)
@@ -178,29 +175,17 @@ class PointGeometry:
                        [_cut_ring(f, sl) for f in (
                            self.E, self.F, self.G, self.det, self.area,
                            self.g, self.lam, self.mu)])
-            part._whole = self, sl
+            part.second = SecondForm(*(_cut(x, sl) for x in second))
+            part.chris = tuple(_cut_ring(x, sl) for x in chris)
             parts.append(part)
         return parts
 
     @cached_property
     def second(self):
-        if self._whole is not None:
-            whole, sl = self._whole
-            try:
-                return SecondForm(*(_cut(x, sl)
-                                    for x in vars(whole.second).values()))
-            except GeometryError:
-                pass
         return second_form(self.jet)
 
     @cached_property
     def chris(self):
-        if self._whole is not None:
-            whole, sl = self._whole
-            try:
-                return tuple(_cut_ring(x, sl) for x in whole.chris)
-            except GeometryError:
-                pass
         return christoffel_fields(self.E, self.F, self.G)
 
 

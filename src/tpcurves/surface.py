@@ -385,16 +385,14 @@ class CurvePath:
     def check_on(self, patch):
         """Verify that the path stays inside the patch domain.
 
-        The path is tested at 129 equally spaced parameters, endpoints
-        included, in one batched :meth:`jet` pass, and passes if it leaves
+        The path is tested at 129 equally spaced parameters, from t0 to t1
+        exactly, in one batched :meth:`jet` pass, and passes if it leaves
         between two and comes back.  On a path affine in t the test is
-        exact, up to the rounding of the samples: the slack-widened domain
-        is convex and the first and last samples are the path's ends.  The
-        DomainError names the first failing ``t``.
+        exact: the slack-widened domain is convex and the first and last
+        samples are the path's ends.  The DomainError names the first
+        failing ``t``.
         """
-        t0, t1 = self.t_range
-        ts = np.array([t0 + (t1 - t0) * i / (_CHECK_SAMPLES - 1)
-                       for i in range(_CHECK_SAMPLES)])
+        ts = np.linspace(*self.t_range, _CHECK_SAMPLES)
         cj = self.jet(ts)
         bad = failing_node(np.logical_not(patch.contains(cj.u.f, cj.v.f)),
                            ts, cj.u.f, cj.v.f)

@@ -131,15 +131,13 @@ class PositionComponentReport:
     normal_component: float
 
     def max_residual(self):
-        """The largest residual as Python's ``max`` takes it over rho, t, n
-        and b, in that order, sample by sample: a later value replaces the
-        current one only when greater, so a NaN counts only in first
-        place, and a normal or binormal part that is NaN below the frame
-        threshold is skipped."""
-        worst = self.rho_residual
-        for r in (self.t_residual, self.n_residual, self.b_residual):
-            worst = np.where(r > worst, r, worst)[()]
-        return worst
+        """The largest of the rho, t, n and b residuals, sample by sample:
+        NaN where the rho or t residual is NaN, since that identity went
+        unchecked, while a normal or binormal part that is NaN below the
+        frame threshold is skipped."""
+        worst = np.maximum(self.rho_residual, self.t_residual)
+        framed = np.fmax(self.n_residual, self.b_residual)
+        return np.where(framed > worst, framed, worst)[()]
 
 
 def _along2(field, sample):

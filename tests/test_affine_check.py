@@ -36,6 +36,16 @@ def test_every_builtin_path_sampled_in_one_pass(monkeypatch):
         assert [len(t) for t in calls] == [129], name
 
 
+def test_the_pass_runs_from_t0_to_t1_exactly(monkeypatch):
+    calls = []
+    jet = CurvePath.jet
+    monkeypatch.setattr(CurvePath, "jet",
+                        lambda self, t: calls.append(t) or jet(self, t))
+    parse_curve("t", "0.5", (0.2, 0.9), name="path").check_on(SQUARE)
+    (ts,) = calls
+    assert len(ts) == 129 and ts[0] == 0.2 and ts[-1] == 0.9
+
+
 @pytest.mark.parametrize("u, v, t_range, message", [
     ("t", "0.5", (-0.5, 0.5),
      "at t=-0.5: (u, v)=(-0.5, 0.5)"),

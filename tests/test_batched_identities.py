@@ -273,8 +273,8 @@ def test_binormal_names_first_sample_below_frame_threshold(scene):
 # --- the report-thm31 "max residual" line --------------------------------
 
 NAN = math.nan
-# rho, t, n, b residuals of six samples: a NaN in first place hides the 9
-# behind it, as Python's max does; NaN elsewhere never wins.
+# rho, t, n, b residuals of six samples: a NaN rho or t residual makes the
+# sample's max NaN; a NaN n or b residual never wins.
 RESIDUALS = {
     "rho_residual": [NAN, 1.0, 1.0, 1.0, 1.0, 1.0],
     "t_residual": [9.0, NAN, 1.0, 1.0, 1.0, 2.0],
@@ -296,17 +296,18 @@ def _report_line_max(columns):
     return worst
 
 
-def test_max_residual_keeps_python_max_semantics(scene):
+def test_max_residual_is_nan_where_rho_or_t_is(scene):
     patch, curve = scene.curve_host("offset_latitude")
     batch = sample_arclength(patch, curve, 6)
     rep = dataclasses.replace(
         position_component_report(point_geometry(patch, batch.u, batch.v),
                                   batch),
         **{k: np.array(v) for k, v in RESIDUALS.items()})
-    per_sample = [max([r, t] + [x for x in (n, b) if not math.isnan(x)])
+    per_sample = [NAN if math.isnan(r) or math.isnan(t) else
+                  max([r, t] + [x for x in (n, b) if not math.isnan(x)])
                   for r, t, n, b in zip(*RESIDUALS.values())]
     assert_bits(rep.max_residual(), per_sample)
-    assert math.isnan(rep.max_residual()[0])
+    assert np.isnan(rep.max_residual()[:2]).all()
 
 
 # NaN n and b residuals alone (below the frame threshold): they never win.
@@ -362,6 +363,24 @@ def test_nan_on_the_traced_curve_fails_its_check(scene, monkeypatch):
     (check,) = [c for c in checks.run_checks(scene, "thm31")
                 if c.name == "rho-value/traced"]
     assert math.isnan(check.value) and check.passed is False
+
+
+def test_a_nan_t_residual_fails_the_component_checks(scene, monkeypatch):
+    """One NaN t residual, at the fifth sample of each component report,
+    fails both component checks, as report-thm31 prints nan for it."""
+    real = checks.position_component_report
+
+    def with_nan(geom, sample):
+        rep = real(geom, sample)
+        return dataclasses.replace(rep, t_residual=np.where(
+            np.arange(np.size(rep.t_residual)) == 4, NAN, rep.t_residual))
+
+    monkeypatch.setattr(checks, "position_component_report", with_nan)
+    failed = {c.name: math.isnan(c.value) and c.passed is False
+              for c in checks.run_checks(scene, "thm31")
+              if c.name.startswith("components-closed-vs-ambient/")}
+    assert failed == {"components-closed-vs-ambient/offset_latitude": True,
+                      "components-closed-vs-ambient/traced": True}
 
 
 # --- the per-sample loops the batched callers replaced, as oracles ---------

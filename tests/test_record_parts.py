@@ -4,8 +4,9 @@
 over every node set its checks read there, split into a part per set
 (``PointGeometry.split``).  Each part must have the bits of a record built
 over its nodes alone: every field coefficient, the jet arrays, the second
-form and the checked connection symbols.  Where planning raises, the
-checks build their own records and raise what the per-check path raises.
+form and the checked connection symbols, sliced from the whole's.  Where
+planning raises, even in the whole's second form or symbols, the checks
+build their own records, and give what the per-check path gives.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from test_record_program import FIELDS
 
 from tpcurves import checks, christoffel, cli, forms, point_geometry
 from tpcurves.curves import sample_arclength
-from tpcurves.errors import DegeneratePoint, DomainError, EvalError
+from tpcurves.errors import DegeneratePoint, DomainError, GeometryError
 from tpcurves.jets import ZERO
 from tpcurves.scene import BUILTIN_SCENE_TEXT, load_scene
 
@@ -66,8 +67,9 @@ def test_each_part_has_the_bits_of_a_record_of_its_own(scene, tmp_path,
     # 6 gauss point sets, 8 curves and the 9-sample circle on their hosts,
     # and the targets of 3 pairs (identity_catenoid's is its source).
     assert len(sets) == 18
+    # A part's forms are slices of its whole's: views.
     shared = [patch.name for patch, _, part in sets
-              if part._whole is not None]
+              if part.second.unit_normal.base is not None]
     assert sorted(set(shared)) == ["catenoid", "cone", "cylinder",
                                    "helicoid", "offset_sphere", "plane",
                                    "sphere"]
@@ -89,33 +91,57 @@ def test_a_plane_part_keeps_float_and_absent_coefficients(tmp_path):
         assert any(type(c) is np.ndarray for c in coeffs)
 
 
-def test_a_part_computes_its_own_forms_where_the_wholes_raise(
-        scene, monkeypatch):
-    """Where the whole record's second form or symbols raise, each part
-    computes its own; here they raise on more than 30 nodes."""
-    patch = scene.surface("cone")
-    rng = np.random.default_rng(7)
-    u = rng.uniform(*patch.u_range, 50)
-    v = rng.uniform(*patch.v_range, 50)
-    alone = [point_geometry(patch, u[:30], v[:30]),
-             point_geometry(patch, u[30:], v[30:])]
-    parts = point_geometry(patch, u, v).split([30, 20])
-    second_form, fields = forms.second_form, forms.christoffel_fields
+def stdout_of_verify(*config):
+    """Exit code and standard output of ``verify --format json``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--format", "json", *config])
+    return code, out.getvalue()
 
-    def small_second(jet):
-        if jet.u.size > 30:
+
+# The forms a record builds, and the nodes each is built over.
+FORMS = {"second_form": lambda jet: jet.u,
+         "christoffel_fields": lambda E, F, G: E.f}
+
+
+@pytest.mark.parametrize("name", FORMS)
+def test_a_whole_whose_forms_raise_drops_the_plan(scene, monkeypatch,
+                                                  name):
+    """Where the whole's second form or symbols raise, ``split`` raises,
+    and the per-check path gives verify's output.  They raise here on more
+    than 100 nodes: on a planned whole alone, since a gauss set has 100
+    nodes and a curve or pair set 50."""
+    want = stdout_of_verify()
+    real = getattr(forms, name)
+
+    def small(*args):
+        if np.size(FORMS[name](*args)) > 100:
             raise DegeneratePoint("the whole's")
-        return second_form(jet)
+        return real(*args)
 
-    def small_fields(E, F, G):
-        if E.f.size > 30:
-            raise EvalError("the whole's")
-        return fields(E, F, G)
+    monkeypatch.setattr(forms, name, small)
+    with pytest.raises(DegeneratePoint, match="the whole's"):
+        planned(scene)
+    assert want[0] == 0
+    assert stdout_of_verify() == want
 
-    monkeypatch.setattr(forms, "second_form", small_second)
-    monkeypatch.setattr(forms, "christoffel_fields", small_fields)
-    for part, want in zip(parts, alone):
-        assert_same_record(part, want)
+
+@pytest.mark.parametrize("source", ["builtin", "config"])
+def test_the_plan_only_saves_work(tmp_path, monkeypatch, source):
+    """verify's output is the same with the plan and without it."""
+    config = []
+    if source == "config":
+        path = tmp_path / "scene.ini"
+        path.write_text(BUILTIN_SCENE_TEXT)
+        config = ["--config", str(path)]
+    planned_run = stdout_of_verify(*config)
+
+    def no_plan(*args):
+        raise GeometryError("no plan")
+
+    monkeypatch.setattr(checks, "_plan", no_plan)
+    assert planned_run[0] == 0
+    assert stdout_of_verify(*config) == planned_run
 
 
 def test_one_node_set_is_its_own_part(scene):
